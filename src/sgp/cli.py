@@ -1,31 +1,28 @@
 """Command-line interface.
 
     sgp [--gens LIST | --a N] [--format json|csv|text] [--fast|--oracle]
-        [--betti-bound N] COMMAND [ARGS]
+        COMMAND [ARGS]
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2> and unlocks the closed-form paths.
-By default each command uses the closed form where one applies and falls
-back to enumeration otherwise, noting the fallback on stderr; --fast
-demands the closed form (usage error outside its domain) and --oracle
-forces enumeration.  JSON output carries a "method" field naming the
-code path that produced it.
+`verify` sweeps its own semigroups and takes neither.  By default each
+command uses the closed form where one applies and falls back to
+enumeration otherwise, noting the fallback on stderr; --fast demands the
+closed form (usage error outside its domain) and --oracle forces
+enumeration.  JSON output carries a "method" field naming the code path
+that produced it.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
-query.  SGP_THREADS caps the verify sweep's worker count; output is
-assembled in a fixed order either way, so identical invocations produce
-identical bytes.
+query.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 from . import arithmetic_sequence as arith
 from . import consecutive_triple as ct
@@ -36,26 +33,8 @@ CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Config:
-    gens: tuple | None
-    a: int | None
-    command: str
-    fmt: str
-    fast: bool
-    oracle: bool
-    betti_bound: int | None
-    # verify sweep parameters; defaults match the subparser
-    a_min: int = 3
-    a_max: int = 12
-    r_margin: int | None = None
-    arith: bool = False
-    random_count: int = 0
-    seed: int = 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="closed forms only; error outside their domain")
     mode.add_argument("--oracle", action="store_true",
                       help="force brute-force enumeration")
-    p.add_argument("--betti-bound", type=int, default=None, metavar="N",
-                   help="override the Betti element scan bound")
 
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="generators, Frobenius number, Betti "
@@ -108,95 +85,97 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_gens(text):
-    try:
-        gens = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError("--gens wants comma-separated integers, got %r"
-                         % text)
-    if not gens:
-        raise UsageError("--gens wants at least one generator")
-    return gens
+class Target:
+    """The semigroup a command addresses.
+
+    gens are the parsed generators, sorted and deduplicated; a is the a of
+    <a, a+1, a+2> when they are one (a >= 3), else None.  The engine's
+    Semigroup is built only when enumeration asks for it.
+    """
+
+    def __init__(self, ns):
+        if (ns.gens is None) == (ns.a is None):
+            raise UsageError("exactly one of --gens / --a is required")
+        if ns.a is not None:
+            if ns.a < 1:
+                raise UsageError("--a wants a positive integer")
+            gens = (ns.a, ns.a + 1, ns.a + 2)
+        else:
+            try:
+                gens = [int(part) for part in ns.gens.split(",")]
+            except ValueError:
+                raise UsageError("--gens wants comma-separated integers, "
+                                 "got %r" % ns.gens)
+        g = self.gens = tuple(sorted(set(gens)))
+        self.a = g[0] if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3 \
+            else None
+
+    def semigroup(self) -> core.Semigroup:
+        return core.Semigroup(self.gens)
 
 
-def _config(ns) -> Config:
-    # verify sweeps its own parameter grid; other commands address one
-    # semigroup and need exactly one selector.
-    if ns.command != "verify" and (ns.gens is None) == (ns.a is None):
-        raise UsageError("exactly one of --gens / --a is required")
-    gens = _parse_gens(ns.gens) if ns.gens is not None else None
-    cfg = Config(gens, ns.a, ns.command, ns.fmt, ns.fast, ns.oracle,
-                 ns.betti_bound)
-    if ns.command == "verify":
-        if ns.a_min < 3 or ns.a_max < ns.a_min:
-            raise UsageError("need 3 <= a-min <= a-max")
-        cfg = Config(gens, ns.a, ns.command, ns.fmt, ns.fast, ns.oracle,
-                     ns.betti_bound, ns.a_min, ns.a_max, ns.r_margin,
-                     ns.arith, ns.random, ns.seed)
-    return cfg
+def _resolve(target, ns, command, closed, enum, reason):
+    """Answer one command by closed form or enumeration: (result, method).
 
-
-def _semigroup(cfg: Config) -> core.Semigroup:
-    if cfg.a is not None:
-        if cfg.a < 1:
-            raise UsageError("--a wants a positive integer")
-        return core.Semigroup((cfg.a, cfg.a + 1, cfg.a + 2))
-    return core.Semigroup(cfg.gens)
-
-
-def _triple_a(cfg: Config):
-    """The a of <a, a+1, a+2> when the configured semigroup is one, else None."""
-    if cfg.a is not None:
-        return cfg.a if cfg.a >= 3 else None
-    g = sorted(set(cfg.gens))
-    if len(g) == 3 and g[1] == g[0] + 1 and g[2] == g[0] + 2 and g[0] >= 3:
-        return g[0]
-    return None
-
-
-def _note_fallback(cfg: Config, command, reason):
-    if not cfg.oracle:
-        print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
-                                                    reason), file=sys.stderr)
-
-
-def _require_fast_available(cfg: Config, command, reason):
-    # --fast promises the closed form; refuse rather than silently degrade.
-    if cfg.fast:
+    closed and enum are thunks; closed is None where no closed form
+    applies, with reason saying why, and enum is None for commands that
+    have no enumeration mode.  The closed form runs unless --oracle is
+    given or it is None.  Otherwise a command without enumeration, or
+    --fast, is a usage error; a consecutive triple falling back without
+    --oracle notes the fallback on stderr; and enum runs.
+    """
+    if closed is not None and not ns.oracle:
+        return closed(), CLOSED_FORM
+    if enum is None:
+        if ns.oracle:
+            raise UsageError("%s has no enumeration mode for --oracle"
+                             % command)
+        raise UsageError("no closed form for %s (%s), and it has no "
+                         "enumeration mode" % (command, reason))
+    if ns.fast:
         raise UsageError("--fast: no closed form for %s (%s)"
                          % (command, reason))
+    if target.a is not None and not ns.oracle:
+        print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
+                                                    reason), file=sys.stderr)
+    return enum(), ENUMERATION
 
 
-def _emit(cfg: Config, text_lines, json_obj, csv_rows=None):
-    if cfg.fmt == "json":
+def _emit(ns, text_lines, json_obj, csv_rows):
+    if ns.fmt == "json":
         print(json.dumps(json_obj, sort_keys=True))
-    elif cfg.fmt == "csv":
-        for row in csv_rows if csv_rows is not None else []:
+    elif ns.fmt == "csv":
+        for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
         for line in text_lines:
             print(line)
 
 
-def cmd_info(cfg: Config) -> int:
-    S = _semigroup(cfg)
-    a = _triple_a(cfg)
-    if a is not None and not cfg.oracle:
+def _triple_form(t, fn):
+    """fn(t.a) as a thunk when t is a consecutive triple, else None."""
+    return partial(fn, t.a) if t.a is not None else None
+
+
+def cmd_info(t, ns) -> int:
+    def closed(a):
         ts = ct.TripleSemigroup(a)
-        cls = ct.ubetti_triple(a)
-        frob, ulf_size, threshold = ts.frob, len(ct.ulf_triple(a)), ts.ulf_bound
-        method = CLOSED_FORM
-    else:
-        _require_fast_available(cfg, "info", "not a consecutive triple")
-        cls = core.betti_elements(S, cfg.betti_bound)
-        frob = S.frobenius
-        threshold = None
-        ulf_size = len(core.ulf(S, scan_bound=cfg.betti_bound)) \
+        return (ts.generators, ts.frob, ct.ubetti_triple(a),
+                len(ct.ulf_triple(a)), ts.ulf_bound)
+
+    def enum():
+        S = t.semigroup()
+        cls = core.betti_elements(S)
+        ulf_size = len(core.apery_multi(S, cls.unbalanced)) \
             if cls.unbalanced else None
-        method = ENUMERATION
+        return S.minimal_generators, S.frobenius, cls, ulf_size, None
+
+    (mingens, frob, cls, ulf_size, threshold), method = _resolve(
+        t, ns, "info", _triple_form(t, closed), enum,
+        "not a consecutive triple")
     obj = {"method": method,
-           "generators": list(S.generators),
-           "minimal_generators": list(S.minimal_generators),
+           "generators": list(t.gens),
+           "minimal_generators": list(mingens),
            "frobenius": frob,
            "betti": list(cls.betti),
            "balanced": list(cls.balanced),
@@ -204,7 +183,7 @@ def cmd_info(cfg: Config) -> int:
            "ulf_size": ulf_size}
     if threshold is not None:
         obj["ulf_bound"] = threshold
-    lines = ["minimal generators: %s" % (list(S.minimal_generators),),
+    lines = ["minimal generators: %s" % (list(mingens),),
              "frobenius: %d" % frob]
     if threshold is not None:
         lines.append("two-length threshold: %d" % threshold)
@@ -212,137 +191,109 @@ def cmd_info(cfg: Config) -> int:
               % (list(cls.betti), list(cls.balanced), list(cls.unbalanced)),
               "unique-length members: %s"
               % ("unbounded" if ulf_size is None else ulf_size)]
-    _emit(cfg, lines, obj, [(k, v) for k, v in sorted(obj.items())])
+    _emit(ns, lines, obj, sorted(obj.items()))
     return 0
 
 
-def cmd_factorize(cfg: Config, r) -> int:
-    a = _triple_a(cfg)
-    method = ENUMERATION
-    if a is not None and not cfg.oracle:
-        if not ct.member_triple(a, r):
-            raise core.NotMemberError(
-                "%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
-        if ct.ulf_membership_triple(a, r):
-            facs = ct.factorizations_triple(a, r)
-            method = CLOSED_FORM
-        else:
-            _require_fast_available(
-                cfg, "factorize %d" % r,
-                "element has two factorization lengths")
-            _note_fallback(cfg, "factorize", "two factorization lengths")
-            facs = core.factorizations(_semigroup(cfg), r)
-    else:
-        _require_fast_available(cfg, "factorize", "not a consecutive triple")
-        S = _semigroup(cfg)
+def cmd_factorize(t, ns) -> int:
+    r = ns.r
+    closed, reason = None, "not a consecutive triple"
+    if t.a is not None:
+        if not ct.member_triple(t.a, r):
+            raise core.NotMemberError("%d is not in <%d, %d, %d>"
+                                      % ((r,) + t.gens))
+        if ct.ulf_membership_triple(t.a, r):
+            closed = partial(ct.factorizations_triple, t.a, r)
+        reason = "two factorization lengths"
+
+    def enum():
+        S = t.semigroup()
         if r not in S:
             raise core.NotMemberError("%d is not in %r" % (r, S))
-        facs = core.factorizations(S, r)
+        return core.factorizations(S, r)
+
+    facs, method = _resolve(t, ns, "factorize", closed, enum, reason)
     obj = {"method": method, "r": r, "factorizations": [list(f) for f in facs]}
-    _emit(cfg, [" ".join(map(str, f)) for f in facs], obj,
-          [tuple(f) for f in facs])
+    _emit(ns, [" ".join(map(str, f)) for f in facs], obj, facs)
     return 0
 
 
-def cmd_apery(cfg: Config, xs) -> int:
-    _require_fast_available(cfg, "apery", "enumeration only")
-    S = _semigroup(cfg)
-    if _triple_a(cfg) is not None:
-        _note_fallback(cfg, "apery", "enumeration only")
-    members = core.apery(S, xs[0]) if len(xs) == 1 \
-        else core.apery_multi(S, xs)
-    obj = {"method": ENUMERATION, "x": sorted(set(xs)), "apery": members}
-    _emit(cfg, [" ".join(map(str, members))], obj, [(m,) for m in members])
+def cmd_apery(t, ns) -> int:
+    xs = ns.x
+
+    def enum():
+        S = t.semigroup()
+        return core.apery(S, xs[0]) if len(xs) == 1 \
+            else core.apery_multi(S, xs)
+
+    members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
+    obj = {"method": method, "x": sorted(set(xs)), "apery": members}
+    _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
     return 0
 
 
-def cmd_betti(cfg: Config) -> int:
-    a = _triple_a(cfg)
-    if a is not None and not cfg.oracle:
-        cls = ct.ubetti_triple(a)
-        method = CLOSED_FORM
-    else:
-        _require_fast_available(cfg, "betti", "not a consecutive triple")
-        cls = core.betti_elements(_semigroup(cfg), cfg.betti_bound)
-        method = ENUMERATION
+def cmd_betti(t, ns) -> int:
+    cls, method = _resolve(
+        t, ns, "betti", _triple_form(t, ct.ubetti_triple),
+        lambda: core.betti_elements(t.semigroup()), "not a consecutive triple")
     obj = {"method": method, "betti": list(cls.betti),
            "balanced": list(cls.balanced), "unbalanced": list(cls.unbalanced)}
     lines = ["betti: %s" % (list(cls.betti),),
              "balanced: %s" % (list(cls.balanced),),
              "unbalanced: %s" % (list(cls.unbalanced),)]
-    _emit(cfg, lines, obj,
+    _emit(ns, lines, obj,
           [(b, "balanced" if b in cls.balanced else "unbalanced")
            for b in cls.betti])
     return 0
 
 
-def cmd_ulf(cfg: Config, bound) -> int:
-    a = _triple_a(cfg)
-    if a is not None and not cfg.oracle:
-        members = [u.r for u in ct.ulf_triple(a)]
-        method = CLOSED_FORM
-    else:
-        _require_fast_available(cfg, "ulf", "not a consecutive triple")
-        try:
-            members = core.ulf(_semigroup(cfg), bound=bound,
-                               scan_bound=cfg.betti_bound)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        method = ENUMERATION
+def cmd_ulf(t, ns) -> int:
+    members, method = _resolve(
+        t, ns, "ulf",
+        _triple_form(t, lambda a: [u.r for u in ct.ulf_triple(a)]),
+        lambda: core.ulf(t.semigroup(), bound=ns.bound),
+        "not a consecutive triple")
     obj = {"method": method, "count": len(members), "ulf": members}
-    _emit(cfg, [" ".join(map(str, members))], obj, [(m,) for m in members])
+    _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
     return 0
 
 
-def cmd_table(cfg: Config) -> int:
-    a = _triple_a(cfg)
-    if a is None or cfg.oracle:
-        raise UsageError("table is defined for consecutive triples only")
-    t = render.partition_table(a)
-    if cfg.fmt == "csv":
-        sys.stdout.write(render.table_to_csv(t))
-    elif cfg.fmt == "json":
-        sys.stdout.write(render.table_to_json(t))
-    else:
-        sys.stdout.write(render.table_to_text(t))
+def cmd_table(t, ns) -> int:
+    table, _ = _resolve(
+        t, ns, "table", _triple_form(t, render.partition_table), None,
+        "not a consecutive triple")
+    write = {"csv": render.table_to_csv, "json": render.table_to_json,
+             "text": render.table_to_text}[ns.fmt]
+    sys.stdout.write(write(table))
     return 0
 
 
-def _arith_params(gens):
-    g = sorted(set(gens))
+def _arith_params(g):
+    """ArithSemigroup for sorted distinct generators g, or None."""
     if len(g) < 2:
         return None
-    a, d = g[0], g[1] - g[0]
-    if d < 1:
-        return None
+    d = g[1] - g[0]
     if any(g[i] - g[i - 1] != d for i in range(1, len(g))):
         return None
     try:
-        return arith.ArithSemigroup(a, d, len(g) - 1)
+        return arith.ArithSemigroup(g[0], d, len(g) - 1)
     except ValueError:
         return None
 
 
-def cmd_presentation(cfg: Config) -> int:
-    a = _triple_a(cfg)
-    if cfg.oracle:
-        raise UsageError("presentation has no enumeration mode")
-    if a is not None:
-        pres = ct.presentation_triple(a)
-    else:
-        A = _arith_params(cfg.gens)
-        if A is None:
-            raise UsageError("no closed-form presentation for these "
-                             "generators (need a consecutive triple or an "
-                             "arithmetic sequence)")
-        pres = arith.presentation_arith(A)
-    S = _semigroup(cfg)
-    obj = {"method": CLOSED_FORM,
+def cmd_presentation(t, ns) -> int:
+    closed = _triple_form(t, ct.presentation_triple)
+    if closed is None and (A := _arith_params(t.gens)) is not None:
+        closed = partial(arith.presentation_arith, A)
+    pres, method = _resolve(
+        t, ns, "presentation", closed, None,
+        "need a consecutive triple or an arithmetic sequence")
+    obj = {"method": method,
            "relations": [[list(x), list(y)] for x, y in pres.relations]}
     lines = ["%s  =  %s   (value %d)"
-             % (" ".join(map(str, x)), " ".join(map(str, y)), S.value(x))
+             % (" ".join(map(str, x)), " ".join(map(str, y)), x.value(t.gens))
              for x, y in pres.relations]
-    _emit(cfg, lines, obj,
+    _emit(ns, lines, obj,
           [(" ".join(map(str, x)), " ".join(map(str, y)))
            for x, y in pres.relations])
     return 0
@@ -439,19 +390,18 @@ def _verify_random(count, seed):
     return checks, None
 
 
-def cmd_verify(cfg: Config) -> int:
-    threads = int(os.environ.get("SGP_THREADS", "1") or "1")
-    a_values = list(range(cfg.a_min, cfg.a_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda a: _verify_triple(a, cfg.r_margin), a_values))
-    else:
-        results = [_verify_triple(a, cfg.r_margin) for a in a_values]
-    if cfg.arith:
+def cmd_verify(ns) -> int:
+    if ns.gens is not None or ns.a is not None:
+        raise UsageError("verify sweeps its own semigroups; "
+                         "it takes neither --gens nor --a")
+    if ns.a_min < 3 or ns.a_max < ns.a_min:
+        raise UsageError("need 3 <= a-min <= a-max")
+    a_values = range(ns.a_min, ns.a_max + 1)
+    results = [_verify_triple(a, ns.r_margin) for a in a_values]
+    if ns.arith:
         results += [_verify_arith(a) for a in a_values if a >= 5]
-    if cfg.random_count:
-        results.append(_verify_random(cfg.random_count, cfg.seed))
+    if ns.random:
+        results.append(_verify_random(ns.random, ns.seed))
     total = sum(c for c, _ in results)
     for _, failure in results:
         if failure is not None:
@@ -461,35 +411,21 @@ def cmd_verify(cfg: Config) -> int:
     return 0
 
 
+COMMANDS = {"info": cmd_info, "factorize": cmd_factorize, "apery": cmd_apery,
+            "betti": cmd_betti, "ulf": cmd_ulf, "table": cmd_table,
+            "presentation": cmd_presentation}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = _config(ns)
-        if ns.command == "info":
-            return cmd_info(cfg)
-        if ns.command == "factorize":
-            return cmd_factorize(cfg, ns.r)
-        if ns.command == "apery":
-            return cmd_apery(cfg, ns.x)
-        if ns.command == "betti":
-            return cmd_betti(cfg)
-        if ns.command == "ulf":
-            return cmd_ulf(cfg, ns.bound)
-        if ns.command == "table":
-            return cmd_table(cfg)
-        if ns.command == "presentation":
-            return cmd_presentation(cfg)
         if ns.command == "verify":
-            return cmd_verify(cfg)
-        raise UsageError("unknown command %r" % ns.command)
+            return cmd_verify(ns)
+        return COMMANDS[ns.command](Target(ns), ns)
     except core.NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError and invalid generators
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ counterparts in core_semigroup are the reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .core_semigroup import (
     BettiClassification,
@@ -39,7 +40,8 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def _check_a(a):
-    if a < 3:
+    # index() rejects floats and other non-integers with a TypeError.
+    if index(a) < 3:
         # a = 1 gives N, where factorizations are unique, and a = 2 gives
         # <2, 3>, where all factorization lengths of an element differ;
         # the formulas in this module assume neither degenerate shape.
@@ -121,6 +123,7 @@ def seed(a, r) -> SeedDescriptor:
     phi has a negative first coordinate exactly when r is not a member.
     """
     _check_a(a)
+    r = index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
     ell, eps = divmod(r, a)
@@ -133,6 +136,7 @@ def seed(a, r) -> SeedDescriptor:
 def member_triple(a, r) -> bool:
     """Membership test: r mod a <= 2 * floor(r / a)."""
     _check_a(a)
+    r = index(r)
     return r >= 0 and r % a <= 2 * (r // a)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
+from operator import index
 
 
 class NotMemberError(ValueError):
@@ -42,16 +43,17 @@ class Factorization(tuple):
 class Semigroup:
     """The numerical semigroup generated by a set of positive integers.
 
-    Construction validates the input (nonempty, positive, gcd 1), derives
-    the minimal generating set, the Frobenius number and a membership
-    table covering every integer up to the Frobenius number.  Instances
-    are immutable after construction and safe to share between threads.
+    Construction validates the input (nonempty, positive, gcd 1; a
+    non-integer generator is a TypeError), derives the minimal generating
+    set, the Frobenius number and a membership table covering every
+    integer up to the Frobenius number.  Instances are immutable after
+    construction and safe to share between threads.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_member")
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
+        gens = sorted({index(g) for g in generators})
         if not gens:
             raise ValueError("need at least one generator")
         if gens[0] <= 0:
@@ -299,20 +301,17 @@ def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:
                               _component_count(verts))
 
 
-def betti_elements(S: Semigroup, scan_bound=None) -> BettiClassification:
+def betti_elements(S: Semigroup) -> BettiClassification:
     """All members with a disconnected factorization graph, classified.
 
     The scan covers [0, frobenius + n_1 + n_e].  That is exhaustive: for
     larger r every generator pair n_1, n_j leaves r - n_1 - n_j in S, so
     each factorization connects through the n_1-using ones and the graph
     is connected.  (For two coprime generators a, b the bound collapses
-    to ab, which is the unique Betti element, so it is tight.)  A larger
-    scan_bound can be passed to double-check.
+    to ab, which is the unique Betti element, so it is tight.)
     """
     gens = S.minimal_generators
-    bound = scan_bound
-    if bound is None:
-        bound = S.frobenius + gens[0] + gens[-1]
+    bound = S.frobenius + gens[0] + gens[-1]
     betti, balanced, unbalanced = [], [], []
     for r in range(bound + 1):
         if r not in S:
@@ -329,7 +328,7 @@ def betti_elements(S: Semigroup, scan_bound=None) -> BettiClassification:
                                tuple(unbalanced))
 
 
-def ulf(S: Semigroup, bound=None, scan_bound=None):
+def ulf(S: Semigroup, bound=None):
     """All members whose factorization length set is a singleton.
 
     Computed as Ap(S, UBetti(S)), which is finite whenever some Betti
@@ -337,7 +336,7 @@ def ulf(S: Semigroup, bound=None, scan_bound=None):
     only N itself (generated by 1) has none, and then an explicit bound
     is required because every member qualifies.
     """
-    cls = betti_elements(S, scan_bound)
+    cls = betti_elements(S)
     if not cls.unbalanced:
         if bound is None:
             raise ValueError(
@@ -347,11 +346,11 @@ def ulf(S: Semigroup, bound=None, scan_bound=None):
     return apery_multi(S, cls.unbalanced)
 
 
-def min_ulf_breaker(S: Semigroup, scan_bound=None):
+def min_ulf_breaker(S: Semigroup):
     """The least member with two factorization lengths among Betti elements.
 
     Every member below it has a singleton length set and it does not.
     None when there is no unbalanced Betti element (S = N).
     """
-    cls = betti_elements(S, scan_bound)
+    cls = betti_elements(S)
     return min(cls.unbalanced) if cls.unbalanced else None

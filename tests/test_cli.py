@@ -141,6 +141,14 @@ def test_presentation_unsupported_generators(capsys):
     assert "presentation" in err
 
 
+@pytest.mark.parametrize("a", ["-1", "0", "1", "2"])
+def test_presentation_small_a_is_usage_error(capsys, a):
+    code, out, err = run(capsys, "--a", a, "presentation")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bad_gens_exit_2(capsys):
     code, _, err = run(capsys, "--gens", "4,banana", "info")
     assert code == 2
@@ -173,12 +181,12 @@ def test_verify_with_options(capsys):
     assert out.startswith("PASS")
 
 
-def test_verify_threaded_same_output(capsys, monkeypatch):
-    code, serial, _ = run(capsys, "verify", "--a-max", "9")
-    monkeypatch.setenv("SGP_THREADS", "4")
-    code2, threaded, _ = run(capsys, "verify", "--a-max", "9")
-    assert code == code2 == 0
-    assert serial == threaded
+@pytest.mark.parametrize("selector", [["--gens", "3,4,5"], ["--a", "10"]])
+def test_verify_rejects_selector(capsys, selector):
+    code, out, err = run(capsys, *selector, "verify", "--a-max", "4")
+    assert code == 2
+    assert out == ""
+    assert "verify" in err
 
 
 def test_verify_reports_counterexample(capsys, monkeypatch):

@@ -392,3 +392,33 @@ def test_random_members_agree_with_engine(a, data):
         sorted(map(tuple, facs))
     assert denumerant_triple(a, r) == len(facs)
     assert length_triple(a, r) == r // a
+
+
+# ---------------------------------------------------------------------------
+# integers only at the public boundary
+
+NON_INTEGERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(),
+    st.decimals(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=NON_INTEGERS, a=st.integers(min_value=3, max_value=30),
+       r=st.integers(min_value=0, max_value=300))
+def test_non_integers_raise_and_integers_still_answer(x, a, r):
+    # a float is rejected even when integral: 10.0 used to slip through
+    for call in (lambda: member_triple(x, r), lambda: member_triple(a, x),
+                 lambda: seed(x, r), lambda: seed(a, x),
+                 lambda: Semigroup([x, a, a + 1])):
+        with pytest.raises(TypeError):
+            call()
+    S = Semigroup([a, a + 1, a + 2])
+    assert S.generators == (a, a + 1, a + 2)
+    assert member_triple(a, r) == (r in S)
+    sd = seed(a, r)
+    ell, eps = divmod(r, a)
+    assert (sd.ell, sd.eps) == (ell, eps)
+    assert sd.phi == (ell - (eps + 1) // 2, eps % 2, eps // 2)
+    assert all(type(v) is int for v in sd.phi + (sd.kappa, sd.xi, sd.iota,
+                                                 sd.c))

@@ -233,9 +233,14 @@ def test_betti_classification_split():
         assert len(length_set(S, b)) >= 2
 
 
-def test_betti_scan_bound_override_matches_default():
+def test_betti_default_scan_is_exhaustive():
+    # betti_elements stops at frobenius + n_1 + n_e; past that every
+    # factorization graph must be connected
     S = sg(9, 10, 11)
-    assert betti_elements(S, scan_bound=400) == betti_elements(S)
+    gens = S.minimal_generators
+    bound = S.frobenius + gens[0] + gens[-1]
+    assert all(nabla_graph(S, r).n_components == 1
+               for r in range(bound + 1, 401) if r in S)
 
 
 # ---------------------------------------------------------------------------
