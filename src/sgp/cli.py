@@ -220,13 +220,9 @@ def cmd_factorize(t, ns) -> int:
 
 def cmd_apery(t, ns) -> int:
     xs = ns.x
-
-    def enum():
-        S = t.semigroup()
-        return core.apery(S, xs[0]) if len(xs) == 1 \
-            else core.apery_multi(S, xs)
-
-    members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
+    members, method = _resolve(
+        t, ns, "apery", None, lambda: core.apery_multi(t.semigroup(), xs),
+        "enumeration only")
     obj = {"method": method, "x": sorted(set(xs)), "apery": members}
     _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
     return 0

@@ -1,10 +1,12 @@
 """Generic numerical-semigroup engine.
 
 A numerical semigroup is the set of all non-negative integer combinations
-of a finite set of positive generators whose gcd is 1.  Everything in this
-module is exact integer arithmetic over explicit factorization sets, with
-no closed forms: the point is to be slow, obvious and trustworthy, so that
-the fast paths in the sibling modules can be checked against it.
+of a finite set of positive generators whose gcd is 1.  Membership rests
+on the Apery set of the smallest generator (see `Semigroup`); everything
+else in this module is exact integer arithmetic over explicit
+factorization sets, with no closed forms: the point is to be slow, obvious
+and trustworthy, so that the fast paths in the sibling modules can be
+checked against it.
 
 Conventions used throughout:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
 from math import gcd
 from operator import index
 
@@ -44,13 +47,20 @@ class Semigroup:
     """The numerical semigroup generated by a set of positive integers.
 
     Construction validates the input (nonempty, positive, gcd 1; a
-    non-integer generator is a TypeError), derives the minimal generating
-    set, the Frobenius number and a membership table covering every
-    integer up to the Frobenius number.  Instances are immutable after
+    non-integer generator is a TypeError).  The semigroup is then held as
+    Ap(S, n1), the Apery set of the smallest generator n1: a list of n1
+    ints whose entry i is the least member congruent to i mod n1.  So r is
+    a member exactly when r is at least the entry for r mod n1; a
+    non-integer query is a TypeError.  The Frobenius number is the
+    largest entry minus n1, and the minimal generators are derived with
+    O(e^2) membership tests.  An instance keeps O(n1) memory.
+    Construction is Dijkstra over the residues mod n1 (Bocker & Liptak's
+    round-robin idea); for e <= n1 generators it takes O(n1 * e * log n1)
+    time and at most n1 * e heap entries.  Instances are immutable after
     construction and safe to share between threads.
     """
 
-    __slots__ = ("generators", "minimal_generators", "frobenius", "_member")
+    __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
 
     def __init__(self, generators):
         gens = sorted({index(g) for g in generators})
@@ -63,53 +73,31 @@ class Semigroup:
             raise ValueError(
                 "not a numerical semigroup: gcd of generators is %d" % g)
         self.generators = tuple(gens)
-        self._build_member_table()
         n1 = gens[0]
-        # g is a minimal generator unless it splits as s + t with both
-        # parts nonzero members; s only needs to run over [n1, g - n1].
+        # Shortest paths from residue 0, where adding generator g is an
+        # edge of weight g from residue i to (i + g) mod n1.
+        ap = [None] * n1
+        heap = [(0, 0)]
+        while heap:
+            w, i = heappop(heap)
+            if ap[i] is not None:
+                continue
+            ap[i] = w
+            for g in gens[1:]:
+                j = (w + g) % n1
+                if ap[j] is None:
+                    heappush(heap, (w + g, j))
+        self._apery = ap
+        self.frobenius = max(ap) - n1
+        # g splits as s + t with both parts nonzero members exactly when
+        # g - h is a member for some smaller generator h.
         self.minimal_generators = tuple(
-            g for g in gens
-            if not any(s in self and (g - s) in self
-                       for s in range(n1, g - n1 + 1)))
-
-    def _build_member_table(self):
-        gens = self.generators
-        n1 = gens[0]
-        # Generous first guess (exact for two coprime generators); the
-        # doubling loop covers semigroups where no two generators are
-        # coprime and the Frobenius number exceeds it.
-        size = n1 * gens[-1] + n1 + 1
-        while True:
-            table = bytearray(size)
-            table[0] = 1
-            for n in range(n1, size):
-                for g in gens:
-                    if g > n:
-                        break
-                    if table[n - g]:
-                        table[n] = 1
-                        break
-            # n1 consecutive members mark the conductor: everything at or
-            # beyond the start of the run is a member.
-            run = 0
-            conductor = None
-            for n in range(size):
-                run = run + 1 if table[n] else 0
-                if run == n1:
-                    conductor = n - n1 + 1
-                    break
-            if conductor is not None:
-                break
-            size *= 2
-        self.frobenius = conductor - 1
-        self._member = bytes(table[:conductor])
+            g for k, g in enumerate(gens)
+            if not any(g - h in self for h in gens[:k]))
 
     def __contains__(self, n) -> bool:
-        if n < 0:
-            return False
-        if n > self.frobenius:
-            return True
-        return bool(self._member[n])
+        # A negative n is below every entry; a non-integer cannot index.
+        return n >= self._apery[n % self.generators[0]]
 
     def value(self, coords) -> int:
         """Value of an exponent vector over the minimal generators."""
@@ -233,12 +221,7 @@ def apery(S: Semigroup, x: int):
     Exactly the least member of each residue class mod x, hence exactly
     x elements.  x must be a nonzero member.
     """
-    if x == 0:
-        raise ValueError("the Apery set of 0 is not defined")
-    if x not in S:
-        raise NotMemberError("%d is not in %r" % (x, S))
-    top = S.frobenius + x
-    return [s for s in range(top + 1) if s in S and (s - x) not in S]
+    return apery_multi(S, (x,))
 
 
 def apery_multi(S: Semigroup, xs, bound=None):

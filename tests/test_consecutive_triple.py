@@ -56,8 +56,19 @@ def test_attributes():
 
 
 def test_frobenius_matches_engine():
-    for a in range(3, 30):
-        assert TripleSemigroup(a).frob == Semigroup((a, a + 1, a + 2)).frobenius
+    for a in list(range(3, 30)) + [100003]:
+        S = Semigroup((a, a + 1, a + 2))
+        F = TripleSemigroup(a).frob
+        assert F == S.frobenius
+        assert all((r in S) == member_triple(a, r)
+                   for r in range(F - 2 * a, F + 2 * a + 1)), a
+
+
+def test_apery_of_a_closed_form():
+    # w_i = ceil(i / 2) * a + i is the least member congruent to i mod a
+    for a in range(3, 41):
+        assert apery(Semigroup((a, a + 1, a + 2)), a) == sorted(
+            ((i + 1) // 2) * a + i for i in range(a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Engine tests: membership, factorizations, Apery sets, Betti elements."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -51,12 +52,29 @@ def test_membership_small():
     assert [r in S for r in range(8)] == [
         True, False, False, True, True, True, True, True]
     assert 10 ** 9 in S
+    assert -1 not in S
+    # a non-integer query is an error, not an answer, even past frobenius
+    for n in (2.5, 10 ** 9 + 0.5, -1.5):
+        with pytest.raises(TypeError):
+            n in S
 
 
 def test_two_generator_frobenius():
     # frobenius of <p, q> is pq - p - q for coprime p, q
-    for p, q in [(2, 3), (3, 7), (4, 7), (5, 11), (29, 30)]:
+    for p, q in [(2, 3), (3, 7), (4, 7), (5, 11), (29, 30), (2003, 4001),
+                 (2, 10 ** 9 + 1)]:
         assert sg(p, q).frobenius == p * q - p - q
+
+
+def test_construction_memory_is_linear_in_n1():
+    # memory grows with n1 = 2003, not with the Frobenius number 8007999
+    tracemalloc.start()
+    try:
+        Semigroup((2003, 4001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_natural_numbers_semigroup():
@@ -304,3 +322,10 @@ def test_random_semigroup_invariants(gens):
     assert S.frobenius not in S or S.frobenius == -1
     x = S.minimal_generators[-1]
     assert len(apery(S, x)) == x
+    # membership and the minimal generators agree with the enumeration,
+    # which shares no code with the residue computation
+    for r in range(S.frobenius + n1 + 1):
+        assert (r in S) == bool(factorizations(S, r)), r
+    for k, g in enumerate(S.minimal_generators):
+        unit = tuple(int(i == k) for i in range(len(S.minimal_generators)))
+        assert factorizations(S, g) == [unit], g
