@@ -69,12 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(consecutive triples only)")
     sub.add_parser("presentation", help="minimal presentation (consecutive "
                                         "triples and arithmetic sequences)")
-    v = sub.add_parser("verify", help="closed forms against the engine")
+    v = sub.add_parser("verify", help="closed forms against the engine, "
+                                      "up to 3a past the two-length threshold")
     v.add_argument("--a-min", type=int, default=3)
     v.add_argument("--a-max", type=int, default=12)
-    v.add_argument("--r-margin", type=int, default=None,
-                   help="scan this far beyond the two-length threshold "
-                        "(default 3a)")
     v.add_argument("--arith", action="store_true",
                    help="also sweep the arithmetic-sequence Betti formulas")
     v.add_argument("--random", type=int, default=0, metavar="N",
@@ -160,8 +158,8 @@ def _triple_form(t, fn):
 def cmd_info(t, ns) -> int:
     def closed(a):
         ts = ct.TripleSemigroup(a)
-        return (ts.generators, ts.frob, ct.ubetti_triple(a),
-                len(ct.ulf_triple(a)), ts.ulf_bound)
+        return (ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size,
+                ts.ulf_bound)
 
     def enum():
         S = t.semigroup()
@@ -295,11 +293,11 @@ def cmd_presentation(t, ns) -> int:
     return 0
 
 
-def _verify_triple(a, r_margin):
+def _verify_triple(a):
     """Check every closed form for one a; (checks, failure or None)."""
     S = core.Semigroup((a, a + 1, a + 2))
     ts = ct.TripleSemigroup(a)
-    top = ts.ulf_bound + (r_margin if r_margin is not None else 3 * a)
+    top = ts.ulf_bound + 3 * a
     lsets = core.length_sets_up_to(S, top)
     checks = 0
     for r in range(top + 1):
@@ -393,7 +391,7 @@ def cmd_verify(ns) -> int:
     if ns.a_min < 3 or ns.a_max < ns.a_min:
         raise UsageError("need 3 <= a-min <= a-max")
     a_values = range(ns.a_min, ns.a_max + 1)
-    results = [_verify_triple(a, ns.r_margin) for a in a_values]
+    results = [_verify_triple(a) for a in a_values]
     if ns.arith:
         results += [_verify_arith(a) for a in a_values if a >= 5]
     if ns.random:

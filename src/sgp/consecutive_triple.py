@@ -14,6 +14,13 @@ lengths) the factorization set of r is exactly the omega-orbit
 the same formula extends to every unique-length element, because the
 box coordinates of the Apery-set description coincide with phi_r there.
 
+The unique-length members are Ap(S, UBetti(S)), the box of r = lam*a +
+mu*(a+1) + eta*(a+2) with mu in {0, 1}, 0 <= lam <= m_mu, 0 <= eta < m_mu
+and m_mu = floor(a/2) + (a mod 2)(1 - mu).  It hits each of them exactly
+once, so there are m_0(m_0 + 1) + m_1(m_1 + 1).  The unbalanced Betti
+elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
+side, one element for even a; the smaller is the threshold L_a.
+
 Everything here is O(1) or O(a^2) arithmetic with no caching, so the
 functions are freely usable from concurrent code.  The brute-force
 counterparts in core_semigroup are the reference implementation.
@@ -22,7 +29,7 @@ counterparts in core_semigroup are the reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import attrgetter, index
 
 from .core_semigroup import (
     BettiClassification,
@@ -48,20 +55,42 @@ def _check_a(a):
         raise ValueError("need a >= 3, got %r" % (a,))
 
 
+def _m(a, mu):
+    # the box bound m_mu of the module docstring
+    return a // 2 + (a % 2) * (1 - mu)
+
+
+def _box(a):
+    """(r, lam, mu, eta) over the box, once per unique-length member."""
+    for mu in (0, 1):
+        m = _m(a, mu)
+        for lam in range(m + 1):
+            for eta in range(m):
+                yield lam * a + mu * (a + 1) + eta * (a + 2), lam, mu, eta
+
+
+def _ubetti(a):
+    # the unbalanced Betti elements, ascending: the corners (m_0 + 1)a and
+    # m_0(a+2), which coincide for even a
+    m = _m(a, 0)
+    lo, hi = (m + 1) * a, m * (a + 2)
+    return (lo,) if lo == hi else (lo, hi)
+
+
 def _threshold(a):
     # least element of <a, a+1, a+2> with two factorization lengths
-    return (a // 2) * (a + 2) if a % 2 == 0 else (a // 2 + 2) * a
+    return _ubetti(a)[0]
 
 
 class TripleSemigroup:
     """Derived constants of <a, a+1, a+2>.
 
     L is the largest length realized below the threshold, D the largest
-    denumerant there, frob the Frobenius number and ulf_bound the
-    threshold L_a itself.
+    denumerant there, frob the Frobenius number, ulf_bound the threshold
+    L_a itself and ulf_size the number of unique-length members.
     """
 
-    __slots__ = ("a", "generators", "L", "D", "frob", "ulf_bound")
+    __slots__ = ("a", "generators", "L", "D", "frob", "ulf_bound", "ulf_size")
 
     def __init__(self, a):
         _check_a(a)
@@ -71,6 +100,7 @@ class TripleSemigroup:
         self.D = (a + 3) // 4
         self.frob = (a // 2) * a - 1
         self.ulf_bound = _threshold(a)
+        self.ulf_size = sum(m * (m + 1) for m in (_m(a, 0), _m(a, 1)))
 
     def __repr__(self):
         return "TripleSemigroup(%d)" % self.a
@@ -107,8 +137,8 @@ class TripleDecomposition:
 class UlfElement:
     """A unique-length member with its canonical box coordinates.
 
-    r = lam * a + mu * (a+1) + eta * (a+2), with mu in {0, 1} and the
-    (lam, eta) ranges cut by parity as in ulf_triple.
+    r = lam * a + mu * (a+1) + eta * (a+2), a point of the box in the
+    module docstring.
     """
 
     r: int
@@ -144,16 +174,12 @@ def ubetti_triple(a) -> BettiClassification:
     """Betti elements of <a, a+1, a+2>, split balanced / unbalanced.
 
     The balanced one is 2(a+1) = a + (a+2), both sides of length 2.  The
-    unbalanced ones are (a/2)(a+2) for even a, and ((a+3)/2)a together
-    with ((a+1)/2)(a+2) for odd a; each carries a long power-of-a
-    factorization against a shorter one.
+    unbalanced ones are the box corners of the module docstring; each
+    carries a long power-of-a factorization against a shorter one.
     """
     _check_a(a)
     balanced = (2 * (a + 1),)
-    if a % 2 == 0:
-        unbalanced = ((a // 2) * (a + 2),)
-    else:
-        unbalanced = (((a - 1) // 2 + 2) * a, ((a - 1) // 2 + 1) * (a + 2))
+    unbalanced = _ubetti(a)
     return BettiClassification(tuple(sorted(balanced + unbalanced)),
                                balanced, unbalanced)
 
@@ -166,8 +192,7 @@ def ulf_membership_triple(a, r) -> bool:
     """
     if not member_triple(a, r):
         return False
-    return all(not member_triple(a, r - u)
-               for u in ubetti_triple(a).unbalanced)
+    return all(not member_triple(a, r - u) for u in _ubetti(a))
 
 
 def _omega_orbit(sd: SeedDescriptor):
@@ -239,32 +264,23 @@ def gamma(i):
 def s_ell(a, ell):
     """S^ell, the members whose single factorization length is ell.
 
-    Always a (possibly empty) interval, returned as a range.  Below
-    k = floor(a / 2) it is [ell*a, ell*(a+2)] for either parity; the top
-    rows shrink because the box coordinates run out, and beyond ell = a
-    the set is empty.
+    Always a (possibly empty) interval, returned as a range, in O(1).  A
+    box point of length ell is ell*a + mu + 2*eta, with eta bounded by
+    the box and by lam = ell - mu - eta >= 0; beyond ell = a the set is
+    empty.
     """
     _check_a(a)
     if ell < 0:
         raise ValueError("ell must be non-negative")
-    if ell > a:
+    offsets = []
+    for mu in (0, 1):
+        m = _m(a, mu)
+        first, last = max(0, ell - mu - m), min(m - 1, ell - mu)
+        if first <= last:
+            offsets += [mu + 2 * first, mu + 2 * last]
+    if not offsets:
         return range(0)
-    k = a // 2
-    if a % 2 == 0:
-        if ell < k:
-            lo, hi = ell * a, ell * (a + 2)
-        elif ell == k:
-            lo, hi = k * a, k * a + a - 1
-        else:
-            lo = k * a + (a + 1) + (ell - k - 1) * (a + 2)
-            hi = (ell - k) * a + (a + 1) + (k - 1) * (a + 2)
-    else:
-        if ell <= k:
-            lo, hi = ell * a, ell * (a + 2)
-        else:
-            lo = (k + 1) * a + (ell - k - 1) * (a + 2)
-            hi = (ell - k) * a + k * (a + 2)
-    return range(lo, hi + 1)
+    return range(ell * a + min(offsets), ell * a + max(offsets) + 1)
 
 
 def s_d_i(a, d, i):
@@ -286,58 +302,23 @@ def s_d_i(a, d, i):
 def s_d_ulf(a, d):
     """The unique-length members of denumerant d, ascending.
 
-    Two box families meet here: eta pinned high with lam = d - 1, and lam
-    running with eta pinned at d - 1.  For odd a the top denumerant
-    d = (a+1)/2 survives only at two corner elements.
+    These are the box points with min(lam, eta) = d - 1; O(a^2) time.
     """
     _check_a(a)
-    top = (a + 1) // 2
+    top = _m(a, 0)
     if not 1 <= d <= top:
         raise ValueError("need 1 <= d <= %d, got %d" % (top, d))
-    if a % 2 and d == top:
-        k = (a - 1) // 2
-        return [k * a + k * (a + 2), (k + 1) * a + k * (a + 2)]
-    out = set()
-    if a % 2 == 0:
-        for mu in (0, 1):
-            for eta in range(d - 1, a // 2):
-                out.add((d - 1) * a + mu * (a + 1) + eta * (a + 2))
-            for lam in range(d, a // 2 + 1):
-                out.add(lam * a + mu * (a + 1) + (d - 1) * (a + 2))
-    else:
-        k = (a - 1) // 2
-        for mu in (0, 1):
-            for eta in range(d - 1, k - mu + 1):
-                out.add((d - 1) * a + mu * (a + 1) + eta * (a + 2))
-            for lam in range(d, k + 2 - mu):
-                out.add(lam * a + mu * (a + 1) + (d - 1) * (a + 2))
-    return sorted(out)
+    return sorted(r for r, lam, _, eta in _box(a) if min(lam, eta) == d - 1)
 
 
 def ulf_triple(a):
     """Every unique-length member with its box coordinates, ascending in r.
 
-    The expression lam*a + mu*(a+1) + eta*(a+2) over the parity-cut box
-    (even a: lam <= a/2, mu <= 1, eta <= a/2 - 1; odd a: lam <= (a+1)/2 - mu,
-    eta <= (a-1)/2 - mu) hits each unique-length element exactly once, so
-    the count is (a/2)(a+2) for even a and (a+1)^2 / 2 for odd a.
+    The box of the module docstring, sorted: O(a^2) time and memory.
     """
     _check_a(a)
-    out = []
-    if a % 2 == 0:
-        for mu in (0, 1):
-            for lam in range(a // 2 + 1):
-                for eta in range(a // 2):
-                    out.append(UlfElement(
-                        lam * a + mu * (a + 1) + eta * (a + 2), lam, mu, eta))
-    else:
-        k = (a - 1) // 2
-        for mu in (0, 1):
-            for lam in range(k + 2 - mu):
-                for eta in range(k + 1 - mu):
-                    out.append(UlfElement(
-                        lam * a + mu * (a + 1) + eta * (a + 2), lam, mu, eta))
-    out.sort(key=lambda u: u.r)
+    out = [UlfElement(*point) for point in _box(a)]
+    out.sort(key=attrgetter("r"))
     return out
 
 

@@ -85,21 +85,15 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
     strings only depend on (ell, d, c), not on a, as long as the grid
     fits inside the L x D range of a.
     """
-    ts = ct.TripleSemigroup(a)
-    if ell_max > ts.L or d_max > ts.D:
+    t = partition_table(a)
+    if ell_max > t.L or d_max > t.D:
         raise ValueError(
             "a %dx%d grid does not fit inside the %dx%d table of a=%d"
-            % (ell_max, d_max, ts.L, ts.D, a))
-    cells = {}
-    for ell in range(ell_max + 1):
-        for d in range(1, d_max + 1):
-            i = ell - 2 * d + 2
-            if i < 0:
-                continue
-            cells[(ell, d)] = [
-                (",".join(ct.monomial_basis(a, r, superscript)),
-                 i, r - (a + 1) * ell)
-                for r in ct.s_d_i(a, d, i)]
+            % (ell_max, d_max, t.L, t.D, a))
+    cells = {(ell, d): [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
+                        for r, i, c in trips]
+             for (ell, d), trips in t.cells.items()
+             if ell <= ell_max and d <= d_max}
     return MonomialTable(a, ell_max, d_max, cells)
 
 
@@ -125,6 +119,8 @@ def table_from_csv(text: str) -> PartitionTable:
         cells.setdefault((int(ell), int(d)), []).append(
             (int(r), int(iota), int(c)))
     # a is the least member of length 1; L and D are the grid extents.
+    if (1, 1) not in cells:
+        raise ValueError("no row with ell=1, d=1 to read a from")
     a = min(r for (r, _, _) in cells[(1, 1)])
     L = max(ell for ell, _ in cells)
     D = max(d for _, d in cells)

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,20 @@ def test_info_json_closed_form(capsys):
     assert doc["betti"] == [32, 135, 136]
     assert doc["unbalanced"] == [135, 136]
     assert doc["ulf_size"] == 128
+
+
+def test_info_closed_form_memory_is_constant(capsys):
+    # the count is a formula: <601, 602, 603> has 181202 unique-length
+    # members, and none of them is built
+    tracemalloc.start()
+    try:
+        code = main(["--a", "601", "--format", "json", "info"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 1024
+    assert json.loads(capsys.readouterr().out)["ulf_size"] == 181202
 
 
 def test_info_json_generic(capsys):

@@ -29,6 +29,7 @@ from sgp.core_semigroup import (
     Semigroup,
     apery,
     betti_elements,
+    denumerant,
     factorizations,
     length_set,
     length_sets_up_to,
@@ -274,6 +275,24 @@ def test_s_d_ulf_rows_group_by_denumerant():
             assert sorted(s_d_ulf(a, row_index + 1)) == row
 
 
+def test_box_readers_match_engine():
+    # s_ell and s_d_ulf each partition the unique-length set, and every
+    # piece carries its label: length set {ell}, denumerant d
+    for a in range(3, 41):
+        S = Semigroup((a, a + 1, a + 2))
+        members = ulf(S)
+        assert TripleSemigroup(a).ulf_size == len(members)
+        lsets = length_sets_up_to(S, members[-1])
+        by_length = [list(s_ell(a, ell)) for ell in range(a + 1)]
+        for ell, row in enumerate(by_length):
+            assert all(lsets[r] == {ell} for r in row), (a, ell)
+        assert sorted(sum(by_length, [])) == members
+        by_denumerant = [s_d_ulf(a, d) for d in range(1, (a + 1) // 2 + 1)]
+        for d, row in enumerate(by_denumerant, start=1):
+            assert row and all(denumerant(S, r) == d for r in row), (a, d)
+        assert sorted(sum(by_denumerant, [])) == members
+
+
 # ---------------------------------------------------------------------------
 # the full unique-length set
 
@@ -295,10 +314,12 @@ def test_ulf_triple_contains_zero():
 def test_ulf_triple_cardinality():
     for a in range(3, 26):
         n = len(ulf_triple(a))
+        assert TripleSemigroup(a).ulf_size == n
         if a % 2 == 0:
             assert n == (a // 2) * (a + 2)
         else:
             assert n == (a + 1) ** 2 // 2
+    assert TripleSemigroup(10 ** 6).ulf_size == 500000 * 1000002
 
 
 def test_ulf_triple_coordinates_are_factorizations():

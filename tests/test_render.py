@@ -78,6 +78,12 @@ def test_csv_rejects_foreign_header():
         table_from_csv("x,y\n1,2\n")
 
 
+def test_csv_without_the_length_one_row():
+    # a is read off the (ell, d) = (1, 1) row; without it the error names it
+    with pytest.raises(ValueError, match="ell=1, d=1"):
+        table_from_csv(",".join(CSV_HEADER) + "\n")
+
+
 def test_json_shape():
     doc = json.loads(table_to_json(partition_table(10)))
     by_cell = {(c["ell"], c["d"]): c["triples"] for c in doc}
