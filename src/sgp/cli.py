@@ -31,6 +31,8 @@ from . import render
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
+# ulf and table refuse a consecutive triple that would list more members
+MAX_LISTED = 10 ** 6
 
 
 class UsageError(ValueError):
@@ -61,12 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = sub.add_parser("apery", help="Apery set of one or more members")
     ap.add_argument("x", type=int, nargs="+")
     sub.add_parser("betti", help="Betti elements, balanced and unbalanced")
-    u = sub.add_parser("ulf", help="all members with a one-length "
-                                   "factorization set")
+    text = ("all members with a one-length factorization set (refused "
+            "for a consecutive triple with more than %d)" % MAX_LISTED)
+    u = sub.add_parser("ulf", help=text, description=text)
     u.add_argument("--bound", type=int, default=None,
                    help="window bound, needed only when the set is infinite")
-    sub.add_parser("table", help="length-by-denumerant partition table "
-                                 "(consecutive triples only)")
+    text = ("length-by-denumerant partition table (consecutive triples "
+            "only; refused above %d members)" % MAX_LISTED)
+    sub.add_parser("table", help=text, description=text)
     sub.add_parser("presentation", help="minimal presentation (consecutive "
                                         "triples and arithmetic sequences)")
     v = sub.add_parser("verify", help="closed forms against the engine, "
@@ -148,6 +152,14 @@ def _emit(ns, text_lines, json_obj, csv_rows):
     else:
         for line in text_lines:
             print(line)
+
+
+def _check_size(t, command, count):
+    # count(TripleSemigroup) is O(1), so a huge --a is refused at once
+    n = count(ct.TripleSemigroup(t.a)) if t.a is not None else 0
+    if n > MAX_LISTED:
+        raise UsageError("%s would list %d members, more than %d"
+                         % (command, n, MAX_LISTED))
 
 
 def _triple_form(t, fn):
@@ -242,9 +254,11 @@ def cmd_betti(t, ns) -> int:
 
 
 def cmd_ulf(t, ns) -> int:
+    _check_size(t, "ulf", lambda ts: ts.ulf_size)
     members, method = _resolve(
         t, ns, "ulf",
-        _triple_form(t, lambda a: [u.r for u in ct.ulf_triple(a)]),
+        _triple_form(t, lambda a: [r for ell in range(a + 1)
+                                   for r in ct.s_ell(a, ell)]),
         lambda: core.ulf(t.semigroup(), bound=ns.bound),
         "not a consecutive triple")
     obj = {"method": method, "count": len(members), "ulf": members}
@@ -253,6 +267,7 @@ def cmd_ulf(t, ns) -> int:
 
 
 def cmd_table(t, ns) -> int:
+    _check_size(t, "table", lambda ts: (ts.L + 1) ** 2)
     table, _ = _resolve(
         t, ns, "table", _triple_form(t, render.partition_table), None,
         "not a consecutive triple")

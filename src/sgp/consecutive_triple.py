@@ -252,7 +252,7 @@ def decompose_triple(a, r) -> TripleDecomposition:
 
 def gamma(i):
     """Gamma_0 = {0}, Gamma_1 = {-1, 0, 1}, Gamma_i = {-i, -i+1, i-1, i}."""
-    if i < 0:
+    if index(i) < 0:
         raise ValueError("i must be non-negative")
     if i == 0:
         return [0]
@@ -290,6 +290,7 @@ def s_d_i(a, d, i):
     for 1 <= d <= D and 0 <= i <= L + 2 - 2d.
     """
     ts = TripleSemigroup(a)
+    d, i = index(d), index(i)
     if not 1 <= d <= ts.D:
         raise ValueError("need 1 <= d <= %d, got %d" % (ts.D, d))
     cap = ts.L + 2 - 2 * d
@@ -306,7 +307,7 @@ def s_d_ulf(a, d):
     """
     _check_a(a)
     top = _m(a, 0)
-    if not 1 <= d <= top:
+    if not 1 <= index(d) <= top:
         raise ValueError("need 1 <= d <= %d, got %d" % (top, d))
     return sorted(r for r, lam, _, eta in _box(a) if min(lam, eta) == d - 1)
 

@@ -1,12 +1,12 @@
 """Generic numerical-semigroup engine.
 
 A numerical semigroup is the set of all non-negative integer combinations
-of a finite set of positive generators whose gcd is 1.  Membership rests
-on the Apery set of the smallest generator (see `Semigroup`); everything
-else in this module is exact integer arithmetic over explicit
-factorization sets, with no closed forms: the point is to be slow, obvious
-and trustworthy, so that the fast paths in the sibling modules can be
-checked against it.
+of a finite set of positive generators whose gcd is 1.  Membership, the
+Apery sets Ap(S, X) and the Betti candidates all rest on Ap(S, n1), the
+Apery set of the smallest generator (see `Semigroup`); everything else in
+this module is exact integer arithmetic over explicit factorization sets,
+with no closed forms: the point is to be slow, obvious and trustworthy,
+so that the fast paths in the sibling modules can be checked against it.
 
 Conventions used throughout:
 
@@ -227,8 +227,11 @@ def apery(S: Semigroup, x: int):
 def apery_multi(S: Semigroup, xs, bound=None):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
-    For X = {} this is all of S, which is infinite, so an explicit bound
-    is required and the members up to it are returned.
+    Read off Ap(S, n1) = w: a member w[i] + k*n1 is outside x + S exactly
+    while it is below w[(i - x) mod n1] + x.  O(n1 * |X|) time plus the
+    output, which has at most min(X) elements.  For X = {} this is all of
+    S, which is infinite, so the members up to an explicit bound are
+    returned.
     """
     xs = sorted(set(xs))
     if not xs:
@@ -240,10 +243,9 @@ def apery_multi(S: Semigroup, xs, bound=None):
     for x in xs:
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
-    # Anything above frobenius + max(xs) is max(xs) + member, so excluded.
-    top = S.frobenius + xs[-1]
-    return [s for s in range(top + 1)
-            if s in S and all((s - x) not in S for x in xs)]
+    w, n1 = S._apery, S.generators[0]
+    return sorted(wi + k * n1 for i, wi in enumerate(w) for k in range(
+        min(w[(i - x) % n1] + x - wi for x in xs) // n1))
 
 
 def _component_count(verts) -> int:
@@ -287,18 +289,16 @@ def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:
 def betti_elements(S: Semigroup) -> BettiClassification:
     """All members with a disconnected factorization graph, classified.
 
-    The scan covers [0, frobenius + n_1 + n_e].  That is exhaustive: for
-    larger r every generator pair n_1, n_j leaves r - n_1 - n_j in S, so
-    each factorization connects through the n_1-using ones and the graph
-    is connected.  (For two coprime generators a, b the bound collapses
-    to ab, which is the unique Betti element, so it is tight.)
+    Only the candidates w + n_j, for w in Ap(S, n1) and minimal generators
+    n_j > n1, are tested: at most n1(e - 1) factorization enumerations.
+    That is exhaustive: if the graph of r is disconnected, some component
+    C does not use n1.  For n_j in the support of C, r - n_j is a member
+    and r - n1 - n_j is not, since a factorization z of it would give
+    z + e_1 + e_j, joining C to the n1 side.  So r - n_j is in Ap(S, n1).
     """
     gens = S.minimal_generators
-    bound = S.frobenius + gens[0] + gens[-1]
     betti, balanced, unbalanced = [], [], []
-    for r in range(bound + 1):
-        if r not in S:
-            continue
+    for r in sorted({w + g for w in S._apery for g in gens[1:]}):
         verts = factorizations(S, r)
         if len(verts) < 2 or _component_count(verts) == 1:
             continue
@@ -320,13 +320,11 @@ def ulf(S: Semigroup, bound=None):
     is required because every member qualifies.
     """
     cls = betti_elements(S)
-    if not cls.unbalanced:
-        if bound is None:
-            raise ValueError(
-                "every member of %r has a one-length factorization set; "
-                "pass an explicit bound" % S)
-        return [s for s in range(bound + 1) if s in S]
-    return apery_multi(S, cls.unbalanced)
+    if not cls.unbalanced and bound is None:
+        raise ValueError(
+            "every member of %r has a one-length factorization set; "
+            "pass an explicit bound" % S)
+    return apery_multi(S, cls.unbalanced, bound)
 
 
 def min_ulf_breaker(S: Semigroup):

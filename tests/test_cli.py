@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
 
 import golden
+from sgp import cli
 from sgp.cli import main
+from sgp.consecutive_triple import TripleSemigroup
 
 
 def run(capsys, *argv):
@@ -139,6 +142,33 @@ def test_table_csv(capsys):
 def test_table_requires_triple(capsys):
     code, _, err = run(capsys, "--gens", "6,9,20", "table")
     assert code == 2
+
+
+def test_size_guard_refuses_huge_triples(capsys):
+    # the counts are O(1), so the refusal comes before any listing work
+    for selector in (["--a", "1000000"],
+                     ["--gens", "1000000,1000001,1000002"]):
+        for mode in ([], ["--fast"], ["--oracle"]):
+            for command, count in (("ulf", 500001000000),
+                                   ("table", 250000000000)):
+                start = time.perf_counter()
+                code, out, err = run(capsys, *selector, *mode, command)
+                assert time.perf_counter() - start < 1
+                assert code == 2 and out == ""
+                assert "%s would list %d members" % (command, count) in err
+
+
+def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
+    # a = 1000 lists 501000 (ulf) and 250000 (table) members, under the cap
+    assert TripleSemigroup(1000).ulf_size <= cli.MAX_LISTED
+    assert (TripleSemigroup(1000).L + 1) ** 2 <= cli.MAX_LISTED
+    monkeypatch.setattr(cli, "MAX_LISTED", TripleSemigroup(10).ulf_size)
+    code, out, _ = run(capsys, "--a", "10", "ulf")
+    assert code == 0 and len(out.split()) == 60
+    assert run(capsys, "--a", "11", "ulf")[0] == 2
+    monkeypatch.setattr(cli, "MAX_LISTED", (TripleSemigroup(10).L + 1) ** 2)
+    assert run(capsys, "--a", "10", "table")[0] == 0
+    assert run(capsys, "--a", "12", "table")[0] == 2
 
 
 def test_presentation_arith_sequence(capsys):

@@ -287,6 +287,8 @@ def test_box_readers_match_engine():
         for ell, row in enumerate(by_length):
             assert all(lsets[r] == {ell} for r in row), (a, ell)
         assert sorted(sum(by_length, [])) == members
+        # the rows come in ascending order, as `sgp ulf` prints them
+        assert sum(by_length, []) == [u.r for u in ulf_triple(a)]
         by_denumerant = [s_d_ulf(a, d) for d in range(1, (a + 1) // 2 + 1)]
         for d, row in enumerate(by_denumerant, start=1):
             assert row and all(denumerant(S, r) == d for r in row), (a, d)
@@ -442,7 +444,9 @@ def test_non_integers_raise_and_integers_still_answer(x, a, r):
     # a float is rejected even when integral: 10.0 used to slip through
     for call in (lambda: member_triple(x, r), lambda: member_triple(a, x),
                  lambda: seed(x, r), lambda: seed(a, x),
-                 lambda: Semigroup([x, a, a + 1])):
+                 lambda: Semigroup([x, a, a + 1]),
+                 lambda: s_d_ulf(a, x), lambda: s_d_i(a, x, 0),
+                 lambda: s_d_i(a, 1, x), lambda: gamma(x)):
         with pytest.raises(TypeError):
             call()
     S = Semigroup([a, a + 1, a + 2])
@@ -454,3 +458,5 @@ def test_non_integers_raise_and_integers_still_answer(x, a, r):
     assert sd.phi == (ell - (eps + 1) // 2, eps % 2, eps // 2)
     assert all(type(v) is int for v in sd.phi + (sd.kappa, sd.xi, sd.iota,
                                                  sd.c))
+    assert s_d_ulf(a, 1)[0] == 0 and s_d_i(a, 1, 0) == [0]
+    assert gamma(r)[-1] == r

@@ -252,7 +252,8 @@ def test_betti_classification_split():
 
 
 def test_betti_default_scan_is_exhaustive():
-    # betti_elements stops at frobenius + n_1 + n_e; past that every
+    # every candidate w + n_j of betti_elements is at most
+    # max Ap(S, n_1) + n_e = frobenius + n_1 + n_e; past that every
     # factorization graph must be connected
     S = sg(9, 10, 11)
     gens = S.minimal_generators
@@ -329,3 +330,41 @@ def test_random_semigroup_invariants(gens):
     for k, g in enumerate(S.minimal_generators):
         unit = tuple(int(i == k) for i in range(len(S.minimal_generators)))
         assert factorizations(S, g) == [unit], g
+
+
+SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
+                            min_size=1, max_size=4)
+
+
+def _small_semigroup(gens):
+    if math.gcd(*gens) != 1:
+        gens = gens + [gens[0] + 1]
+    return Semigroup(tuple(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+def test_betti_candidates_match_full_scan(gens):
+    # the old scan over every member up to frobenius + n_1 + n_e
+    S = _small_semigroup(gens)
+    g = S.minimal_generators
+    full = [r for r in range(S.frobenius + g[0] + g[-1] + 1)
+            if r in S and nabla_graph(S, r).n_components > 1]
+    assert list(betti_elements(S).betti) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS, st.data())
+def test_apery_multi_matches_set_definition(gens, data):
+    S = _small_semigroup(gens)
+    members = [s for s in range(1, S.frobenius + 3 * max(gens) + 2)
+               if s in S]
+    xs = data.draw(st.lists(st.sampled_from(members), min_size=1,
+                            max_size=3))
+    if data.draw(st.booleans()):
+        # a member far above F: every r > F is one
+        xs.append(max(S.frobenius, 0) + data.draw(st.integers(1, 5000)))
+    top = S.frobenius + max(xs)
+    assert apery_multi(S, xs) == [
+        s for s in range(top + 1)
+        if s in S and all(s - x not in S for x in xs)]
