@@ -1,6 +1,7 @@
 """Exact factorization analytics for numerical semigroups.
 
-Two layers.  `core_semigroup` is a brute-force engine that works on any
+Two layers.  `core_semigroup` is a generic engine with no closed forms,
+built on the Apery set of the smallest generator, that works on any
 generating set: membership, factorizations, Apery sets, Betti elements
 and the set of members with a single factorization length.  On top of it
 sit closed forms for the consecutive triple <a, a+1, a+2>

@@ -22,7 +22,7 @@ elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
 side, one element for even a; the smaller is the threshold L_a.
 
 Everything here is O(1) or O(a^2) arithmetic with no caching, so the
-functions are freely usable from concurrent code.  The brute-force
+functions are freely usable from concurrent code.  The generic
 counterparts in core_semigroup are the reference implementation.
 """
 

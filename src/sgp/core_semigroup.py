@@ -2,11 +2,12 @@
 
 A numerical semigroup is the set of all non-negative integer combinations
 of a finite set of positive generators whose gcd is 1.  Membership, the
-Apery sets Ap(S, X) and the Betti candidates all rest on Ap(S, n1), the
-Apery set of the smallest generator (see `Semigroup`); everything else in
-this module is exact integer arithmetic over explicit factorization sets,
-with no closed forms: the point is to be slow, obvious and trustworthy,
-so that the fast paths in the sibling modules can be checked against it.
+Apery sets Ap(S, X) and the Betti search all rest on Ap(S, n1), the
+Apery set of the smallest generator (see `Semigroup`); only
+`factorizations`, `denumerant`, `length_set` and `nabla_graph` enumerate
+factorization sets.  There are no closed forms: the engine is exact and
+obvious, so that the fast paths in the sibling modules can be checked
+against it.
 
 Conventions used throughout:
 
@@ -248,30 +249,6 @@ def apery_multi(S: Semigroup, xs, bound=None):
         min(w[(i - x) % n1] + x - wi for x in xs) // n1))
 
 
-def _component_count(verts) -> int:
-    # Union-find over shared support: a positive dot product between
-    # non-negative vectors means some coordinate is positive in both.
-    parent = list(range(len(verts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first_use = {}
-    for idx, v in enumerate(verts):
-        for coord, x in enumerate(v):
-            if x:
-                if coord in first_use:
-                    ri, rj = find(first_use[coord]), find(idx)
-                    if ri != rj:
-                        parent[ri] = rj
-                else:
-                    first_use[coord] = idx
-    return len({find(i) for i in range(len(verts))})
-
-
 def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:
     """The factorization graph of a member r."""
     if r not in S:
@@ -282,31 +259,52 @@ def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:
         for j in range(i + 1, len(verts)):
             if any(u and v for u, v in zip(verts[i], verts[j])):
                 edges.append((i, j))
-    return FactorizationGraph(r, tuple(verts), tuple(edges),
-                              _component_count(verts))
+    label = list(range(len(verts)))
+    for i, j in edges:
+        if label[i] != label[j]:
+            label = [label[i] if x == label[j] else x for x in label]
+    return FactorizationGraph(r, tuple(verts), tuple(edges), len(set(label)))
+
+
+def _length(S: Semigroup, r: int) -> int:
+    # Greedy descent: a member r > 0 has some generator g with r - g in S.
+    n = 0
+    while r:
+        r -= next(g for g in S.minimal_generators if r - g in S)
+        n += 1
+    return n
 
 
 def betti_elements(S: Semigroup) -> BettiClassification:
     """All members with a disconnected factorization graph, classified.
 
-    Only the candidates w + n_j, for w in Ap(S, n1) and minimal generators
-    n_j > n1, are tested: at most n1(e - 1) factorization enumerations.
-    That is exhaustive: if the graph of r is disconnected, some component
-    C does not use n1.  For n_j in the support of C, r - n_j is a member
-    and r - n1 - n_j is not, since a factorization z of it would give
-    z + e_1 + e_j, joining C to the n1 side.  So r - n_j is in Ap(S, n1).
+    Only the candidates w + n_j (w in Ap(S, n1), n_j > n1 minimal) are
+    tested.  That is exhaustive: a disconnected graph of r has a component
+    C without n1, and for n_j in its support r - n1 - n_j is not in S
+    (z + e_1 + e_j would join C to the n1 side), so r - n_j is in Ap(S, n1).
+
+    Membership alone decides: the components (R-classes) match those of
+    the graph on the g with r - g in S, joining g and h when r - g - h is
+    in S: each support is a clique there, and each edge lies in a support.
+    Ascending, every unbalanced u < r is known.  If r - u in S, r is
+    unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
+    rests on each r - g has one length (one greedy descent finds it) and
+    L(r) is those lengths plus 1.  Cost: O(n1 * e) candidates times O(e^2)
+    membership tests, plus a descent per support generator of each Betti r.
     """
     gens = S.minimal_generators
     betti, balanced, unbalanced = [], [], []
     for r in sorted({w + g for w in S._apery for g in gens[1:]}):
-        verts = factorizations(S, r)
-        if len(verts) < 2 or _component_count(verts) == 1:
+        live, classes = [g for g in gens if r - g in S], []
+        for g in live:
+            near = [c for c in classes if any(r - g - h in S for h in c)]
+            classes = [c for c in classes if c not in near] + [sum(near, [g])]
+        if len(classes) < 2:
             continue
         betti.append(r)
-        if len({v.length for v in verts}) == 1:
-            balanced.append(r)
-        else:
-            unbalanced.append(r)
+        (unbalanced if any(r - u in S for u in unbalanced)
+         or len({_length(S, r - g) for g in live}) > 1
+         else balanced).append(r)
     return BettiClassification(tuple(betti), tuple(balanced),
                                tuple(unbalanced))
 

@@ -8,6 +8,7 @@ import pytest
 
 import golden
 from sgp import cli
+from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
 
@@ -169,6 +170,34 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_LISTED", (TripleSemigroup(10).L + 1) ** 2)
     assert run(capsys, "--a", "10", "table")[0] == 0
     assert run(capsys, "--a", "12", "table")[0] == 2
+
+
+def test_search_paths_do_not_enumerate(capsys, monkeypatch):
+    def refuse(S, r):
+        raise AssertionError("factorizations(%r, %d) called" % (S, r))
+
+    monkeypatch.setattr(core, "factorizations", refuse)
+    S = core.Semigroup((6, 9, 20))
+    ulf_6_9_20 = [0, 6, 9, 12, 15, 20, 21, 26, 29, 32, 35, 40, 41, 46, 49,
+                  52, 55, 61]
+    assert core.betti_elements(S) == core.BettiClassification(
+        (18, 60), (), (18, 60))
+    assert core.ulf(S) == ulf_6_9_20
+    assert core.min_ulf_breaker(S) == 18
+    expected = {
+        "info": {"balanced": [], "betti": [18, 60], "frobenius": 43,
+                 "generators": [6, 9, 20], "method": "enumeration",
+                 "minimal_generators": [6, 9, 20], "ulf_size": 18,
+                 "unbalanced": [18, 60]},
+        "betti": {"balanced": [], "betti": [18, 60],
+                  "method": "enumeration", "unbalanced": [18, 60]},
+        "ulf": {"count": 18, "method": "enumeration", "ulf": ulf_6_9_20},
+    }
+    for command, doc in expected.items():
+        code, out, _ = run(capsys, "--gens", "6,9,20", "--format", "json",
+                           command)
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_presentation_arith_sequence(capsys):

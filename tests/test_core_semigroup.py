@@ -219,6 +219,15 @@ def test_nabla_graph_disconnected_at_betti():
     assert g.n_components == 2
     assert g.vertices == ((0, 2, 0), (1, 0, 1))
     assert g.edges == ()
+    g = nabla_graph(sg(6, 10, 15), 30)
+    assert g.vertices == ((0, 0, 2), (0, 3, 0), (5, 0, 0))
+    assert g.edges == ()
+    assert g.n_components == 3
+    # an edge and still two components
+    g = nabla_graph(sg(4, 6, 9), 18)
+    assert g.vertices == ((0, 0, 2), (0, 3, 0), (3, 1, 0))
+    assert g.edges == ((1, 2),)
+    assert g.n_components == 2
 
 
 def test_nabla_graph_connected():
@@ -242,6 +251,17 @@ def test_betti_classification_split():
     cls = betti_elements(sg(3, 4, 5))
     assert cls.balanced == (8,)
     assert cls.unbalanced == (9, 10)
+    # 36 = 24 + 12, 55 = 30 + 25 and 24 = 18 + 6 are unbalanced because
+    # each lies in u + S for an unbalanced u found before it; one descent
+    # per r - g misses the second length of the first two when it tries
+    # the smallest generator first, and of the third when it tries the
+    # largest first
+    for gens, unbalanced, r, lengths in [((8, 9, 12), (24, 36), 36, [3, 4]),
+                                         ((10, 11, 15), (30, 55), 55, [4, 5]),
+                                         ((6, 8, 9), (18, 24), 24, [3, 4])]:
+        cls = betti_elements(sg(*gens))
+        assert cls.unbalanced == unbalanced and cls.balanced == ()
+        assert length_set(sg(*gens), r) == lengths
     # every balanced element keeps one length over several factorizations
     S = sg(15, 16, 17)
     for b in betti_elements(S).balanced:
@@ -351,6 +371,17 @@ def test_betti_candidates_match_full_scan(gens):
     full = [r for r in range(S.frobenius + g[0] + g[-1] + 1)
             if r in S and nabla_graph(S, r).n_components > 1]
     assert list(betti_elements(S).betti) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+def test_betti_classification_matches_length_sets(gens):
+    S = _small_semigroup(gens)
+    cls = betti_elements(S)
+    lengths = length_sets_up_to(S, max(cls.betti, default=0))
+    assert cls.balanced == tuple(b for b in cls.betti if len(lengths[b]) == 1)
+    assert cls.unbalanced == tuple(b for b in cls.betti
+                                   if len(lengths[b]) > 1)
 
 
 @settings(max_examples=60, deadline=None)
