@@ -22,7 +22,7 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from . import arithmetic_sequence as arith
 from . import consecutive_triple as ct
@@ -31,7 +31,7 @@ from . import render
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
-# ulf and table refuse a consecutive triple that would list more members
+# apery, and ulf and table on a consecutive triple, refuse to list more
 MAX_LISTED = 10 ** 6
 
 
@@ -39,7 +39,9 @@ class UsageError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The sgp parser, built on first use and then shared by every call."""
     p = argparse.ArgumentParser(
         prog="sgp",
         description="Exact factorization analytics for numerical semigroups.")
@@ -60,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "classification, unique-length count")
     f = sub.add_parser("factorize", help="all factorizations of an element")
     f.add_argument("r", type=int)
-    ap = sub.add_parser("apery", help="Apery set of one or more members")
+    text = ("Apery set of one or more members (refused above %d members)"
+            % MAX_LISTED)
+    ap = sub.add_parser("apery", help=text, description=text)
     ap.add_argument("x", type=int, nargs="+")
     sub.add_parser("betti", help="Betti elements, balanced and unbalanced")
     text = ("all members with a one-length factorization set (refused "
@@ -154,12 +158,16 @@ def _emit(ns, text_lines, json_obj, csv_rows):
             print(line)
 
 
-def _check_size(t, command, count):
-    # count(TripleSemigroup) is O(1), so a huge --a is refused at once
-    n = count(ct.TripleSemigroup(t.a)) if t.a is not None else 0
+def _check_listed(command, n):
     if n > MAX_LISTED:
         raise UsageError("%s would list %d members, more than %d"
                          % (command, n, MAX_LISTED))
+
+
+def _check_size(t, command, count):
+    # count(TripleSemigroup) is O(1), so a huge --a is refused at once
+    if t.a is not None:
+        _check_listed(command, count(ct.TripleSemigroup(t.a)))
 
 
 def _triple_form(t, fn):
@@ -176,7 +184,7 @@ def cmd_info(t, ns) -> int:
     def enum():
         S = t.semigroup()
         cls = core.betti_elements(S)
-        ulf_size = len(core.apery_multi(S, cls.unbalanced)) \
+        ulf_size = sum(core._apery_counts(S, cls.unbalanced)) \
             if cls.unbalanced else None
         return S.minimal_generators, S.frobenius, cls, ulf_size, None
 
@@ -229,11 +237,16 @@ def cmd_factorize(t, ns) -> int:
 
 
 def cmd_apery(t, ns) -> int:
-    xs = ns.x
-    members, method = _resolve(
-        t, ns, "apery", None, lambda: core.apery_multi(t.semigroup(), xs),
-        "enumeration only")
-    obj = {"method": method, "x": sorted(set(xs)), "apery": members}
+    xs = sorted(set(ns.x))
+
+    def enum():
+        S = t.semigroup()
+        # counted in O(n1 * |X|), so a huge Apery set is refused at once
+        _check_listed("apery", sum(core._apery_counts(S, xs)))
+        return core.apery_multi(S, xs)
+
+    members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
+    obj = {"method": method, "x": xs, "apery": members}
     _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
     return 0
 
@@ -309,38 +322,53 @@ def cmd_presentation(t, ns) -> int:
 
 
 def _verify_triple(a):
-    """Check every closed form for one a; (checks, failure or None)."""
+    """Check every closed form for one a; (checks, failure or None).
+
+    Nothing is enumerated.  Membership and length sets come from the
+    bitmask table of `core._length_masks` (bit l of entry r set exactly
+    when l is in L(r)), and factorization counts d(r) from the
+    coin-change table of `core._denumerants`, which shares no code with
+    the closed forms.  The closed-form list for r is the factorization
+    set F(r) exactly when its vectors have three non-negative coordinates
+    and value r (so each lies in F(r)), are distinct, and number d(r) =
+    |F(r)|: a set of d(r) distinct elements of F(r) is all of F(r).  So
+    the check equals sorted(list) == sorted(F(r)) without listing F(r).
+    """
     S = core.Semigroup((a, a + 1, a + 2))
     ts = ct.TripleSemigroup(a)
     top = ts.ulf_bound + 3 * a
-    lsets = core.length_sets_up_to(S, top)
+    masks = core._length_masks(S, top)
+    counts = core._denumerants(S, ts.ulf_bound)
     checks = 0
-    for r in range(top + 1):
-        member = lsets[r] is not None
+    for r, mask in enumerate(masks):
+        member = mask != 0
         if ct.member_triple(a, r) != member:
             return checks, (a, r, "membership mismatch")
         checks += 1
         if member:
-            one_length = len(lsets[r]) == 1
+            one_length = mask & (mask - 1) == 0
             if ct.ulf_membership_triple(a, r) != one_length:
                 return checks, (a, r, "unique-length membership mismatch")
             checks += 1
         if member and r < ts.ulf_bound:
-            facs = core.factorizations(S, r)
             fast = ct.factorizations_triple(a, r)
-            if sorted(fast) != sorted(facs):
+            if (any(len(x) != 3 or min(x) < 0
+                    or a * x[0] + (a + 1) * x[1] + (a + 2) * x[2] != r
+                    for x in fast)
+                    or len(set(fast)) != len(fast)
+                    or len(fast) != counts[r]):
                 return checks, (a, r, "factorization set mismatch")
-            if ct.denumerant_triple(a, r) != len(facs):
+            if ct.denumerant_triple(a, r) != counts[r]:
                 return checks, (a, r, "denumerant mismatch")
-            if lsets[r] != {r // a}:
+            if mask != 1 << (r // a):
                 return checks, (a, r, "length set is not {floor(r/a)}")
             dec = ct.decompose_triple(a, r)
             if ((a + 1) * (2 * dec.d - 2 + dec.i) + dec.c != r
                     or dec.c not in ct.gamma(dec.i)
-                    or dec.d != len(facs)):
+                    or dec.d != counts[r]):
                 return checks, (a, r, "decomposition mismatch")
             checks += 4
-    if len(lsets[ts.ulf_bound]) < 2:
+    if masks[ts.ulf_bound].bit_count() < 2:
         return checks, (a, ts.ulf_bound, "threshold should have two lengths")
     checks += 1
     return checks, None
@@ -384,15 +412,14 @@ def _verify_random(count, seed):
         cls = core.betti_elements(S)
         thm = core.apery_multi(S, cls.unbalanced)
         top = max(max(thm), max(cls.betti)) + max(S.minimal_generators) + 1
-        lsets = core.length_sets_up_to(S, top)
-        brute = [r for r in range(top + 1)
-                 if lsets[r] is not None and len(lsets[r]) == 1]
+        masks = core._length_masks(S, top)
+        brute = [r for r, m in enumerate(masks) if m and m & (m - 1) == 0]
         if brute != thm:
             return checks, (tuple(S.minimal_generators), None,
                             "unique-length set differs from the Apery form")
-        b = min(cls.unbalanced)
-        below = all(r in set(thm) for r in range(b) if lsets[r] is not None)
-        if not below or b in set(thm):
+        b, thm_set = min(cls.unbalanced), set(thm)
+        below = all(r in thm_set for r in range(b) if masks[r])
+        if not below or b in thm_set:
             return checks, (tuple(S.minimal_generators), b,
                             "least unbalanced Betti element contract")
         checks += 2

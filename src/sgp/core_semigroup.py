@@ -5,7 +5,10 @@ of a finite set of positive generators whose gcd is 1.  Membership, the
 Apery sets Ap(S, X) and the Betti search all rest on Ap(S, n1), the
 Apery set of the smallest generator (see `Semigroup`); only
 `factorizations`, `denumerant`, `length_set` and `nabla_graph` enumerate
-factorization sets.  There are no closed forms: the engine is exact and
+factorization sets.  Tables over [0, bound] come from dynamic programs
+over the generators instead: length sets as int bitmasks
+(`length_sets_up_to`) and factorization counts by coin change
+(`_denumerants`).  There are no closed forms: the engine is exact and
 obvious, so that the fast paths in the sibling modules can be checked
 against it.
 
@@ -189,31 +192,48 @@ def length_set(S: Semigroup, r: int):
     return sorted({f.length for f in factorizations(S, r)})
 
 
-def length_sets_up_to(S: Semigroup, bound: int):
-    """length_set for every r in [0, bound] at once, by dynamic programming.
-
-    Entry r is None when r is not a member.  The sweeps use this instead
-    of per-element factorization enumeration, which would dominate their
-    runtime; the recurrence L(r) = union of (L(r - g) + 1) over generators
-    is checked against length_set pointwise in the test suite.
-    """
+def _length_masks(S: Semigroup, bound: int):
+    """Length sets of [0, bound] as ints: bit l of entry r is set exactly
+    when l is in L(r), so a non-member is 0.  O(bound * e)."""
     gens = S.minimal_generators
-    table = [None] * (bound + 1)
+    masks = [0] * (bound + 1)
     if bound >= 0:
-        table[0] = {0}
+        masks[0] = 1
     for r in range(1, bound + 1):
-        acc = None
+        m = 0
         for g in gens:
             if g > r:
                 break
-            prev = table[r - g]
-            if prev is None:
-                continue
-            if acc is None:
-                acc = set()
-            acc.update(l + 1 for l in prev)
-        table[r] = acc
-    return table
+            m |= masks[r - g]
+        masks[r] = m << 1
+    return masks
+
+
+def length_sets_up_to(S: Semigroup, bound: int):
+    """length_set for every r in [0, bound] at once, by dynamic programming.
+
+    Entry r is the set L(r), or None when r is not a member.  The table is
+    built as int bitmasks, L(r) = OR over generators g of (L(r - g) << 1)
+    with L(0) = 1 (Barron, O'Neill & Pelayo, Math. Comp. 2017), in
+    O(bound * e) big-int operations, then read bit by bit into sets.  The
+    recurrence is checked against length_set pointwise in the test suite.
+    """
+    return [{l for l, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
+            if m else None for m in _length_masks(S, bound)]
+
+
+def _denumerants(S: Semigroup, bound: int):
+    """Entry r is the number of factorizations of r, for r in [0, bound].
+
+    The coin-change count over the minimal generators, O(bound * e); it
+    shares no code with `factorizations` or any closed form, so it can
+    check either.
+    """
+    d = [1] + [0] * bound
+    for g in S.minimal_generators:
+        for r in range(g, bound + 1):
+            d[r] += d[r - g]
+    return d
 
 
 def apery(S: Semigroup, x: int):
@@ -228,8 +248,7 @@ def apery(S: Semigroup, x: int):
 def apery_multi(S: Semigroup, xs, bound=None):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
-    Read off Ap(S, n1) = w: a member w[i] + k*n1 is outside x + S exactly
-    while it is below w[(i - x) mod n1] + x.  O(n1 * |X|) time plus the
+    Read off Ap(S, n1) by `_apery_counts`: O(n1 * |X|) time plus the
     output, which has at most min(X) elements.  For X = {} this is all of
     S, which is infinite, so the members up to an explicit bound are
     returned.
@@ -239,14 +258,28 @@ def apery_multi(S: Semigroup, xs, bound=None):
         if bound is None:
             raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
         return [s for s in range(bound + 1) if s in S]
+    n1 = S.generators[0]
+    return sorted(wi + k * n1 for wi, count in zip(S._apery,
+                                                   _apery_counts(S, xs))
+                  for k in range(count))
+
+
+def _apery_counts(S: Semigroup, xs):
+    """Entry i is the number of members of Ap(S, X) congruent to i mod n1.
+
+    With w = Ap(S, n1), the member w[i] + k*n1 is outside x + S exactly
+    while it is below w[(i - x) mod n1] + x, and the difference is a
+    multiple of n1.  So the sum is |Ap(S, X)|, in O(n1 * |X|) with no
+    listing.  X must be nonempty; 0 and non-members are refused.
+    """
     if 0 in xs:
         raise ValueError("the Apery set of 0 is not defined")
     for x in xs:
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
     w, n1 = S._apery, S.generators[0]
-    return sorted(wi + k * n1 for i, wi in enumerate(w) for k in range(
-        min(w[(i - x) % n1] + x - wi for x in xs) // n1))
+    return [min(w[(i - x) % n1] + x - wi for x in xs) // n1
+            for i, wi in enumerate(w)]
 
 
 def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from . import consecutive_triple as ct
-from .core_semigroup import Semigroup, denumerant, length_set, ulf
+from .core_semigroup import Semigroup, _denumerants, _length_masks, ulf
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
 
@@ -178,18 +178,22 @@ def ulf_by_length_report(S: Semigroup):
     Rows run contiguously from 0 to the largest occupied length, with
     members ascending; empty rows stay in as empty lists.
     """
+    members = ulf(S)
+    masks = _length_masks(S, max(members))
     groups = {}
-    for r in ulf(S):
-        (l,) = length_set(S, r)
-        groups.setdefault(l, []).append(r)
+    for r in members:
+        # a one-length mask is 1 << l
+        groups.setdefault(masks[r].bit_length() - 1, []).append(r)
     top = max(groups) if groups else 0
     return [(l, sorted(groups.get(l, []))) for l in range(top + 1)]
 
 
 def ulf_by_denumerant_report(S: Semigroup):
     """Unique-length members grouped by denumerant, one row per d >= 1."""
+    members = ulf(S)
+    counts = _denumerants(S, max(members))
     groups = {}
-    for r in ulf(S):
-        groups.setdefault(denumerant(S, r), []).append(r)
+    for r in members:
+        groups.setdefault(counts[r], []).append(r)
     top = max(groups) if groups else 1
     return [(d, sorted(groups.get(d, []))) for d in range(1, top + 1)]

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+import random
 import time
 import tracemalloc
 
@@ -170,6 +171,56 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_LISTED", (TripleSemigroup(10).L + 1) ** 2)
     assert run(capsys, "--a", "10", "table")[0] == 0
     assert run(capsys, "--a", "12", "table")[0] == 2
+    monkeypatch.setattr(cli, "MAX_LISTED", 8)
+    assert run(capsys, "--gens", "3,5", "apery", "8") == (
+        0, "0 3 5 6 9 10 12 15\n", "")
+    assert run(capsys, "--gens", "3,5", "apery", "9")[0] == 2
+
+
+def test_apery_guard_refuses_before_listing(capsys):
+    # |Ap(S, x)| = x is counted residue by residue, so nothing is listed
+    for gens, xs in (("3,5", ["1000000000"]),
+                     ("10007,10009", ["100160063"]),
+                     ("2,3", ["1000001", "1000003"])):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["--gens", gens, "apery", *xs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 1024 * 1024
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "apery would list %d members" % int(min(xs)) in err
+    # an intersection with a small Apery set still answers
+    code, out, _ = run(capsys, "--gens", "3,5", "apery", "8", "1000000000")
+    assert code == 0 and out == "0 3 5 6 9 10 12 15\n"
+
+
+def test_enumerated_info_counts_the_apery_set(capsys):
+    rng = random.Random(7)
+    for _ in range(40):
+        gens = sorted(rng.sample(range(2, 40), rng.randint(2, 4)))
+        try:
+            S = core.Semigroup(gens)
+        except ValueError:
+            continue
+        code, out, _ = run(capsys, "--gens", ",".join(map(str, gens)),
+                           "--format", "json", "--oracle", "info")
+        assert code == 0
+        unbalanced = core.betti_elements(S).unbalanced
+        assert json.loads(out)["ulf_size"] == (
+            len(core.apery_multi(S, unbalanced)) if unbalanced else None)
+
+
+def test_enumerated_info_does_not_list(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--gens", "10007,10009", "--format", "json",
+                       "info")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["ulf_size"] == 100160063
 
 
 def test_search_paths_do_not_enumerate(capsys, monkeypatch):
@@ -261,6 +312,41 @@ def test_verify_rejects_selector(capsys, selector):
     assert code == 2
     assert out == ""
     assert "verify" in err
+
+
+def test_verify_does_not_enumerate(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumeration called with %r" % (args,))
+
+    for module, name in ((core, "factorizations"),
+                         (core, "length_sets_up_to"),
+                         (cli.ct, "factorizations")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run(capsys, "verify", "--a-max", "12", "--arith",
+                       "--random", "3")
+    assert code == 0
+    assert out.startswith("PASS")
+
+
+def test_consecutive_calls_answer_as_alone(capsys):
+    # main shares one parser between calls; no call may leak into the next
+    assert cli.build_parser() is cli.build_parser()
+    info = ("--a", "10", "--format", "json", "info")
+    for before, code, argv in (
+            (("--a", "10", "--oracle", "--format", "json", "info"), 0, info),
+            (("verify", "--a-max", "5", "--arith"), 0,
+             ("verify", "--a-max", "5")),
+            (("--a", "10", "--fast", "--oracle", "info"), 2, info),
+            (("--a", "10", "--fast", "factorize", "60"), 2, info)):
+        cli.build_parser.cache_clear()
+        alone = run(capsys, *argv)
+        try:
+            assert main(list(before)) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        capsys.readouterr()
+        assert run(capsys, *argv) == alone, (before, argv)
+    assert json.loads(run(capsys, *info)[1])["method"] == "closed-form"
 
 
 def test_verify_reports_counterexample(capsys, monkeypatch):

@@ -13,6 +13,9 @@ from sgp.core_semigroup import (
     Factorization,
     NotMemberError,
     Semigroup,
+    _apery_counts,
+    _denumerants,
+    _length_masks,
     apery,
     apery_multi,
     betti_elements,
@@ -396,6 +399,20 @@ def test_apery_multi_matches_set_definition(gens, data):
         # a member far above F: every r > F is one
         xs.append(max(S.frobenius, 0) + data.draw(st.integers(1, 5000)))
     top = S.frobenius + max(xs)
-    assert apery_multi(S, xs) == [
-        s for s in range(top + 1)
-        if s in S and all(s - x not in S for x in xs)]
+    expected = [s for s in range(top + 1)
+                if s in S and all(s - x not in S for x in xs)]
+    assert apery_multi(S, xs) == expected
+    assert sum(_apery_counts(S, xs)) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+def test_length_masks_and_denumerants_match_enumeration(gens):
+    S = _small_semigroup(gens)
+    top = S.frobenius + 2 * max(S.minimal_generators)
+    masks, counts = _length_masks(S, top), _denumerants(S, top)
+    assert len(masks) == len(counts) == top + 1
+    for r in range(top + 1):
+        lengths = length_set(S, r) if r in S else []
+        assert masks[r] == sum(1 << l for l in lengths), r
+        assert counts[r] == denumerant(S, r), r
