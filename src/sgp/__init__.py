@@ -7,7 +7,9 @@ and the set of members with a single factorization length.  On top of it
 sit closed forms for the consecutive triple <a, a+1, a+2>
 (`consecutive_triple`, `render`) and for generalized arithmetic
 sequences (`arithmetic_sequence`); every closed form is testable against
-the engine, and `sgp verify` runs that comparison from the shell.
+the engine, and `sgp verify` runs that comparison from the shell.  The
+engine in turn is tested against `oracle`, the literal definitions of
+the invariants computed by listing factorizations, slow but obvious.
 
 All arithmetic is exact; there are no floats anywhere in the package.
 """
@@ -42,22 +44,19 @@ from .consecutive_triple import (
 from .core_semigroup import (
     BettiClassification,
     Factorization,
-    FactorizationGraph,
     NotMemberError,
     Presentation,
     Semigroup,
     apery,
     apery_multi,
     betti_elements,
-    denumerant,
     factorizations,
-    length_set,
     length_sets_up_to,
     min_ulf_breaker,
     minimal_generators,
-    nabla_graph,
     ulf,
 )
+from .oracle import FactorizationGraph, denumerant, length_set, nabla_graph
 from .render import (
     MonomialTable,
     PartitionTable,

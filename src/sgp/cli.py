@@ -6,11 +6,13 @@
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2> and unlocks the closed-form paths.
 `verify` sweeps its own semigroups and takes neither.  By default each
-command uses the closed form where one applies and falls back to
-enumeration otherwise, noting the fallback on stderr; --fast demands the
-closed form (usage error outside its domain) and --oracle forces
-enumeration.  JSON output carries a "method" field naming the code path
-that produced it.
+command uses the closed form where one applies and falls back to the
+generic engine of `core_semigroup` otherwise, noting the fallback on
+stderr; --fast demands the closed form (usage error outside its domain)
+and --oracle skips the closed forms and answers with the generic engine.
+JSON output carries a "method" field naming the code path that produced
+it: "closed-form" or "enumeration", the latter meaning the generic
+engine.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
@@ -31,7 +33,7 @@ from . import render
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
-# apery, and ulf and table on a consecutive triple, refuse to list more
+# apery, ulf and table refuse to list more
 MAX_LISTED = 10 ** 6
 
 
@@ -55,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--fast", action="store_true",
                       help="closed forms only; error outside their domain")
     mode.add_argument("--oracle", action="store_true",
-                      help="force brute-force enumeration")
+                      help="skip the closed forms; answer with the "
+                           "generic engine")
 
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="generators, Frobenius number, Betti "
@@ -68,10 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("x", type=int, nargs="+")
     sub.add_parser("betti", help="Betti elements, balanced and unbalanced")
     text = ("all members with a one-length factorization set (refused "
-            "for a consecutive triple with more than %d)" % MAX_LISTED)
+            "above %d members)" % MAX_LISTED)
     u = sub.add_parser("ulf", help=text, description=text)
     u.add_argument("--bound", type=int, default=None,
-                   help="window bound, needed only when the set is infinite")
+                   help="window bound (>= 0), needed only when the set "
+                        "is infinite")
     text = ("length-by-denumerant partition table (consecutive triples "
             "only; refused above %d members)" % MAX_LISTED)
     sub.add_parser("table", help=text, description=text)
@@ -121,14 +125,15 @@ class Target:
 
 
 def _resolve(target, ns, command, closed, enum, reason):
-    """Answer one command by closed form or enumeration: (result, method).
+    """Answer one command by closed form or generic engine: (result, method).
 
     closed and enum are thunks; closed is None where no closed form
-    applies, with reason saying why, and enum is None for commands that
-    have no enumeration mode.  The closed form runs unless --oracle is
-    given or it is None.  Otherwise a command without enumeration, or
-    --fast, is a usage error; a consecutive triple falling back without
-    --oracle notes the fallback on stderr; and enum runs.
+    applies, with reason saying why, and enum (the generic engine) is None
+    for commands that have no enumeration mode.  --oracle skips the
+    closed forms and answers with the generic engine; without it the
+    closed form runs unless it is None.  Otherwise a command without
+    enumeration, or --fast, is a usage error; a consecutive triple falling
+    back without --oracle notes the fallback on stderr; and enum runs.
     """
     if closed is not None and not ns.oracle:
         return closed(), CLOSED_FORM
@@ -267,13 +272,29 @@ def cmd_betti(t, ns) -> int:
 
 
 def cmd_ulf(t, ns) -> int:
+    if ns.bound is not None and ns.bound < 0:
+        raise UsageError("--bound wants a non-negative integer")
     _check_size(t, "ulf", lambda ts: ts.ulf_size)
+
+    def enum():
+        # core.ulf, with the size counted before listing: O(n1 * |UBetti|)
+        # by _apery_counts, or bound + 1 on N
+        S = t.semigroup()
+        ubetti = core.betti_elements(S).unbalanced
+        if ubetti:
+            _check_listed("ulf", sum(core._apery_counts(S, ubetti)))
+        elif ns.bound is None:
+            raise UsageError("every member of %r has a one-length "
+                             "factorization set; pass --bound" % S)
+        else:
+            _check_listed("ulf", ns.bound + 1)
+        return core.apery_multi(S, ubetti, ns.bound)
+
     members, method = _resolve(
         t, ns, "ulf",
         _triple_form(t, lambda a: [r for ell in range(a + 1)
                                    for r in ct.s_ell(a, ell)]),
-        lambda: core.ulf(t.semigroup(), bound=ns.bound),
-        "not a consecutive triple")
+        enum, "not a consecutive triple")
     obj = {"method": method, "count": len(members), "ulf": members}
     _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
     return 0
@@ -432,6 +453,8 @@ def cmd_verify(ns) -> int:
                          "it takes neither --gens nor --a")
     if ns.a_min < 3 or ns.a_max < ns.a_min:
         raise UsageError("need 3 <= a-min <= a-max")
+    if ns.random < 0:
+        raise UsageError("--random wants a non-negative count")
     a_values = range(ns.a_min, ns.a_max + 1)
     results = [_verify_triple(a) for a in a_values]
     if ns.arith:

@@ -4,13 +4,15 @@ A numerical semigroup is the set of all non-negative integer combinations
 of a finite set of positive generators whose gcd is 1.  Membership, the
 Apery sets Ap(S, X) and the Betti search all rest on Ap(S, n1), the
 Apery set of the smallest generator (see `Semigroup`); only
-`factorizations`, `denumerant`, `length_set` and `nabla_graph` enumerate
+`factorizations`, which lists F(r) for `sgp factorize`, enumerates
 factorization sets.  Tables over [0, bound] come from dynamic programs
 over the generators instead: length sets as int bitmasks
 (`length_sets_up_to`) and factorization counts by coin change
-(`_denumerants`).  There are no closed forms: the engine is exact and
-obvious, so that the fast paths in the sibling modules can be checked
-against it.
+(`_denumerants`).  There are no closed forms, so the fast paths in the
+sibling modules can be checked against the engine.  The engine itself is
+checked against `sgp.oracle`, which holds the literal definitions
+(membership, F, length sets, factorization graphs, Apery sets, Betti
+elements, unique-length members) and reads none of the engine's tables.
 
 Conventions used throughout:
 
@@ -112,20 +114,6 @@ class Semigroup:
 
 
 @dataclass(frozen=True)
-class FactorizationGraph:
-    """The graph on F(r, S) joining factorizations with overlapping support.
-
-    Two exponent vectors are adjacent exactly when their dot product is
-    positive, which for non-negative vectors means they share a generator.
-    """
-
-    element: int
-    vertices: tuple
-    edges: tuple  # (i, j) index pairs into vertices, i < j
-    n_components: int
-
-
-@dataclass(frozen=True)
 class BettiClassification:
     """Betti elements split by whether their length set is a singleton."""
 
@@ -180,18 +168,6 @@ def factorizations(S: Semigroup, r: int):
     return out
 
 
-def denumerant(S: Semigroup, r: int) -> int:
-    """Number of factorizations of r (0 when r is not a member)."""
-    return len(factorizations(S, r))
-
-
-def length_set(S: Semigroup, r: int):
-    """Sorted set of factorization lengths of a member r."""
-    if r not in S:
-        raise NotMemberError("%d is not in %r" % (r, S))
-    return sorted({f.length for f in factorizations(S, r)})
-
-
 def _length_masks(S: Semigroup, bound: int):
     """Length sets of [0, bound] as ints: bit l of entry r is set exactly
     when l is in L(r), so a non-member is 0.  O(bound * e)."""
@@ -210,13 +186,13 @@ def _length_masks(S: Semigroup, bound: int):
 
 
 def length_sets_up_to(S: Semigroup, bound: int):
-    """length_set for every r in [0, bound] at once, by dynamic programming.
+    """The length set L(r) of every r in [0, bound], by dynamic programming.
 
     Entry r is the set L(r), or None when r is not a member.  The table is
     built as int bitmasks, L(r) = OR over generators g of (L(r - g) << 1)
     with L(0) = 1 (Barron, O'Neill & Pelayo, Math. Comp. 2017), in
     O(bound * e) big-int operations, then read bit by bit into sets.  The
-    recurrence is checked against length_set pointwise in the test suite.
+    recurrence is checked against `oracle.length_set` in the test suite.
     """
     return [{l for l, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
             if m else None for m in _length_masks(S, bound)]
@@ -280,23 +256,6 @@ def _apery_counts(S: Semigroup, xs):
     w, n1 = S._apery, S.generators[0]
     return [min(w[(i - x) % n1] + x - wi for x in xs) // n1
             for i, wi in enumerate(w)]
-
-
-def nabla_graph(S: Semigroup, r: int) -> FactorizationGraph:
-    """The factorization graph of a member r."""
-    if r not in S:
-        raise NotMemberError("%d is not in %r" % (r, S))
-    verts = factorizations(S, r)
-    edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if any(u and v for u, v in zip(verts[i], verts[j])):
-                edges.append((i, j))
-    label = list(range(len(verts)))
-    for i, j in edges:
-        if label[i] != label[j]:
-            label = [label[i] if x == label[j] else x for x in label]
-    return FactorizationGraph(r, tuple(verts), tuple(edges), len(set(label)))
 
 
 def _length(S: Semigroup, r: int) -> int:

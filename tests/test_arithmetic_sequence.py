@@ -9,7 +9,8 @@ from sgp.arithmetic_sequence import (
     ubetti_arith,
 )
 from sgp.consecutive_triple import presentation_triple
-from sgp.core_semigroup import Semigroup, betti_elements, length_set
+from sgp.core_semigroup import Semigroup, betti_elements
+from sgp.oracle import length_set
 
 
 def unordered(pres):

@@ -175,6 +175,14 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "--gens", "3,5", "apery", "8") == (
         0, "0 3 5 6 9 10 12 15\n", "")
     assert run(capsys, "--gens", "3,5", "apery", "9")[0] == 2
+    # ulf on any semigroup: <6, 9, 20> has 18 unique-length members, and
+    # N up to a bound b has b + 1
+    monkeypatch.setattr(cli, "MAX_LISTED", 18)
+    assert run(capsys, "--gens", "6,9,20", "ulf")[0] == 0
+    assert run(capsys, "--gens", "1", "ulf", "--bound", "17")[0] == 0
+    assert run(capsys, "--gens", "1", "ulf", "--bound", "18")[0] == 2
+    monkeypatch.setattr(cli, "MAX_LISTED", 17)
+    assert run(capsys, "--gens", "6,9,20", "ulf")[0] == 2
 
 
 def test_apery_guard_refuses_before_listing(capsys):
@@ -197,6 +205,47 @@ def test_apery_guard_refuses_before_listing(capsys):
     # an intersection with a small Apery set still answers
     code, out, _ = run(capsys, "--gens", "3,5", "apery", "8", "1000000000")
     assert code == 0 and out == "0 3 5 6 9 10 12 15\n"
+
+
+def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
+    # |Ap(S, UBetti)| is counted residue by residue, and N up to a bound
+    # has bound + 1 members, so nothing is listed; one Betti search serves
+    # both the count and the listing
+    searches = []
+    betti_elements = core.betti_elements
+    monkeypatch.setattr(core, "betti_elements",
+                        lambda S: searches.append(S) or betti_elements(S))
+    for argv, count in ((["--gens", "10007,10009", "ulf"], 100160063),
+                        (["--gens", "1", "ulf", "--bound", "1000000000"],
+                         1000000001)):
+        searches.clear()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2
+        assert peak < 4 * 1024 * 1024
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "ulf would list %d members" % count in err
+        assert len(searches) == 1
+    searches.clear()
+    code, out, _ = run(capsys, "--gens", "6,9,20", "ulf")
+    assert code == 0 and len(out.split()) == 18
+    assert len(searches) == 1
+
+
+def test_negative_counts_exit_2(capsys):
+    for argv, name in ((["--gens", "1", "ulf", "--bound", "-5"], "--bound"),
+                       (["--a", "3", "ulf", "--bound", "-1"], "--bound"),
+                       (["verify", "--a-max", "4", "--random", "-1"],
+                        "--random")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert name in err
 
 
 def test_enumerated_info_counts_the_apery_set(capsys):

@@ -29,12 +29,11 @@ from sgp.core_semigroup import (
     Semigroup,
     apery,
     betti_elements,
-    denumerant,
     factorizations,
-    length_set,
     length_sets_up_to,
     ulf,
 )
+from sgp.oracle import denumerant, length_set
 
 
 def test_rejects_small_a():

@@ -1,15 +1,21 @@
-"""Engine tests: membership, factorizations, Apery sets, Betti elements."""
+"""Engine tests: membership, factorizations, Apery sets, Betti elements.
+
+The references are the literal definitions in `sgp.oracle`, which read
+nothing of a Semigroup but its minimal generators.
+"""
 
 import math
 import tracemalloc
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
+from sgp import oracle
 from sgp.core_semigroup import (
+    BettiClassification,
     Factorization,
     NotMemberError,
     Semigroup,
@@ -19,20 +25,28 @@ from sgp.core_semigroup import (
     apery,
     apery_multi,
     betti_elements,
-    denumerant,
     factorizations,
-    length_set,
     length_sets_up_to,
     min_ulf_breaker,
     minimal_generators,
-    nabla_graph,
     ulf,
 )
+from sgp.oracle import denumerant, length_set, nabla_graph
 
 
 @lru_cache(maxsize=None)
 def sg(*gens):
     return Semigroup(gens)
+
+
+SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
+                            min_size=1, max_size=4)
+
+
+def _small_semigroup(gens):
+    if math.gcd(*gens) != 1:
+        gens = gens + [gens[0] + 1]
+    return Semigroup(tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +111,9 @@ def test_minimal_generators():
 def test_membership_iff_factorization_exists():
     for gens in [(3, 4, 5), (4, 7), (5, 7, 9), (2, 3)]:
         S = sg(*gens)
+        assert S.frobenius == oracle.frobenius(S), gens
         for r in range(S.frobenius + 12):
-            assert (r in S) == bool(factorizations(S, r)), (gens, r)
+            assert (r in S) == oracle.member(S, r), (gens, r)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +182,7 @@ def test_length_sets_up_to_matches_pointwise():
         S = sg(*gens)
         table = length_sets_up_to(S, 60)
         for r in range(61):
-            if r in S:
+            if oracle.member(S, r):
                 assert sorted(table[r]) == length_set(S, r), (gens, r)
             else:
                 assert table[r] is None
@@ -189,7 +204,7 @@ def test_apery_shape():
         assert sorted(members) == members
         assert {m % x for m in members} == set(range(x))
         for m in members:
-            assert m in S and (m - x) not in S
+            assert oracle.member(S, m) and not oracle.member(S, m - x)
 
 
 def test_apery_rejects_bad_x():
@@ -280,9 +295,9 @@ def test_betti_default_scan_is_exhaustive():
     # factorization graph must be connected
     S = sg(9, 10, 11)
     gens = S.minimal_generators
-    bound = S.frobenius + gens[0] + gens[-1]
+    bound = oracle.frobenius(S) + gens[0] + gens[-1]
     assert all(nabla_graph(S, r).n_components == 1
-               for r in range(bound + 1, 401) if r in S)
+               for r in range(bound + 1, 401) if oracle.member(S, r))
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +309,20 @@ def test_ulf_golden():
     assert ulf(sg(15, 16, 17)) == golden.ULF_A15
 
 
-def test_ulf_equals_singleton_length_scan():
-    for gens in [(3, 4, 5), (4, 7), (5, 8, 11), (6, 9, 20)]:
-        S = sg(*gens)
-        members = ulf(S)
-        table = length_sets_up_to(S, members[-1] + max(gens) + 1)
-        brute = [r for r, ls in enumerate(table)
-                 if ls is not None and len(ls) == 1]
-        assert members == brute, gens
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+@example([3, 4, 5])
+@example([4, 7])
+@example([5, 8, 11])
+@example([6, 9, 20])
+def test_ulf_equals_singleton_length_scan(gens):
+    S = _small_semigroup(gens)
+    if 1 in gens:  # S = N: every member has one length
+        with pytest.raises(ValueError):
+            ulf(S)
+        assert ulf(S, bound=30) == oracle.ulf(S, bound=30)
+    else:
+        assert ulf(S) == oracle.ulf(S), gens
 
 
 def test_ulf_infinite_needs_bound():
@@ -318,15 +339,23 @@ def test_min_ulf_breaker():
     assert min_ulf_breaker(sg(1)) is None
 
 
-def test_min_ulf_breaker_contract():
-    for gens in [(3, 4, 5), (4, 7), (6, 9, 20)]:
-        S = sg(*gens)
-        b = min_ulf_breaker(S)
-        members = set(ulf(S))
-        assert b not in members
-        for r in range(b):
-            if r in S:
-                assert r in members, (gens, r)
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+@example([3, 4, 5])
+@example([4, 7])
+@example([6, 9, 20])
+def test_min_ulf_breaker_contract(gens):
+    # the least member with two factorization lengths
+    S = _small_semigroup(gens)
+    b = min_ulf_breaker(S)
+    if b is None:
+        # any other S has n1 * ne, with the lengths ne and n1
+        assert 1 in gens
+        return
+    assert len(length_set(S, b)) > 1
+    for r in range(b):
+        if oracle.member(S, r):
+            assert len(length_set(S, r)) == 1, (gens, r)
 
 
 # ---------------------------------------------------------------------------
@@ -346,62 +375,46 @@ def test_random_semigroup_invariants(gens):
     assert S.frobenius not in S or S.frobenius == -1
     x = S.minimal_generators[-1]
     assert len(apery(S, x)) == x
-    # membership and the minimal generators agree with the enumeration,
+    # membership, F and the minimal generators agree with the oracle,
     # which shares no code with the residue computation
+    assert S.frobenius == oracle.frobenius(S)
     for r in range(S.frobenius + n1 + 1):
-        assert (r in S) == bool(factorizations(S, r)), r
+        assert (r in S) == oracle.member(S, r), r
+    assert all(oracle.member(S, g) for g in gens)
+    assert minimal_generators(gens) == list(S.minimal_generators)
     for k, g in enumerate(S.minimal_generators):
         unit = tuple(int(i == k) for i in range(len(S.minimal_generators)))
         assert factorizations(S, g) == [unit], g
 
 
-SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
-                            min_size=1, max_size=4)
-
-
-def _small_semigroup(gens):
-    if math.gcd(*gens) != 1:
-        gens = gens + [gens[0] + 1]
-    return Semigroup(tuple(gens))
-
-
 @settings(max_examples=60, deadline=None)
 @given(SMALL_GENERATORS)
+@example([8, 9, 12])
+@example([10, 11, 15])
+@example([6, 8, 9])
 def test_betti_candidates_match_full_scan(gens):
-    # the old scan over every member up to frobenius + n_1 + n_e
+    # the candidates w + n_j against every member up to frobenius + n_1 +
+    # n_e, split by length set: betti, balanced and unbalanced; the
+    # examples are unbalanced only through an earlier unbalanced element
     S = _small_semigroup(gens)
-    g = S.minimal_generators
-    full = [r for r in range(S.frobenius + g[0] + g[-1] + 1)
-            if r in S and nabla_graph(S, r).n_components > 1]
-    assert list(betti_elements(S).betti) == full
-
-
-@settings(max_examples=60, deadline=None)
-@given(SMALL_GENERATORS)
-def test_betti_classification_matches_length_sets(gens):
-    S = _small_semigroup(gens)
-    cls = betti_elements(S)
-    lengths = length_sets_up_to(S, max(cls.betti, default=0))
-    assert cls.balanced == tuple(b for b in cls.betti if len(lengths[b]) == 1)
-    assert cls.unbalanced == tuple(b for b in cls.betti
-                                   if len(lengths[b]) > 1)
+    assert betti_elements(S) == oracle.betti_elements(S)
 
 
 @settings(max_examples=60, deadline=None)
 @given(SMALL_GENERATORS, st.data())
 def test_apery_multi_matches_set_definition(gens, data):
     S = _small_semigroup(gens)
-    members = [s for s in range(1, S.frobenius + 3 * max(gens) + 2)
-               if s in S]
+    F = oracle.frobenius(S)
+    members = [s for s in range(1, F + 3 * max(gens) + 2)
+               if oracle.member(S, s)]
     xs = data.draw(st.lists(st.sampled_from(members), min_size=1,
                             max_size=3))
     if data.draw(st.booleans()):
         # a member far above F: every r > F is one
-        xs.append(max(S.frobenius, 0) + data.draw(st.integers(1, 5000)))
-    top = S.frobenius + max(xs)
-    expected = [s for s in range(top + 1)
-                if s in S and all(s - x not in S for x in xs)]
+        xs.append(max(F, 0) + data.draw(st.integers(1, 5000)))
+    expected = oracle.apery_multi(S, xs)
     assert apery_multi(S, xs) == expected
+    assert apery(S, xs[0]) == oracle.apery_multi(S, xs[:1])
     assert sum(_apery_counts(S, xs)) == len(expected)
 
 
@@ -409,10 +422,40 @@ def test_apery_multi_matches_set_definition(gens, data):
 @given(SMALL_GENERATORS)
 def test_length_masks_and_denumerants_match_enumeration(gens):
     S = _small_semigroup(gens)
-    top = S.frobenius + 2 * max(S.minimal_generators)
+    top = oracle.frobenius(S) + 2 * max(S.minimal_generators)
     masks, counts = _length_masks(S, top), _denumerants(S, top)
-    assert len(masks) == len(counts) == top + 1
+    sets = length_sets_up_to(S, top)
+    assert len(masks) == len(counts) == len(sets) == top + 1
     for r in range(top + 1):
-        lengths = length_set(S, r) if r in S else []
+        lengths = length_set(S, r) if oracle.member(S, r) else []
         assert masks[r] == sum(1 << l for l in lengths), r
+        assert sets[r] == (set(lengths) or None), r
         assert counts[r] == denumerant(S, r), r
+
+
+# ---------------------------------------------------------------------------
+# the oracle itself
+
+def test_oracle_ignores_the_engine_tables():
+    # a wrong Apery table and Frobenius number fool the engine, not the
+    # oracle, which reads only the minimal generators
+    S = Semigroup((10, 11, 12))
+    S._apery, S.frobenius = [0] * 10, -1
+    assert 1 in S and 49 in S
+    T = Semigroup((10, 11, 12))
+    assert oracle.frobenius(S) == 49
+    assert [r for r in range(80) if oracle.member(S, r)] == \
+        [r for r in range(80) if r in T]
+    assert oracle.betti_elements(S) == BettiClassification((22, 60), (22,),
+                                                           (60,))
+    assert oracle.apery_multi(S, (60,)) == sorted(golden.APERY_60_A10)
+    assert oracle.apery_multi(S, (60, 22)) == apery_multi(T, (60, 22))
+    assert oracle.ulf(S) == sorted(golden.APERY_60_A10)
+    assert oracle.length_set(S, 60) == [5, 6]
+    assert oracle.denumerant(S, 43) == 2
+    assert oracle.nabla_graph(S, 22).n_components == 2
+    for bad in (lambda: oracle.length_set(S, 49),
+                lambda: oracle.nabla_graph(S, 1),
+                lambda: oracle.apery_multi(S, (49,))):
+        with pytest.raises(NotMemberError):
+            bad()
