@@ -401,6 +401,17 @@ def test_betti_candidates_match_full_scan(gens):
 
 
 @settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS)
+def test_betti_classification_matches_length_sets(gens):
+    S = _small_semigroup(gens)
+    cls = betti_elements(S)
+    assert cls.balanced == tuple(b for b in cls.betti
+                                 if len(length_set(S, b)) == 1)
+    assert cls.unbalanced == tuple(b for b in cls.betti
+                                   if len(length_set(S, b)) > 1)
+
+
+@settings(max_examples=60, deadline=None)
 @given(SMALL_GENERATORS, st.data())
 def test_apery_multi_matches_set_definition(gens, data):
     S = _small_semigroup(gens)
