@@ -169,6 +169,12 @@ def _check_listed(command, n):
                          % (command, n, MAX_LISTED))
 
 
+def _ulf_size(S, unbalanced):
+    """|ULF(S)| = |Ap(S, UBetti)|, counted in O(n1 * |UBetti|) without
+    listing; None on N, where every member has one length."""
+    return sum(core._apery_counts(S, unbalanced)) if unbalanced else None
+
+
 def _check_size(t, command, count):
     # count(TripleSemigroup) is O(1), so a huge --a is refused at once
     if t.a is not None:
@@ -189,9 +195,8 @@ def cmd_info(t, ns) -> int:
     def enum():
         S = t.semigroup()
         cls = core.betti_elements(S)
-        ulf_size = sum(core._apery_counts(S, cls.unbalanced)) \
-            if cls.unbalanced else None
-        return S.minimal_generators, S.frobenius, cls, ulf_size, None
+        return (S.minimal_generators, S.frobenius, cls,
+                _ulf_size(S, cls.unbalanced), None)
 
     (mingens, frob, cls, ulf_size, threshold), method = _resolve(
         t, ns, "info", _triple_form(t, closed), enum,
@@ -277,17 +282,12 @@ def cmd_ulf(t, ns) -> int:
     _check_size(t, "ulf", lambda ts: ts.ulf_size)
 
     def enum():
-        # core.ulf, with the size counted before listing: O(n1 * |UBetti|)
-        # by _apery_counts, or bound + 1 on N
+        # core.ulf, sized before listing; on N the listing stops at --bound,
+        # and apery_multi refuses a missing one
         S = t.semigroup()
         ubetti = core.betti_elements(S).unbalanced
-        if ubetti:
-            _check_listed("ulf", sum(core._apery_counts(S, ubetti)))
-        elif ns.bound is None:
-            raise UsageError("every member of %r has a one-length "
-                             "factorization set; pass --bound" % S)
-        else:
-            _check_listed("ulf", ns.bound + 1)
+        size = _ulf_size(S, ubetti)
+        _check_listed("ulf", (ns.bound or 0) + 1 if size is None else size)
         return core.apery_multi(S, ubetti, ns.bound)
 
     members, method = _resolve(

@@ -1,7 +1,8 @@
 """Reference definitions of the invariants, for checking the engine.
 
-Each function here is the literal definition of its invariant, computed by
-listing factorizations with `core_semigroup.factorizations`.  Of a
+Each function here is the literal definition of its invariant, computed
+from factorizations: membership by a descent that stops at the first one,
+the rest by listing them with `core_semigroup.factorizations`.  Of a
 `Semigroup` it reads only the minimal generators: never the Apery table,
 the stored Frobenius number or the engine's membership test, so a fault
 in those shows up as a disagreement rather than being copied.  The
@@ -32,8 +33,20 @@ class FactorizationGraph:
 
 
 def member(S, r) -> bool:
-    """r is in S exactly when it has a factorization."""
-    return r >= 0 and bool(factorizations(S, r))
+    """r is in S exactly when it has a factorization.
+
+    The descent takes as many of the largest generator as fit first and
+    stops at the first factorization, so a member far above F costs about
+    as much as one just above it, not the size of its factorization set.
+    """
+    def writable(i, rem):
+        if i == 0:
+            return rem % gens[0] == 0
+        return any(writable(i - 1, rem - k * gens[i])
+                   for k in range(rem // gens[i], -1, -1))
+
+    gens = S.minimal_generators
+    return r >= 0 and writable(len(gens) - 1, r)
 
 
 def _factorizations_of_member(S, r):
@@ -99,27 +112,17 @@ def betti_elements(S) -> BettiClassification:
         tuple(b for b in betti if len(length_set(S, b)) > 1))
 
 
-def apery_multi(S, xs, bound=None):
+def apery_multi(S, xs):
     """Ap(S, X) = {s in S : s - x not in S for every x in X}, ascending.
 
     Every s in Ap(S, x) is at most F + x, since past that s - x is a
-    member, so the scan stops at F + min X.  For X = {} the set is all of
-    S and an explicit bound is required.  X may not hold 0 or a
-    non-member.
+    member, so the scan stops at F + min X.  X must be a nonempty set of
+    members.
     """
-    xs = sorted(set(xs))
-    if not xs:
-        if bound is None:
-            raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
-        top = bound
-    else:
-        if 0 in xs:
-            raise ValueError("the Apery set of 0 is not defined")
-        for x in xs:
-            if not member(S, x):
-                raise NotMemberError("%d is not in %r" % (x, S))
-        top = frobenius(S) + xs[0]
-    return [s for s in range(top + 1)
+    for x in xs:
+        if not member(S, x):
+            raise NotMemberError("%d is not in %r" % (x, S))
+    return [s for s in range(frobenius(S) + min(xs) + 1)
             if member(S, s) and not any(member(S, s - x) for x in xs)]
 
 

@@ -315,6 +315,7 @@ def test_ulf_golden():
 @example([4, 7])
 @example([5, 8, 11])
 @example([6, 9, 20])
+@example([1])
 def test_ulf_equals_singleton_length_scan(gens):
     S = _small_semigroup(gens)
     if 1 in gens:  # S = N: every member has one length
@@ -381,7 +382,12 @@ def test_random_semigroup_invariants(gens):
     for r in range(S.frobenius + n1 + 1):
         assert (r in S) == oracle.member(S, r), r
     assert all(oracle.member(S, g) for g in gens)
-    assert minimal_generators(gens) == list(S.minimal_generators)
+    # the minimal generators are the inputs that are not a sum of two
+    # nonzero members
+    assert minimal_generators(gens) == sorted(
+        {g for g in gens
+         if not any(oracle.member(S, m) and oracle.member(S, g - m)
+                    for m in range(1, g))})
     for k, g in enumerate(S.minimal_generators):
         unit = tuple(int(i == k) for i in range(len(S.minimal_generators)))
         assert factorizations(S, g) == [unit], g
