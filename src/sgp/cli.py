@@ -99,8 +99,8 @@ class Target:
     """The semigroup a command addresses.
 
     gens are the parsed generators, sorted and deduplicated; a is the a of
-    <a, a+1, a+2> when they are one (a >= 3), else None.  The engine's
-    Semigroup is built only when enumeration asks for it.
+    <a, a+1, a+2> when they are one (a >= 3), else None.  Only the
+    generic-engine paths build core.Semigroup(gens).
     """
 
     def __init__(self, ns):
@@ -119,9 +119,6 @@ class Target:
         g = self.gens = tuple(sorted(set(gens)))
         self.a = g[0] if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3 \
             else None
-
-    def semigroup(self) -> core.Semigroup:
-        return core.Semigroup(self.gens)
 
 
 def _resolve(target, ns, command, closed, enum, reason):
@@ -175,12 +172,6 @@ def _ulf_size(S, unbalanced):
     return sum(core._apery_counts(S, unbalanced)) if unbalanced else None
 
 
-def _check_size(t, command, count):
-    # count(TripleSemigroup) is O(1), so a huge --a is refused at once
-    if t.a is not None:
-        _check_listed(command, count(ct.TripleSemigroup(t.a)))
-
-
 def _triple_form(t, fn):
     """fn(t.a) as a thunk when t is a consecutive triple, else None."""
     return partial(fn, t.a) if t.a is not None else None
@@ -193,7 +184,7 @@ def cmd_info(t, ns) -> int:
                 ts.ulf_bound)
 
     def enum():
-        S = t.semigroup()
+        S = core.Semigroup(t.gens)
         cls = core.betti_elements(S)
         return (S.minimal_generators, S.frobenius, cls,
                 _ulf_size(S, cls.unbalanced), None)
@@ -235,7 +226,7 @@ def cmd_factorize(t, ns) -> int:
         reason = "two factorization lengths"
 
     def enum():
-        S = t.semigroup()
+        S = core.Semigroup(t.gens)
         if r not in S:
             raise core.NotMemberError("%d is not in %r" % (r, S))
         return core.factorizations(S, r)
@@ -250,7 +241,7 @@ def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
 
     def enum():
-        S = t.semigroup()
+        S = core.Semigroup(t.gens)
         # counted in O(n1 * |X|), so a huge Apery set is refused at once
         _check_listed("apery", sum(core._apery_counts(S, xs)))
         return core.apery_multi(S, xs)
@@ -264,7 +255,8 @@ def cmd_apery(t, ns) -> int:
 def cmd_betti(t, ns) -> int:
     cls, method = _resolve(
         t, ns, "betti", _triple_form(t, ct.ubetti_triple),
-        lambda: core.betti_elements(t.semigroup()), "not a consecutive triple")
+        lambda: core.betti_elements(core.Semigroup(t.gens)),
+        "not a consecutive triple")
     obj = {"method": method, "betti": list(cls.betti),
            "balanced": list(cls.balanced), "unbalanced": list(cls.unbalanced)}
     lines = ["betti: %s" % (list(cls.betti),),
@@ -279,12 +271,13 @@ def cmd_betti(t, ns) -> int:
 def cmd_ulf(t, ns) -> int:
     if ns.bound is not None and ns.bound < 0:
         raise UsageError("--bound wants a non-negative integer")
-    _check_size(t, "ulf", lambda ts: ts.ulf_size)
+    if t.a is not None:  # O(1), so a huge triple is refused at once
+        _check_listed("ulf", ct.TripleSemigroup(t.a).ulf_size)
 
     def enum():
         # core.ulf, sized before listing; on N the listing stops at --bound,
         # and apery_multi refuses a missing one
-        S = t.semigroup()
+        S = core.Semigroup(t.gens)
         ubetti = core.betti_elements(S).unbalanced
         size = _ulf_size(S, ubetti)
         _check_listed("ulf", (ns.bound or 0) + 1 if size is None else size)
@@ -301,7 +294,8 @@ def cmd_ulf(t, ns) -> int:
 
 
 def cmd_table(t, ns) -> int:
-    _check_size(t, "table", lambda ts: (ts.L + 1) ** 2)
+    if t.a is not None:
+        _check_listed("table", (ct.TripleSemigroup(t.a).L + 1) ** 2)
     table, _ = _resolve(
         t, ns, "table", _triple_form(t, render.partition_table), None,
         "not a consecutive triple")

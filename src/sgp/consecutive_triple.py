@@ -77,11 +77,6 @@ def _ubetti(a):
     return (lo,) if lo == hi else (lo, hi)
 
 
-def _threshold(a):
-    # least element of <a, a+1, a+2> with two factorization lengths
-    return _ubetti(a)[0]
-
-
 class TripleSemigroup:
     """Derived constants of <a, a+1, a+2>.
 
@@ -99,7 +94,7 @@ class TripleSemigroup:
         self.L = (a - 1) // 2
         self.D = (a + 3) // 4
         self.frob = (a // 2) * a - 1
-        self.ulf_bound = _threshold(a)
+        self.ulf_bound = _ubetti(a)[0]
         self.ulf_size = sum(m * (m + 1) for m in (_m(a, 0), _m(a, 1)))
 
     def __repr__(self):
@@ -218,10 +213,11 @@ def factorizations_triple(a, r):
 def _seed_below_threshold(a, r) -> SeedDescriptor:
     if not member_triple(a, r):
         raise NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
-    if r >= _threshold(a):
+    threshold = _ubetti(a)[0]
+    if r >= threshold:
         raise ValueError(
             "%d is not below the two-length threshold %d; use the generic "
-            "engine there" % (r, _threshold(a)))
+            "engine there" % (r, threshold))
     return seed(a, r)
 
 
@@ -324,24 +320,21 @@ def ulf_triple(a):
 
 
 def presentation_triple(a) -> Presentation:
-    """A minimal presentation of <a, a+1, a+2>.
+    """A minimal presentation of <a, a+1, a+2>, read off the Apery box.
 
-    Writing a = 2c + b with b in {1, 2}: the short relator trades
-    2(a+1) for a + (a+2); the long relators tie the ends of the Apery box
-    together, one for even a and two for odd a.
+    The short relator trades 2(a+1) for a + (a+2).  Each long relator is
+    the two factorizations of one unbalanced Betti corner: for odd a,
+    m_0(a+2) = (m_1 + 1)a + (a+1); then (m_0 + 1)a = (a mod 2)(a+1) +
+    m_1(a+2), the only corner for even a.
     """
     _check_a(a)
-    b = 2 if a % 2 == 0 else 1
-    c = (a - b) // 2
+    m0, m1 = _m(a, 0), _m(a, 1)
     pairs = [(Factorization((0, 2, 0)), Factorization((1, 0, 1)))]
-    if b == 2:
-        pairs.append((Factorization((c + 2, 0, 0)),
-                      Factorization((0, 0, c + 1))))
-    else:
-        pairs.append((Factorization((c + 1, 1, 0)),
-                      Factorization((0, 0, c + 1))))
-        pairs.append((Factorization((c + 2, 0, 0)),
-                      Factorization((0, 1, c))))
+    if a % 2:
+        pairs.append((Factorization((m1 + 1, 1, 0)),
+                      Factorization((0, 0, m0))))
+    pairs.append((Factorization((m0 + 1, 0, 0)),
+                  Factorization((0, a % 2, m1))))
     return Presentation(tuple(pairs))
 
 

@@ -21,24 +21,26 @@ from .core_semigroup import Semigroup, _denumerants, _length_masks, ulf
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
 
-_SMALL_CLASSES = {(0, 0): "zero", (1, -1): "m1", (1, 0): "z1", (1, 1): "p1"}
+# the family names of Gamma_0, Gamma_1 and Gamma_i (i >= 2), in the order
+# of ct.gamma
+_CLASS_NAMES = (("zero",), ("m1", "z1", "p1"),
+                ("neg_i", "neg_i1", "pos_i1", "pos_i"))
 
 
 def cell_class(iota, c) -> str:
     """Which of the eight (iota, c) families a triple belongs to.
 
-    iota 0 and 1 give the four singleton families zero, m1, z1, p1; for
-    iota >= 2 the corner c picks neg_i, neg_i1, pos_i1 or pos_i.
+    The family is the position of c in Gamma_iota: iota 0 and 1 give the
+    four singleton families zero, m1, z1, p1; for iota >= 2 the corner c
+    picks neg_i, neg_i1, pos_i1 or pos_i.  A non-integer iota is a
+    TypeError.
     """
-    got = _SMALL_CLASSES.get((iota, c))
-    if got is not None:
-        return got
-    if iota >= 2:
-        by_corner = {-iota: "neg_i", -iota + 1: "neg_i1",
-                     iota - 1: "pos_i1", iota: "pos_i"}
-        if c in by_corner:
-            return by_corner[c]
-    raise ValueError("(%d, %d) is not a valid (iota, c) pair" % (iota, c))
+    try:  # gamma refuses iota < 0, and index a c outside Gamma_iota
+        k = ct.gamma(iota).index(c)
+    except ValueError:
+        raise ValueError("(%d, %d) is not a valid (iota, c) pair"
+                         % (iota, c)) from None
+    return _CLASS_NAMES[min(iota, 2)][k]
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,10 @@ def partition_table(a) -> PartitionTable:
     for ell in range(ts.L + 1):
         for d in range(1, ts.D + 1):
             i = ell - 2 * d + 2
-            if i < 0:
-                continue
-            cells[(ell, d)] = [(r, i, r - (a + 1) * ell)
-                               for r in ct.s_d_i(a, d, i)]
+            if i >= 0:
+                # S_{d,i} = (a+1) * ell + Gamma_i
+                cells[(ell, d)] = [((a + 1) * ell + c, i, c)
+                                   for c in ct.gamma(i)]
     return PartitionTable(a, ts.L, ts.D, cells)
 
 
@@ -172,28 +174,27 @@ def table_to_json(t: PartitionTable) -> str:
     return json.dumps(cells, indent=2) + "\n"
 
 
+def _ulf_rows(S, table, key, first):
+    """ulf(S) grouped by key(table(S, max ulf)[r]), one row per key value
+    from first up to the largest; members ascending, empty rows kept."""
+    members = ulf(S)
+    entries = table(S, max(members))
+    groups = {}
+    for r in members:
+        groups.setdefault(key(entries[r]), []).append(r)
+    return [(k, groups.get(k, [])) for k in range(first, max(groups) + 1)]
+
+
 def ulf_by_length_report(S: Semigroup):
     """Unique-length members grouped by that length, one row per ell.
 
     Rows run contiguously from 0 to the largest occupied length, with
     members ascending; empty rows stay in as empty lists.
     """
-    members = ulf(S)
-    masks = _length_masks(S, max(members))
-    groups = {}
-    for r in members:
-        # a one-length mask is 1 << l
-        groups.setdefault(masks[r].bit_length() - 1, []).append(r)
-    top = max(groups) if groups else 0
-    return [(l, sorted(groups.get(l, []))) for l in range(top + 1)]
+    # a one-length mask is 1 << l
+    return _ulf_rows(S, _length_masks, lambda m: m.bit_length() - 1, 0)
 
 
 def ulf_by_denumerant_report(S: Semigroup):
     """Unique-length members grouped by denumerant, one row per d >= 1."""
-    members = ulf(S)
-    counts = _denumerants(S, max(members))
-    groups = {}
-    for r in members:
-        groups.setdefault(counts[r], []).append(r)
-    top = max(groups) if groups else 1
-    return [(d, sorted(groups.get(d, []))) for d in range(1, top + 1)]
+    return _ulf_rows(S, _denumerants, lambda d: d, 1)
