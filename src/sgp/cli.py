@@ -33,7 +33,8 @@ from . import render
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
-# apery, ulf and table refuse to list more
+# factorize, apery, ulf and table refuse to list more, and verify to build
+# a longer length table
 MAX_LISTED = 10 ** 6
 
 
@@ -63,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="generators, Frobenius number, Betti "
                                 "classification, unique-length count")
-    f = sub.add_parser("factorize", help="all factorizations of an element")
+    text = ("all factorizations of an element (refused above %d)"
+            % MAX_LISTED)
+    f = sub.add_parser("factorize", help=text, description=text)
     f.add_argument("r", type=int)
     text = ("Apery set of one or more members (refused above %d members)"
             % MAX_LISTED)
@@ -81,8 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", help=text, description=text)
     sub.add_parser("presentation", help="minimal presentation (consecutive "
                                         "triples and arithmetic sequences)")
-    v = sub.add_parser("verify", help="closed forms against the engine, "
-                                      "up to 3a past the two-length threshold")
+    text = ("closed forms against the engine, up to 3a past the two-length "
+            "threshold (refused when the length table of a-max would have "
+            "more than %d entries)" % MAX_LISTED)
+    v = sub.add_parser("verify", help=text, description=text)
     v.add_argument("--a-min", type=int, default=3)
     v.add_argument("--a-max", type=int, default=12)
     v.add_argument("--arith", action="store_true",
@@ -160,10 +165,11 @@ def _emit(ns, text_lines, json_obj, csv_rows):
             print(line)
 
 
-def _check_listed(command, n):
+def _check_listed(command, n, what="members"):
+    # what names the items, and says so when n is only a lower bound
     if n > MAX_LISTED:
-        raise UsageError("%s would list %d members, more than %d"
-                         % (command, n, MAX_LISTED))
+        raise UsageError("%s would list %d %s, more than %d"
+                         % (command, n, what, MAX_LISTED))
 
 
 def _ulf_size(S, unbalanced):
@@ -222,6 +228,10 @@ def cmd_factorize(t, ns) -> int:
             raise core.NotMemberError("%d is not in <%d, %d, %d>"
                                       % ((r,) + t.gens))
         if ct.ulf_membership_triple(t.a, r):
+            # F(r) is the omega-orbit of kappa_r + 1 vectors: an O(1) count
+            # that refuses a huge listing in every mode
+            _check_listed("factorize", ct.seed(t.a, r).kappa + 1,
+                          "factorizations")
             closed = partial(ct.factorizations_triple, t.a, r)
         reason = "two factorization lengths"
 
@@ -229,6 +239,9 @@ def cmd_factorize(t, ns) -> int:
         S = core.Semigroup(t.gens)
         if r not in S:
             raise core.NotMemberError("%d is not in %r" % (r, S))
+        _check_listed("factorize",
+                      core._factorization_count(S, r, MAX_LISTED),
+                      "or more factorizations")
         return core.factorizations(S, r)
 
     facs, method = _resolve(t, ns, "factorize", closed, enum, reason)
@@ -449,6 +462,13 @@ def cmd_verify(ns) -> int:
         raise UsageError("need 3 <= a-min <= a-max")
     if ns.random < 0:
         raise UsageError("--random wants a non-negative count")
+    # _verify_triple(a) builds a length table of ulf_bound + 3a + 1
+    # entries, the most at a-max
+    size = ct.TripleSemigroup(ns.a_max).ulf_bound + 3 * ns.a_max + 1
+    if size > MAX_LISTED:
+        raise UsageError("verify would build a length table of %d entries "
+                         "for a = %d, more than %d"
+                         % (size, ns.a_max, MAX_LISTED))
     a_values = range(ns.a_min, ns.a_max + 1)
     results = [_verify_triple(a) for a in a_values]
     if ns.arith:

@@ -140,8 +140,10 @@ def minimal_generators(gens):
 def factorizations(S: Semigroup, r: int):
     """All exponent vectors x with sum(x_i * n_i) = r, lexicographic.
 
-    Bounded recursive descent over the minimal generators; empty exactly
-    when r is not a member.
+    Bounded recursive descent over the minimal generators n_1 < ... < n_e;
+    empty exactly when r is not a member.  It takes about
+    prod_{i<e} (r/n_i + 1) descent steps, however few vectors it finds;
+    `_factorization_count` counts them without listing.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -166,6 +168,39 @@ def factorizations(S: Semigroup, r: int):
 
     descend(0, r)
     return out
+
+
+def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
+    """The number of factorizations of r >= 0, or some number above cap
+    once the running count passes it (a lower bound on the count).
+
+    The coordinates of the largest generators are fixed one at a time,
+    largest first; the two smallest, p < q, are counted in O(1): with
+    g = gcd(p, q) and m = q/g, p*x + q*y = s has solutions only when g
+    divides s, and then exactly the x = x0 (mod m) with 0 <= x <= s/p,
+    where x0 solves (p/g) x = s/g (mod m).
+    """
+    gens = S.minimal_generators
+    if len(gens) == 1:  # N: one factorization
+        return 1
+    p, q, outer = gens[0], gens[1], gens[2:]
+    g = gcd(p, q)
+    m = q // g
+    inv = pow(p // g, -1, m)
+
+    def count(k, s, cap):
+        # factorizations of s over p, q and outer[:k]
+        if k == 0:
+            return 0 if s % g else len(range(s // g * inv % m,
+                                             s // p + 1, m))
+        n, total = outer[k - 1], 0
+        for x in range(s // n + 1):
+            total += count(k - 1, s - x * n, cap - total)
+            if total > cap:
+                break
+        return total
+
+    return count(len(outer), r, cap)
 
 
 def _length_masks(S: Semigroup, bound: int):

@@ -35,7 +35,7 @@ def cell_class(iota, c) -> str:
     picks neg_i, neg_i1, pos_i1 or pos_i.  A non-integer iota is a
     TypeError.
     """
-    try:  # gamma refuses iota < 0, and index a c outside Gamma_iota
+    try:  # gamma refuses iota < 0, and list.index a c outside it
         k = ct.gamma(iota).index(c)
     except ValueError:
         raise ValueError("(%d, %d) is not a valid (iota, c) pair"

@@ -164,6 +164,9 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     # a = 1000 lists 501000 (ulf) and 250000 (table) members, under the cap
     assert TripleSemigroup(1000).ulf_size <= cli.MAX_LISTED
     assert (TripleSemigroup(1000).L + 1) ** 2 <= cli.MAX_LISTED
+    # and verify accepts a = 1410 (999691 length-table entries), not 1411
+    table = [TripleSemigroup(a).ulf_bound + 3 * a + 1 for a in (1410, 1411)]
+    assert table[0] <= cli.MAX_LISTED < table[1]
     monkeypatch.setattr(cli, "MAX_LISTED", TripleSemigroup(10).ulf_size)
     code, out, _ = run(capsys, "--a", "10", "ulf")
     assert code == 0 and len(out.split()) == 60
@@ -183,6 +186,44 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "--gens", "1", "ulf", "--bound", "18")[0] == 2
     monkeypatch.setattr(cli, "MAX_LISTED", 17)
     assert run(capsys, "--gens", "6,9,20", "ulf")[0] == 2
+    # factorize: 99 in <10, 11, 12> has one length and 5 factorizations,
+    # counted in O(1) in every mode; 120 in <6, 9, 20> has 12 and 60 in
+    # <10, 11, 12> two lengths and 2, both counted by the engine
+    for cap, code, lines in ((5, 0, 5), (4, 2, 0)):
+        monkeypatch.setattr(cli, "MAX_LISTED", cap)
+        for mode in ([], ["--fast"], ["--oracle"]):
+            got, out, _ = run(capsys, "--a", "10", *mode, "factorize", "99")
+            assert got == code and len(out.splitlines()) == lines
+    for gens, r, count in (("6,9,20", "120", 12), ("10,11,12", "60", 2)):
+        monkeypatch.setattr(cli, "MAX_LISTED", count)
+        code, out, _ = run(capsys, "--gens", gens, "factorize", r)
+        assert code == 0 and len(out.splitlines()) == count
+        monkeypatch.setattr(cli, "MAX_LISTED", count - 1)
+        assert run(capsys, "--gens", gens, "factorize", r)[0] == 2
+    # verify: the length table of a has ulf_bound + 3a + 1 entries, 91 for
+    # a = 10 and 111 for a = 11
+    monkeypatch.setattr(cli, "MAX_LISTED", 91)
+    assert run(capsys, "verify", "--a-max", "10")[0] == 0
+    code, out, err = run(capsys, "verify", "--a-max", "11")
+    assert code == 2 and out == ""
+    assert "111 entries for a = 11" in err
+
+
+def refused_at_once(capsys, argv):
+    """stderr of main(argv), which must exit 2 with no output in under 1 s
+    and with a tracemalloc peak under 1 MiB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 1024 * 1024
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    return err
 
 
 def test_apery_guard_refuses_before_listing(capsys):
@@ -190,21 +231,28 @@ def test_apery_guard_refuses_before_listing(capsys):
     for gens, xs in (("3,5", ["1000000000"]),
                      ("10007,10009", ["100160063"]),
                      ("2,3", ["1000001", "1000003"])):
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code = main(["--gens", gens, "apery", *xs])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1
-        assert peak < 1024 * 1024
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
+        err = refused_at_once(capsys, ["--gens", gens, "apery", *xs])
         assert "apery would list %d members" % int(min(xs)) in err
     # an intersection with a small Apery set still answers
     code, out, _ = run(capsys, "--gens", "3,5", "apery", "8", "1000000000")
     assert code == 0 and out == "0 3 5 6 9 10 12 15\n"
+
+
+def test_factorize_and_verify_guards_refuse_at_once(capsys):
+    # the engine count stops just past MAX_LISTED, a one-length member of
+    # a triple has kappa_r + 1 factorizations, and verify's table size is
+    # a formula, so nothing is listed or built
+    huge = "--a 4000000 %s factorize 15999999999998"
+    for argv, message in (
+            ("--gens 3,4,5 factorize 100000", "or more factorizations"),
+            ("--gens 3,4,10007 factorize 1000000000",
+             "83333334 or more factorizations"),
+            (huge % "", "2000000 factorizations,"),
+            (huge % "--fast", "2000000 factorizations,"),
+            (huge % "--oracle", "2000000 factorizations,"),
+            ("verify --a-min 20000 --a-max 20000",
+             "200080001 entries for a = 20000")):
+        assert message in refused_at_once(capsys, argv.split())
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):

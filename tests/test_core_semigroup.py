@@ -21,6 +21,7 @@ from sgp.core_semigroup import (
     Semigroup,
     _apery_counts,
     _denumerants,
+    _factorization_count,
     _length_masks,
     apery,
     apery_multi,
@@ -448,6 +449,29 @@ def test_length_masks_and_denumerants_match_enumeration(gens):
         assert masks[r] == sum(1 << l for l in lengths), r
         assert sets[r] == (set(lengths) or None), r
         assert counts[r] == denumerant(S, r), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_GENERATORS, st.data())
+@example([6, 9, 20], None)
+@example([4, 6, 9, 11], None)
+def test_factorization_count_is_capped_denumerant(gens, data):
+    S = _small_semigroup(gens)
+    top = oracle.frobenius(S) + 3 * max(S.minimal_generators)
+    counts = _denumerants(S, top)
+    for r in range(top + 1):
+        if data is None:
+            caps = (0, counts[r] - 1, counts[r], 10 ** 9)
+        else:
+            caps = (data.draw(st.integers(0, counts[r] + 2)),)
+        for cap in caps:
+            got = _factorization_count(S, r, cap)
+            if counts[r] <= cap:
+                assert got == counts[r], (r, cap)
+            else:
+                assert cap < got <= counts[r], (r, cap)
+    for r in range(0, top + 1, 7):
+        assert _factorization_count(S, r, 10 ** 9) == denumerant(S, r), r
 
 
 # ---------------------------------------------------------------------------
