@@ -230,7 +230,8 @@ def cmd_factorize(t, ns) -> int:
         if ct.ulf_membership_triple(t.a, r):
             # F(r) is the omega-orbit of kappa_r + 1 vectors: an O(1) count
             # that refuses a huge listing in every mode
-            _check_listed("factorize", ct.seed(t.a, r).kappa + 1,
+            phi = ct._phi(t.a, r)
+            _check_listed("factorize", min(phi[0], phi[2]) + 1,
                           "factorizations")
             closed = partial(ct.factorizations_triple, t.a, r)
         reason = "two factorization lengths"

@@ -22,7 +22,10 @@ elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
 side, one element for even a; the smaller is the threshold L_a.
 
 Everything here is O(1) or O(a^2) arithmetic with no caching, so the
-functions are freely usable from concurrent code.  The generic
+functions are freely usable from concurrent code.  Every public function
+validates a (and r) once, and the per-element ones read phi_r from
+`_phi` as a plain tuple, so `verify` can call each of them for every r
+cheaply; `seed` is the public view of the same vector.  The generic
 counterparts in core_semigroup are the reference implementation.
 """
 
@@ -142,6 +145,16 @@ class UlfElement:
     eta: int
 
 
+def _phi(a, r):
+    # phi_r of the module docstring, for a valid a and an int r >= 0
+    ell, eps = divmod(r, a)
+    return ell - (eps + 1) // 2, eps % 2, eps // 2
+
+
+def _not_member(a, r):
+    return NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
+
+
 def seed(a, r) -> SeedDescriptor:
     """Seed data of r; pure arithmetic, defined for every r >= 0.
 
@@ -151,11 +164,9 @@ def seed(a, r) -> SeedDescriptor:
     r = index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
-    ell, eps = divmod(r, a)
-    phi = (ell - (eps + 1) // 2, eps % 2, eps // 2)
-    return SeedDescriptor(r, ell, eps, phi, min(phi[0], phi[2]),
-                          max(phi[0], phi[2]),
-                          phi[1] + abs(phi[0] - phi[2]), phi[2] - phi[0])
+    p1, p2, p3 = phi = _phi(a, r)
+    return SeedDescriptor(r, r // a, r % a, phi, min(p1, p3), max(p1, p3),
+                          p2 + abs(p1 - p3), p3 - p1)
 
 
 def member_triple(a, r) -> bool:
@@ -182,18 +193,23 @@ def ubetti_triple(a) -> BettiClassification:
 def ulf_membership_triple(a, r) -> bool:
     """Whether all factorizations of r share one length, in O(1).
 
-    A member qualifies iff subtracting any unbalanced Betti element lands
-    outside the semigroup.
+    A member qualifies iff subtracting either unbalanced Betti corner,
+    (m_0 + 1)a or m_0(a+2), lands outside the semigroup.
     """
-    if not member_triple(a, r):
+    _check_a(a)
+    r = index(r)
+    if r < 0 or r % a > 2 * (r // a):
         return False
-    return all(not member_triple(a, r - u) for u in _ubetti(a))
+    m = _m(a, 0)
+    s, t = r - (m + 1) * a, r - m * (a + 2)
+    return not ((s >= 0 and s % a <= 2 * (s // a))
+                or (t >= 0 and t % a <= 2 * (t // a)))
 
 
-def _omega_orbit(sd: SeedDescriptor):
-    phi = sd.phi
-    return [Factorization((phi[0] - j, phi[1] + 2 * j, phi[2] - j))
-            for j in range(sd.kappa + 1)]
+def _omega_orbit(phi):
+    p1, p2, p3 = phi
+    return [Factorization((p1 - j, p2 + 2 * j, p3 - j))
+            for j in range(min(p1, p3) + 1)]
 
 
 def factorizations_triple(a, r):
@@ -203,34 +219,37 @@ def factorizations_triple(a, r):
     member with two factorization lengths is delegated to the generic
     engine instead.
     """
-    if not member_triple(a, r):
-        raise NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
     if not ulf_membership_triple(a, r):
+        if not member_triple(a, r):
+            raise _not_member(a, r)
         return factorizations(Semigroup((a, a + 1, a + 2)), r)
-    return _omega_orbit(seed(a, r))
+    return _omega_orbit(_phi(a, r))
 
 
-def _seed_below_threshold(a, r) -> SeedDescriptor:
-    if not member_triple(a, r):
-        raise NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
+def _phi_below_threshold(a, r):
+    _check_a(a)
+    r = index(r)
+    if r < 0 or r % a > 2 * (r // a):
+        raise _not_member(a, r)
     threshold = _ubetti(a)[0]
     if r >= threshold:
         raise ValueError(
             "%d is not below the two-length threshold %d; use the generic "
             "engine there" % (r, threshold))
-    return seed(a, r)
+    return _phi(a, r)
 
 
 def denumerant_triple(a, r) -> int:
     """kappa_r + 1, the factorization count below the threshold."""
-    return _seed_below_threshold(a, r).kappa + 1
+    p1, _, p3 = _phi_below_threshold(a, r)
+    return min(p1, p3) + 1
 
 
 def length_triple(a, r) -> int:
     """The single factorization length floor(r / a) of a unique-length member."""
-    if not member_triple(a, r):
-        raise NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
     if not ulf_membership_triple(a, r):
+        if not member_triple(a, r):
+            raise _not_member(a, r)
         raise ValueError(
             "%d has factorizations of two different lengths" % r)
     return r // a
@@ -242,8 +261,8 @@ def decompose_triple(a, r) -> TripleDecomposition:
     d is the denumerant of r and 2d - 2 + i its factorization length;
     only defined below the two-length threshold.
     """
-    sd = _seed_below_threshold(a, r)
-    return TripleDecomposition(sd.kappa + 1, sd.iota, sd.c)
+    p1, p2, p3 = _phi_below_threshold(a, r)
+    return TripleDecomposition(min(p1, p3) + 1, p2 + abs(p1 - p3), p3 - p1)
 
 
 def gamma(i):
@@ -360,5 +379,5 @@ def monomial_basis(a, r, superscript=False):
     superscript=True for Unicode exponents.  Only defined below the
     two-length threshold, where the orbit is the whole basis of r.
     """
-    sd = _seed_below_threshold(a, r)
-    return [_monomial(f, superscript) for f in _omega_orbit(sd)]
+    return [_monomial(f, superscript)
+            for f in _omega_orbit(_phi_below_threshold(a, r))]

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
+from itertools import compress, count
 from math import gcd
 from operator import index
 
@@ -137,34 +138,56 @@ def minimal_generators(gens):
     return list(Semigroup(gens).minimal_generators)
 
 
+def _pair_solutions(p, q):
+    """For p < q, a function from s >= 0 to the range of the x >= 0 with
+    p*x + q*y = s for some y >= 0.
+
+    With g = gcd(p, q) and m = q/g there are none unless g divides s, and
+    then they are exactly the x = x0 (mod m) with 0 <= x <= s/p, where x0
+    solves (p/g) x = s/g (mod m); each call is O(1).
+    """
+    g = gcd(p, q)
+    m = q // g
+    inv = pow(p // g, -1, m)
+
+    def xs(s):
+        return range(0) if s % g else range(s // g * inv % m, s // p + 1, m)
+
+    return xs
+
+
 def factorizations(S: Semigroup, r: int):
     """All exponent vectors x with sum(x_i * n_i) = r, lexicographic.
 
-    Bounded recursive descent over the minimal generators n_1 < ... < n_e;
-    empty exactly when r is not a member.  It takes about
-    prod_{i<e} (r/n_i + 1) descent steps, however few vectors it finds;
-    `_factorization_count` counts them without listing.
+    Bounded recursive descent over the coordinates of the minimal
+    generators n_1 < ... < n_e except the last two; the pair n_{e-1} <
+    n_e is solved by `_pair_solutions`, stepping x_{e-1} over its
+    solutions only.  Empty exactly when r is not a member.  It takes about
+    prod_{i<e-1} (r/n_i + 1) descent steps plus the output;
+    `_factorization_count` counts the vectors without listing them.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     gens = S.minimal_generators
-    e = len(gens)
+    if len(gens) == 1:  # N = <1>
+        return [Factorization((r,))]
+    *outer, p, q = gens
+    pair = _pair_solutions(p, q)
+    k = len(outer)
     out = []
-    coords = [0] * e
+    coords = [0] * (k + 2)
 
     def descend(i, rem):
-        if i == e - 1:
-            q, rest = divmod(rem, gens[i])
-            if rest == 0:
-                coords[i] = q
+        # coords[:i] are fixed; every deeper entry is set before it is read
+        if i == k:
+            for x in pair(rem):
+                coords[k:] = x, (rem - x * p) // q
                 out.append(Factorization(coords))
-                coords[i] = 0
             return
-        g = gens[i]
-        for x in range(rem // g + 1):
+        n = outer[i]
+        for x in range(rem // n + 1):
             coords[i] = x
-            descend(i + 1, rem - x * g)
-        coords[i] = 0
+            descend(i + 1, rem - x * n)
 
     descend(0, r)
     return out
@@ -175,32 +198,26 @@ def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
     once the running count passes it (a lower bound on the count).
 
     The coordinates of the largest generators are fixed one at a time,
-    largest first; the two smallest, p < q, are counted in O(1): with
-    g = gcd(p, q) and m = q/g, p*x + q*y = s has solutions only when g
-    divides s, and then exactly the x = x0 (mod m) with 0 <= x <= s/p,
-    where x0 solves (p/g) x = s/g (mod m).
+    largest first; the two smallest, p < q, are counted in O(1) by
+    `_pair_solutions`.
     """
     gens = S.minimal_generators
     if len(gens) == 1:  # N: one factorization
         return 1
-    p, q, outer = gens[0], gens[1], gens[2:]
-    g = gcd(p, q)
-    m = q // g
-    inv = pow(p // g, -1, m)
+    pair, outer = _pair_solutions(gens[0], gens[1]), gens[2:]
 
-    def count(k, s, cap):
-        # factorizations of s over p, q and outer[:k]
+    def tally(k, s, cap):
+        # factorizations of s over the two smallest and outer[:k]
         if k == 0:
-            return 0 if s % g else len(range(s // g * inv % m,
-                                             s // p + 1, m))
+            return len(pair(s))
         n, total = outer[k - 1], 0
         for x in range(s // n + 1):
-            total += count(k - 1, s - x * n, cap - total)
+            total += tally(k - 1, s - x * n, cap - total)
             if total > cap:
                 break
         return total
 
-    return count(len(outer), r, cap)
+    return tally(len(outer), r, cap)
 
 
 def _length_masks(S: Semigroup, bound: int):
@@ -220,16 +237,22 @@ def _length_masks(S: Semigroup, bound: int):
     return masks
 
 
+# translates the digits b"0" / b"1" of a binary string to bytes 0 / 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def length_sets_up_to(S: Semigroup, bound: int):
     """The length set L(r) of every r in [0, bound], by dynamic programming.
 
     Entry r is the set L(r), or None when r is not a member.  The table is
     built as int bitmasks, L(r) = OR over generators g of (L(r - g) << 1)
     with L(0) = 1 (Barron, O'Neill & Pelayo, Math. Comp. 2017), in
-    O(bound * e) big-int operations, then read bit by bit into sets.  The
-    recurrence is checked against `oracle.length_set` in the test suite.
+    O(bound * e) big-int operations.  Each mask is read into its set at C
+    speed: its binary digits, least significant first, become the bytes 0
+    and 1, and `compress` keeps the positions of the ones.  The recurrence
+    is checked against `oracle.length_set` in the test suite.
     """
-    return [{l for l, bit in enumerate(bin(m)[:1:-1]) if bit == "1"}
+    return [set(compress(count(), bin(m)[:1:-1].encode().translate(_BITS)))
             if m else None for m in _length_masks(S, bound)]
 
 

@@ -2,20 +2,20 @@
 
 Each function here is the literal definition of its invariant, computed
 from factorizations: membership by a descent that stops at the first one,
-the rest by listing them with `core_semigroup.factorizations`.  Of a
-`Semigroup` it reads only the minimal generators: never the Apery table,
-the stored Frobenius number or the engine's membership test, so a fault
-in those shows up as a disagreement rather than being copied.  The
-engine in `core_semigroup` and the closed forms in the sibling modules
-are tested against this module.  It is slow on purpose; use it on small
-semigroups only.
+the rest by listing them with the plain descent of `factorizations`.  Of
+a `Semigroup` it reads only the minimal generators: never the Apery
+table, the stored Frobenius number or the engine's membership test, and
+it shares no algorithm with the engine, so a fault in those shows up as
+a disagreement rather than being copied.  The engine in `core_semigroup`
+and the closed forms in the sibling modules are tested against this
+module.  It is slow on purpose; use it on small semigroups only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_semigroup import BettiClassification, NotMemberError, factorizations
+from .core_semigroup import BettiClassification, Factorization, NotMemberError
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,25 @@ class FactorizationGraph:
     vertices: tuple
     edges: tuple  # (i, j) index pairs into vertices, i < j
     n_components: int
+
+
+def factorizations(S, r):
+    """F(r) by plain descent, lexicographic: each coordinate but the last
+    takes every value that fits, and the last one what is left, if it
+    divides."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    gens = S.minimal_generators
+
+    def descend(prefix, rem):
+        if len(prefix) == len(gens) - 1:
+            q, rest = divmod(rem, gens[-1])
+            return [] if rest else [Factorization(prefix + (q,))]
+        g = gens[len(prefix)]
+        return [f for x in range(rem // g + 1)
+                for f in descend(prefix + (x,), rem - x * g)]
+
+    return descend((), r)
 
 
 def member(S, r) -> bool:

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import dataclasses
 import json
+import operator
 import random
 import time
 import tracemalloc
@@ -446,13 +448,33 @@ def test_consecutive_calls_answer_as_alone(capsys):
     assert json.loads(run(capsys, *info)[1])["method"] == "closed-form"
 
 
-def test_verify_reports_counterexample(capsys, monkeypatch):
+# a wrong answer for each closed form that verify calls, and the reason
+# it must fail with
+WRONG_ANSWERS = {
+    "member_triple": (operator.not_, "membership mismatch"),
+    "ulf_membership_triple": (operator.not_,
+                              "unique-length membership mismatch"),
+    "factorizations_triple": (lambda facs: facs[1:],
+                              "factorization set mismatch"),
+    "denumerant_triple": (lambda d: d + 1, "denumerant mismatch"),
+    "decompose_triple": (lambda dec: dataclasses.replace(dec, c=dec.c + 1),
+                         "decomposition mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_ANSWERS))
+def test_verify_reports_counterexample(capsys, monkeypatch, name):
+    # 8 = 2*4 = 3 + 5 is a one-length member of <3, 4, 5> below its
+    # threshold 9, so verify calls every closed form on it
     import sgp.cli
-    monkeypatch.setattr(sgp.cli.ct, "member_triple", lambda a, r: False)
+    right = getattr(sgp.cli.ct, name)
+    wrong, reason = WRONG_ANSWERS[name]
+    monkeypatch.setattr(
+        sgp.cli.ct, name,
+        lambda a, r: wrong(right(a, r)) if r == 8 else right(a, r))
     code, out, _ = run(capsys, "verify", "--a-max", "3")
     assert code == 1
-    assert out.startswith("FAIL")
-    assert "membership mismatch" in out
+    assert out == "FAIL %s\n" % ((3, 8, reason),)
 
 
 def test_fast_and_oracle_agree_where_fast_is_defined(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import golden
 from sgp.consecutive_triple import (
     OMEGA,
+    TripleDecomposition,
     TripleSemigroup,
     decompose_triple,
     denumerant_triple,
@@ -93,6 +94,28 @@ def test_seed_value_identity():
             lam, mu, eta = sd.phi
             assert lam * a + mu * (a + 1) + eta * (a + 2) == r
             assert lam + mu + eta == sd.ell
+
+
+def test_fast_paths_agree_with_the_public_seed():
+    # the per-r closed forms read phi from a private helper; pin each to
+    # the public seed() and to the membership definition of ulf
+    for a in range(3, 61):
+        ts = TripleSemigroup(a)
+        unbalanced = ubetti_triple(a).unbalanced
+        for r in range(ts.ulf_bound + 3 * a + 1):
+            sd = seed(a, r)
+            member = member_triple(a, r)
+            one_length = member and not any(member_triple(a, r - u)
+                                            for u in unbalanced)
+            assert ulf_membership_triple(a, r) == one_length, (a, r)
+            if one_length:
+                assert factorizations_triple(a, r) == [
+                    tuple(x + j * w for x, w in zip(sd.phi, OMEGA))
+                    for j in range(sd.kappa + 1)], (a, r)
+            if member and r < ts.ulf_bound:
+                assert denumerant_triple(a, r) == sd.kappa + 1, (a, r)
+                assert decompose_triple(a, r) == TripleDecomposition(
+                    sd.kappa + 1, sd.iota, sd.c), (a, r)
 
 
 def test_membership_matches_engine():

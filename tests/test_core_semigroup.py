@@ -165,6 +165,23 @@ def test_factorizations_complete_against_direct_count(r):
     assert len(factorizations(S, r)) == direct
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=1,
+                max_size=5))
+@example([1])
+@example([5, 6, 8])
+@example([7, 9, 12])
+@example([7, 8, 9, 10, 12])
+def test_factorizations_match_the_oracle_descent(gens):
+    # the engine solves its last two coordinates by a congruence; the
+    # oracle tries every value, so a wrong step or start shows here (the
+    # examples give last pairs with a common factor, e = 1 and e = 5)
+    S = _small_semigroup(gens)
+    top = oracle.frobenius(S) + 2 * max(S.minimal_generators)
+    for r in range(top + 1):
+        assert factorizations(S, r) == oracle.factorizations(S, r), r
+
+
 # ---------------------------------------------------------------------------
 # length sets
 
@@ -187,6 +204,18 @@ def test_length_sets_up_to_matches_pointwise():
                 assert sorted(table[r]) == length_set(S, r), (gens, r)
             else:
                 assert table[r] is None
+
+
+def test_length_sets_read_every_bit_of_wide_alternating_masks():
+    # odd generators only: every length has the parity of r, so the masks
+    # alternate 0 and 1, and at r near 3000 they are over 64 bits wide
+    S = Semigroup((11, 13, 17, 19))
+    masks = _length_masks(S, 3000)
+    assert masks[3000].bit_length() > 64
+    assert masks[3000] & (masks[3000] >> 1) == 0
+    assert length_sets_up_to(S, 3000) == [
+        {l for l in range(m.bit_length()) if m >> l & 1} or None
+        for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +467,7 @@ def test_apery_multi_matches_set_definition(gens, data):
 
 @settings(max_examples=60, deadline=None)
 @given(SMALL_GENERATORS)
+@example([5, 7, 9])
 def test_length_masks_and_denumerants_match_enumeration(gens):
     S = _small_semigroup(gens)
     top = oracle.frobenius(S) + 2 * max(S.minimal_generators)
