@@ -25,6 +25,7 @@ import json
 import random
 import sys
 from functools import lru_cache, partial
+from itertools import chain
 
 from . import arithmetic_sequence as arith
 from . import consecutive_triple as ct
@@ -154,15 +155,18 @@ def _resolve(target, ns, command, closed, enum, reason):
     return enum(), ENUMERATION
 
 
-def _emit(ns, text_lines, json_obj, csv_rows):
+def _emit(ns, text, obj, csv):
+    """Write one answer to stdout in one piece, in the format ns.fmt.
+
+    text and csv are thunks giving the lines of those formats, and obj one
+    giving the JSON object; only the one for ns.fmt runs.
+    """
     if ns.fmt == "json":
-        print(json.dumps(json_obj, sort_keys=True))
-    elif ns.fmt == "csv":
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
+        out = json.dumps(obj(), sort_keys=True) + "\n"
     else:
-        for line in text_lines:
-            print(line)
+        lines = (text if ns.fmt == "text" else csv)()
+        out = "".join([line + "\n" for line in lines])
+    sys.stdout.write(out)
 
 
 def _check_listed(command, n, what="members"):
@@ -198,25 +202,33 @@ def cmd_info(t, ns) -> int:
     (mingens, frob, cls, ulf_size, threshold), method = _resolve(
         t, ns, "info", _triple_form(t, closed), enum,
         "not a consecutive triple")
-    obj = {"method": method,
-           "generators": list(t.gens),
-           "minimal_generators": list(mingens),
-           "frobenius": frob,
-           "betti": list(cls.betti),
-           "balanced": list(cls.balanced),
-           "unbalanced": list(cls.unbalanced),
-           "ulf_size": ulf_size}
-    if threshold is not None:
-        obj["ulf_bound"] = threshold
-    lines = ["minimal generators: %s" % (list(mingens),),
-             "frobenius: %d" % frob]
-    if threshold is not None:
-        lines.append("two-length threshold: %d" % threshold)
-    lines += ["betti: %s (balanced %s, unbalanced %s)"
-              % (list(cls.betti), list(cls.balanced), list(cls.unbalanced)),
-              "unique-length members: %s"
-              % ("unbounded" if ulf_size is None else ulf_size)]
-    _emit(ns, lines, obj, sorted(obj.items()))
+
+    def obj():
+        o = {"method": method,
+             "generators": list(t.gens),
+             "minimal_generators": list(mingens),
+             "frobenius": frob,
+             "betti": list(cls.betti),
+             "balanced": list(cls.balanced),
+             "unbalanced": list(cls.unbalanced),
+             "ulf_size": ulf_size}
+        if threshold is not None:
+            o["ulf_bound"] = threshold
+        return o
+
+    def text():
+        lines = ["minimal generators: %s" % (list(mingens),),
+                 "frobenius: %d" % frob]
+        if threshold is not None:
+            lines.append("two-length threshold: %d" % threshold)
+        return lines + [
+            "betti: %s (balanced %s, unbalanced %s)"
+            % (list(cls.betti), list(cls.balanced), list(cls.unbalanced)),
+            "unique-length members: %s"
+            % ("unbounded" if ulf_size is None else ulf_size)]
+
+    _emit(ns, text, obj,
+          lambda: ["%s,%s" % item for item in sorted(obj().items())])
     return 0
 
 
@@ -246,8 +258,10 @@ def cmd_factorize(t, ns) -> int:
         return core.factorizations(S, r)
 
     facs, method = _resolve(t, ns, "factorize", closed, enum, reason)
-    obj = {"method": method, "r": r, "factorizations": [list(f) for f in facs]}
-    _emit(ns, [" ".join(map(str, f)) for f in facs], obj, facs)
+    _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
+          lambda: {"method": method, "r": r,
+                   "factorizations": [list(f) for f in facs]},
+          lambda: [",".join(map(str, f)) for f in facs])
     return 0
 
 
@@ -261,8 +275,9 @@ def cmd_apery(t, ns) -> int:
         return core.apery_multi(S, xs)
 
     members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
-    obj = {"method": method, "x": xs, "apery": members}
-    _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
+    _emit(ns, lambda: [" ".join(map(str, members))],
+          lambda: {"method": method, "x": xs, "apery": members},
+          lambda: map(str, members))
     return 0
 
 
@@ -271,14 +286,16 @@ def cmd_betti(t, ns) -> int:
         t, ns, "betti", _triple_form(t, ct.ubetti_triple),
         lambda: core.betti_elements(core.Semigroup(t.gens)),
         "not a consecutive triple")
-    obj = {"method": method, "betti": list(cls.betti),
-           "balanced": list(cls.balanced), "unbalanced": list(cls.unbalanced)}
-    lines = ["betti: %s" % (list(cls.betti),),
-             "balanced: %s" % (list(cls.balanced),),
-             "unbalanced: %s" % (list(cls.unbalanced),)]
-    _emit(ns, lines, obj,
-          [(b, "balanced" if b in cls.balanced else "unbalanced")
-           for b in cls.betti])
+    _emit(ns,
+          lambda: ["betti: %s" % (list(cls.betti),),
+                   "balanced: %s" % (list(cls.balanced),),
+                   "unbalanced: %s" % (list(cls.unbalanced),)],
+          lambda: {"method": method, "betti": list(cls.betti),
+                   "balanced": list(cls.balanced),
+                   "unbalanced": list(cls.unbalanced)},
+          lambda: ["%d,%s" % (b, "balanced" if b in cls.balanced
+                                else "unbalanced")
+                   for b in cls.betti])
     return 0
 
 
@@ -299,11 +316,12 @@ def cmd_ulf(t, ns) -> int:
 
     members, method = _resolve(
         t, ns, "ulf",
-        _triple_form(t, lambda a: [r for ell in range(a + 1)
-                                   for r in ct.s_ell(a, ell)]),
+        _triple_form(t, lambda a: list(chain.from_iterable(
+            ct.s_ell(a, ell) for ell in range(a + 1)))),
         enum, "not a consecutive triple")
-    obj = {"method": method, "count": len(members), "ulf": members}
-    _emit(ns, [" ".join(map(str, members))], obj, [(m,) for m in members])
+    _emit(ns, lambda: [" ".join(map(str, members))],
+          lambda: {"method": method, "count": len(members), "ulf": members},
+          lambda: map(str, members))
     return 0
 
 
@@ -339,14 +357,16 @@ def cmd_presentation(t, ns) -> int:
     pres, method = _resolve(
         t, ns, "presentation", closed, None,
         "need a consecutive triple or an arithmetic sequence")
-    obj = {"method": method,
-           "relations": [[list(x), list(y)] for x, y in pres.relations]}
-    lines = ["%s  =  %s   (value %d)"
-             % (" ".join(map(str, x)), " ".join(map(str, y)), x.value(t.gens))
-             for x, y in pres.relations]
-    _emit(ns, lines, obj,
-          [(" ".join(map(str, x)), " ".join(map(str, y)))
-           for x, y in pres.relations])
+    _emit(ns,
+          lambda: ["%s  =  %s   (value %d)"
+                   % (" ".join(map(str, x)), " ".join(map(str, y)),
+                      x.value(t.gens))
+                   for x, y in pres.relations],
+          lambda: {"method": method,
+                   "relations": [[list(x), list(y)]
+                                 for x, y in pres.relations]},
+          lambda: ["%s,%s" % (" ".join(map(str, x)), " ".join(map(str, y)))
+                   for x, y in pres.relations])
     return 0
 
 

@@ -208,8 +208,9 @@ def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
 
     def tally(k, s, cap):
         # factorizations of s over the two smallest and outer[:k]
-        if k == 0:
-            return len(pair(s))
+        if k == 0:  # len() of a range wider than sys.maxsize overflows
+            xs = pair(s)
+            return max(0, (xs.stop - xs.start + xs.step - 1) // xs.step)
         n, total = outer[k - 1], 0
         for x in range(s // n + 1):
             total += tally(k - 1, s - x * n, cap - total)

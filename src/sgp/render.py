@@ -7,19 +7,40 @@ materializes that grid with (r, iota, c) triples, monomial_table with the
 rendered monomial bases, and both serialize deterministically to CSV,
 aligned text and JSON.  The by-length and by-denumerant reports work on
 any semigroup through the generic engine.
+
+table_to_csv and table_to_json fill fixed %-templates, one per row or
+triple, and look up each (iota, c) class once per call.  Their output is
+byte for byte what csv.writer (lineterminator "\n") and
+json.dumps(indent=2) + "\n" write for the same rows and cells, the
+encoders `sgp table` used before, since every field is an int or a class
+name, which needs no quoting or escaping.  `sgp ulf`, which the CLI
+writes, prints the same bytes as before too.  At the 10^6-item edge of
+the CLI, a whole `sgp` process (2 cores, Python 3.11) takes:
+
+    sgp --a 2000 table  (10^6 triples)   json 3.5 s, 0.56 GB max RSS
+                                         csv  2.9 s, 0.26 GB
+                                         text 3.9 s, 0.40 GB
+    sgp --a 1410 ulf    (995460 members) json 0.3 s, 0.07 GB
+                                         csv  0.6 s, 0.13 GB
+                                         text 0.4 s, 0.13 GB
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 from . import consecutive_triple as ct
 from .core_semigroup import Semigroup, _denumerants, _length_masks, ulf
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
+_CSV_ROW = "%d,%d,%d,%d,%d,%s\n"
+# one cell and one triple of the json.dumps(indent=2) layout
+_JSON_CELL = ('  {\n    "ell": %d,\n    "d": %d,\n'
+              '    "triples": [\n%s\n    ]\n  }')
+_JSON_TRIPLE = ('      {\n        "r": %d,\n        "iota": %d,\n'
+                '        "c": %d,\n        "class": "%s"\n      }')
 
 # the family names of Gamma_0, Gamma_1 and Gamma_i (i >= 2), in the order
 # of ct.gamma
@@ -41,6 +62,14 @@ def cell_class(iota, c) -> str:
         raise ValueError("(%d, %d) is not a valid (iota, c) pair"
                          % (iota, c)) from None
     return _CLASS_NAMES[min(iota, 2)][k]
+
+
+class _Classes(dict):
+    """cell_class(iota, c) keyed by (iota, c), computed on first lookup."""
+
+    def __missing__(self, key):
+        name = self[key] = cell_class(*key)
+        return name
 
 
 @dataclass(frozen=True)
@@ -101,14 +130,13 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
 
 def table_to_csv(t: PartitionTable) -> str:
     """One row per (ell, d, r, iota, c, class), sorted by (ell, d, r)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for key in sorted(t.cells):
-        ell, d = key
-        for r, iota, c in t.cells[key]:
-            w.writerow([ell, d, r, iota, c, cell_class(iota, c)])
-    return buf.getvalue()
+    names = _Classes()
+    # joined cell by cell: a flat list of the 10^6 rows at a = 2000 would
+    # hold about 50 MB of string headers beside 30 MB of text
+    return ",".join(CSV_HEADER) + "\n" + "".join(
+        ["".join([_CSV_ROW % (ell, d, r, iota, c, names[iota, c])
+                  for r, iota, c in t.cells[ell, d]])
+         for ell, d in sorted(t.cells)])
 
 
 def table_from_csv(text: str) -> PartitionTable:
@@ -165,13 +193,18 @@ def monomial_table_to_text(t: MonomialTable) -> str:
 
 
 def table_to_json(t: PartitionTable) -> str:
-    """Array-of-cells JSON with the class tag on every triple."""
-    cells = [{"ell": ell, "d": d,
-              "triples": [{"r": r, "iota": iota, "c": c,
-                           "class": cell_class(iota, c)}
-                          for r, iota, c in t.cells[(ell, d)]]}
+    """Array-of-cells JSON with the class tag on every triple.
+
+    The bytes are those of json.dumps(indent=2) + "\n" for a table with
+    at least one cell and no empty cell, as every table of partition_table
+    and table_from_csv is; json.dumps would write [] for an empty list.
+    """
+    names = _Classes()
+    cells = [_JSON_CELL % (ell, d, ",\n".join(
+                [_JSON_TRIPLE % (r, iota, c, names[iota, c])
+                 for r, iota, c in t.cells[ell, d]]))
              for ell, d in sorted(t.cells)]
-    return json.dumps(cells, indent=2) + "\n"
+    return "[\n" + ",\n".join(cells) + "\n]\n"
 
 
 def _ulf_rows(S, table, key, first):

@@ -257,6 +257,38 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
         assert message in refused_at_once(capsys, argv.split())
 
 
+def test_factorize_guard_counts_past_sys_maxsize(capsys):
+    # the pair count of the two smallest generators is a range longer than
+    # sys.maxsize, so it is counted without len()
+    for argv, count in (
+            ("--gens 3,5 factorize 100000000000000000000000",
+             "6666666666666666666667"),
+            ("--gens 3,4,5 factorize 100000000000000000000000",
+             "8333333333333333333334"),
+            ("--a 3 factorize 99999999999999999999999",
+             "8333333333333333333334")):
+        err = refused_at_once(capsys, argv.split())
+        assert ("factorize would list %s or more factorizations, more than "
+                "%d" % (count, cli.MAX_LISTED)) in err
+
+
+def test_json_answer_builds_no_text_or_csv(capsys):
+    # <600, 601, 602> has 180600 unique-length members: the JSON answer
+    # peaks near 12 MiB, and the text line and CSV rows built beside it
+    # took the peak past 22 MiB
+    main(["--a", "10", "--format", "json", "ulf"])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["--a", "600", "--format", "json", "ulf"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 1024 * 1024
+    assert json.loads(capsys.readouterr().out)["count"] == 180600
+
+
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
     # |Ap(S, UBetti)| is counted residue by residue, and N up to a bound
     # has bound + 1 members, so nothing is listed; one Betti search serves

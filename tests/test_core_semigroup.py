@@ -5,6 +5,7 @@ nothing of a Semigroup but its minimal generators.
 """
 
 import math
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -502,6 +503,15 @@ def test_factorization_count_is_capped_denumerant(gens, data):
                 assert cap < got <= counts[r], (r, cap)
     for r in range(0, top + 1, 7):
         assert _factorization_count(S, r, 10 ** 9) == denumerant(S, r), r
+
+
+def test_factorization_count_past_sys_maxsize():
+    # <3, 5> has d(r + 15) = d(r) + 1, so d(10 + 15k) = d(10) + k
+    S = Semigroup((3, 5))
+    k = (10 ** 23 - 10) // 15
+    expected = denumerant(S, 10) + k
+    assert expected > sys.maxsize
+    assert _factorization_count(S, 10 ** 23, 10 ** 6) == expected
 
 
 # ---------------------------------------------------------------------------

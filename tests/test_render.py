@@ -1,5 +1,7 @@
 """Tables, serialization round-trips and the two transcript displays."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -82,6 +84,41 @@ def test_csv_without_the_length_one_row():
     # a is read off the (ell, d) = (1, 1) row; without it the error names it
     with pytest.raises(ValueError, match="ell=1, d=1"):
         table_from_csv(",".join(CSV_HEADER) + "\n")
+
+
+def reference_csv(t):
+    """table_to_csv by csv.writer, as it was written before the templates."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for key in sorted(t.cells):
+        ell, d = key
+        for r, iota, c in t.cells[key]:
+            w.writerow([ell, d, r, iota, c, cell_class(iota, c)])
+    return buf.getvalue()
+
+
+def reference_json(t):
+    """table_to_json by json.dumps, as it was written before the
+    templates."""
+    cells = [{"ell": ell, "d": d,
+              "triples": [{"r": r, "iota": iota, "c": c,
+                           "class": cell_class(iota, c)}
+                          for r, iota, c in t.cells[(ell, d)]]}
+             for ell, d in sorted(t.cells)]
+    return json.dumps(cells, indent=2) + "\n"
+
+
+def test_serializers_match_the_library_encoders_byte_for_byte():
+    tables = [partition_table(a) for a in range(3, 161)]
+    # a table read back from CSV, with its cells in row order
+    tables.append(table_from_csv(table_to_csv(partition_table(37))))
+    for t in tables:
+        assert table_to_csv(t) == reference_csv(t), t.a
+        assert table_to_json(t) == reference_json(t), t.a
+    # the class lookup is cached per call only: 2.0 == 2 still refuses
+    with pytest.raises(TypeError):
+        cell_class(2.0, 0)
 
 
 def test_json_shape():
