@@ -127,7 +127,8 @@ class Target:
             else None
 
 
-def _resolve(target, ns, command, closed, enum, reason):
+def _resolve(target, ns, command, closed, enum,
+             reason="not a consecutive triple"):
     """Answer one command by closed form or generic engine: (result, method).
 
     closed and enum are thunks; closed is None where no closed form
@@ -200,8 +201,7 @@ def cmd_info(t, ns) -> int:
                 _ulf_size(S, cls.unbalanced), None)
 
     (mingens, frob, cls, ulf_size, threshold), method = _resolve(
-        t, ns, "info", _triple_form(t, closed), enum,
-        "not a consecutive triple")
+        t, ns, "info", _triple_form(t, closed), enum)
 
     def obj():
         o = {"method": method,
@@ -234,19 +234,25 @@ def cmd_info(t, ns) -> int:
 
 def cmd_factorize(t, ns) -> int:
     r = ns.r
-    closed, reason = None, "not a consecutive triple"
+    closed = None
     if t.a is not None:
-        if not ct.member_triple(t.a, r):
-            raise core.NotMemberError("%d is not in <%d, %d, %d>"
-                                      % ((r,) + t.gens))
-        if ct.ulf_membership_triple(t.a, r):
-            # F(r) is the omega-orbit of kappa_r + 1 vectors: an O(1) count
-            # that refuses a huge listing in every mode
-            phi = ct._phi(t.a, r)
-            _check_listed("factorize", min(phi[0], phi[2]) + 1,
-                          "factorizations")
-            closed = partial(ct.factorizations_triple, t.a, r)
-        reason = "two factorization lengths"
+        lengths = ct._lengths(t.a, r)
+        if not lengths:
+            raise ct._not_member(t.a, r)
+        # F(r) has one omega-orbit of min(phi_1, phi_3) + 1 vectors per
+        # length.  From the longest length down to the middle of L(r) the
+        # orbits grow by about a/2 per length, so the sum passes MAX_LISTED
+        # or L(r) ends within about 1500 lengths, and a huge listing is
+        # refused in every mode
+        n, what = 0, "factorizations"
+        for ell in reversed(lengths):
+            if n > MAX_LISTED:
+                what = "or more factorizations"
+                break
+            p1, _, p3 = ct._phi(t.a, r, ell)
+            n += min(p1, p3) + 1
+        _check_listed("factorize", n, what)
+        closed = partial(ct.factorizations_triple, t.a, r)
 
     def enum():
         S = core.Semigroup(t.gens)
@@ -257,7 +263,7 @@ def cmd_factorize(t, ns) -> int:
                       "or more factorizations")
         return core.factorizations(S, r)
 
-    facs, method = _resolve(t, ns, "factorize", closed, enum, reason)
+    facs, method = _resolve(t, ns, "factorize", closed, enum)
     _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
           lambda: {"method": method, "r": r,
                    "factorizations": [list(f) for f in facs]},
@@ -284,8 +290,7 @@ def cmd_apery(t, ns) -> int:
 def cmd_betti(t, ns) -> int:
     cls, method = _resolve(
         t, ns, "betti", _triple_form(t, ct.ubetti_triple),
-        lambda: core.betti_elements(core.Semigroup(t.gens)),
-        "not a consecutive triple")
+        lambda: core.betti_elements(core.Semigroup(t.gens)))
     _emit(ns,
           lambda: ["betti: %s" % (list(cls.betti),),
                    "balanced: %s" % (list(cls.balanced),),
@@ -317,8 +322,7 @@ def cmd_ulf(t, ns) -> int:
     members, method = _resolve(
         t, ns, "ulf",
         _triple_form(t, lambda a: list(chain.from_iterable(
-            ct.s_ell(a, ell) for ell in range(a + 1)))),
-        enum, "not a consecutive triple")
+            ct.s_ell(a, ell) for ell in range(a + 1)))), enum)
     _emit(ns, lambda: [" ".join(map(str, members))],
           lambda: {"method": method, "count": len(members), "ulf": members},
           lambda: map(str, members))
@@ -329,8 +333,7 @@ def cmd_table(t, ns) -> int:
     if t.a is not None:
         _check_listed("table", (ct.TripleSemigroup(t.a).L + 1) ** 2)
     table, _ = _resolve(
-        t, ns, "table", _triple_form(t, render.partition_table), None,
-        "not a consecutive triple")
+        t, ns, "table", _triple_form(t, render.partition_table), None)
     write = {"csv": render.table_to_csv, "json": render.table_to_json,
              "text": render.table_to_text}[ns.fmt]
     sys.stdout.write(write(table))

@@ -8,11 +8,18 @@ eps_r = r mod a.  Then r is a member iff eps_r <= 2 * ell_r, and the vector
 is a factorization of r whenever it is non-negative.  Any two
 factorizations of the same element with equal length differ by a multiple
 of omega = (-1, 2, -1), the trade of one a and one a+2 for two copies of
-a+1.  Below the threshold L_a (the least element with two factorization
-lengths) the factorization set of r is exactly the omega-orbit
-{phi_r + j*omega : 0 <= j <= kappa_r} with kappa_r = min(phi_1, phi_3);
-the same formula extends to every unique-length element, because the
-box coordinates of the Apery-set description coincide with phi_r there.
+a+1.  A factorization (x, y, z) of length ell has y + 2z = r - a*ell, and
+0 <= r - a*ell <= 2*ell holds exactly for ell in the interval
+
+    L(r) = [ceil(r / (a+2)), floor(r / a)],
+
+which is empty exactly when r is not a member.  At each such ell the
+factorizations are the omega-orbit {phi + j*omega : 0 <= j <= min(phi_1,
+phi_3)} of phi = (ell - ceil(e/2), e mod 2, floor(e/2)), e = r - a*ell,
+so F(r) is one orbit per length; at ell = ell_r the seed is phi_r.
+Below the threshold L_a (the least element with two factorization
+lengths) L(r) = {ell_r} and F(r) is the orbit of phi_r with kappa_r =
+min(phi_1, phi_3).
 
 The unique-length members are Ap(S, UBetti(S)), the box of r = lam*a +
 mu*(a+1) + eta*(a+2) with mu in {0, 1}, 0 <= lam <= m_mu, 0 <= eta < m_mu
@@ -21,8 +28,9 @@ once, so there are m_0(m_0 + 1) + m_1(m_1 + 1).  The unbalanced Betti
 elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
 side, one element for even a; the smaller is the threshold L_a.
 
-Everything here is O(1) or O(a^2) arithmetic with no caching, so the
-functions are freely usable from concurrent code.  Every public function
+Everything here is O(1) or O(a^2) arithmetic, or O(|F(r)|) for the
+listing of F(r), with no caching, so the functions are freely usable
+from concurrent code; nothing here calls the generic engine.  Every public function
 validates a (and r) once, and the per-element ones read phi_r from
 `_phi` as a plain tuple, so `verify` can call each of them for every r
 cheaply; `seed` is the public view of the same vector.  The generic
@@ -39,8 +47,6 @@ from .core_semigroup import (
     Factorization,
     NotMemberError,
     Presentation,
-    Semigroup,
-    factorizations,
 )
 
 # Trading one a and one a+2 for two copies of a+1 keeps the value fixed.
@@ -145,10 +151,17 @@ class UlfElement:
     eta: int
 
 
-def _phi(a, r):
-    # phi_r of the module docstring, for a valid a and an int r >= 0
-    ell, eps = divmod(r, a)
-    return ell - (eps + 1) // 2, eps % 2, eps // 2
+def _phi(a, r, ell=None):
+    # the seed of length ell of the module docstring, phi_r by default,
+    # for a valid a and an int r >= 0
+    ell, e = divmod(r, a) if ell is None else (ell, r - a * ell)
+    return ell - (e + 1) // 2, e % 2, e // 2
+
+
+def _lengths(a, r):
+    # L(r) of the module docstring as a range, empty off S (r < 0 too);
+    # it can be longer than sys.maxsize, so callers never take its len()
+    return range(-(-r // (a + 2)), r // a + 1)
 
 
 def _not_member(a, r):
@@ -191,19 +204,11 @@ def ubetti_triple(a) -> BettiClassification:
 
 
 def ulf_membership_triple(a, r) -> bool:
-    """Whether all factorizations of r share one length, in O(1).
-
-    A member qualifies iff subtracting either unbalanced Betti corner,
-    (m_0 + 1)a or m_0(a+2), lands outside the semigroup.
-    """
+    """Whether r is a member whose factorizations share one length, in
+    O(1): the interval L(r) of the module docstring has one point."""
     _check_a(a)
-    r = index(r)
-    if r < 0 or r % a > 2 * (r // a):
-        return False
-    m = _m(a, 0)
-    s, t = r - (m + 1) * a, r - m * (a + 2)
-    return not ((s >= 0 and s % a <= 2 * (s // a))
-                or (t >= 0 and t % a <= 2 * (t // a)))
+    lengths = _lengths(a, index(r))
+    return lengths.stop - lengths.start == 1
 
 
 def _omega_orbit(phi):
@@ -213,17 +218,20 @@ def _omega_orbit(phi):
 
 
 def factorizations_triple(a, r):
-    """F(r, S) by closed form for unique-length members, ordered by j.
+    """F(r, S) by closed form: one omega-orbit per length in L(r).
 
-    For those, the whole set is the omega-orbit of the seed vector.  A
-    member with two factorization lengths is delegated to the generic
-    engine instead.
+    A unique-length member's single orbit is ordered by j; with two or
+    more lengths the orbits are merged in lexicographic order, the order
+    of `core_semigroup.factorizations`.  O(|F(r)|) time and memory.
     """
-    if not ulf_membership_triple(a, r):
-        if not member_triple(a, r):
-            raise _not_member(a, r)
-        return factorizations(Semigroup((a, a + 1, a + 2)), r)
-    return _omega_orbit(_phi(a, r))
+    _check_a(a)
+    r = index(r)
+    lengths = _lengths(a, r)
+    if not lengths:
+        raise _not_member(a, r)
+    if lengths.stop - lengths.start == 1:
+        return _omega_orbit(_phi(a, r))
+    return sorted(f for ell in lengths for f in _omega_orbit(_phi(a, r, ell)))
 
 
 def _phi_below_threshold(a, r):

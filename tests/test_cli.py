@@ -77,10 +77,16 @@ def test_factorize_closed_form(capsys):
 
 
 def test_factorize_fallback_notes_stderr(capsys):
+    # 60 has lengths 5 and 6, and the closed form lists one orbit per
+    # length, so no triple factorize falls back; apery still does
     code, out, err = run(capsys, "--a", "10", "factorize", "60")
-    assert code == 0
-    assert sorted(out.splitlines()) == ["0 0 5", "6 0 0"]
-    assert "fallback=enumeration" in err
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["0 0 5", "6 0 0"]
+    code, out, _ = run(capsys, "--a", "10", "--format", "json", "factorize",
+                       "60")
+    assert code == 0 and json.loads(out)["method"] == "closed-form"
+    code, _, err = run(capsys, "--a", "10", "apery", "60")
+    assert code == 0 and "fallback=enumeration" in err
 
 
 def test_factorize_non_member_exit_3(capsys):
@@ -90,9 +96,11 @@ def test_factorize_non_member_exit_3(capsys):
 
 
 def test_fast_refuses_fallback(capsys):
-    code, _, err = run(capsys, "--a", "10", "--fast", "factorize", "60")
+    code, _, err = run(capsys, "--a", "10", "--fast", "apery", "60")
     assert code == 2
     assert "--fast" in err
+    code, out, err = run(capsys, "--a", "10", "--fast", "factorize", "60")
+    assert (code, out, err) == (0, "0 0 5\n6 0 0\n", "")
 
 
 def test_fast_refuses_generic_semigroup(capsys):
@@ -243,7 +251,8 @@ def test_apery_guard_refuses_before_listing(capsys):
 def test_factorize_and_verify_guards_refuse_at_once(capsys):
     # the engine count stops just past MAX_LISTED, a one-length member of
     # a triple has kappa_r + 1 factorizations, and verify's table size is
-    # a formula, so nothing is listed or built
+    # a formula, so nothing is listed or built; <3, 4, 5> is a triple, so
+    # its count is the closed one
     huge = "--a 4000000 %s factorize 15999999999998"
     for argv, message in (
             ("--gens 3,4,5 factorize 100000", "or more factorizations"),
@@ -258,18 +267,54 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
 
 
 def test_factorize_guard_counts_past_sys_maxsize(capsys):
-    # the pair count of the two smallest generators is a range longer than
-    # sys.maxsize, so it is counted without len()
+    # the pair count of <3, 5> and the length interval L(r) of a triple are
+    # ranges longer than sys.maxsize, so neither is counted with len(); the
+    # triple's count stops once its sum of orbits passes MAX_LISTED
     for argv, count in (
             ("--gens 3,5 factorize 100000000000000000000000",
              "6666666666666666666667"),
-            ("--gens 3,4,5 factorize 100000000000000000000000",
-             "8333333333333333333334"),
-            ("--a 3 factorize 99999999999999999999999",
-             "8333333333333333333334")):
+            ("--gens 3,4,5 factorize 100000000000000000000000", "1001096"),
+            ("--a 3 factorize 99999999999999999999999", "1000519")):
         err = refused_at_once(capsys, argv.split())
         assert ("factorize would list %s or more factorizations, more than "
                 "%d" % (count, cli.MAX_LISTED)) in err
+
+
+def test_factorize_count_is_the_denumerant(capsys, monkeypatch):
+    # the closed count of F(r) sums every orbit up to the cap, so with the
+    # cap one below d(r) it names d(r) exactly
+    for a in range(3, 41):
+        S = core.Semigroup((a, a + 1, a + 2))
+        counts = core._denumerants(S, TripleSemigroup(a).ulf_bound + 6 * a)
+        for r, d in enumerate(counts):
+            if d:
+                monkeypatch.setattr(cli, "MAX_LISTED", d - 1)
+                code, _, err = run(capsys, "--a", str(a), "factorize", str(r))
+                assert code == 2, (a, r)
+                assert "would list %d factorizations," % d in err, (a, r)
+
+
+def test_triple_factorize_builds_no_semigroup(capsys, monkeypatch):
+    # every member of a triple, one length or more, is answered by the
+    # closed form; only --oracle builds the engine
+    argvs = [[*selector.split(), "factorize", str(r)]
+             for selector in ("--a 3", "--a 4", "--a 10", "--gens 12,10,11")
+             for r in range(-1, 130)]
+    expected = [run(capsys, "--oracle", *argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("Semigroup built for %r" % (args,))
+
+    monkeypatch.setattr(core, "Semigroup", refuse)
+    for argv, (code, out, _) in zip(argvs, expected):
+        for mode in ((), ("--fast",)):
+            got = run(capsys, *mode, *argv)
+            assert (got[0], sorted(got[1].splitlines()), got[2] == "") == \
+                (code, sorted(out.splitlines()), code == 0), argv
+    for a, r, x in ((10 ** 6, 500001000000, 500000),
+                    (10 ** 9, 500000001000000000, 500000000)):
+        assert run(capsys, "--a", str(a), "factorize", str(r)) == \
+            (0, "0 0 %d\n%d 0 0\n" % (x, x + 1), "")
 
 
 def test_json_answer_builds_no_text_or_csv(capsys):
@@ -449,10 +494,11 @@ def test_verify_does_not_enumerate(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("enumeration called with %r" % (args,))
 
-    for module, name in ((core, "factorizations"),
-                         (core, "length_sets_up_to"),
-                         (cli.ct, "factorizations")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("factorizations", "length_sets_up_to"):
+        monkeypatch.setattr(core, name, refuse)
+    # the closed forms reach the engine through neither name
+    assert not hasattr(cli.ct, "factorizations")
+    assert not hasattr(cli.ct, "Semigroup")
     code, out, _ = run(capsys, "verify", "--a-max", "12", "--arith",
                        "--random", "3")
     assert code == 0
@@ -468,7 +514,7 @@ def test_consecutive_calls_answer_as_alone(capsys):
             (("verify", "--a-max", "5", "--arith"), 0,
              ("verify", "--a-max", "5")),
             (("--a", "10", "--fast", "--oracle", "info"), 2, info),
-            (("--a", "10", "--fast", "factorize", "60"), 2, info)):
+            (("--gens", "6,9,20", "--fast", "betti"), 2, info)):
         cli.build_parser.cache_clear()
         alone = run(capsys, *argv)
         try:

@@ -25,9 +25,11 @@ from sgp.consecutive_triple import (
     ulf_membership_triple,
     ulf_triple,
 )
+from sgp.consecutive_triple import _lengths
 from sgp.core_semigroup import (
     NotMemberError,
     Semigroup,
+    _length_masks,
     apery,
     betti_elements,
     factorizations,
@@ -150,11 +152,28 @@ def test_factorizations_raise_for_non_member():
 
 
 def test_factorizations_delegate_above_threshold():
-    # 60 has lengths 5 and 6, so the closed form does not apply and the
-    # answer must come back from the engine unchanged
+    # 60 has lengths 5 and 6: one omega-orbit per length, merged in the
+    # engine's lexicographic order
     S = Semigroup((10, 11, 12))
     assert factorizations_triple(10, 60) == factorizations(S, 60)
     assert length_set(S, 60) == [5, 6]
+
+
+def test_factorizations_match_engine_in_order():
+    # past the threshold too: L(r) is the interval _lengths(a, r), the set
+    # bits of the engine's length mask, and F(r) is the engine's list,
+    # reversed for a one-length member (its orbit runs down in x)
+    for a in range(3, 41):
+        S = Semigroup((a, a + 1, a + 2))
+        masks = _length_masks(S, TripleSemigroup(a).ulf_bound + 6 * a)
+        for r, mask in enumerate(masks):
+            lengths = list(_lengths(a, r))
+            assert lengths == [ell for ell in range(mask.bit_length())
+                               if mask >> ell & 1], (a, r)
+            if mask:
+                engine = factorizations(S, r)
+                assert factorizations_triple(a, r) == (
+                    engine if len(lengths) > 1 else engine[::-1]), (a, r)
 
 
 def test_denumerant_spot_values():
@@ -238,6 +257,8 @@ def test_ulf_membership_matches_engine():
 def test_ulf_membership_is_constant_time_far_out():
     assert not ulf_membership_triple(10, 10 ** 12)
     assert not ulf_membership_triple(9, 10 ** 12 + 7)
+    # L(r) has more than sys.maxsize points here
+    assert not ulf_membership_triple(3, 10 ** 23)
 
 
 # ---------------------------------------------------------------------------
