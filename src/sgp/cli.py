@@ -227,8 +227,12 @@ def cmd_info(t, ns) -> int:
             "unique-length members: %s"
             % ("unbounded" if ulf_size is None else ulf_size)]
 
-    _emit(ns, text, obj,
-          lambda: ["%s,%s" % item for item in sorted(obj().items())])
+    def csv():
+        # a value holding a comma (a list) is quoted, as csv.writer does
+        return ["%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
+                for k, v in sorted(obj().items())]
+
+    _emit(ns, text, obj, csv)
     return 0
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import csv
 import dataclasses
 import json
 import operator
@@ -14,6 +15,7 @@ from sgp import cli
 from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
+from test_cli_golden import SEMIGROUPS
 
 
 def run(capsys, *argv):
@@ -60,6 +62,19 @@ def test_info_json_generic(capsys):
     assert code == 0
     assert doc["method"] == "enumeration"
     assert doc["frobenius"] == 43
+
+
+@pytest.mark.parametrize("selector", list(SEMIGROUPS))
+def test_info_csv_rows_have_two_fields(capsys, selector):
+    # list values hold commas, so they are quoted as csv.writer quotes them
+    for mode in ((), ("--oracle",)):
+        code, out, _ = run(capsys, *selector.split(), *mode, "--format",
+                           "csv", "info")
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and {len(row) for row in rows} == {2}
+        doc = json.loads(run(capsys, *selector.split(), *mode, "--format",
+                             "json", "info")[1])
+        assert dict(rows) == {k: str(v) for k, v in doc.items()}
 
 
 def test_triple_detected_from_gens(capsys):
