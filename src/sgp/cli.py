@@ -227,12 +227,9 @@ def cmd_info(t, ns) -> int:
             "unique-length members: %s"
             % ("unbounded" if ulf_size is None else ulf_size)]
 
-    def csv():
-        # a value holding a comma (a list) is quoted, as csv.writer does
-        return ["%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
-                for k, v in sorted(obj().items())]
-
-    _emit(ns, text, obj, csv)
+    _emit(ns, text, obj, lambda: [  # a list holds commas: quote it
+        "%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
+        for k, v in sorted(obj().items())])
     return 0
 
 
@@ -243,11 +240,9 @@ def cmd_factorize(t, ns) -> int:
         lengths = ct._lengths(t.a, r)
         if not lengths:
             raise ct._not_member(t.a, r)
-        # F(r) has one omega-orbit of min(phi_1, phi_3) + 1 vectors per
-        # length.  From the longest length down to the middle of L(r) the
-        # orbits grow by about a/2 per length, so the sum passes MAX_LISTED
-        # or L(r) ends within about 1500 lengths, and a huge listing is
-        # refused in every mode
+        # one omega-orbit of min(phi_1, phi_3) + 1 vectors per length,
+        # growing by about a/2 per length from the longest: the sum passes
+        # MAX_LISTED or L(r) ends within about 1500 lengths
         n, what = 0, "factorizations"
         for ell in reversed(lengths):
             if n > MAX_LISTED:

@@ -8,18 +8,13 @@ eps_r = r mod a.  Then r is a member iff eps_r <= 2 * ell_r, and the vector
 is a factorization of r whenever it is non-negative.  Any two
 factorizations of the same element with equal length differ by a multiple
 of omega = (-1, 2, -1), the trade of one a and one a+2 for two copies of
-a+1.  A factorization (x, y, z) of length ell has y + 2z = r - a*ell, and
-0 <= r - a*ell <= 2*ell holds exactly for ell in the interval
-
-    L(r) = [ceil(r / (a+2)), floor(r / a)],
-
-which is empty exactly when r is not a member.  At each such ell the
-factorizations are the omega-orbit {phi + j*omega : 0 <= j <= min(phi_1,
-phi_3)} of phi = (ell - ceil(e/2), e mod 2, floor(e/2)), e = r - a*ell,
-so F(r) is one orbit per length; at ell = ell_r the seed is phi_r.
-Below the threshold L_a (the least element with two factorization
-lengths) L(r) = {ell_r} and F(r) is the orbit of phi_r with kappa_r =
-min(phi_1, phi_3).
+a+1.  A factorization (x, y, z) of length ell has y + 2z = e = r - a*ell
+with 0 <= e <= 2*ell, so the lengths of r form the interval L(r) =
+[ceil(r/(a+2)), floor(r/a)], empty exactly off S, and F(r) is one
+omega-orbit per length: {phi + j*omega : 0 <= j <= min(phi_1, phi_3)}
+of phi = (ell - ceil(e/2), e mod 2, floor(e/2)), and phi = phi_r at
+ell = ell_r.  Below the threshold L_a (the least element with two
+factorization lengths) L(r) = {ell_r}; write kappa_r = min(phi_1, phi_3).
 
 The unique-length members are Ap(S, UBetti(S)), the box of r = lam*a +
 mu*(a+1) + eta*(a+2) with mu in {0, 1}, 0 <= lam <= m_mu, 0 <= eta < m_mu
@@ -28,9 +23,9 @@ once, so there are m_0(m_0 + 1) + m_1(m_1 + 1).  The unbalanced Betti
 elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
 side, one element for even a; the smaller is the threshold L_a.
 
-Everything here is O(1) or O(a^2) arithmetic, or O(|F(r)|) for the
-listing of F(r), with no caching, so the functions are freely usable
-from concurrent code; nothing here calls the generic engine.  Every public function
+Everything here is O(1) or O(a^2) arithmetic, or O(|F(r)|) to list F(r),
+with no caching and no call into the generic engine, so the functions
+are freely usable from concurrent code.  Every public function
 validates a (and r) once, and the per-element ones read phi_r from
 `_phi` as a plain tuple, so `verify` can call each of them for every r
 cheaply; `seed` is the public view of the same vector.  The generic
