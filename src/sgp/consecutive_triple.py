@@ -16,12 +16,15 @@ of phi = (ell - ceil(e/2), e mod 2, floor(e/2)), and phi = phi_r at
 ell = ell_r.  Below the threshold L_a (the least element with two
 factorization lengths) L(r) = {ell_r}; write kappa_r = min(phi_1, phi_3).
 
-The unique-length members are Ap(S, UBetti(S)), the box of r = lam*a +
-mu*(a+1) + eta*(a+2) with mu in {0, 1}, 0 <= lam <= m_mu, 0 <= eta < m_mu
-and m_mu = floor(a/2) + (a mod 2)(1 - mu).  It hits each of them exactly
-once, so there are m_0(m_0 + 1) + m_1(m_1 + 1).  The unbalanced Betti
-elements are the corners (m_0 + 1)a and m_0(a+2) just outside the mu = 0
-side, one element for even a; the smaller is the threshold L_a.
+The unique-length members are Ap(S, UBetti(S)).  Those of length ell
+form the interval S^ell = {r : L(r) = {ell}} = [max(a*ell, (a+2)*ell -
+a - 1), min(a*ell + a - 1, (a+2)*ell)], empty exactly when ell > a.
+There e = eps_r < a, so phi_r is the box point (lam, mu, eta) of r: mu
+in {0, 1}, 0 <= lam <= m_mu and 0 <= eta < m_mu for m_mu = floor(a/2) +
+(a mod 2)(1 - mu), one point per member, m_0(m_0 + 1) + m_1(m_1 + 1) in
+all.  The unbalanced Betti elements are the corners (m_0 + 1)a and
+m_0(a+2) just outside the mu = 0 side, one element for even a; the
+smaller is the threshold L_a.
 
 Everything here is O(1) or O(a^2) arithmetic, or O(|F(r)|) to list F(r),
 with no caching and no call into the generic engine, so the functions
@@ -35,7 +38,7 @@ counterparts in core_semigroup are the reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, index
+from operator import index
 
 from .core_semigroup import (
     BettiClassification,
@@ -62,15 +65,6 @@ def _check_a(a):
 def _m(a, mu):
     # the box bound m_mu of the module docstring
     return a // 2 + (a % 2) * (1 - mu)
-
-
-def _box(a):
-    """(r, lam, mu, eta) over the box, once per unique-length member."""
-    for mu in (0, 1):
-        m = _m(a, mu)
-        for lam in range(m + 1):
-            for eta in range(m):
-                yield lam * a + mu * (a + 1) + eta * (a + 2), lam, mu, eta
 
 
 def _ubetti(a):
@@ -134,11 +128,8 @@ class TripleDecomposition:
 
 @dataclass(frozen=True)
 class UlfElement:
-    """A unique-length member with its canonical box coordinates.
-
-    r = lam * a + mu * (a+1) + eta * (a+2), a point of the box in the
-    module docstring.
-    """
+    """A unique-length member r = lam*a + mu*(a+1) + eta*(a+2) with its
+    box coordinates (lam, mu, eta) = phi_r of the module docstring."""
 
     r: int
     lam: int
@@ -157,6 +148,13 @@ def _lengths(a, r):
     # L(r) of the module docstring as a range, empty off S (r < 0 too);
     # it can be longer than sys.maxsize, so callers never take its len()
     return range(-(-r // (a + 2)), r // a + 1)
+
+
+def _ulf(a):
+    # (r, phi_r) over the unique-length members, ascending: S^0, ..., S^a
+    for ell in range(a + 1):
+        for r in s_ell(a, ell):
+            yield r, _phi(a, r, ell)
 
 
 def _not_member(a, r):
@@ -249,13 +247,16 @@ def denumerant_triple(a, r) -> int:
 
 
 def length_triple(a, r) -> int:
-    """The single factorization length floor(r / a) of a unique-length member."""
-    if not ulf_membership_triple(a, r):
-        if not member_triple(a, r):
-            raise _not_member(a, r)
+    """The single factorization length floor(r / a) of a unique-length
+    member, the one point of L(r); O(1)."""
+    _check_a(a)
+    lengths = _lengths(a, index(r))
+    if not lengths:
+        raise _not_member(a, r)
+    if lengths.stop - lengths.start > 1:
         raise ValueError(
             "%d has factorizations of two different lengths" % r)
-    return r // a
+    return lengths.start
 
 
 def decompose_triple(a, r) -> TripleDecomposition:
@@ -282,23 +283,14 @@ def gamma(i):
 def s_ell(a, ell):
     """S^ell, the members whose single factorization length is ell.
 
-    Always a (possibly empty) interval, returned as a range, in O(1).  A
-    box point of length ell is ell*a + mu + 2*eta, with eta bounded by
-    the box and by lam = ell - mu - eta >= 0; beyond ell = a the set is
-    empty.
+    The interval of the module docstring, returned as a range in O(1);
+    empty for every ell > a.
     """
     _check_a(a)
-    if ell < 0:
+    if index(ell) < 0:
         raise ValueError("ell must be non-negative")
-    offsets = []
-    for mu in (0, 1):
-        m = _m(a, mu)
-        first, last = max(0, ell - mu - m), min(m - 1, ell - mu)
-        if first <= last:
-            offsets += [mu + 2 * first, mu + 2 * last]
-    if not offsets:
-        return range(0)
-    return range(ell * a + min(offsets), ell * a + max(offsets) + 1)
+    return range(max(a * ell, (a + 2) * ell - a - 1),
+                 min(a * ell + a, (a + 2) * ell + 1))
 
 
 def s_d_i(a, d, i):
@@ -321,24 +313,22 @@ def s_d_i(a, d, i):
 def s_d_ulf(a, d):
     """The unique-length members of denumerant d, ascending.
 
-    These are the box points with min(lam, eta) = d - 1; O(a^2) time.
+    These are the r with min(phi_1, phi_3) = d - 1, read off S^0, ...,
+    S^a in order: O(a^2) time, O(|result|) memory.
     """
     _check_a(a)
     top = _m(a, 0)
     if not 1 <= index(d) <= top:
         raise ValueError("need 1 <= d <= %d, got %d" % (top, d))
-    return sorted(r for r, lam, _, eta in _box(a) if min(lam, eta) == d - 1)
+    return [r for r, (lam, _, eta) in _ulf(a) if min(lam, eta) == d - 1]
 
 
 def ulf_triple(a):
-    """Every unique-length member with its box coordinates, ascending in r.
-
-    The box of the module docstring, sorted: O(a^2) time and memory.
+    """Every unique-length member with its box coordinates phi_r,
+    ascending in r: S^0, ..., S^a in order, O(a^2) time and memory.
     """
     _check_a(a)
-    out = [UlfElement(*point) for point in _box(a)]
-    out.sort(key=attrgetter("r"))
-    return out
+    return [UlfElement(r, *phi) for r, phi in _ulf(a)]
 
 
 def presentation_triple(a) -> Presentation:

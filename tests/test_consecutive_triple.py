@@ -280,7 +280,9 @@ def test_s_ell_spot_values():
     assert list(s_ell(9, 9)) == [89]
     for a in (3, 10, 23):
         assert list(s_ell(a, 0)) == [0]
-        assert list(s_ell(a, a + 1)) == []
+        for ell in range(a + 1, a + 6):
+            assert list(s_ell(a, ell)) == []
+        assert list(s_ell(a, 10 ** 30)) == []
     with pytest.raises(ValueError):
         s_ell(10, -1)
 
@@ -368,8 +370,14 @@ def test_ulf_triple_cardinality():
 
 
 def test_ulf_triple_coordinates_are_factorizations():
-    for a in (6, 9):
+    # the coordinates are phi_r; check them against the box definition
+    for a in range(3, 41):
+        points = [(u.lam, u.mu, u.eta) for u in ulf_triple(a)]
+        assert len(set(points)) == len(points)
         for u in ulf_triple(a):
+            m = a // 2 + (a % 2) * (1 - u.mu)
+            assert u.mu in (0, 1), (a, u)
+            assert 0 <= u.lam <= m and 0 <= u.eta < m, (a, u)
             assert u.lam * a + u.mu * (a + 1) + u.eta * (a + 2) == u.r
             facs = set(map(tuple, factorizations_triple(a, u.r)))
             assert (u.lam, u.mu, u.eta) in facs
