@@ -37,6 +37,8 @@ ENUMERATION = "enumeration"
 # factorize, apery, ulf and table refuse to list more, and verify to build
 # a longer length table
 MAX_LISTED = 10 ** 6
+# the generic engine's Apery table has n1 entries; larger n1 is refused
+MAX_N1 = 10 ** 6
 
 
 class UsageError(ValueError):
@@ -106,7 +108,7 @@ class Target:
 
     gens are the parsed generators, sorted and deduplicated; a is the a of
     <a, a+1, a+2> when they are one (a >= 3), else None.  Only the
-    generic-engine paths build core.Semigroup(gens).
+    generic-engine paths build core.Semigroup(gens), through _engine.
     """
 
     def __init__(self, ns):
@@ -177,6 +179,14 @@ def _check_listed(command, n, what="members"):
                          % (command, n, what, MAX_LISTED))
 
 
+def _engine(t):
+    """core.Semigroup(t.gens), refused at once when n1 > MAX_N1."""
+    if t.gens[0] > MAX_N1:
+        raise UsageError("the engine would build an Apery table of n1 = %d "
+                         "entries, more than %d" % (t.gens[0], MAX_N1))
+    return core.Semigroup(t.gens)
+
+
 def _ulf_size(S, unbalanced):
     """|ULF(S)| = |Ap(S, UBetti)|, counted in O(n1 * |UBetti|) without
     listing; None on N, where every member has one length."""
@@ -195,7 +205,7 @@ def cmd_info(t, ns) -> int:
                 ts.ulf_bound)
 
     def enum():
-        S = core.Semigroup(t.gens)
+        S = _engine(t)
         cls = core.betti_elements(S)
         return (S.minimal_generators, S.frobenius, cls,
                 _ulf_size(S, cls.unbalanced), None)
@@ -238,8 +248,6 @@ def cmd_factorize(t, ns) -> int:
     closed = None
     if t.a is not None:
         lengths = ct._lengths(t.a, r)
-        if not lengths:
-            raise ct._not_member(t.a, r)
         # one omega-orbit of min(phi_1, phi_3) + 1 vectors per length,
         # growing by about a/2 per length from the longest: the sum passes
         # MAX_LISTED or L(r) ends within about 1500 lengths
@@ -254,7 +262,7 @@ def cmd_factorize(t, ns) -> int:
         closed = partial(ct.factorizations_triple, t.a, r)
 
     def enum():
-        S = core.Semigroup(t.gens)
+        S = _engine(t)
         if r not in S:
             raise core.NotMemberError("%d is not in %r" % (r, S))
         _check_listed("factorize",
@@ -274,7 +282,7 @@ def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
 
     def enum():
-        S = core.Semigroup(t.gens)
+        S = _engine(t)
         # counted in O(n1 * |X|), so a huge Apery set is refused at once
         _check_listed("apery", sum(core._apery_counts(S, xs)))
         return core.apery_multi(S, xs)
@@ -289,7 +297,7 @@ def cmd_apery(t, ns) -> int:
 def cmd_betti(t, ns) -> int:
     cls, method = _resolve(
         t, ns, "betti", _triple_form(t, ct.ubetti_triple),
-        lambda: core.betti_elements(core.Semigroup(t.gens)))
+        lambda: core.betti_elements(_engine(t)))
     _emit(ns,
           lambda: ["betti: %s" % (list(cls.betti),),
                    "balanced: %s" % (list(cls.balanced),),
@@ -312,7 +320,7 @@ def cmd_ulf(t, ns) -> int:
     def enum():
         # core.ulf, sized before listing; on N the listing stops at --bound,
         # and apery_multi refuses a missing one
-        S = core.Semigroup(t.gens)
+        S = _engine(t)
         ubetti = core.betti_elements(S).unbalanced
         size = _ulf_size(S, ubetti)
         _check_listed("ulf", (ns.bound or 0) + 1 if size is None else size)

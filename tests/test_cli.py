@@ -295,6 +295,33 @@ def test_factorize_guard_counts_past_sys_maxsize(capsys):
                 "%d" % (count, cli.MAX_LISTED)) in err
 
 
+def test_engine_refuses_huge_n1_at_once(capsys):
+    # the engine's Apery table has n1 entries, so every command that would
+    # build it is refused before it starts; closed forms still answer
+    for argv in ("--gens 1000000007,1000000008 info",
+                 "--gens 1000000007,1000000008 factorize 5",
+                 "--gens 1000000007,1000000008 apery 5",
+                 "--gens 1000000007,1000000008 betti",
+                 "--gens 1000000007,1000000008 ulf",
+                 "--a 1000001 --oracle info",
+                 "--a 1000001 apery 5"):
+        err = refused_at_once(capsys, argv.split())
+        assert "n1 = %s" % argv.split()[1].split(",")[0] in err, argv
+    code, out, _ = run(capsys, "--gens", "10007,10009", "info")
+    assert code == 0 and "frobenius: 100140047" in out
+    code, out, _ = run(capsys, "--a", "1000000", "info")
+    assert code == 0 and "frobenius: 499999999999" in out
+
+
+def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
+                                                           monkeypatch):
+    # with the closed length interval emptied, --oracle still answers from
+    # the engine alone
+    monkeypatch.setattr(cli.ct, "_lengths", lambda a, r: range(0))
+    assert run(capsys, "--oracle", "--a", "10", "factorize", "43") == \
+        (0, "1 3 0\n2 1 1\n", "")
+
+
 def test_factorize_count_is_the_denumerant(capsys, monkeypatch):
     # the closed count of F(r) sums every orbit up to the cap, so with the
     # cap one below d(r) it names d(r) exactly
