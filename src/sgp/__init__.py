@@ -11,65 +11,55 @@ the engine, and `sgp verify` runs that comparison from the shell.  The
 engine in turn is tested against `oracle`, the literal definitions of
 the invariants computed by listing factorizations, slow but obvious.
 
+The package loads its modules on first use: `import sgp` imports none of
+them, and `sgp.betti_elements` or `sgp.render` imports the one module it
+needs (PEP 562), so the `sgp` command loads only what it runs.  Result
+records such as `BettiClassification` are immutable named tuples, with
+`_replace` and `_asdict`.
+
 All arithmetic is exact; there are no floats anywhere in the package.
 """
 
-from .arithmetic_sequence import (
-    ArithSemigroup,
-    betti_arith,
-    presentation_arith,
-    ubetti_arith,
-)
-from .consecutive_triple import (
-    SeedDescriptor,
-    TripleDecomposition,
-    TripleSemigroup,
-    UlfElement,
-    decompose_triple,
-    denumerant_triple,
-    factorizations_triple,
-    gamma,
-    length_triple,
-    member_triple,
-    monomial_basis,
-    presentation_triple,
-    s_d_i,
-    s_d_ulf,
-    s_ell,
-    seed,
-    ubetti_triple,
-    ulf_membership_triple,
-    ulf_triple,
-)
-from .core_semigroup import (
-    BettiClassification,
-    Factorization,
-    NotMemberError,
-    Presentation,
-    Semigroup,
-    apery,
-    apery_multi,
-    betti_elements,
-    factorizations,
-    length_sets_up_to,
-    min_ulf_breaker,
-    minimal_generators,
-    ulf,
-)
-from .oracle import FactorizationGraph, denumerant, length_set, nabla_graph
-from .render import (
-    MonomialTable,
-    PartitionTable,
-    cell_class,
-    monomial_table,
-    monomial_table_to_text,
-    partition_table,
-    table_from_csv,
-    table_to_csv,
-    table_to_json,
-    table_to_text,
-    ulf_by_denumerant_report,
-    ulf_by_length_report,
-)
+from importlib import import_module
 
+# each module and the names the package exports from it
+_EXPORTS = {
+    "arithmetic_sequence": """ArithSemigroup betti_arith presentation_arith
+        ubetti_arith""",
+    "consecutive_triple": """SeedDescriptor TripleDecomposition
+        TripleSemigroup UlfElement decompose_triple denumerant_triple
+        factorizations_triple gamma length_triple member_triple
+        monomial_basis presentation_triple s_d_i s_d_ulf s_ell seed
+        ubetti_triple ulf_membership_triple ulf_triple""",
+    "core_semigroup": """BettiClassification Factorization NotMemberError
+        Presentation Semigroup apery apery_multi betti_elements
+        factorizations length_sets_up_to min_ulf_breaker minimal_generators
+        ulf""",
+    "oracle": "FactorizationGraph denumerant length_set nabla_graph",
+    "render": """MonomialTable PartitionTable cell_class monomial_table
+        monomial_table_to_text partition_table table_from_csv table_to_csv
+        table_to_json table_to_text ulf_by_denumerant_report
+        ulf_by_length_report""",
+}
+_MODULES = (*_EXPORTS, "cli")
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names.split()}
+__all__ = list(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # called only for a name not yet in globals(): import its module, and
+    # cache an exported name so the next lookup is a plain global
+    if name in _MODULES:
+        return import_module("." + name, __name__)
+    if name not in _ORIGIN:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = globals()[name] = getattr(
+        import_module("." + _ORIGIN[name], __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__all__})

@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import lru_cache, partial
 from itertools import chain
 
-from . import arithmetic_sequence as arith
 from . import consecutive_triple as ct
 from . import core_semigroup as core
-from . import render
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
@@ -246,7 +243,7 @@ def cmd_info(t, ns) -> int:
 def cmd_factorize(t, ns) -> int:
     r = ns.r
     closed = None
-    if t.a is not None:
+    if t.a is not None and not ns.oracle:  # else the engine count decides
         lengths = ct._lengths(t.a, r)
         # one omega-orbit of min(phi_1, phi_3) + 1 vectors per length,
         # growing by about a/2 per length from the longest: the sum passes
@@ -337,6 +334,8 @@ def cmd_ulf(t, ns) -> int:
 
 
 def cmd_table(t, ns) -> int:
+    from . import render
+
     if t.a is not None:
         _check_listed("table", (ct.TripleSemigroup(t.a).L + 1) ** 2)
     table, _ = _resolve(
@@ -347,23 +346,25 @@ def cmd_table(t, ns) -> int:
     return 0
 
 
-def _arith_params(g):
-    """ArithSemigroup for sorted distinct generators g, or None."""
+def _arith_form(g):
+    """presentation_arith as a thunk when the sorted distinct generators g
+    are an arithmetic sequence it covers, else None."""
+    from . import arithmetic_sequence as arith
+
     if len(g) < 2:
         return None
     d = g[1] - g[0]
     if any(g[i] - g[i - 1] != d for i in range(1, len(g))):
         return None
     try:
-        return arith.ArithSemigroup(g[0], d, len(g) - 1)
+        return partial(arith.presentation_arith,
+                       arith.ArithSemigroup(g[0], d, len(g) - 1))
     except ValueError:
         return None
 
 
 def cmd_presentation(t, ns) -> int:
-    closed = _triple_form(t, ct.presentation_triple)
-    if closed is None and (A := _arith_params(t.gens)) is not None:
-        closed = partial(arith.presentation_arith, A)
+    closed = _triple_form(t, ct.presentation_triple) or _arith_form(t.gens)
     pres, method = _resolve(
         t, ns, "presentation", closed, None,
         "need a consecutive triple or an arithmetic sequence")
@@ -434,6 +435,8 @@ def _verify_triple(a):
 
 
 def _verify_arith(a):
+    from . import arithmetic_sequence as arith
+
     checks = 0
     for d in (1, 2, 3):
         for n in range(2, min(4, a - 1) + 1):
@@ -455,6 +458,8 @@ def _verify_arith(a):
 
 
 def _verify_random(count, seed):
+    import random
+
     rng = random.Random(seed)
     checks = 0
     done = 0

@@ -37,7 +37,7 @@ counterparts in core_semigroup are the reference implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .core_semigroup import (
@@ -99,42 +99,28 @@ class TripleSemigroup:
         return "TripleSemigroup(%d)" % self.a
 
 
-@dataclass(frozen=True)
-class SeedDescriptor:
+class SeedDescriptor(namedtuple("SeedDescriptor",
+                                 "r ell eps phi kappa xi iota c")):
     """phi_r and the statistics derived from it.
 
     kappa / xi are min / max of the outer coordinates, iota is
     phi_2 + |phi_1 - phi_3| and c = phi_3 - phi_1 = eps_r - ell_r.
     """
 
-    r: int
-    ell: int
-    eps: int
-    phi: tuple
-    kappa: int
-    xi: int
-    iota: int
-    c: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TripleDecomposition:
+class TripleDecomposition(namedtuple("TripleDecomposition", "d i c")):
     """The unique (d, i, c) with r = (a+1)(2d - 2 + i) + c and c in Gamma_i."""
 
-    d: int
-    i: int
-    c: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UlfElement:
+class UlfElement(namedtuple("UlfElement", "r lam mu eta")):
     """A unique-length member r = lam*a + mu*(a+1) + eta*(a+2) with its
     box coordinates (lam, mu, eta) = phi_r of the module docstring."""
 
-    r: int
-    lam: int
-    mu: int
-    eta: int
+    __slots__ = ()
 
 
 def _phi(a, r, ell=None):

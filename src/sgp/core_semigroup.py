@@ -25,7 +25,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import compress, count
@@ -114,20 +114,17 @@ class Semigroup:
         return "Semigroup(%s)" % ", ".join(map(str, self.minimal_generators))
 
 
-@dataclass(frozen=True)
-class BettiClassification:
+class BettiClassification(namedtuple("BettiClassification",
+                                      "betti balanced unbalanced")):
     """Betti elements split by whether their length set is a singleton."""
 
-    betti: tuple
-    balanced: tuple
-    unbalanced: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "relations")):
     """Pairs of distinct factorizations of equal value."""
 
-    relations: tuple
+    __slots__ = ()
 
 
 def minimal_generators(gens):

@@ -13,23 +13,21 @@ module.  It is slow on purpose; use it on small semigroups only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_semigroup import BettiClassification, Factorization, NotMemberError
 
 
-@dataclass(frozen=True)
-class FactorizationGraph:
+# edges: (i, j) index pairs into vertices, i < j
+class FactorizationGraph(namedtuple("FactorizationGraph",
+                                     "element vertices edges n_components")):
     """The graph on F(r, S) joining factorizations with overlapping support.
 
     Two exponent vectors are adjacent exactly when their dot product is
     positive, which for non-negative vectors means they share a generator.
     """
 
-    element: int
-    vertices: tuple
-    edges: tuple  # (i, j) index pairs into vertices, i < j
-    n_components: int
+    __slots__ = ()
 
 
 def factorizations(S, r):

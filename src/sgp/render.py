@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import consecutive_triple as ct
 from .core_semigroup import Semigroup, _denumerants, _length_masks, ulf
@@ -72,24 +72,18 @@ class _Classes(dict):
         return name
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+# cells: (ell, d) -> list of (r, iota, c), ascending in r
+class PartitionTable(namedtuple("PartitionTable", "a L D cells")):
     """Grid of (r, iota, c) triples; only non-empty cells are stored."""
 
-    a: int
-    L: int
-    D: int
-    cells: dict  # (ell, d) -> list of (r, iota, c), ascending in r
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonomialTable:
+# cells: (ell, d) -> list of (basis, iota, c)
+class MonomialTable(namedtuple("MonomialTable", "a ell_max d_max cells")):
     """Grid of (monomial basis string, iota, c) triples."""
 
-    a: int
-    ell_max: int
-    d_max: int
-    cells: dict  # (ell, d) -> list of (basis, iota, c)
+    __slots__ = ()
 
 
 def partition_table(a) -> PartitionTable:

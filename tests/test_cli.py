@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import csv
-import dataclasses
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -22,6 +24,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def modules_loaded_by(statement):
+    """The modules a fresh interpreter (without site) loads for statement."""
+    probe = ("import sys; before = set(sys.modules); %s; "
+             "print(*sorted(set(sys.modules) - before))" % statement)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+
+
+def test_startup_loads_only_what_a_command_runs():
+    # every sgp process imports sgp.cli; the other modules load on first use
+    loaded = modules_loaded_by("import sgp.cli")
+    assert {"sgp.cli", "sgp.consecutive_triple",
+            "sgp.core_semigroup"} <= set(loaded)
+    for name in ("dataclasses", "sgp.oracle", "sgp.render",
+                 "sgp.arithmetic_sequence", "random"):
+        assert name not in loaded
+    assert [m for m in modules_loaded_by("import sgp")
+            if m.startswith("sgp.")] == []
 
 
 def test_info_text(capsys):
@@ -267,7 +292,8 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
     # the engine count stops just past MAX_LISTED, a one-length member of
     # a triple has kappa_r + 1 factorizations, and verify's table size is
     # a formula, so nothing is listed or built; <3, 4, 5> is a triple, so
-    # its count is the closed one
+    # its count is the closed one, while --oracle leaves the refusal to the
+    # engine, which refuses n1 = 4000000 before counting
     huge = "--a 4000000 %s factorize 15999999999998"
     for argv, message in (
             ("--gens 3,4,5 factorize 100000", "or more factorizations"),
@@ -275,7 +301,7 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
              "83333334 or more factorizations"),
             (huge % "", "2000000 factorizations,"),
             (huge % "--fast", "2000000 factorizations,"),
-            (huge % "--oracle", "2000000 factorizations,"),
+            (huge % "--oracle", "n1 = 4000000 entries"),
             ("verify --a-min 20000 --a-max 20000",
              "200080001 entries for a = 20000")):
         assert message in refused_at_once(capsys, argv.split())
@@ -318,6 +344,21 @@ def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
     # with the closed length interval emptied, --oracle still answers from
     # the engine alone
     monkeypatch.setattr(cli.ct, "_lengths", lambda a, r: range(0))
+    assert run(capsys, "--oracle", "--a", "10", "factorize", "43") == \
+        (0, "1 3 0\n2 1 1\n", "")
+
+
+def test_oracle_factorize_is_sized_by_the_engine(capsys, monkeypatch):
+    # --oracle runs no closed form, not even to size the answer: the
+    # engine's count refuses 10**12 and lets 43 through
+    def closed(*args):
+        raise AssertionError("closed form called with %r" % (args,))
+
+    monkeypatch.setattr(cli.ct, "_lengths", closed)
+    monkeypatch.setattr(cli.ct, "_phi", closed)
+    err = refused_at_once(capsys, ["--oracle", "--a", "10", "factorize",
+                                   str(10 ** 12)])
+    assert "or more factorizations, more than %d" % cli.MAX_LISTED in err
     assert run(capsys, "--oracle", "--a", "10", "factorize", "43") == \
         (0, "1 3 0\n2 1 1\n", "")
 
@@ -577,7 +618,7 @@ WRONG_ANSWERS = {
     "factorizations_triple": (lambda facs: facs[1:],
                               "factorization set mismatch"),
     "denumerant_triple": (lambda d: d + 1, "denumerant mismatch"),
-    "decompose_triple": (lambda dec: dataclasses.replace(dec, c=dec.c + 1),
+    "decompose_triple": (lambda dec: dec._replace(c=dec.c + 1),
                          "decomposition mismatch"),
 }
 
