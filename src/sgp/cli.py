@@ -184,12 +184,6 @@ def _engine(t):
     return core.Semigroup(t.gens)
 
 
-def _ulf_size(S, unbalanced):
-    """|ULF(S)| = |Ap(S, UBetti)|, counted in O(n1 * |UBetti|) without
-    listing; None on N, where every member has one length."""
-    return sum(core._apery_counts(S, unbalanced)) if unbalanced else None
-
-
 def _triple_form(t, fn):
     """fn(t.a) as a thunk when t is a consecutive triple, else None."""
     return partial(fn, t.a) if t.a is not None else None
@@ -204,8 +198,10 @@ def cmd_info(t, ns) -> int:
     def enum():
         S = _engine(t)
         cls = core.betti_elements(S)
-        return (S.minimal_generators, S.frobenius, cls,
-                _ulf_size(S, cls.unbalanced), None)
+        # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
+        size = (sum(core._apery_counts(S, cls.unbalanced))
+                if cls.unbalanced else None)
+        return S.minimal_generators, S.frobenius, cls, size, None
 
     (mingens, frob, cls, ulf_size, threshold), method = _resolve(
         t, ns, "info", _triple_form(t, closed), enum)
@@ -280,9 +276,11 @@ def cmd_apery(t, ns) -> int:
 
     def enum():
         S = _engine(t)
-        # counted in O(n1 * |X|), so a huge Apery set is refused at once
-        _check_listed("apery", sum(core._apery_counts(S, xs)))
-        return core.apery_multi(S, xs)
+        # counted in O(n1 * |X|), so a huge Apery set is refused at once,
+        # and listed from the same counts
+        counts = core._apery_counts(S, xs)
+        _check_listed("apery", sum(counts))
+        return core._apery_list(S, counts)
 
     members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
     _emit(ns, lambda: [" ".join(map(str, members))],
@@ -315,13 +313,17 @@ def cmd_ulf(t, ns) -> int:
         _check_listed("ulf", ct.TripleSemigroup(t.a).ulf_size)
 
     def enum():
-        # core.ulf, sized before listing; on N the listing stops at --bound,
-        # and apery_multi refuses a missing one
+        # core.ulf, sized before listing and listed from the same counts;
+        # on N the listing stops at --bound, and apery_multi refuses a
+        # missing one
         S = _engine(t)
         ubetti = core.betti_elements(S).unbalanced
-        size = _ulf_size(S, ubetti)
-        _check_listed("ulf", (ns.bound or 0) + 1 if size is None else size)
-        return core.apery_multi(S, ubetti, ns.bound)
+        if not ubetti:
+            _check_listed("ulf", (ns.bound or 0) + 1)
+            return core.apery_multi(S, ubetti, ns.bound)
+        counts = core._apery_counts(S, ubetti)
+        _check_listed("ulf", sum(counts))
+        return core._apery_list(S, counts)
 
     members, method = _resolve(
         t, ns, "ulf",

@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import compress, count
+from itertools import chain, compress, count, islice, repeat
 from math import gcd
-from operator import index
+from operator import floordiv, index, sub
 
 
 class NotMemberError(ValueError):
@@ -290,10 +290,7 @@ def apery_multi(S: Semigroup, xs, bound=None):
         if bound is None:
             raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
         return [s for s in range(bound + 1) if s in S]
-    n1 = S.generators[0]
-    return sorted(wi + k * n1 for wi, count in zip(S._apery,
-                                                   _apery_counts(S, xs))
-                  for k in range(count))
+    return _apery_list(S, _apery_counts(S, xs))
 
 
 def _apery_counts(S: Semigroup, xs):
@@ -302,7 +299,11 @@ def _apery_counts(S: Semigroup, xs):
     With w = Ap(S, n1), the member w[i] + k*n1 is outside x + S exactly
     while it is below w[(i - x) mod n1] + x, and the difference is a
     multiple of n1.  So the sum is |Ap(S, X)|, in O(n1 * |X|) with no
-    listing.  X must be nonempty; 0 and non-members are refused.
+    listing.  The column i -> w[(i - x) mod n1] + x is w rotated right by
+    x mod n1, plus x: each is read lazily through `islice` and `chain`,
+    and `map(min, ...)` takes the least over X, so no per-x list is built
+    and the loops run at C speed.  X must be nonempty; 0 and non-members
+    are refused.
     """
     if 0 in xs:
         raise ValueError("the Apery set of 0 is not defined")
@@ -310,17 +311,17 @@ def _apery_counts(S: Semigroup, xs):
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
     w, n1 = S._apery, S.generators[0]
-    return [min(w[(i - x) % n1] + x - wi for x in xs) // n1
-            for i, wi in enumerate(w)]
+    cols = [map(x.__add__, chain(islice(w, n1 - x % n1, None),
+                                 islice(w, n1 - x % n1))) for x in xs]
+    least = cols[0] if len(cols) == 1 else map(min, *cols)
+    return list(map(floordiv, map(sub, least, w), repeat(n1)))
 
 
-def _length(S: Semigroup, r: int) -> int:
-    # Greedy descent: a member r > 0 has some generator g with r - g in S.
-    n = 0
-    while r:
-        r -= next(g for g in S.minimal_generators if r - g in S)
-        n += 1
-    return n
+def _apery_list(S: Semigroup, counts):
+    """The members of Ap(S, X), ascending, from its `_apery_counts`."""
+    n1 = S.generators[0]
+    return sorted(wi + k * n1 for wi, c in zip(S._apery, counts)
+                  for k in range(c))
 
 
 def betti_elements(S: Semigroup) -> BettiClassification:
@@ -331,27 +332,59 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     C without n1, and for n_j in its support r - n1 - n_j is not in S
     (z + e_1 + e_j would join C to the n1 side), so r - n_j is in Ap(S, n1).
 
-    Membership alone decides: the components (R-classes) match those of
-    the graph on the g with r - g in S, joining g and h when r - g - h is
-    in S: each support is a clique there, and each edge lies in a support.
+    Membership alone decides, each test read inline as x >= w[x mod n1]
+    with w = Ap(S, n1).  The components (R-classes) match those of the
+    graph on the live g (r - g in S), joining g and h when r - g - h is in
+    S: each support is a clique there, and each edge lies in a support.  A
+    candidate with fewer than two live generators is connected; otherwise
+    one traversal from the first live generator, stopped once every live
+    generator is reached, decides.
+
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
-    rests on each r - g has one length (one greedy descent finds it) and
-    L(r) is those lengths plus 1.  Cost: O(n1 * e) candidates times O(e^2)
-    membership tests, plus a descent per support generator of each Betti r.
+    rests on each r - g has one length and L(r) is those lengths plus 1.
+    The length of such an x is (x - w[i]) / n1 + depth[i] with i = x mod n1,
+    where depth[i] is the length of one factorization of w[i]: x is w[i]
+    plus (x - w[i]) / n1 copies of n1.  The depth table is built over
+    Ap(S, n1) ascending.  A w > 0 in it is not in n1 + S, so some
+    factorization uses a g > n1 and w - g is in S; then w - g is in
+    Ap(S, n1) too (else w - n1 = (w - g - n1) + g would be in S) and
+    smaller, so depth[w mod n1] = depth[(w - g) mod n1] + 1 reads an entry
+    already set.
+
+    Cost: O(n1 * e) candidates times O(e^2) inline tests, plus
+    O(n1 log n1 + n1 * e) for the depth table; O(n1 * e) extra memory for
+    the candidates and O(n1) for the table.
     """
     gens = S.minimal_generators
+    w, n1, outer = S._apery, gens[0], gens[1:]
+    depth = [0] * n1
+    for v in sorted(w)[1:]:
+        for g in outer:
+            x = v - g
+            if x >= w[x % n1]:
+                depth[v % n1] = depth[x % n1] + 1
+                break
     betti, balanced, unbalanced = [], [], []
-    for r in sorted({w + g for w in S._apery for g in gens[1:]}):
-        live, classes = [g for g in gens if r - g in S], []
-        for g in live:
-            near = [c for c in classes if any(r - g - h in S for h in c)]
-            classes = [c for c in classes if c not in near] + [sum(near, [g])]
-        if len(classes) < 2:
+    for r in sorted({v + g for v in w for g in outer}):
+        live = [g for g in gens if r - g >= w[(r - g) % n1]]
+        if len(live) < 2:
+            continue
+        todo, rest = live[:1], live[1:]
+        while todo:
+            s = r - todo.pop()
+            far = [h for h in rest if s - h < w[(s - h) % n1]]
+            if not far:  # every live generator is reached
+                break
+            if len(far) < len(rest):
+                todo += [h for h in rest if h not in far]
+                rest = far
+        if not far:
             continue
         betti.append(r)
-        (unbalanced if any(r - u in S for u in unbalanced)
-         or len({_length(S, r - g) for g in live}) > 1
+        (unbalanced if any(r - u >= w[(r - u) % n1] for u in unbalanced)
+         or len({(x - w[x % n1]) // n1 + depth[x % n1]
+                 for x in [r - g for g in live]}) > 1
          else balanced).append(r)
     return BettiClassification(tuple(betti), tuple(balanced),
                                tuple(unbalanced))

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import golden
-from sgp import cli
+from sgp import cli, oracle
 from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
@@ -446,6 +446,24 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
     code, out, _ = run(capsys, "--gens", "6,9,20", "ulf")
     assert code == 0 and len(out.split()) == 18
     assert len(searches) == 1
+
+
+def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
+    # apery and ulf size the listing from the counts they list from, and
+    # info counts |ULF| without listing
+    calls = []
+    apery_counts = core._apery_counts
+    monkeypatch.setattr(core, "_apery_counts",
+                        lambda S, xs: calls.append(xs) or apery_counts(S, xs))
+    S = core.Semigroup((6, 9, 20))
+    for argv, out in ((["apery", "9", "20"],
+                       " ".join(map(str, oracle.apery_multi(S, (9, 20))))),
+                      (["ulf"], " ".join(map(str, oracle.ulf(S)))),
+                      (["info"], None)):
+        calls.clear()
+        code, got, _ = run(capsys, "--gens", "6,9,20", *argv)
+        assert code == 0 and len(calls) == 1, argv
+        assert out is None or got == out + "\n"
 
 
 def test_negative_counts_exit_2(capsys):

@@ -5,6 +5,7 @@ nothing of a Semigroup but its minimal generators.
 """
 
 import math
+import random
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -429,12 +430,40 @@ def test_random_semigroup_invariants(gens):
 @example([8, 9, 12])
 @example([10, 11, 15])
 @example([6, 8, 9])
+@example([3, 4, 5])
+@example([10, 11, 12])
+@example([5, 8])
+@example([1])
 def test_betti_candidates_match_full_scan(gens):
     # the candidates w + n_j against every member up to frobenius + n_1 +
-    # n_e, split by length set: betti, balanced and unbalanced; the
-    # examples are unbalanced only through an earlier unbalanced element
+    # n_e, split by length set: betti, balanced and unbalanced.  The first
+    # three examples are unbalanced only through an earlier unbalanced
+    # element; in <3, 4, 5> and <10, 11, 12> the first unbalanced element
+    # (9, 60) and the balanced ones (8, 22) are told apart only by the
+    # lengths the depth table gives; <5, 8> has e = 2 and <1> is N
     S = _small_semigroup(gens)
     assert betti_elements(S) == oracle.betti_elements(S)
+
+
+def test_betti_matches_oracle_at_engine_cli_sizes():
+    # seeded semigroups the size of the benchmark's generic requests: e
+    # from 2 to 5, n1 from 8 to 40, the other minimal generators below
+    # 2 * n1; Ap(S, UBetti) is checked there too
+    rng = random.Random(15)
+    checked = 0
+    while checked < 100:
+        n1, e = rng.randint(8, 40), rng.randint(2, 5)
+        gens = [n1] + rng.sample(range(n1 + 1, 2 * n1), e - 1)
+        if math.gcd(*gens) != 1:
+            continue
+        S = Semigroup(gens)
+        if len(S.minimal_generators) < e:
+            continue
+        cls = betti_elements(S)
+        assert cls == oracle.betti_elements(S), gens
+        assert apery_multi(S, cls.unbalanced) == \
+            oracle.apery_multi(S, cls.unbalanced), gens
+        checked += 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,6 +493,26 @@ def test_apery_multi_matches_set_definition(gens, data):
     assert apery_multi(S, xs) == expected
     assert apery(S, xs[0]) == oracle.apery_multi(S, xs[:1])
     assert sum(_apery_counts(S, xs)) == len(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_GENERATORS)
+@example([3, 4, 5])
+@example([5, 8])
+@example([10, 11, 12])
+@example([1])
+def test_apery_multi_at_multiples_of_n1(gens):
+    # the column of x is Ap(S, n1) rotated by x mod n1: by 0 for x = n1
+    # and 2 * n1, by n_e mod n1 != 0 for x = n1 + n_e (unless S = N); a
+    # member past the Frobenius number joins the last two sets
+    S = _small_semigroup(gens)
+    n1, ne = S.minimal_generators[0], S.minimal_generators[-1]
+    big = S.frobenius + 2 * n1 + 1
+    for xs in ([n1], [2 * n1], [n1 + ne], [n1, 2 * n1], [2 * n1, n1 + ne],
+               [n1 + ne, big]):
+        expected = oracle.apery_multi(S, xs)
+        assert apery_multi(S, xs) == expected, xs
+        assert sum(_apery_counts(S, xs)) == len(expected), xs
 
 
 @settings(max_examples=60, deadline=None)
