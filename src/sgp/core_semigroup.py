@@ -6,8 +6,9 @@ Apery sets Ap(S, X) and the Betti search all rest on Ap(S, n1), the
 Apery set of the smallest generator (see `Semigroup`); only
 `factorizations`, which lists F(r) for `sgp factorize`, enumerates
 factorization sets.  Tables over [0, bound] come from dynamic programs
-over the generators instead: length sets as int bitmasks
-(`length_sets_up_to`) and factorization counts by coin change
+over the generators instead: length sets as int bitmasks, read into
+one frozenset per distinct L(r) that equal entries share
+(`length_sets_up_to`), and factorization counts by coin change
 (`_denumerants`).  There are no closed forms, so the fast paths in the
 sibling modules can be checked against the engine.  The engine itself is
 checked against `sgp.oracle`, which holds the literal definitions
@@ -220,7 +221,13 @@ def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
 
 def _length_masks(S: Semigroup, bound: int):
     """Length sets of [0, bound] as ints: bit l of entry r is set exactly
-    when l is in L(r), so a non-member is 0.  O(bound * e)."""
+    when l is in L(r), so a non-member is 0.
+
+    Every length of r is at most r/n1, so entry r has at most
+    floor(r/n1) + 1 bits.  That makes O(bound * e) big-int operations on
+    ints of at most floor(bound/n1) + 1 bits, and O(bound^2 / n1) bits of
+    memory for the list.
+    """
     gens = S.minimal_generators
     masks = [0] * (bound + 1)
     if bound >= 0:
@@ -242,16 +249,28 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 def length_sets_up_to(S: Semigroup, bound: int):
     """The length set L(r) of every r in [0, bound], by dynamic programming.
 
-    Entry r is the set L(r), or None when r is not a member.  The table is
-    built as int bitmasks, L(r) = OR over generators g of (L(r - g) << 1)
-    with L(0) = 1 (Barron, O'Neill & Pelayo, Math. Comp. 2017), in
-    O(bound * e) big-int operations.  Each mask is read into its set at C
-    speed: its binary digits, least significant first, become the bytes 0
-    and 1, and `compress` keeps the positions of the ones.  The recurrence
-    is checked against `oracle.length_set` in the test suite.
+    Entry r is the set L(r) as a frozenset, or None when r is not a
+    member.  The table is built as int bitmasks, L(r) = OR over generators
+    g of (L(r - g) << 1) with L(0) = 1 (Barron, O'Neill & Pelayo, Math.
+    Comp. 2017), by `_length_masks`.  Each distinct mask is read into its
+    frozenset once, at C speed: its binary digits, least significant
+    first, become the bytes 0 and 1, and `compress` keeps the positions of
+    the ones.  Entries with equal length sets are the same object, so the
+    memory is the list plus one set per distinct L(r) (and the masks while
+    the table is built): on <42, 55, 71, 83> up to 20000 the 20001
+    entries hold 2832 distinct length sets, and building the table peaks
+    near 22 MiB under tracemalloc, where a set per entry took 146 MiB.
+    Entries are immutable, so a caller that changes one must copy it.
+    The recurrence is checked against `oracle.length_set` in the test
+    suite.
     """
-    return [set(compress(count(), bin(m)[:1:-1].encode().translate(_BITS)))
-            if m else None for m in _length_masks(S, bound)]
+    masks = _length_masks(S, bound)
+    memo = dict.fromkeys(masks)
+    for m in memo:
+        if m:
+            memo[m] = frozenset(
+                compress(count(), bin(m)[:1:-1].encode().translate(_BITS)))
+    return list(map(memo.__getitem__, masks))
 
 
 def _denumerants(S: Semigroup, bound: int):

@@ -220,6 +220,20 @@ def test_length_sets_read_every_bit_of_wide_alternating_masks():
         for m in masks]
 
 
+def test_length_table_memory_is_one_set_per_distinct_length_set():
+    # the 20001 entries hold 2832 distinct length sets; a set per entry
+    # peaked at 146 MiB, one shared frozenset per distinct set near 22 MiB
+    S = Semigroup((42, 55, 71, 83))
+    tracemalloc.start()
+    try:
+        table = length_sets_up_to(S, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 1024 * 1024
+    assert len({id(t) for t in table if t is not None}) == 2832
+
+
 # ---------------------------------------------------------------------------
 # Apery sets
 
@@ -524,10 +538,14 @@ def test_length_masks_and_denumerants_match_enumeration(gens):
     masks, counts = _length_masks(S, top), _denumerants(S, top)
     sets = length_sets_up_to(S, top)
     assert len(masks) == len(counts) == len(sets) == top + 1
+    first = {}  # mask -> the least r with that mask
     for r in range(top + 1):
         lengths = length_set(S, r) if oracle.member(S, r) else []
         assert masks[r] == sum(1 << l for l in lengths), r
         assert sets[r] == (set(lengths) or None), r
+        assert lengths == [] or type(sets[r]) is frozenset, r
+        # entries with equal masks share one object
+        assert sets[r] is sets[first.setdefault(masks[r], r)], r
         assert counts[r] == denumerant(S, r), r
 
 
