@@ -1,7 +1,11 @@
 """Command-line interface.
 
-    sgp [--gens LIST | --a N] [--format json|csv|text] [--fast|--oracle]
-        COMMAND [ARGS]
+    sgp [-h] [--gens LIST | --a N] [--format json|csv|text]
+        [--fast | --oracle] COMMAND [-h] [ARGS]
+
+Global options come before COMMAND, and the command's own options and
+arguments after it; `parse` reads them from the table SPEC, which also
+gives the help of `sgp -h` and `sgp COMMAND -h`.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2> and unlocks the closed-form paths.
@@ -20,11 +24,12 @@ query.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
+from types import SimpleNamespace
 
 from . import consecutive_triple as ct
 from . import core_semigroup as core
@@ -42,62 +47,271 @@ class UsageError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The sgp parser, built on first use and then shared by every call."""
-    p = argparse.ArgumentParser(
-        prog="sgp",
-        description="Exact factorization analytics for numerical semigroups.")
-    p.add_argument("--gens", metavar="LIST",
-                   help="comma-separated generators, e.g. 3,4,5")
-    p.add_argument("--a", type=int, metavar="N",
-                   help="use the semigroup <N, N+1, N+2>")
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="text", dest="fmt")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true",
-                      help="closed forms only; error outside their domain")
-    mode.add_argument("--oracle", action="store_true",
-                      help="skip the closed forms; answer with the "
-                           "generic engine")
+# The command line, read by parse and printed by its help.  Each parser,
+# None for sgp itself and otherwise a command, maps to (help, positional,
+# options).  The positional is (dest, nargs): sgp's is the command, which
+# takes every token after it ("..."), and a command's is an int, one (1)
+# or one or more ("+").  Each option maps to (dest, kind, default,
+# metavar, help), where kind is int, str, bool (a flag) or a tuple of
+# choices.  Every parser also takes -h/--help.
+SPEC = {
+    None: ("Exact factorization analytics for numerical semigroups.",
+           ("command", "..."), {
+               "--gens": ("gens", str, None, "LIST",
+                          "comma-separated generators, e.g. 3,4,5"),
+               "--a": ("a", int, None, "N",
+                       "use the semigroup <N, N+1, N+2>"),
+               "--format": ("fmt", ("json", "csv", "text"), "text", None,
+                            "output format"),
+               "--fast": ("fast", bool, False, None,
+                          "closed forms only; error outside their domain"),
+               "--oracle": ("oracle", bool, False, None,
+                            "skip the closed forms; answer with the "
+                            "generic engine"),
+           }),
+    "info": ("generators, Frobenius number, Betti classification, "
+             "unique-length count", None, {}),
+    "factorize": ("all factorizations of an element (refused above %d)"
+                  % MAX_LISTED, ("r", 1), {}),
+    "apery": ("Apery set of one or more members (refused above %d "
+              "members)" % MAX_LISTED, ("x", "+"), {}),
+    "betti": ("Betti elements, balanced and unbalanced", None, {}),
+    "ulf": ("all members with a one-length factorization set (refused "
+            "above %d members)" % MAX_LISTED, None, {
+                "--bound": ("bound", int, None, None,
+                            "window bound (>= 0), needed only when the "
+                            "set is infinite")}),
+    "table": ("length-by-denumerant partition table (consecutive triples "
+              "only; refused above %d members)" % MAX_LISTED, None, {}),
+    "presentation": ("minimal presentation (consecutive triples and "
+                     "arithmetic sequences)", None, {}),
+    "verify": ("closed forms against the engine, up to 3a past the "
+               "two-length threshold (refused when the length table of "
+               "a-max would have more than %d entries)" % MAX_LISTED,
+               None, {
+                   "--a-min": ("a_min", int, 3, None, None),
+                   "--a-max": ("a_max", int, 12, None, None),
+                   "--arith": ("arith", bool, False, None,
+                               "also sweep the arithmetic-sequence Betti "
+                               "formulas"),
+                   "--random": ("random", int, 0, "N",
+                                "also spot-check N random semigroups for "
+                                "the unique-length/Apery identity"),
+                   "--seed": ("seed", int, 0, None,
+                              "seed for --random sampling"),
+               }),
+}
+HELP = ("-h", "--help")
+# flags that exclude each other
+RIVALS = {"--fast": "--oracle", "--oracle": "--fast"}
+# argparse's test for a token that is a negative number, so a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# the tokens a positional takes, in the pattern of _parse
+_NARGS = {1: re.compile("-*A-*"), "+": re.compile("-*A[A-]*"),
+          "...": re.compile("-*A[-AO]*")}
 
-    sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", help="generators, Frobenius number, Betti "
-                                "classification, unique-length count")
-    text = ("all factorizations of an element (refused above %d)"
-            % MAX_LISTED)
-    f = sub.add_parser("factorize", help=text, description=text)
-    f.add_argument("r", type=int)
-    text = ("Apery set of one or more members (refused above %d members)"
-            % MAX_LISTED)
-    ap = sub.add_parser("apery", help=text, description=text)
-    ap.add_argument("x", type=int, nargs="+")
-    sub.add_parser("betti", help="Betti elements, balanced and unbalanced")
-    text = ("all members with a one-length factorization set (refused "
-            "above %d members)" % MAX_LISTED)
-    u = sub.add_parser("ulf", help=text, description=text)
-    u.add_argument("--bound", type=int, default=None,
-                   help="window bound (>= 0), needed only when the set "
-                        "is infinite")
-    text = ("length-by-denumerant partition table (consecutive triples "
-            "only; refused above %d members)" % MAX_LISTED)
-    sub.add_parser("table", help=text, description=text)
-    sub.add_parser("presentation", help="minimal presentation (consecutive "
-                                        "triples and arithmetic sequences)")
-    text = ("closed forms against the engine, up to 3a past the two-length "
-            "threshold (refused when the length table of a-max would have "
-            "more than %d entries)" % MAX_LISTED)
-    v = sub.add_parser("verify", help=text, description=text)
-    v.add_argument("--a-min", type=int, default=3)
-    v.add_argument("--a-max", type=int, default=12)
-    v.add_argument("--arith", action="store_true",
-                   help="also sweep the arithmetic-sequence Betti formulas")
-    v.add_argument("--random", type=int, default=0, metavar="N",
-                   help="also spot-check N random semigroups for the "
-                        "unique-length/Apery identity")
-    v.add_argument("--seed", type=int, default=0,
-                   help="seed for --random sampling")
-    return p
+
+def parse(argv=None) -> SimpleNamespace:
+    """The namespace of an sgp command line (sys.argv[1:] by default).
+
+    Global options come before the command, and the command's options and
+    positionals after it, in any order.  An option takes its value from
+    the next token or after "=", and a unique prefix of its name stands
+    for it.  A negative number is a value, and "--" ends the options.
+    -h/--help prints help and exits 0; a rejected argv prints a usage
+    line and an error on stderr and exits 2.  The argv accepted and the
+    namespace given are those of the argparse parser this replaces.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    ns = SimpleNamespace()
+    extras = []
+    _parse(None, args, ns, extras)
+    if extras:
+        _fail(None, "unrecognized arguments: %s" % " ".join(extras))
+    return ns
+
+
+def _parse(command, args, ns, extras):
+    """Read args with the parser of command into ns; tokens it does not
+    know go to extras.
+
+    As in argparse, every token is first read as an option (O), a value
+    (A) or the "--" (-) after which all are values; then options and
+    positionals are taken left to right, so help or an error comes at the
+    first token that asks for it.
+    """
+    _, positional, options = SPEC[command]
+    for dest, _, default, _, _ in options.values():
+        setattr(ns, dest, default)
+    found, pattern = {}, []
+    for i, arg in enumerate(args):
+        if arg == "--":
+            pattern.append("-" + "A" * (len(args) - i - 1))
+            break
+        option = _option(command, arg)
+        if option is not None:
+            found[i] = option
+        pattern.append("A" if option is None else "O")
+    pattern = "".join(pattern)
+    i = 0
+    while i < len(args):
+        if i in found:
+            i = _take(command, ns, args, pattern, i, found[i], extras)
+            continue
+        match = positional and _NARGS[positional[1]].match(pattern, i)
+        if not match:
+            j = pattern.find("O", i)
+            j = len(args) if j < 0 else j
+            extras += args[i:j]
+            i = j
+            continue
+        dest, nargs = positional
+        values, i, positional = args[i:match.end()], match.end(), None
+        if nargs == "...":
+            if values[0] not in SPEC:
+                _fail(None, "argument command: invalid choice: %r (choose "
+                      "from %s)" % (values[0], ", ".join(
+                          repr(name) for name in SPEC if name)))
+            ns.command = values[0]
+            _parse(values[0], values[1:], ns, extras)
+            continue
+        if "--" in values:
+            values.remove("--")
+        values = [_value(command, dest, int, v) for v in values]
+        setattr(ns, dest, values if nargs == "+" else values[0])
+    if positional:
+        _fail(command, "the following arguments are required: %s"
+              % positional[0])
+
+
+def _option(command, arg):
+    """How the parser of command reads arg: None for a value, else (the
+    option, or None for one it does not have; the text after "=", or
+    None)."""
+    options = SPEC[command][2]
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in options or arg in HELP:
+        return arg, None
+    head, eq, tail = arg.partition("=")
+    if eq and (head in options or head in HELP):
+        return head, tail
+    if arg[1] == "-":
+        hits = [name for name in chain(HELP, options)
+                if name.startswith(head)]
+        tail = tail if eq else None
+    else:  # -h with more of itself or a value run on
+        hits = ["-h"] if arg[:2] == "-h" else []
+        tail = arg[2:]
+    if len(hits) > 1:
+        _fail(command, "ambiguous option: %s could match %s"
+              % (arg, ", ".join(hits)))
+    if hits:
+        return hits[0], tail
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _take(command, ns, args, pattern, i, option, extras):
+    """Apply option, read from args[i] by _option; return the index past
+    the option and its value."""
+    name, tail = option
+    if name is None:
+        extras.append(args[i])
+        return i + 1
+    if name in HELP:
+        # -hh is -h twice
+        if tail is None or name == "-h" and tail and not tail.strip("h"):
+            _help(command)
+        _fail(command, "argument -h/--help: ignored explicit argument %r"
+              % tail)
+    dest, kind, _, _, _ = SPEC[command][2][name]
+    if kind is bool:
+        if tail is not None:
+            _fail(command, "argument %s: ignored explicit argument %r"
+                  % (name, tail))
+        rival = RIVALS.get(name)
+        if rival and getattr(ns, SPEC[command][2][rival][0]):
+            _fail(command, "argument %s: not allowed with argument %s"
+                  % (name, rival))
+        setattr(ns, dest, True)
+        return i + 1
+    if tail is None:
+        if pattern[i + 1:i + 2] != "A":
+            _fail(command, "argument %s: expected one argument" % name)
+        i += 1
+        tail = args[i]
+    setattr(ns, dest, _value(command, name, kind, tail))
+    return i + 1
+
+
+def _value(command, name, kind, text):
+    """text as the value of argument name: an int, or a str among the
+    choices kind when kind is a tuple."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _fail(command, "argument %s: invalid int value: %r"
+                  % (name, text))
+    if kind is not str and text not in kind:
+        _fail(command, "argument %s: invalid choice: %r (choose from %s)"
+              % (name, text, ", ".join(map(repr, kind))))
+    return text
+
+
+def _syntax(name, spec):
+    """How the usage line and the help show option name."""
+    dest, kind, _, metavar, _ = spec
+    if kind is bool:
+        return name
+    if kind is str or kind is int:
+        return "%s %s" % (name, metavar or dest.upper())
+    return "%s {%s}" % (name, ",".join(kind))
+
+
+def _usage(command):
+    """The usage line of sgp (command None) or of one command."""
+    _, positional, options = SPEC[command]
+    words = ["usage: sgp", command or "", "[-h]"]
+    words += ["[%s]" % _syntax(name, spec) for name, spec in options.items()]
+    if positional:
+        dest, nargs = positional
+        words.append({1: dest, "+": "%s [%s ...]" % (dest, dest),
+                      "...": "COMMAND ..."}[nargs])
+    return " ".join(word for word in words if word)
+
+
+def _fail(command, message):
+    sys.stderr.write("%s\nsgp: error: %s\n" % (_usage(command), message))
+    raise SystemExit(2)
+
+
+def _help(command):
+    """Print the help of sgp (command None) or of one command; exit 0."""
+    from textwrap import wrap
+
+    text, positional, options = SPEC[command]
+    if command is None:
+        title, args = "commands", [(name, SPEC[name][0])
+                                   for name in SPEC if name]
+    else:
+        title, args = "positional arguments", [(positional[0], "")] \
+            if positional else []
+    opts = [("-h, --help", "show this help and exit")] + [
+        (_syntax(name, spec), spec[4] or "") for name, spec in options.items()]
+    width = max(len(left) for left, _ in args + opts) + 2
+    lines = [_usage(command), ""] + wrap(text, 79)
+    for heading, rows in ((title, args), ("options", opts)):
+        if rows:
+            lines += ["", heading + ":"]
+        for left, right in rows:
+            right = wrap(right, 77 - width) or [""]
+            lines.append(("  %-*s%s" % (width, left, right[0])).rstrip())
+            lines += [" " * (width + 2) + more for more in right[1:]]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
 
 class Target:
@@ -349,27 +563,29 @@ def cmd_table(t, ns) -> int:
 
 
 def _arith_form(g):
-    """presentation_arith as a thunk when the sorted distinct generators g
-    are an arithmetic sequence it covers, else None."""
+    """(presentation_arith as a thunk, None) when the sorted distinct
+    generators g are an arithmetic sequence it covers, else (None, the
+    reason it does not apply)."""
     from . import arithmetic_sequence as arith
 
+    reason = "need a consecutive triple or an arithmetic sequence"
     if len(g) < 2:
-        return None
+        return None, reason
     d = g[1] - g[0]
     if any(g[i] - g[i - 1] != d for i in range(1, len(g))):
-        return None
+        return None, reason
     try:
         return partial(arith.presentation_arith,
-                       arith.ArithSemigroup(g[0], d, len(g) - 1))
-    except ValueError:
-        return None
+                       arith.ArithSemigroup(g[0], d, len(g) - 1)), None
+    except ValueError as exc:  # an arithmetic sequence it does not cover
+        return None, str(exc)
 
 
 def cmd_presentation(t, ns) -> int:
-    closed = _triple_form(t, ct.presentation_triple) or _arith_form(t.gens)
-    pres, method = _resolve(
-        t, ns, "presentation", closed, None,
-        "need a consecutive triple or an arithmetic sequence")
+    closed, reason = _triple_form(t, ct.presentation_triple), None
+    if closed is None:
+        closed, reason = _arith_form(t.gens)
+    pres, method = _resolve(t, ns, "presentation", closed, None, reason)
     _emit(ns,
           lambda: ["%s  =  %s   (value %d)"
                    % (" ".join(map(str, x)), " ".join(map(str, y)),
@@ -528,7 +744,7 @@ COMMANDS = {"info": cmd_info, "factorize": cmd_factorize, "apery": cmd_apery,
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = parse(argv)
     try:
         if ns.command == "verify":
             return cmd_verify(ns)

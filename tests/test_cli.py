@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import operator
 import os
@@ -11,8 +13,11 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden
+from argparse_reference import build_parser
 from sgp import cli, oracle
 from sgp import core_semigroup as core
 from sgp.cli import main
@@ -43,7 +48,7 @@ def test_startup_loads_only_what_a_command_runs():
     assert {"sgp.cli", "sgp.consecutive_triple",
             "sgp.core_semigroup"} <= set(loaded)
     for name in ("dataclasses", "sgp.oracle", "sgp.render",
-                 "sgp.arithmetic_sequence", "random"):
+                 "sgp.arithmetic_sequence", "random", "argparse", "gettext"):
         assert name not in loaded
     assert [m for m in modules_loaded_by("import sgp")
             if m.startswith("sgp.")] == []
@@ -538,9 +543,14 @@ def test_presentation_arith_sequence(capsys):
 
 
 def test_presentation_unsupported_generators(capsys):
-    code, _, err = run(capsys, "--gens", "6,9,20", "presentation")
-    assert code == 2
-    assert "presentation" in err
+    # the reason names why neither closed form applies
+    for gens, reason in (
+            ("6,9,20", "need a consecutive triple or an arithmetic sequence"),
+            ("3,4,5,6", "n <= a - 1"),
+            ("4,6", "coprime")):
+        code, out, err = run(capsys, "--gens", gens, "presentation")
+        assert (code, out) == (2, "")
+        assert "presentation" in err and reason in err, gens
 
 
 @pytest.mark.parametrize("a", ["-1", "0", "1", "2"])
@@ -549,6 +559,10 @@ def test_presentation_small_a_is_usage_error(capsys, a):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    # <1, 2, 3> and <2, 3, 4> are arithmetic sequences that
+    # presentation_arith does not cover
+    reason = {"1": "a >= 2", "2": "n <= a - 1"}.get(a, "positive integer")
+    assert reason in err
 
 
 def test_bad_gens_exit_2(capsys):
@@ -568,6 +582,137 @@ def test_selector_required(capsys):
 def test_fast_and_oracle_conflict():
     with pytest.raises(SystemExit):
         main(["--a", "10", "--fast", "--oracle", "info"])
+
+
+REFERENCE = build_parser()
+INT = st.integers(-20, 60).map(str)
+# the options of sgp (None) and of its commands, each with the values it
+# takes (None for a flag), and the most ints each command's positional takes
+OPTIONS = {
+    None: {"--gens": st.sampled_from(["3,4,5", "6,9,20", "1"]), "--a": INT,
+           "--format": st.sampled_from(["json", "csv", "text"]),
+           "--fast": None, "--oracle": None},
+    "ulf": {"--bound": INT},
+    "verify": {"--a-min": INT, "--a-max": INT, "--arith": None,
+               "--random": INT, "--seed": INT},
+}
+POSITIONALS = {"factorize": 1, "apery": 3}
+COMMAND_NAMES = ("info", "factorize", "apery", "betti", "ulf", "table",
+                 "presentation", "verify")
+# any other token: every option name and every prefix of a long name
+# short of "--" (--f is ambiguous, --fo means --format), an option sgp
+# does not have, "=" forms, commands, and good and bad values
+NAMES = [name[:k] for names in OPTIONS.values() for name in (*names, "--help")
+         for k in range(3, len(name) + 1)] + ["-h", "-x", "--nope"]
+VALUE = st.one_of(INT, st.sampled_from([
+    "3,4,5", "x", "1.5", "-1.5", "-5x", "", "-", "-1 2", "json", "xml",
+    "-hh", "-hx", "-h="]))
+TOKEN = st.one_of(st.sampled_from(NAMES), VALUE,
+                  st.sampled_from(COMMAND_NAMES + ("nope",)),
+                  st.builds("{}={}".format, st.sampled_from(NAMES), VALUE))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of sgp's grammar, then up to two tokens inserted or
+    deleted.  "--" is left out: argparse reads it differently from Python
+    3.12 on, so test_double_dash_ends_the_options pins it instead."""
+    def options(parser):
+        argv = []
+        names = OPTIONS.get(parser, {})
+        for name in draw(st.lists(st.sampled_from(sorted(names)),
+                                  max_size=3)) if names else ():
+            value = [] if names[name] is None else [draw(names[name])]
+            if draw(st.booleans()):  # a unique or an ambiguous prefix
+                name = name[:draw(st.integers(3, len(name)))]
+            if value and draw(st.booleans()):
+                argv.append("%s=%s" % (name, value[0]))
+            else:
+                argv += [name] + value
+        return argv
+
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    tail = options(command) + draw(st.lists(
+        INT, max_size=POSITIONALS.get(command, 0)))
+    argv = options(None) + [command] + draw(st.permutations(tail))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        if argv and draw(st.booleans()):
+            del argv[min(i, len(argv) - 1)]
+        else:
+            argv.insert(i, draw(TOKEN))
+    return argv
+
+
+def parse_outcome(parse_args, argv):
+    """(namespace as a dict, or the exit code; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse_args(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+@example([])
+@example(["-h"])
+@example(["--a", "10", "factorize", "-h"])
+@example(["--fo", "json", "--a=10", "factorize", "-5"])
+@example(["--gens", "1", "ulf", "--bound", "-1"])
+@example(["--a", "-1", "info"])
+@example(["--f", "json", "info"])
+@example(["verify", "--a", "4"])
+@example(["verify", "--a-ma=9", "--ar", "--r", "3", "--s=-2"])
+@example(["--a", "10", "--fast", "--oracle", "info"])
+@example(["--a", "10", "--format", "xml", "info"])
+@example(["--a", "10", "--format=csv", "apery", "4", "-5", "6"])
+@example(["--a", "10", "apery"])
+@example(["--a", "10", "info", "extra"])
+@example(["-hh"])
+@example(["-h=h"])
+@example(["-hx", "info"])
+def test_parse_accepts_what_argparse_accepts(argv):
+    expected, _, _ = parse_outcome(REFERENCE.parse_args, argv)
+    got, out, err = parse_outcome(cli.parse, argv)
+    assert got == expected
+    if got == 0:
+        assert out.startswith("usage: sgp")
+    if got == 2:
+        assert err.startswith("usage: sgp") and "\nsgp: error: " in err
+
+
+DEFAULTS = {"gens": None, "a": None, "fmt": "text", "fast": False,
+            "oracle": False}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["factorize", "--", "43"], {"command": "factorize", "r": 43}),
+    (["factorize", "9", "--"], {"command": "factorize", "r": 9}),
+    (["apery", "--", "4"], {"command": "apery", "x": [4]}),
+    (["apery", "4", "--", "-5", "6"], {"command": "apery", "x": [4, -5, 6]}),
+    (["--a", "10", "--format=json", "factorize", "--", "43"],
+     {"a": 10, "fmt": "json", "command": "factorize", "r": 43}),
+    (["--gens=--", "info"], {"gens": "--", "command": "info"}),
+    (["factorize", "9", "--", "5"], 2),
+    (["factorize", "--"], 2),
+    (["apery", "4", "--", "-h"], 2),
+    (["--", "info"], 2),
+    (["--a", "10", "--", "info"], 2),
+    (["ulf", "--bound", "--", "3"], 2),
+    # argparse drops "--" from "--a=--" and stores [], which no command
+    # can use; parse reads "--" as the value, which is no int
+    (["--a=--", "info"], 2),
+    (["--format=--", "info"], 2),
+])
+def test_double_dash_ends_the_options(argv, expected):
+    got, _, err = parse_outcome(cli.parse, argv)
+    if expected == 2:
+        assert got == 2 and "sgp: error: " in err
+    else:
+        assert got == dict(DEFAULTS, **expected)
 
 
 def test_verify_passes(capsys):
@@ -607,8 +752,7 @@ def test_verify_does_not_enumerate(capsys, monkeypatch):
 
 
 def test_consecutive_calls_answer_as_alone(capsys):
-    # main shares one parser between calls; no call may leak into the next
-    assert cli.build_parser() is cli.build_parser()
+    # no call may leak into the next
     info = ("--a", "10", "--format", "json", "info")
     for before, code, argv in (
             (("--a", "10", "--oracle", "--format", "json", "info"), 0, info),
@@ -616,7 +760,6 @@ def test_consecutive_calls_answer_as_alone(capsys):
              ("verify", "--a-max", "5")),
             (("--a", "10", "--fast", "--oracle", "info"), 2, info),
             (("--gens", "6,9,20", "--fast", "betti"), 2, info)):
-        cli.build_parser.cache_clear()
         alone = run(capsys, *argv)
         try:
             assert main(list(before)) == code
