@@ -13,9 +13,14 @@ the invariants computed by listing factorizations, slow but obvious.
 
 The package loads its modules on first use: `import sgp` imports none of
 them, and `sgp.betti_elements` or `sgp.render` imports the one module it
-needs (PEP 562), so the `sgp` command loads only what it runs.  Result
-records such as `BettiClassification` are immutable named tuples, with
-`_replace` and `_asdict`.
+needs (PEP 562).  The result records that the engine and the closed
+forms share (`BettiClassification`, `Factorization`, `Presentation`,
+`NotMemberError`) live in the small `records` module, so a closed form
+returns them without loading the engine.  The `sgp` command loads the
+engine only on its engine paths, never for a closed form, and the
+`verify` module only for `sgp verify`.  Result records such as
+`BettiClassification` are immutable named tuples, with `_replace` and
+`_asdict`.
 
 All arithmetic is exact; there are no floats anywhere in the package.
 """
@@ -31,8 +36,7 @@ _EXPORTS = {
         factorizations_triple gamma length_triple member_triple
         monomial_basis presentation_triple s_d_i s_d_ulf s_ell seed
         ubetti_triple ulf_membership_triple ulf_triple""",
-    "core_semigroup": """BettiClassification Factorization NotMemberError
-        Presentation Semigroup apery apery_multi betti_elements
+    "core_semigroup": """Semigroup apery apery_multi betti_elements
         factorizations length_sets_up_to min_ulf_breaker minimal_generators
         ulf""",
     "oracle": "FactorizationGraph denumerant length_set nabla_graph",
@@ -40,8 +44,9 @@ _EXPORTS = {
         monomial_table_to_text partition_table table_from_csv table_to_csv
         table_to_json table_to_text ulf_by_denumerant_report
         ulf_by_length_report""",
+    "records": "BettiClassification Factorization NotMemberError Presentation",
 }
-_MODULES = (*_EXPORTS, "cli")
+_MODULES = (*_EXPORTS, "cli", "verify")
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names.split()}
 __all__ = list(_ORIGIN)

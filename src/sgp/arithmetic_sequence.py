@@ -13,11 +13,9 @@ Indices here follow the 1-based e_1 .. e_{n+1} convention of the
 formulas; vectors are stored 0-based.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
-from .core_semigroup import Factorization, Presentation
+from .records import Factorization, Presentation
 
 
 class ArithSemigroup:

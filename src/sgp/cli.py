@@ -20,11 +20,12 @@ engine.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
+
+A process loads only what its command runs: the engine on the engine
+paths (bound by `_engine` on first use), `json` for --format json, and
+the `verify` module for `verify`.
 """
 
-from __future__ import annotations
-
-import json
 import re
 import sys
 from functools import partial
@@ -32,7 +33,10 @@ from itertools import chain
 from types import SimpleNamespace
 
 from . import consecutive_triple as ct
-from . import core_semigroup as core
+from .records import NotMemberError
+
+# the engine module, core_semigroup, once _engine has loaded it
+core = None
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
@@ -376,6 +380,8 @@ def _emit(ns, text, obj, csv):
     giving the JSON object; only the one for ns.fmt runs.
     """
     if ns.fmt == "json":
+        import json
+
         out = json.dumps(obj(), sort_keys=True) + "\n"
     else:
         lines = (text if ns.fmt == "text" else csv)()
@@ -391,10 +397,17 @@ def _check_listed(command, n, what="members"):
 
 
 def _engine(t):
-    """core.Semigroup(t.gens), refused at once when n1 > MAX_N1."""
+    """core.Semigroup(t.gens), refused at once when n1 > MAX_N1.
+
+    Every engine path starts here, so this is where `core` is bound, once;
+    a path reads `core` only after calling it.
+    """
+    global core
     if t.gens[0] > MAX_N1:
         raise UsageError("the engine would build an Apery table of n1 = %d "
                          "entries, more than %d" % (t.gens[0], MAX_N1))
+    if core is None:
+        from . import core_semigroup as core
     return core.Semigroup(t.gens)
 
 
@@ -471,7 +484,7 @@ def cmd_factorize(t, ns) -> int:
     def enum():
         S = _engine(t)
         if r not in S:
-            raise core.NotMemberError("%d is not in %r" % (r, S))
+            raise NotMemberError("%d is not in %r" % (r, S))
         _check_listed("factorize",
                       core._factorization_count(S, r, MAX_LISTED),
                       "or more factorizations")
@@ -504,9 +517,12 @@ def cmd_apery(t, ns) -> int:
 
 
 def cmd_betti(t, ns) -> int:
+    def enum():
+        S = _engine(t)
+        return core.betti_elements(S)
+
     cls, method = _resolve(
-        t, ns, "betti", _triple_form(t, ct.ubetti_triple),
-        lambda: core.betti_elements(_engine(t)))
+        t, ns, "betti", _triple_form(t, ct.ubetti_triple), enum)
     _emit(ns,
           lambda: ["betti: %s" % (list(cls.betti),),
                    "balanced: %s" % (list(cls.balanced),),
@@ -599,145 +615,6 @@ def cmd_presentation(t, ns) -> int:
     return 0
 
 
-def _verify_triple(a):
-    """Check every closed form for one a; (checks, failure or None).
-
-    Nothing is enumerated.  Membership and length sets come from the
-    bitmask table of `core._length_masks` (bit l of entry r set exactly
-    when l is in L(r)), and factorization counts d(r) from the
-    coin-change table of `core._denumerants`, which shares no code with
-    the closed forms.  The closed-form list for r is the factorization
-    set F(r) exactly when its vectors have three non-negative coordinates
-    and value r (so each lies in F(r)), are distinct, and number d(r) =
-    |F(r)|: a set of d(r) distinct elements of F(r) is all of F(r).  So
-    the check equals sorted(list) == sorted(F(r)) without listing F(r).
-    """
-    S = core.Semigroup((a, a + 1, a + 2))
-    ts = ct.TripleSemigroup(a)
-    top = ts.ulf_bound + 3 * a
-    masks = core._length_masks(S, top)
-    counts = core._denumerants(S, ts.ulf_bound)
-    checks = 0
-    for r, mask in enumerate(masks):
-        member = mask != 0
-        if ct.member_triple(a, r) != member:
-            return checks, (a, r, "membership mismatch")
-        checks += 1
-        if member:
-            one_length = mask & (mask - 1) == 0
-            if ct.ulf_membership_triple(a, r) != one_length:
-                return checks, (a, r, "unique-length membership mismatch")
-            checks += 1
-        if member and r < ts.ulf_bound:
-            fast = ct.factorizations_triple(a, r)
-            if (any(len(x) != 3 or min(x) < 0
-                    or a * x[0] + (a + 1) * x[1] + (a + 2) * x[2] != r
-                    for x in fast)
-                    or len(set(fast)) != len(fast)
-                    or len(fast) != counts[r]):
-                return checks, (a, r, "factorization set mismatch")
-            if ct.denumerant_triple(a, r) != counts[r]:
-                return checks, (a, r, "denumerant mismatch")
-            if mask != 1 << (r // a):
-                return checks, (a, r, "length set is not {floor(r/a)}")
-            dec = ct.decompose_triple(a, r)
-            if ((a + 1) * (2 * dec.d - 2 + dec.i) + dec.c != r
-                    or dec.c not in ct.gamma(dec.i)
-                    or dec.d != counts[r]):
-                return checks, (a, r, "decomposition mismatch")
-            checks += 4
-    if masks[ts.ulf_bound].bit_count() < 2:
-        return checks, (a, ts.ulf_bound, "threshold should have two lengths")
-    checks += 1
-    return checks, None
-
-
-def _verify_arith(a):
-    from . import arithmetic_sequence as arith
-
-    checks = 0
-    for d in (1, 2, 3):
-        for n in range(2, min(4, a - 1) + 1):
-            try:
-                A = arith.ArithSemigroup(a, d, n)
-            except ValueError:
-                continue
-            S = core.Semigroup(A.generators)
-            cls = core.betti_elements(S)
-            if list(cls.betti) != arith.betti_arith(A):
-                return checks, (a, (d, n), "betti mismatch")
-            if list(cls.unbalanced) != arith.ubetti_arith(A):
-                return checks, (a, (d, n), "unbalanced betti mismatch")
-            for x, y in arith.presentation_arith(A).relations:
-                if S.value(x) != S.value(y):
-                    return checks, (a, (d, n), "relator with unequal sides")
-            checks += 3
-    return checks, None
-
-
-def _verify_random(count, seed):
-    import random
-
-    rng = random.Random(seed)
-    checks = 0
-    done = 0
-    while done < count:
-        k = rng.randint(2, 4)
-        cand = sorted(rng.sample(range(2, 31), k))
-        try:
-            S = core.Semigroup(cand)
-        except ValueError:
-            continue
-        if not 2 <= len(S.minimal_generators) <= 4:
-            continue
-        done += 1
-        cls = core.betti_elements(S)
-        thm = core.apery_multi(S, cls.unbalanced)
-        top = max(max(thm), max(cls.betti)) + max(S.minimal_generators) + 1
-        masks = core._length_masks(S, top)
-        brute = [r for r, m in enumerate(masks) if m and m & (m - 1) == 0]
-        if brute != thm:
-            return checks, (tuple(S.minimal_generators), None,
-                            "unique-length set differs from the Apery form")
-        b, thm_set = min(cls.unbalanced), set(thm)
-        below = all(r in thm_set for r in range(b) if masks[r])
-        if not below or b in thm_set:
-            return checks, (tuple(S.minimal_generators), b,
-                            "least unbalanced Betti element contract")
-        checks += 2
-    return checks, None
-
-
-def cmd_verify(ns) -> int:
-    if ns.gens is not None or ns.a is not None:
-        raise UsageError("verify sweeps its own semigroups; "
-                         "it takes neither --gens nor --a")
-    if ns.a_min < 3 or ns.a_max < ns.a_min:
-        raise UsageError("need 3 <= a-min <= a-max")
-    if ns.random < 0:
-        raise UsageError("--random wants a non-negative count")
-    # _verify_triple(a) builds a length table of ulf_bound + 3a + 1
-    # entries, the most at a-max
-    size = ct.TripleSemigroup(ns.a_max).ulf_bound + 3 * ns.a_max + 1
-    if size > MAX_LISTED:
-        raise UsageError("verify would build a length table of %d entries "
-                         "for a = %d, more than %d"
-                         % (size, ns.a_max, MAX_LISTED))
-    a_values = range(ns.a_min, ns.a_max + 1)
-    results = [_verify_triple(a) for a in a_values]
-    if ns.arith:
-        results += [_verify_arith(a) for a in a_values if a >= 5]
-    if ns.random:
-        results.append(_verify_random(ns.random, ns.seed))
-    total = sum(c for c, _ in results)
-    for _, failure in results:
-        if failure is not None:
-            print("FAIL %s" % (failure,))
-            return 1
-    print("PASS (%d checks)" % total)
-    return 0
-
-
 COMMANDS = {"info": cmd_info, "factorize": cmd_factorize, "apery": cmd_apery,
             "betti": cmd_betti, "ulf": cmd_ulf, "table": cmd_table,
             "presentation": cmd_presentation}
@@ -747,9 +624,11 @@ def main(argv=None) -> int:
     ns = parse(argv)
     try:
         if ns.command == "verify":
+            from .verify import cmd_verify
+
             return cmd_verify(ns)
         return COMMANDS[ns.command](Target(ns), ns)
-    except core.NotMemberError as exc:
+    except NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:  # UsageError and invalid generators

@@ -32,15 +32,15 @@ are freely usable from concurrent code.  Every public function
 validates a (and r) once, and the per-element ones read phi_r from
 `_phi` as a plain tuple, so `verify` can call each of them for every r
 cheaply; `seed` is the public view of the same vector.  The generic
-counterparts in core_semigroup are the reference implementation.
+counterparts in core_semigroup are the reference implementation.  This
+module imports nothing from the engine: its records come from
+`records`, so its closed forms answer without loading `core_semigroup`.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from operator import index
 
-from .core_semigroup import (
+from .records import (
     BettiClassification,
     Factorization,
     NotMemberError,

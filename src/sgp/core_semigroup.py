@@ -24,31 +24,18 @@ Conventions used throughout:
   reproducible byte for byte.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, count, islice, repeat
 from math import gcd
 from operator import floordiv, index, sub
 
-
-class NotMemberError(ValueError):
-    """An operation was asked about an integer outside the semigroup."""
-
-
-class Factorization(tuple):
-    """Exponent vector over the minimal generators of a semigroup."""
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return sum(self)
-
-    def value(self, gens) -> int:
-        return sum(c * g for c, g in zip(self, gens))
+from .records import (  # re-exported: the engine returns and raises them
+    BettiClassification,
+    Factorization,
+    NotMemberError,
+    Presentation,
+)
 
 
 class Semigroup:
@@ -62,10 +49,12 @@ class Semigroup:
     non-integer query is a TypeError.  The Frobenius number is the
     largest entry minus n1, and the minimal generators are derived with
     O(e^2) membership tests.  An instance keeps O(n1) memory.
-    Construction is Dijkstra over the residues mod n1 (Bocker & Liptak's
-    round-robin idea); for e <= n1 generators it takes O(n1 * e * log n1)
-    time and at most n1 * e heap entries.  Instances are immutable after
-    construction and safe to share between threads.
+    Construction is Dijkstra over the residues mod n1, Nijenhuis's
+    minimal-path algorithm (Amer. Math. Monthly 86, 1979); for e <= n1
+    generators it takes O(n1 * e * log n1) time and at most n1 * e heap
+    entries.  Bocker & Liptak's heap-free round robin computes the same
+    table and measured no faster than this Dijkstra.  Instances are
+    immutable after construction and safe to share between threads.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
@@ -113,19 +102,6 @@ class Semigroup:
 
     def __repr__(self):
         return "Semigroup(%s)" % ", ".join(map(str, self.minimal_generators))
-
-
-class BettiClassification(namedtuple("BettiClassification",
-                                      "betti balanced unbalanced")):
-    """Betti elements split by whether their length set is a singleton."""
-
-    __slots__ = ()
-
-
-class Presentation(namedtuple("Presentation", "relations")):
-    """Pairs of distinct factorizations of equal value."""
-
-    __slots__ = ()
 
 
 def minimal_generators(gens):

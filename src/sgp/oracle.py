@@ -11,11 +11,9 @@ and the closed forms in the sibling modules are tested against this
 module.  It is slow on purpose; use it on small semigroups only.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
-from .core_semigroup import BettiClassification, Factorization, NotMemberError
+from .records import BettiClassification, Factorization, NotMemberError
 
 
 # edges: (i, j) index pairs into vertices, i < j

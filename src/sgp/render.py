@@ -6,7 +6,7 @@ the cell (ell, d) is S_{d,i} with i = ell - 2d + 2.  partition_table
 materializes that grid with (r, iota, c) triples, monomial_table with the
 rendered monomial bases, and both serialize deterministically to CSV,
 aligned text and JSON.  The by-length and by-denumerant reports work on
-any semigroup through the generic engine.
+any semigroup through the generic engine, which only they import.
 
 table_to_csv and table_to_json fill fixed %-templates, one per row or
 triple, and look up each (iota, c) class once per call.  Their output is
@@ -25,14 +25,13 @@ the CLI, a whole `sgp` process (2 cores, Python 3.11) takes:
                                          text 0.4 s, 0.13 GB
 """
 
+# the reports' Semigroup annotations name core_semigroup's class, which
+# this module does not import
 from __future__ import annotations
 
-import csv
-import io
 from collections import namedtuple
 
 from . import consecutive_triple as ct
-from .core_semigroup import Semigroup, _denumerants, _length_masks, ulf
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
 _CSV_ROW = "%d,%d,%d,%d,%d,%s\n"
@@ -135,6 +134,9 @@ def table_to_csv(t: PartitionTable) -> str:
 
 def table_from_csv(text: str) -> PartitionTable:
     """Parse table_to_csv output back; round-trips to an equal table."""
+    import csv
+    import io
+
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("unrecognized header: %r" % (rows[:1],))
@@ -201,11 +203,9 @@ def table_to_json(t: PartitionTable) -> str:
     return "[\n" + ",\n".join(cells) + "\n]\n"
 
 
-def _ulf_rows(S, table, key, first):
-    """ulf(S) grouped by key(table(S, max ulf)[r]), one row per key value
-    from first up to the largest; members ascending, empty rows kept."""
-    members = ulf(S)
-    entries = table(S, max(members))
+def _ulf_rows(members, entries, key, first):
+    """members grouped by key(entries[r]), one row per key value from first
+    up to the largest; members ascending, empty rows kept."""
     groups = {}
     for r in members:
         groups.setdefault(key(entries[r]), []).append(r)
@@ -218,10 +218,17 @@ def ulf_by_length_report(S: Semigroup):
     Rows run contiguously from 0 to the largest occupied length, with
     members ascending; empty rows stay in as empty lists.
     """
+    from .core_semigroup import _length_masks, ulf
+
+    members = ulf(S)
     # a one-length mask is 1 << l
-    return _ulf_rows(S, _length_masks, lambda m: m.bit_length() - 1, 0)
+    return _ulf_rows(members, _length_masks(S, max(members)),
+                     lambda m: m.bit_length() - 1, 0)
 
 
 def ulf_by_denumerant_report(S: Semigroup):
     """Unique-length members grouped by denumerant, one row per d >= 1."""
-    return _ulf_rows(S, _denumerants, lambda d: d, 1)
+    from .core_semigroup import _denumerants, ulf
+
+    members = ulf(S)
+    return _ulf_rows(members, _denumerants(S, max(members)), lambda d: d, 1)

@@ -1,0 +1,154 @@
+"""`sgp verify`: the closed forms checked against the generic engine.
+
+For each a in [a-min, a-max], `_verify_triple` checks every closed form
+of `consecutive_triple` on every r up to 3a past the two-length
+threshold of <a, a+1, a+2>; --arith adds the Betti formulas and
+presentations of `arithmetic_sequence`, and --random N spot-checks N
+random semigroups for the unique-length/Apery identity.  `cli.main`
+imports this module only for `verify`, so no other command compiles it.
+"""
+
+from . import cli
+from . import consecutive_triple as ct
+from . import core_semigroup as core
+from .cli import UsageError
+
+
+def _verify_triple(a):
+    """Check every closed form for one a; (checks, failure or None).
+
+    Nothing is enumerated.  Membership and length sets come from the
+    bitmask table of `core._length_masks` (bit l of entry r set exactly
+    when l is in L(r)), and factorization counts d(r) from the
+    coin-change table of `core._denumerants`, which shares no code with
+    the closed forms.  The closed-form list for r is the factorization
+    set F(r) exactly when its vectors have three non-negative coordinates
+    and value r (so each lies in F(r)), are distinct, and number d(r) =
+    |F(r)|: a set of d(r) distinct elements of F(r) is all of F(r).  So
+    the check equals sorted(list) == sorted(F(r)) without listing F(r).
+    """
+    S = core.Semigroup((a, a + 1, a + 2))
+    ts = ct.TripleSemigroup(a)
+    top = ts.ulf_bound + 3 * a
+    masks = core._length_masks(S, top)
+    counts = core._denumerants(S, ts.ulf_bound)
+    checks = 0
+    for r, mask in enumerate(masks):
+        member = mask != 0
+        if ct.member_triple(a, r) != member:
+            return checks, (a, r, "membership mismatch")
+        checks += 1
+        if member:
+            one_length = mask & (mask - 1) == 0
+            if ct.ulf_membership_triple(a, r) != one_length:
+                return checks, (a, r, "unique-length membership mismatch")
+            checks += 1
+        if member and r < ts.ulf_bound:
+            fast = ct.factorizations_triple(a, r)
+            if (any(len(x) != 3 or min(x) < 0
+                    or a * x[0] + (a + 1) * x[1] + (a + 2) * x[2] != r
+                    for x in fast)
+                    or len(set(fast)) != len(fast)
+                    or len(fast) != counts[r]):
+                return checks, (a, r, "factorization set mismatch")
+            if ct.denumerant_triple(a, r) != counts[r]:
+                return checks, (a, r, "denumerant mismatch")
+            if mask != 1 << (r // a):
+                return checks, (a, r, "length set is not {floor(r/a)}")
+            dec = ct.decompose_triple(a, r)
+            if ((a + 1) * (2 * dec.d - 2 + dec.i) + dec.c != r
+                    or dec.c not in ct.gamma(dec.i)
+                    or dec.d != counts[r]):
+                return checks, (a, r, "decomposition mismatch")
+            checks += 4
+    if masks[ts.ulf_bound].bit_count() < 2:
+        return checks, (a, ts.ulf_bound, "threshold should have two lengths")
+    checks += 1
+    return checks, None
+
+
+def _verify_arith(a):
+    from . import arithmetic_sequence as arith
+
+    checks = 0
+    for d in (1, 2, 3):
+        for n in range(2, min(4, a - 1) + 1):
+            try:
+                A = arith.ArithSemigroup(a, d, n)
+            except ValueError:
+                continue
+            S = core.Semigroup(A.generators)
+            cls = core.betti_elements(S)
+            if list(cls.betti) != arith.betti_arith(A):
+                return checks, (a, (d, n), "betti mismatch")
+            if list(cls.unbalanced) != arith.ubetti_arith(A):
+                return checks, (a, (d, n), "unbalanced betti mismatch")
+            for x, y in arith.presentation_arith(A).relations:
+                if S.value(x) != S.value(y):
+                    return checks, (a, (d, n), "relator with unequal sides")
+            checks += 3
+    return checks, None
+
+
+def _verify_random(count, seed):
+    import random
+
+    rng = random.Random(seed)
+    checks = 0
+    done = 0
+    while done < count:
+        k = rng.randint(2, 4)
+        cand = sorted(rng.sample(range(2, 31), k))
+        try:
+            S = core.Semigroup(cand)
+        except ValueError:
+            continue
+        if not 2 <= len(S.minimal_generators) <= 4:
+            continue
+        done += 1
+        cls = core.betti_elements(S)
+        thm = core.apery_multi(S, cls.unbalanced)
+        top = max(max(thm), max(cls.betti)) + max(S.minimal_generators) + 1
+        masks = core._length_masks(S, top)
+        brute = [r for r, m in enumerate(masks) if m and m & (m - 1) == 0]
+        if brute != thm:
+            return checks, (tuple(S.minimal_generators), None,
+                            "unique-length set differs from the Apery form")
+        b, thm_set = min(cls.unbalanced), set(thm)
+        below = all(r in thm_set for r in range(b) if masks[r])
+        if not below or b in thm_set:
+            return checks, (tuple(S.minimal_generators), b,
+                            "least unbalanced Betti element contract")
+        checks += 2
+    return checks, None
+
+
+def cmd_verify(ns) -> int:
+    if ns.gens is not None or ns.a is not None:
+        raise UsageError("verify sweeps its own semigroups; "
+                         "it takes neither --gens nor --a")
+    if ns.a_min < 3 or ns.a_max < ns.a_min:
+        raise UsageError("need 3 <= a-min <= a-max")
+    if ns.random < 0:
+        raise UsageError("--random wants a non-negative count")
+    # _verify_triple(a) builds a length table of ulf_bound + 3a + 1
+    # entries, the most at a-max
+    size = ct.TripleSemigroup(ns.a_max).ulf_bound + 3 * ns.a_max + 1
+    # cli.MAX_LISTED is read per call, so a change to it after import holds
+    if size > cli.MAX_LISTED:
+        raise UsageError("verify would build a length table of %d entries "
+                         "for a = %d, more than %d"
+                         % (size, ns.a_max, cli.MAX_LISTED))
+    a_values = range(ns.a_min, ns.a_max + 1)
+    results = [_verify_triple(a) for a in a_values]
+    if ns.arith:
+        results += [_verify_arith(a) for a in a_values if a >= 5]
+    if ns.random:
+        results.append(_verify_random(ns.random, ns.seed))
+    total = sum(c for c, _ in results)
+    for _, failure in results:
+        if failure is not None:
+            print("FAIL %s" % (failure,))
+            return 1
+    print("PASS (%d checks)" % total)
+    return 0

@@ -32,26 +32,61 @@ def run(capsys, *argv):
 
 
 def modules_loaded_by(statement):
-    """The modules a fresh interpreter (without site) loads for statement."""
+    """The modules a fresh interpreter (without site) loads for statement.
+
+    The list is the last line of stdout, so statement may print first.
+    """
     probe = ("import sys; before = set(sys.modules); %s; "
-             "print(*sorted(set(sys.modules) - before))" % statement)
+             "print(); print(*sorted(set(sys.modules) - before))" % statement)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     return subprocess.run(
         [sys.executable, "-S", "-c", probe], check=True, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+        text=True, env=dict(os.environ, PYTHONPATH=src)
+    ).stdout.split("\n")[-2].split()
+
+
+def modules_loaded_by_main(*argv):
+    return modules_loaded_by("from sgp.cli import main; main(%r)"
+                             % list(argv))
 
 
 def test_startup_loads_only_what_a_command_runs():
     # every sgp process imports sgp.cli; the other modules load on first use
     loaded = modules_loaded_by("import sgp.cli")
-    assert {"sgp.cli", "sgp.consecutive_triple",
-            "sgp.core_semigroup"} <= set(loaded)
+    assert {"sgp.cli", "sgp.consecutive_triple", "sgp.records"} <= set(loaded)
     for name in ("dataclasses", "sgp.oracle", "sgp.render",
-                 "sgp.arithmetic_sequence", "random", "argparse", "gettext"):
+                 "sgp.arithmetic_sequence", "random", "argparse", "gettext",
+                 "sgp.core_semigroup", "heapq", "json", "sgp.verify"):
         assert name not in loaded
     assert [m for m in modules_loaded_by("import sgp")
             if m.startswith("sgp.")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a", "10", "info"), ("--a", "10", "factorize", "43"),
+    ("--a", "10", "betti"), ("--a", "10", "ulf"), ("--a", "10", "table"),
+    ("--a", "10", "presentation"), ("--gens", "5,7,9", "presentation")])
+def test_closed_forms_load_no_engine(argv):
+    assert "sgp.core_semigroup" not in modules_loaded_by_main(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a", "10", "info"), ("--a", "10", "--format", "csv", "info"),
+    ("--a", "10", "--format", "csv", "table"),
+    ("--gens", "6,9,20", "--format", "csv", "betti")])
+def test_text_and_csv_load_no_json(argv):
+    assert "json" not in modules_loaded_by_main(*argv)
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("--gens", "6,9,20", "betti"), {"sgp.core_semigroup"}),
+    (("--a", "10", "--oracle", "info"), {"sgp.core_semigroup"}),
+    (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"}),
+    (("--a", "10", "--format", "json", "info"), {"json"})])
+def test_commands_load_what_they_run(argv, modules):
+    # the loads the tests above look for do happen
+    assert modules <= set(modules_loaded_by_main(*argv))
 
 
 def test_info_text(capsys):
@@ -734,6 +769,18 @@ def test_verify_rejects_selector(capsys, selector):
     assert code == 2
     assert out == ""
     assert "verify" in err
+
+
+def test_verify_reads_max_listed_when_called(capsys, monkeypatch):
+    # the length table of a-max 4 has 25 entries
+    monkeypatch.setattr(cli, "MAX_LISTED", 10)
+    code, out, err = run(capsys, "verify", "--a-max", "4")
+    assert code == 2 and out == ""
+    assert "25 entries for a = 4, more than 10" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--a-max", "4")
+    assert code == 0
+    assert out.startswith("PASS")
 
 
 def test_verify_does_not_enumerate(capsys, monkeypatch):

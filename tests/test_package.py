@@ -11,7 +11,7 @@ from sgp import core_semigroup as core
 from sgp import oracle, render
 
 MODULES = ("arithmetic_sequence", "cli", "consecutive_triple",
-           "core_semigroup", "oracle", "render")
+           "core_semigroup", "oracle", "records", "render", "verify")
 
 
 def test_exported_names_are_their_modules_objects():
@@ -38,6 +38,30 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nope"):
         sgp.nope
     assert not hasattr(sgp, "nope")
+
+
+def test_shared_records_are_one_class_each():
+    from sgp import arithmetic_sequence, records
+
+    for name in ("Factorization", "BettiClassification", "Presentation",
+                 "NotMemberError"):
+        cls = getattr(records, name)
+        assert cls.__module__ == "sgp.records"
+        for module in (core, ct, sgp):
+            assert getattr(module, name) is cls, (module, name)
+        # the modules that import only some of them
+        for module in (arithmetic_sequence, oracle):
+            assert getattr(module, name, cls) is cls, (module, name)
+
+
+def test_records_pickle_and_catch_as_before():
+    import pickle
+
+    cls = ct.ubetti_triple(10)
+    copy = pickle.loads(pickle.dumps(cls))
+    assert copy == cls and type(copy) is core.BettiClassification
+    with pytest.raises(core.NotMemberError):
+        ct.factorizations_triple(10, 1)
 
 
 def records():
