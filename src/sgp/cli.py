@@ -22,8 +22,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
 
 A process loads only what its command runs: the engine on the engine
-paths (bound by `_engine` on first use), `json` for --format json, and
-the `verify` module for `verify`.
+paths (bound by `_engine` on first use), `json` for --format json (bound
+by `_emit` on first use), and the `verify` module for `verify`.
 """
 
 import re
@@ -35,8 +35,9 @@ from types import SimpleNamespace
 from . import consecutive_triple as ct
 from .records import NotMemberError
 
-# the engine module, core_semigroup, once _engine has loaded it
-core = None
+# the engine module, core_semigroup, once _engine has loaded it, and
+# json once _emit has
+core = json = None
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
@@ -379,9 +380,10 @@ def _emit(ns, text, obj, csv):
     text and csv are thunks giving the lines of those formats, and obj one
     giving the JSON object; only the one for ns.fmt runs.
     """
+    global json
     if ns.fmt == "json":
-        import json
-
+        if json is None:
+            import json
         out = json.dumps(obj(), sort_keys=True) + "\n"
     else:
         lines = (text if ns.fmt == "text" else csv)()

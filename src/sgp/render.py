@@ -25,10 +25,6 @@ the CLI, a whole `sgp` process (2 cores, Python 3.11) takes:
                                          text 0.4 s, 0.13 GB
 """
 
-# the reports' Semigroup annotations name core_semigroup's class, which
-# this module does not import
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import consecutive_triple as ct
@@ -212,8 +208,9 @@ def _ulf_rows(members, entries, key, first):
     return [(k, groups.get(k, [])) for k in range(first, max(groups) + 1)]
 
 
-def ulf_by_length_report(S: Semigroup):
-    """Unique-length members grouped by that length, one row per ell.
+def ulf_by_length_report(S):
+    """Unique-length members of the Semigroup S grouped by that length,
+    one row per ell.
 
     Rows run contiguously from 0 to the largest occupied length, with
     members ascending; empty rows stay in as empty lists.
@@ -226,8 +223,9 @@ def ulf_by_length_report(S: Semigroup):
                      lambda m: m.bit_length() - 1, 0)
 
 
-def ulf_by_denumerant_report(S: Semigroup):
-    """Unique-length members grouped by denumerant, one row per d >= 1."""
+def ulf_by_denumerant_report(S):
+    """Unique-length members of the Semigroup S grouped by denumerant, one
+    row per d >= 1."""
     from .core_semigroup import _denumerants, ulf
 
     members = ulf(S)

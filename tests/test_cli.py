@@ -31,8 +31,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def modules_loaded_by(statement):
-    """The modules a fresh interpreter (without site) loads for statement.
+def modules_loaded_by(statement, site=False):
+    """The modules a fresh interpreter (without site, unless site) loads
+    for statement.
 
     The list is the last line of stdout, so statement may print first.
     """
@@ -41,8 +42,9 @@ def modules_loaded_by(statement):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     return subprocess.run(
-        [sys.executable, "-S", "-c", probe], check=True, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src)
+        [sys.executable] + ([] if site else ["-S"]) + ["-c", probe],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src)
     ).stdout.split("\n")[-2].split()
 
 
@@ -52,13 +54,17 @@ def modules_loaded_by_main(*argv):
 
 
 def test_startup_loads_only_what_a_command_runs():
-    # every sgp process imports sgp.cli; the other modules load on first use
-    loaded = modules_loaded_by("import sgp.cli")
-    assert {"sgp.cli", "sgp.consecutive_triple", "sgp.records"} <= set(loaded)
-    for name in ("dataclasses", "sgp.oracle", "sgp.render",
-                 "sgp.arithmetic_sequence", "random", "argparse", "gettext",
-                 "sgp.core_semigroup", "heapq", "json", "sgp.verify"):
-        assert name not in loaded
+    # every sgp process imports sgp.cli; the other modules load on first use,
+    # with site (as the installed sgp script runs) and without
+    for site in (False, True):
+        loaded = modules_loaded_by("import sgp.cli", site)
+        assert {"sgp.cli", "sgp.consecutive_triple",
+                "sgp.records"} <= set(loaded)
+        for name in ("dataclasses", "sgp.oracle", "sgp.render",
+                     "sgp.arithmetic_sequence", "random", "argparse",
+                     "gettext", "sgp.core_semigroup", "heapq", "json",
+                     "sgp.verify"):
+            assert name not in loaded, (name, site)
     assert [m for m in modules_loaded_by("import sgp")
             if m.startswith("sgp.")] == []
 
