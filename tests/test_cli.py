@@ -837,19 +837,62 @@ WRONG_ANSWERS = {
 }
 
 
-@pytest.mark.parametrize("name", list(WRONG_ANSWERS))
-def test_verify_reports_counterexample(capsys, monkeypatch, name):
+# F(8) = [(1, 0, 1), (0, 2, 0)] of <3, 4, 5> with its second vector
+# replaced; each replacement keeps all but one property that verify checks
+# of the list: three coordinates, non-negative, value 8, distinct, two of
+# them
+BAD_SECOND_VECTORS = {
+    "two-coordinates": (0, 2),
+    "four-coordinates": (0, 2, 0, 0),
+    "negative-coordinate": (2, -2, 2),
+    "wrong-value": (0, 2, 1),
+    "duplicate": (1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name, wrong, reason", [
+    pytest.param(name, wrong, reason, id=name)
+    for name, (wrong, reason) in WRONG_ANSWERS.items()] + [
+    pytest.param("factorizations_triple",
+                 lambda facs, vector=vector: [facs[0], vector],
+                 "factorization set mismatch",
+                 id="factorizations_triple-" + defect)
+    for defect, vector in BAD_SECOND_VECTORS.items()])
+def test_verify_reports_counterexample(capsys, monkeypatch, name, wrong,
+                                       reason):
     # 8 = 2*4 = 3 + 5 is a one-length member of <3, 4, 5> below its
     # threshold 9, so verify calls every closed form on it
     import sgp.cli
     right = getattr(sgp.cli.ct, name)
-    wrong, reason = WRONG_ANSWERS[name]
+    assert sgp.cli.ct.factorizations_triple(3, 8) == [(1, 0, 1), (0, 2, 0)]
     monkeypatch.setattr(
         sgp.cli.ct, name,
         lambda a, r: wrong(right(a, r)) if r == 8 else right(a, r))
     code, out, _ = run(capsys, "verify", "--a-max", "3")
     assert code == 1
     assert out == "FAIL %s\n" % ((3, 8, reason),)
+
+
+def test_verify_check_count_from_oracle_membership(capsys):
+    # bench/answers.py compares the PASS line with its own count, so the
+    # count is pinned here from oracle membership alone: per r up to 3a
+    # past the threshold L_a = (ceil(a/2) + 1)a, one membership check, one
+    # unique-length check for members and four more below L_a, and one
+    # threshold check per a
+    expected = 0
+    for a in range(3, 61):
+        S = core.Semigroup((a, a + 1, a + 2))
+        threshold = ((a + 1) // 2 + 1) * a
+        if a <= 12:
+            # L_a is the least member with two factorization lengths
+            assert [r for r in range(threshold + 1) if oracle.member(S, r)
+                    and len(oracle.length_set(S, r)) > 1] == [threshold]
+        expected += 1
+        for r in range(threshold + 3 * a + 1):
+            member = oracle.member(S, r)
+            expected += 1 + member + 4 * (member and r < threshold)
+    code, out, _ = run(capsys, "verify", "--a-min", "3", "--a-max", "60")
+    assert (code, out) == (0, "PASS (%d checks)\n" % expected)
 
 
 def test_fast_and_oracle_agree_where_fast_is_defined(capsys):

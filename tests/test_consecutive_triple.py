@@ -118,6 +118,34 @@ def test_fast_paths_agree_with_the_public_seed():
                 assert denumerant_triple(a, r) == sd.kappa + 1, (a, r)
                 assert decompose_triple(a, r) == TripleDecomposition(
                     sd.kappa + 1, sd.iota, sd.c), (a, r)
+        # the threshold is the least unbalanced Betti element; there the
+        # forms defined only below it refuse with ValueError itself, not a
+        # NotMemberError
+        threshold = ts.ulf_bound
+        assert threshold == unbalanced[0], a
+        assert member_triple(a, threshold), a
+        assert not ulf_membership_triple(a, threshold), a
+        assert len(factorizations_triple(a, threshold)) == 2, a
+        for below_only in (denumerant_triple, decompose_triple):
+            with pytest.raises(ValueError) as exc:
+                below_only(a, threshold)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == (
+                "%d is not below the two-length threshold %d; use the "
+                "generic engine there" % (threshold, threshold))
+        with pytest.raises(ValueError) as exc:
+            length_triple(a, threshold)
+        assert str(exc.value) == (
+            "%d has factorizations of two different lengths" % threshold)
+        for r in (-1, -a - 2, -threshold):
+            assert not member_triple(a, r), (a, r)
+            assert not ulf_membership_triple(a, r), (a, r)
+            for call in (factorizations_triple, denumerant_triple,
+                         decompose_triple, length_triple):
+                with pytest.raises(NotMemberError) as exc:
+                    call(a, r)
+                assert str(exc.value) == "%d is not in <%d, %d, %d>" % (
+                    r, a, a + 1, a + 2), (call, a, r)
 
 
 def test_membership_matches_engine():
@@ -495,6 +523,15 @@ def test_non_integers_raise_and_integers_still_answer(x, a, r):
     # a float is rejected even when integral: 10.0 used to slip through
     for call in (lambda: member_triple(x, r), lambda: member_triple(a, x),
                  lambda: seed(x, r), lambda: seed(a, x),
+                 lambda: ulf_membership_triple(x, r),
+                 lambda: ulf_membership_triple(a, x),
+                 lambda: factorizations_triple(x, r),
+                 lambda: factorizations_triple(a, x),
+                 lambda: denumerant_triple(x, r),
+                 lambda: denumerant_triple(a, x),
+                 lambda: decompose_triple(x, r),
+                 lambda: decompose_triple(a, x),
+                 lambda: length_triple(x, r), lambda: length_triple(a, x),
                  lambda: Semigroup([x, a, a + 1]),
                  lambda: s_d_ulf(a, x), lambda: s_d_i(a, x, 0),
                  lambda: s_d_i(a, 1, x), lambda: gamma(x)):
@@ -511,3 +548,14 @@ def test_non_integers_raise_and_integers_still_answer(x, a, r):
                                                  sd.c))
     assert s_d_ulf(a, 1)[0] == 0 and s_d_i(a, 1, 0) == [0]
     assert gamma(r)[-1] == r
+    lengths = length_set(S, r) if r in S else []
+    assert ulf_membership_triple(a, r) == (len(lengths) == 1)
+    if lengths:
+        facs = factorizations_triple(a, r)
+        assert sorted(map(tuple, facs)) == sorted(
+            map(tuple, factorizations(S, r)))
+    if len(lengths) == 1:
+        assert length_triple(a, r) == lengths[0]
+        if r < TripleSemigroup(a).ulf_bound:
+            assert denumerant_triple(a, r) == len(facs)
+            assert decompose_triple(a, r).d == len(facs)
