@@ -22,8 +22,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
 
 A process loads only what its command runs: the engine on the engine
-paths (bound by `_engine` on first use), `json` for --format json (bound
-by `_emit` on first use), and the `verify` module for `verify`.
+paths (imported in `_engine`), `json` for --format json (imported in
+`_emit`), and the `verify` module for `verify`.
 """
 
 import re
@@ -34,10 +34,6 @@ from types import SimpleNamespace
 
 from . import consecutive_triple as ct
 from .records import NotMemberError
-
-# the engine module, core_semigroup, once _engine has loaded it, and
-# json once _emit has
-core = json = None
 
 CLOSED_FORM = "closed-form"
 ENUMERATION = "enumeration"
@@ -380,10 +376,9 @@ def _emit(ns, text, obj, csv):
     text and csv are thunks giving the lines of those formats, and obj one
     giving the JSON object; only the one for ns.fmt runs.
     """
-    global json
     if ns.fmt == "json":
-        if json is None:
-            import json
+        import json
+
         out = json.dumps(obj(), sort_keys=True) + "\n"
     else:
         lines = (text if ns.fmt == "text" else csv)()
@@ -399,18 +394,17 @@ def _check_listed(command, n, what="members"):
 
 
 def _engine(t):
-    """core.Semigroup(t.gens), refused at once when n1 > MAX_N1.
+    """(core, core.Semigroup(t.gens)), core being the engine module;
+    refused at once when n1 > MAX_N1.
 
-    Every engine path starts here, so this is where `core` is bound, once;
-    a path reads `core` only after calling it.
+    Every engine path starts here, so the engine is imported here alone.
     """
-    global core
     if t.gens[0] > MAX_N1:
         raise UsageError("the engine would build an Apery table of n1 = %d "
                          "entries, more than %d" % (t.gens[0], MAX_N1))
-    if core is None:
-        from . import core_semigroup as core
-    return core.Semigroup(t.gens)
+    from . import core_semigroup as core
+
+    return core, core.Semigroup(t.gens)
 
 
 def _triple_form(t, fn):
@@ -425,7 +419,7 @@ def cmd_info(t, ns) -> int:
                 ts.ulf_bound)
 
     def enum():
-        S = _engine(t)
+        core, S = _engine(t)
         cls = core.betti_elements(S)
         # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
         size = (sum(core._apery_counts(S, cls.unbalanced))
@@ -467,24 +461,15 @@ def cmd_info(t, ns) -> int:
 
 def cmd_factorize(t, ns) -> int:
     r = ns.r
-    closed = None
-    if t.a is not None and not ns.oracle:  # else the engine count decides
-        lengths = ct._lengths(t.a, r)
-        # one omega-orbit of min(phi_1, phi_3) + 1 vectors per length,
-        # growing by about a/2 per length from the longest: the sum passes
-        # MAX_LISTED or L(r) ends within about 1500 lengths
-        n, what = 0, "factorizations"
-        for ell in reversed(lengths):
-            if n > MAX_LISTED:
-                what = "or more factorizations"
-                break
-            p1, _, p3 = ct._phi(t.a, r, ell)
-            n += min(p1, p3) + 1
-        _check_listed("factorize", n, what)
-        closed = partial(ct.factorizations_triple, t.a, r)
+
+    def closed(a):
+        n, exact = ct._factorization_count(a, r, MAX_LISTED)
+        _check_listed("factorize", n, "factorizations" if exact
+                      else "or more factorizations")
+        return ct.factorizations_triple(a, r)
 
     def enum():
-        S = _engine(t)
+        core, S = _engine(t)
         if r not in S:
             raise NotMemberError("%d is not in %r" % (r, S))
         _check_listed("factorize",
@@ -492,7 +477,8 @@ def cmd_factorize(t, ns) -> int:
                       "or more factorizations")
         return core.factorizations(S, r)
 
-    facs, method = _resolve(t, ns, "factorize", closed, enum)
+    facs, method = _resolve(
+        t, ns, "factorize", _triple_form(t, closed), enum)
     _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
           lambda: {"method": method, "r": r,
                    "factorizations": [list(f) for f in facs]},
@@ -504,7 +490,7 @@ def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
 
     def enum():
-        S = _engine(t)
+        core, S = _engine(t)
         # counted in O(n1 * |X|), so a huge Apery set is refused at once,
         # and listed from the same counts
         counts = core._apery_counts(S, xs)
@@ -520,7 +506,7 @@ def cmd_apery(t, ns) -> int:
 
 def cmd_betti(t, ns) -> int:
     def enum():
-        S = _engine(t)
+        core, S = _engine(t)
         return core.betti_elements(S)
 
     cls, method = _resolve(
@@ -548,7 +534,7 @@ def cmd_ulf(t, ns) -> int:
         # core.ulf, sized before listing and listed from the same counts;
         # on N the listing stops at --bound, and apery_multi refuses a
         # missing one
-        S = _engine(t)
+        core, S = _engine(t)
         ubetti = core.betti_elements(S).unbalanced
         if not ubetti:
             _check_listed("ulf", (ns.bound or 0) + 1)

@@ -33,13 +33,11 @@ validates a (and r) once and then does only its arithmetic: the
 per-element ones compare floor(r/a) with ceil(r/(a+2)) for L(r), take
 phi_r from one divmod and L_a from `_threshold` in O(1), and list an
 omega-orbit with `map` over three ranges.  So `verify` calls each of
-them for every r at little more than that arithmetic: `_verify_triple`
-at a = 45 went from 6.1 to 4.5 ms with these forms (median of five
-best-of-200 timings, 2 cores, Python 3.11.7).  `seed` is the public view
-of phi_r.  The generic counterparts in core_semigroup are the reference
-implementation.  This module imports nothing from the engine: its
-records come from `records`, so its closed forms answer without loading
-`core_semigroup`.
+them for every r at little more than that arithmetic.  `seed` is the
+public view of phi_r.  The generic counterparts in core_semigroup are
+the reference implementation.  This module imports nothing from the
+engine: its records come from `records`, so its closed forms answer
+without loading `core_semigroup`.
 """
 
 from collections import namedtuple
@@ -230,6 +228,20 @@ def factorizations_triple(a, r):
         out.extend(_omega_orbit(_phi(a, r, ell)))
     out.sort()
     return out
+
+
+def _factorization_count(a, r, cap):
+    # (n, exact): n is |F(r)| when exact, else a lower bound above cap.
+    # One omega-orbit of min(phi_1, phi_3) + 1 vectors per length, growing
+    # by about a/2 per length from the longest: for cap 10**6 the sum
+    # passes cap or L(r) ends within about 1500 lengths
+    n = 0
+    for ell in reversed(_lengths(a, r)):
+        if n > cap:
+            return n, False
+        p1, _, p3 = _phi(a, r, ell)
+        n += min(p1, p3) + 1
+    return n, True
 
 
 def _phi_below_threshold(a, r):

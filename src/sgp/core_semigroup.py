@@ -235,7 +235,7 @@ def length_sets_up_to(S: Semigroup, bound: int):
     memory is the list plus one set per distinct L(r) (and the masks while
     the table is built): on <42, 55, 71, 83> up to 20000 the 20001
     entries hold 2832 distinct length sets, and building the table peaks
-    near 22 MiB under tracemalloc, where a set per entry took 146 MiB.
+    near 22 MiB under tracemalloc.
     Entries are immutable, so a caller that changes one must copy it.
     The recurrence is checked against `oracle.length_set` in the test
     suite.

@@ -11,11 +11,10 @@ any semigroup through the generic engine, which only they import.
 table_to_csv and table_to_json fill fixed %-templates, one per row or
 triple, and look up each (iota, c) class once per call.  Their output is
 byte for byte what csv.writer (lineterminator "\n") and
-json.dumps(indent=2) + "\n" write for the same rows and cells, the
-encoders `sgp table` used before, since every field is an int or a class
-name, which needs no quoting or escaping.  `sgp ulf`, which the CLI
-writes, prints the same bytes as before too.  At the 10^6-item edge of
-the CLI, a whole `sgp` process (2 cores, Python 3.11) takes:
+json.dumps(indent=2) + "\n" write for the same rows and cells, since
+every field is an int or a class name, which needs no quoting or
+escaping.  At the 10^6-item edge of the CLI, a whole `sgp` process (2
+cores, Python 3.11) takes:
 
     sgp --a 2000 table  (10^6 triples)   json 3.5 s, 0.56 GB max RSS
                                          csv  2.9 s, 0.26 GB

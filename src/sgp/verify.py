@@ -11,15 +11,19 @@ The triple sweep is O(a^3) for large a, because it checks every listed
 vector; its cost is the closed forms' arithmetic and that check.  At
 a = 45 (1216 values of r, 2600 vectors) `_verify_triple` takes 4.5 ms,
 0.5 ms of it the engine's tables (median of five best-of-200 timings, 2
-cores, Python 3.11.7); it took 6.1 ms while each closed form built a
-range or a tuple of Betti elements per call and each vector was checked
-in a generator expression.
+cores, Python 3.11.7).
 """
 
 from . import cli
 from . import consecutive_triple as ct
 from . import core_semigroup as core
 from .cli import UsageError
+
+
+def _last_r(a):
+    # the last r that _verify_triple(a) checks, 3a past the two-length
+    # threshold: its length table has _last_r(a) + 1 entries
+    return ct.TripleSemigroup(a).ulf_bound + 3 * a
 
 
 def _verify_triple(a):
@@ -38,13 +42,11 @@ def _verify_triple(a):
     Each vector is checked in one plain loop, and a vector of other than
     three coordinates fails its unpacking.  The closed forms are read
     from `consecutive_triple` once per call, so a replaced one is the one
-    checked.  At a = 45 this takes 4.5 ms against 6.1 ms with a generator
-    expression per list (module docstring).
+    checked.
     """
     S = core.Semigroup((a, a + 1, a + 2))
-    ts = ct.TripleSemigroup(a)
-    threshold = ts.ulf_bound
-    masks = core._length_masks(S, threshold + 3 * a)
+    threshold = ct.TripleSemigroup(a).ulf_bound
+    masks = core._length_masks(S, _last_r(a))
     counts = core._denumerants(S, threshold)
     member, one_length, factorizations, denumerant, decompose, gamma = (
         ct.member_triple, ct.ulf_membership_triple, ct.factorizations_triple,
@@ -150,9 +152,8 @@ def cmd_verify(ns) -> int:
         raise UsageError("need 3 <= a-min <= a-max")
     if ns.random < 0:
         raise UsageError("--random wants a non-negative count")
-    # _verify_triple(a) builds a length table of ulf_bound + 3a + 1
-    # entries, the most at a-max
-    size = ct.TripleSemigroup(ns.a_max).ulf_bound + 3 * ns.a_max + 1
+    # the length table of _verify_triple is the longest at a-max
+    size = _last_r(ns.a_max) + 1
     # cli.MAX_LISTED is read per call, so a change to it after import holds
     if size > cli.MAX_LISTED:
         raise UsageError("verify would build a length table of %d entries "

@@ -95,6 +95,17 @@ def test_commands_load_what_they_run(argv, modules):
     assert modules <= set(modules_loaded_by_main(*argv))
 
 
+def test_main_keeps_no_module_state(capsys):
+    # the engine and json are imported where they are used, so the
+    # commands that load them bind nothing in sgp.cli
+    before = dict(vars(cli))
+    for argv in (["--gens", "6,9,20", "--format", "json", "info"],
+                 ["--a", "10", "--format", "json", "factorize", "60"],
+                 ["verify", "--a-max", "4"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert vars(cli) == before
+
+
 def test_info_text(capsys):
     code, out, err = run(capsys, "--a", "10", "info")
     assert code == 0
@@ -402,6 +413,7 @@ def test_oracle_factorize_is_sized_by_the_engine(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.ct, "_lengths", closed)
     monkeypatch.setattr(cli.ct, "_phi", closed)
+    monkeypatch.setattr(cli.ct, "_factorization_count", closed)
     err = refused_at_once(capsys, ["--oracle", "--a", "10", "factorize",
                                    str(10 ** 12)])
     assert "or more factorizations, more than %d" % cli.MAX_LISTED in err
