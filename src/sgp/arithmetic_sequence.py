@@ -15,7 +15,7 @@ formulas; vectors are stored 0-based.
 
 from math import gcd
 
-from .records import Factorization, Presentation
+from .records import BettiClassification, Factorization, Presentation
 
 
 class ArithSemigroup:
@@ -83,3 +83,12 @@ def ubetti_arith(S: ArithSemigroup):
     a, d = S.a, S.d
     return sorted({(S.c + d) * a + (a + (k - 3) * d)
                    for k in range(3, S.n + 4 - S.b)})
+
+
+def classify_arith(S: ArithSemigroup) -> BettiClassification:
+    """betti_arith split into balanced and unbalanced, as betti_elements
+    of the engine splits it."""
+    betti, unbalanced = betti_arith(S), ubetti_arith(S)
+    balanced = set(betti).difference(unbalanced)
+    return BettiClassification(tuple(betti), tuple(sorted(balanced)),
+                               tuple(unbalanced))

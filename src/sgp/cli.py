@@ -8,27 +8,27 @@ arguments after it; `parse` reads them from the table SPEC, which also
 gives the help of `sgp -h` and `sgp COMMAND -h`.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
-the consecutive triple <a, a+1, a+2> and unlocks the closed-form paths.
-`verify` sweeps its own semigroups and takes neither.  By default each
-command uses the closed form where one applies and falls back to the
-generic engine of `core_semigroup` otherwise, noting the fallback on
-stderr; --fast demands the closed form (usage error outside its domain)
-and --oracle skips the closed forms and answers with the generic engine.
-JSON output carries a "method" field naming the code path that produced
-it: "closed-form" or "enumeration", the latter meaning the generic
-engine.
+the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
+and takes neither.  `Target` recognizes the closed family once, a
+consecutive triple or an arithmetic sequence, and `_resolve` alone reads
+its table of closed answers: by default the closed form where one
+applies, else the generic engine of `core_semigroup`, noting a triple's
+fallback on stderr; --fast demands the closed form (usage error outside
+its domain) and --oracle skips the closed forms.  JSON output carries a
+"method" field naming the code path that produced it: "closed-form" or
+"enumeration", the latter meaning the generic engine.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
 
 A process loads only what its command runs: the engine on the engine
 paths (imported in `_engine`), `json` for --format json (imported in
-`_emit`), and the `verify` module for `verify`.
+`_emit`), the `verify` module for `verify`, and `arithmetic_sequence`
+when the --gens are an arithmetic sequence (imported in `_family`).
 """
 
 import re
 import sys
-from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -318,9 +318,8 @@ def _help(command):
 class Target:
     """The semigroup a command addresses.
 
-    gens are the parsed generators, sorted and deduplicated; a is the a of
-    <a, a+1, a+2> when they are one (a >= 3), else None.  Only the
-    generic-engine paths build core.Semigroup(gens), through _engine.
+    gens are the parsed generators, sorted and deduplicated, and table,
+    key and reason their family, from _family, for _resolve alone.
     """
 
     def __init__(self, ns):
@@ -336,37 +335,60 @@ class Target:
             except ValueError:
                 raise UsageError("--gens wants comma-separated integers, "
                                  "got %r" % ns.gens)
-        g = self.gens = tuple(sorted(set(gens)))
-        self.a = g[0] if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3 \
-            else None
+        self.gens = tuple(sorted(set(gens)))
+        self.table, self.key, self.reason = _family(self.gens)
 
 
-def _resolve(target, ns, command, closed, enum,
-             reason="not a consecutive triple"):
+def _family(g):
+    """(table, key, reason): the closed answers of the family of the
+    sorted generators g, as in _TRIPLE, the key they take (a for <a, a+1,
+    a+2> with a >= 3, or the ArithSemigroup of an arithmetic sequence it
+    covers), and why a command missing from table has no closed form."""
+    if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3:
+        return _TRIPLE, g[0], "enumeration only"  # said of apery alone
+    reason = "need a consecutive triple or an arithmetic sequence"
+    d = g[1] - g[0] if len(g) > 1 else 0
+    if d and all(g[i] - g[i - 1] == d for i in range(2, len(g))):
+        from . import arithmetic_sequence as arith
+
+        table = {"betti": (lambda S, ns: arith.classify_arith(S), None),
+                 "presentation": (lambda S, ns: arith.presentation_arith(S),
+                                  None)}
+        try:
+            return (table, arith.ArithSemigroup(g[0], d, len(g) - 1),
+                    "an arithmetic sequence has none")
+        except ValueError as exc:  # an arithmetic sequence it does not cover
+            reason = str(exc)
+    return {}, None, reason
+
+
+def _resolve(t, ns, command, enum):
     """Answer one command by closed form or generic engine: (result, method).
 
-    closed and enum are thunks; closed is None where no closed form
-    applies, with reason saying why, and enum (the generic engine) is None
-    for commands that have no enumeration mode.  --oracle skips the
-    closed forms and answers with the generic engine; without it the
-    closed form runs unless it is None.  Otherwise a command without
-    enumeration, or --fast, is a usage error; a consecutive triple falling
-    back without --oracle notes the fallback on stderr; and enum runs.
+    t.table maps command to (answer(t.key, ns), count(t.key) or None),
+    count being the O(1) size of the listing, checked in every mode.  The
+    answer runs unless it is None or --oracle is given.  Otherwise enum,
+    the engine's thunk, runs, noting the fallback on stderr where the
+    table hands command to it (answer None) without --oracle; but with no
+    enum (no enumeration mode), or with --fast, it is a usage error.
     """
-    if closed is not None and not ns.oracle:
-        return closed(), CLOSED_FORM
+    answer, count = t.table.get(command, (None, None))
+    if count is not None:
+        _check_listed(command, count(t.key))
+    if answer is not None and not ns.oracle:
+        return answer(t.key, ns), CLOSED_FORM
     if enum is None:
         if ns.oracle:
             raise UsageError("%s has no enumeration mode for --oracle"
                              % command)
         raise UsageError("no closed form for %s (%s), and it has no "
-                         "enumeration mode" % (command, reason))
+                         "enumeration mode" % (command, t.reason))
     if ns.fast:
         raise UsageError("--fast: no closed form for %s (%s)"
-                         % (command, reason))
-    if target.a is not None and not ns.oracle:
+                         % (command, t.reason))
+    if command in t.table and not ns.oracle:
         print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
-                                                    reason), file=sys.stderr)
+                                                    t.reason), file=sys.stderr)
     return enum(), ENUMERATION
 
 
@@ -407,17 +429,43 @@ def _engine(t):
     return core, core.Semigroup(t.gens)
 
 
-def _triple_form(t, fn):
-    """fn(t.a) as a thunk when t is a consecutive triple, else None."""
-    return partial(fn, t.a) if t.a is not None else None
+def _triple_info(a, ns):
+    ts = ct.TripleSemigroup(a)
+    return (ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size,
+            ts.ulf_bound)
+
+
+def _triple_factorize(a, ns):
+    n, exact = ct._factorization_count(a, ns.r, MAX_LISTED)
+    _check_listed("factorize", n, "factorizations" if exact
+                  else "or more factorizations")
+    return ct.factorizations_triple(a, ns.r)
+
+
+def _triple_table(a, ns):
+    from . import render
+
+    return render.partition_table(a)
+
+
+# The closed answers of <a, a+1, a+2>, keyed by a: command ->
+# (answer(a, ns), count(a) or None).  apery is handed to the engine with
+# a fallback= note.  An arithmetic sequence hands nothing on, so notes no
+# fallback: every two-generator semigroup is one.
+_TRIPLE = {
+    "info": (_triple_info, None),
+    "factorize": (_triple_factorize, None),
+    "apery": (None, None),
+    "betti": (lambda a, ns: ct.ubetti_triple(a), None),
+    "ulf": (lambda a, ns: list(chain.from_iterable(
+        ct.s_ell(a, ell) for ell in range(a + 1))),
+        lambda a: ct.TripleSemigroup(a).ulf_size),
+    "table": (_triple_table, lambda a: (ct.TripleSemigroup(a).L + 1) ** 2),
+    "presentation": (lambda a, ns: ct.presentation_triple(a), None),
+}
 
 
 def cmd_info(t, ns) -> int:
-    def closed(a):
-        ts = ct.TripleSemigroup(a)
-        return (ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size,
-                ts.ulf_bound)
-
     def enum():
         core, S = _engine(t)
         cls = core.betti_elements(S)
@@ -427,7 +475,7 @@ def cmd_info(t, ns) -> int:
         return S.minimal_generators, S.frobenius, cls, size, None
 
     (mingens, frob, cls, ulf_size, threshold), method = _resolve(
-        t, ns, "info", _triple_form(t, closed), enum)
+        t, ns, "info", enum)
 
     def obj():
         o = {"method": method,
@@ -462,12 +510,6 @@ def cmd_info(t, ns) -> int:
 def cmd_factorize(t, ns) -> int:
     r = ns.r
 
-    def closed(a):
-        n, exact = ct._factorization_count(a, r, MAX_LISTED)
-        _check_listed("factorize", n, "factorizations" if exact
-                      else "or more factorizations")
-        return ct.factorizations_triple(a, r)
-
     def enum():
         core, S = _engine(t)
         if r not in S:
@@ -477,8 +519,7 @@ def cmd_factorize(t, ns) -> int:
                       "or more factorizations")
         return core.factorizations(S, r)
 
-    facs, method = _resolve(
-        t, ns, "factorize", _triple_form(t, closed), enum)
+    facs, method = _resolve(t, ns, "factorize", enum)
     _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
           lambda: {"method": method, "r": r,
                    "factorizations": [list(f) for f in facs]},
@@ -497,7 +538,7 @@ def cmd_apery(t, ns) -> int:
         _check_listed("apery", sum(counts))
         return core._apery_list(S, counts)
 
-    members, method = _resolve(t, ns, "apery", None, enum, "enumeration only")
+    members, method = _resolve(t, ns, "apery", enum)
     _emit(ns, lambda: [" ".join(map(str, members))],
           lambda: {"method": method, "x": xs, "apery": members},
           lambda: map(str, members))
@@ -509,8 +550,7 @@ def cmd_betti(t, ns) -> int:
         core, S = _engine(t)
         return core.betti_elements(S)
 
-    cls, method = _resolve(
-        t, ns, "betti", _triple_form(t, ct.ubetti_triple), enum)
+    cls, method = _resolve(t, ns, "betti", enum)
     _emit(ns,
           lambda: ["betti: %s" % (list(cls.betti),),
                    "balanced: %s" % (list(cls.balanced),),
@@ -527,8 +567,6 @@ def cmd_betti(t, ns) -> int:
 def cmd_ulf(t, ns) -> int:
     if ns.bound is not None and ns.bound < 0:
         raise UsageError("--bound wants a non-negative integer")
-    if t.a is not None:  # O(1), so a huge triple is refused at once
-        _check_listed("ulf", ct.TripleSemigroup(t.a).ulf_size)
 
     def enum():
         # core.ulf, sized before listing and listed from the same counts;
@@ -543,10 +581,7 @@ def cmd_ulf(t, ns) -> int:
         _check_listed("ulf", sum(counts))
         return core._apery_list(S, counts)
 
-    members, method = _resolve(
-        t, ns, "ulf",
-        _triple_form(t, lambda a: list(chain.from_iterable(
-            ct.s_ell(a, ell) for ell in range(a + 1)))), enum)
+    members, method = _resolve(t, ns, "ulf", enum)
     _emit(ns, lambda: [" ".join(map(str, members))],
           lambda: {"method": method, "count": len(members), "ulf": members},
           lambda: map(str, members))
@@ -556,40 +591,15 @@ def cmd_ulf(t, ns) -> int:
 def cmd_table(t, ns) -> int:
     from . import render
 
-    if t.a is not None:
-        _check_listed("table", (ct.TripleSemigroup(t.a).L + 1) ** 2)
-    table, _ = _resolve(
-        t, ns, "table", _triple_form(t, render.partition_table), None)
+    table, _ = _resolve(t, ns, "table", None)
     write = {"csv": render.table_to_csv, "json": render.table_to_json,
              "text": render.table_to_text}[ns.fmt]
     sys.stdout.write(write(table))
     return 0
 
 
-def _arith_form(g):
-    """(presentation_arith as a thunk, None) when the sorted distinct
-    generators g are an arithmetic sequence it covers, else (None, the
-    reason it does not apply)."""
-    from . import arithmetic_sequence as arith
-
-    reason = "need a consecutive triple or an arithmetic sequence"
-    if len(g) < 2:
-        return None, reason
-    d = g[1] - g[0]
-    if any(g[i] - g[i - 1] != d for i in range(1, len(g))):
-        return None, reason
-    try:
-        return partial(arith.presentation_arith,
-                       arith.ArithSemigroup(g[0], d, len(g) - 1)), None
-    except ValueError as exc:  # an arithmetic sequence it does not cover
-        return None, str(exc)
-
-
 def cmd_presentation(t, ns) -> int:
-    closed, reason = _triple_form(t, ct.presentation_triple), None
-    if closed is None:
-        closed, reason = _arith_form(t.gens)
-    pres, method = _resolve(t, ns, "presentation", closed, None, reason)
+    pres, method = _resolve(t, ns, "presentation", None)
     _emit(ns,
           lambda: ["%s  =  %s   (value %d)"
                    % (" ".join(map(str, x)), " ".join(map(str, y)),

@@ -1,10 +1,15 @@
 """Arithmetic-sequence closed forms: <a, a+d, ..., a+nd> with gcd(a,d)=1."""
 
+from math import gcd
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgp.arithmetic_sequence import (
     ArithSemigroup,
     betti_arith,
+    classify_arith,
     presentation_arith,
     ubetti_arith,
 )
@@ -59,6 +64,32 @@ def test_betti_matches_engine_spot():
         cls = betti_elements(S)
         assert betti_arith(A) == list(cls.betti), (a, d, n)
         assert ubetti_arith(A) == list(cls.unbalanced), (a, d, n)
+
+
+@st.composite
+def covered_sequences(draw):
+    """(a, d, n) with a <= 40, 1 <= n <= a - 1, d <= 12, gcd(a, d) = 1."""
+    a = draw(st.integers(min_value=2, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=a - 1))
+    d = draw(st.integers(min_value=1, max_value=12).filter(
+        lambda d: gcd(a, d) == 1))
+    return a, d, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(covered_sequences())
+@example((8, 5, 1))  # n = 1: two generators
+@example((7, 1, 6))  # n = a - 1: an interval of generators
+@example((11, 3, 4))  # d > 1 with several exchange degrees
+@example((5, 3, 3))  # c = 1, where exchange and long degrees may meet
+def test_betti_formulas_match_engine(params):
+    # sgp betti answers with these on every covered arithmetic sequence
+    a, d, n = params
+    A = ArithSemigroup(a, d, n)
+    cls = betti_elements(Semigroup(A.generators))
+    assert betti_arith(A) == list(cls.betti)
+    assert ubetti_arith(A) == list(cls.unbalanced)
+    assert classify_arith(A) == cls
 
 
 def test_presentation_matches_triple_presentation():

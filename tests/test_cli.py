@@ -72,9 +72,15 @@ def test_startup_loads_only_what_a_command_runs():
 @pytest.mark.parametrize("argv", [
     ("--a", "10", "info"), ("--a", "10", "factorize", "43"),
     ("--a", "10", "betti"), ("--a", "10", "ulf"), ("--a", "10", "table"),
-    ("--a", "10", "presentation"), ("--gens", "5,7,9", "presentation")])
+    ("--a", "10", "presentation"), ("--gens", "5,7,9", "presentation"),
+    ("--gens", "5,8,11,14", "betti"),
+    ("--gens", "1000003,1000005,1000007", "betti")])
 def test_closed_forms_load_no_engine(argv):
-    assert "sgp.core_semigroup" not in modules_loaded_by_main(*argv)
+    loaded = modules_loaded_by_main(*argv)
+    assert "sgp.core_semigroup" not in loaded
+    # a triple is recognized by arithmetic alone
+    if argv[0] == "--a":
+        assert "sgp.arithmetic_sequence" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,7 +390,7 @@ def test_engine_refuses_huge_n1_at_once(capsys):
     for argv in ("--gens 1000000007,1000000008 info",
                  "--gens 1000000007,1000000008 factorize 5",
                  "--gens 1000000007,1000000008 apery 5",
-                 "--gens 1000000007,1000000008 betti",
+                 "--gens 1000000007,1000000008,1000000010 betti",
                  "--gens 1000000007,1000000008 ulf",
                  "--a 1000001 --oracle info",
                  "--a 1000001 apery 5"):
@@ -394,6 +400,9 @@ def test_engine_refuses_huge_n1_at_once(capsys):
     assert code == 0 and "frobenius: 100140047" in out
     code, out, _ = run(capsys, "--a", "1000000", "info")
     assert code == 0 and "frobenius: 499999999999" in out
+    # <n1, n2> is an arithmetic sequence, so betti answers in closed form
+    code, out, _ = run(capsys, "--gens", "1000000007,1000000008", "betti")
+    assert code == 0 and "betti: [1000000015000000056]" in out
 
 
 def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
