@@ -26,7 +26,7 @@ Conventions used throughout:
 
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import floordiv, index, sub
 
@@ -50,11 +50,13 @@ class Semigroup:
     largest entry minus n1, and the minimal generators are derived with
     O(e^2) membership tests.  An instance keeps O(n1) memory.
     Construction is Dijkstra over the residues mod n1, Nijenhuis's
-    minimal-path algorithm (Amer. Math. Monthly 86, 1979); for e <= n1
-    generators it takes O(n1 * e * log n1) time and at most n1 * e heap
-    entries.  Bocker & Liptak's heap-free round robin computes the same
-    table and measured no faster than this Dijkstra.  Instances are
-    immutable after construction and safe to share between threads.
+    minimal-path algorithm (Amer. Math. Monthly 86, 1979): its heap holds
+    int path weights w, each at residue w mod n1, and it stops once all n1
+    residues are settled.  For e <= n1 generators it takes O(n1 * e *
+    log n1) time and at most n1 * e heap entries.  Bocker & Liptak's
+    heap-free round robin computes the same table and measured no faster
+    than this Dijkstra.  Instances are immutable after construction and
+    safe to share between threads.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
@@ -73,17 +75,17 @@ class Semigroup:
         n1 = gens[0]
         # Shortest paths from residue 0, where adding generator g is an
         # edge of weight g from residue i to (i + g) mod n1.
-        ap = [None] * n1
-        heap = [(0, 0)]
-        while heap:
-            w, i = heappop(heap)
-            if ap[i] is not None:
-                continue
-            ap[i] = w
-            for g in gens[1:]:
-                j = (w + g) % n1
-                if ap[j] is None:
-                    heappush(heap, (w + g, j))
+        ap, left, outer = [None] * n1, n1, gens[1:]
+        heap = [0]
+        while left:  # until every residue is settled
+            w = heappop(heap)
+            i = w % n1
+            if ap[i] is None:
+                ap[i] = w
+                left -= 1
+                for g in outer:
+                    if ap[(w + g) % n1] is None:
+                        heappush(heap, w + g)
         self._apery = ap
         self.frobenius = max(ap) - n1
         # g splits as s + t with both parts nonzero members exactly when
@@ -230,22 +232,24 @@ def length_sets_up_to(S: Semigroup, bound: int):
     g of (L(r - g) << 1) with L(0) = 1 (Barron, O'Neill & Pelayo, Math.
     Comp. 2017), by `_length_masks`.  Each distinct mask is read into its
     frozenset once, at C speed: its binary digits, least significant
-    first, become the bytes 0 and 1, and `compress` keeps the positions of
-    the ones.  Entries with equal length sets are the same object, so the
-    memory is the list plus one set per distinct L(r) (and the masks while
-    the table is built): on <42, 55, 71, 83> up to 20000 the 20001
-    entries hold 2832 distinct length sets, and building the table peaks
-    near 22 MiB under tracemalloc.
+    first, become the bytes 0 and 1, and `compress` keeps the ones from a
+    shared list of lengths, one int object per length.  Entries with
+    equal length sets are the same object, so the memory is the list plus
+    one set per distinct L(r) (and the masks while the table is built):
+    on <42, 55, 71, 83> up to 20000 the 20001 entries hold 2832 distinct
+    length sets, and building the table peaks near 18.5 MiB under
+    tracemalloc.
     Entries are immutable, so a caller that changes one must copy it.
     The recurrence is checked against `oracle.length_set` in the test
     suite.
     """
     masks = _length_masks(S, bound)
+    lengths = list(range(max(bound, 0) // S.generators[0] + 1))
     memo = dict.fromkeys(masks)
     for m in memo:
         if m:
             memo[m] = frozenset(
-                compress(count(), bin(m)[:1:-1].encode().translate(_BITS)))
+                compress(lengths, bin(m)[:1:-1].encode().translate(_BITS)))
     return list(map(memo.__getitem__, masks))
 
 
@@ -278,14 +282,15 @@ def apery_multi(S: Semigroup, xs, bound=None):
     Read off Ap(S, n1) by `_apery_counts`: O(n1 * |X|) time plus the
     output, which has at most min(X) elements.  For X = {} this is all of
     S, which is infinite, so the members up to an explicit bound are
-    returned.
+    listed, w[i] + k*n1 <= bound for each residue i.
     """
     xs = sorted(set(xs))
-    if not xs:
-        if bound is None:
-            raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
-        return [s for s in range(bound + 1) if s in S]
-    return _apery_list(S, _apery_counts(S, xs))
+    if xs:
+        return _apery_list(S, _apery_counts(S, xs))
+    if bound is None:
+        raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
+    n1 = S.generators[0]
+    return _apery_list(S, [max(0, (bound - w) // n1 + 1) for w in S._apery])
 
 
 def _apery_counts(S: Semigroup, xs):
@@ -315,8 +320,8 @@ def _apery_counts(S: Semigroup, xs):
 def _apery_list(S: Semigroup, counts):
     """The members of Ap(S, X), ascending, from its `_apery_counts`."""
     n1 = S.generators[0]
-    return sorted(wi + k * n1 for wi, c in zip(S._apery, counts)
-                  for k in range(c))
+    return sorted(chain.from_iterable(
+        [range(wi, wi + c * n1, n1) for wi, c in zip(S._apery, counts)]))
 
 
 def betti_elements(S: Semigroup) -> BettiClassification:
@@ -333,7 +338,8 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     S: each support is a clique there, and each edge lies in a support.  A
     candidate with fewer than two live generators is connected; otherwise
     one traversal from the first live generator, stopped once every live
-    generator is reached, decides.
+    generator is reached, decides.  The live test and the traversal are
+    plain loops: before CPython 3.12 a comprehension is a function call.
 
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
@@ -362,18 +368,21 @@ def betti_elements(S: Semigroup) -> BettiClassification:
                 break
     betti, balanced, unbalanced = [], [], []
     for r in sorted({v + g for v in w for g in outer}):
-        live = [g for g in gens if r - g >= w[(r - g) % n1]]
+        live = []
+        for g in gens:
+            if r - g >= w[(r - g) % n1]:
+                live.append(g)
         if len(live) < 2:
             continue
         todo, rest = live[:1], live[1:]
         while todo:
-            s = r - todo.pop()
-            far = [h for h in rest if s - h < w[(s - h) % n1]]
+            s, near, far = r - todo.pop(), [], []
+            for h in rest:
+                (far if s - h < w[(s - h) % n1] else near).append(h)
             if not far:  # every live generator is reached
                 break
-            if len(far) < len(rest):
-                todo += [h for h in rest if h not in far]
-                rest = far
+            todo += near
+            rest = far
         if not far:
             continue
         betti.append(r)

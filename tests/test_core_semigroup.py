@@ -9,6 +9,7 @@ import random
 import sys
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,6 +120,33 @@ def test_membership_iff_factorization_exists():
             assert (r in S) == oracle.member(S, r), (gens, r)
 
 
+def test_apery_of_n1_matches_oracle_at_engine_cli_sizes():
+    # the Dijkstra's Ap(S, n1), Frobenius number and minimal generators
+    # against the definitions, on seeded generator lists the size of the
+    # benchmark's generic requests (e from 2 to 5, the others below
+    # 2 * n1, not always minimal) and on edges: N, N with a redundant
+    # generator, n1 = 2, a repeated generator and a sum of two others.
+    # The oracle is handed the input generators, not the engine's minimal
+    # ones, so it shares nothing with the construction.
+    rng = random.Random(22)
+    cases = [(1,), (1, 5), (2, 3), (5, 5, 6), (4, 6, 7, 13)]
+    while len(cases) < 45:
+        n1, e = rng.randint(8, 40), rng.randint(2, 5)
+        gens = (n1,) + tuple(rng.sample(range(n1 + 1, 2 * n1), e - 1))
+        if math.gcd(*gens) == 1:
+            cases.append(gens)
+    for gens in cases:
+        S, n1 = Semigroup(gens), min(gens)
+        ref = SimpleNamespace(minimal_generators=tuple(sorted(set(gens))))
+        assert [w % n1 for w in S._apery] == list(range(n1)), gens
+        assert sorted(S._apery) == oracle.apery_multi(ref, [n1]), gens
+        assert S.frobenius == oracle.frobenius(ref), gens
+        assert S.minimal_generators == tuple(sorted(
+            {g for g in gens
+             if not any(oracle.member(ref, m) and oracle.member(ref, g - m)
+                        for m in range(1, g))})), gens
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -222,7 +250,7 @@ def test_length_sets_read_every_bit_of_wide_alternating_masks():
 
 def test_length_table_memory_is_one_set_per_distinct_length_set():
     # the 20001 entries hold 2832 distinct length sets; a set per entry
-    # peaked at 146 MiB, one shared frozenset per distinct set near 22 MiB
+    # peaked at 146 MiB, one shared frozenset per distinct set near 18.5 MiB
     S = Semigroup((42, 55, 71, 83))
     tracemalloc.start()
     try:
@@ -273,6 +301,16 @@ def test_apery_multi_empty_needs_bound():
     with pytest.raises(ValueError):
         apery_multi(S, ())
     assert apery_multi(S, (), bound=10) == [0, 3, 4, 5, 6, 7, 8, 9, 10]
+    # Ap(S, {}) up to a bound is read by residue off Ap(S, n1): it is the
+    # members up to the bound for every bound, none for a negative one,
+    # and a wide bound on N costs the output alone
+    for gens in [(1,), (3, 5), (6, 9, 20), (10, 11, 12)]:
+        S = sg(*gens)
+        members = [s for s in range(201) if oracle.member(S, s)]
+        for bound in range(-3, 201):
+            assert apery_multi(S, (), bound) == \
+                [s for s in members if s <= bound], (gens, bound)
+    assert apery_multi(sg(1), (), 10 ** 6) == list(range(10 ** 6 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +486,20 @@ def test_random_semigroup_invariants(gens):
 @example([10, 11, 12])
 @example([5, 8])
 @example([1])
+@example([4, 5, 6])
+@example([5, 6, 8, 9])
 def test_betti_candidates_match_full_scan(gens):
     # the candidates w + n_j against every member up to frobenius + n_1 +
     # n_e, split by length set: betti, balanced and unbalanced.  The first
     # three examples are unbalanced only through an earlier unbalanced
     # element; in <3, 4, 5> and <10, 11, 12> the first unbalanced element
     # (9, 60) and the balanced ones (8, 22) are told apart only by the
-    # lengths the depth table gives; <5, 8> has e = 2 and <1> is N
+    # lengths the depth table gives; <5, 8> has e = 2 and <1> is N.  The
+    # last two pin the traversal: in <4, 5, 6> the candidate 16 is
+    # connected only through a second step (4 reaches 6 by 16 - 4 - 6 = 6,
+    # and 6 reaches 5 by 16 - 6 - 5 = 5, while 16 - 4 - 5 = 7 is a gap);
+    # in <5, 6, 8, 9> the Betti element 18 = 3*6 = 2*9 = 2*5 + 8 has three
+    # R-classes, and the traversal steps from 5 to 8 before it runs out
     S = _small_semigroup(gens)
     assert betti_elements(S) == oracle.betti_elements(S)
 
