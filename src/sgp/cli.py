@@ -30,6 +30,7 @@ when the --gens are an arithmetic sequence (imported in `_family`).
 import re
 import sys
 from itertools import chain
+from math import gcd
 from types import SimpleNamespace
 
 from . import consecutive_triple as ct
@@ -416,12 +417,12 @@ def _check_listed(command, n, what="members"):
 
 
 def _engine(t):
-    """(core, core.Semigroup(t.gens)), core being the engine module;
-    refused at once when n1 > MAX_N1.
+    """(core, core.Semigroup(t.gens)), core being the engine module; valid
+    generators with n1 > MAX_N1 are refused at once.
 
     Every engine path starts here, so the engine is imported here alone.
     """
-    if t.gens[0] > MAX_N1:
+    if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
         raise UsageError("the engine would build an Apery table of n1 = %d "
                          "entries, more than %d" % (t.gens[0], MAX_N1))
     from . import core_semigroup as core
@@ -527,18 +528,18 @@ def cmd_factorize(t, ns) -> int:
     return 0
 
 
+def _apery_listed(command, core, S, xs, bound=None):
+    """core.apery_multi(S, xs, bound), counted in O(n1 * |X|) so that a
+    huge Apery set is refused at once, and listed from the same counts."""
+    counts = core._apery_counts(S, xs, bound)
+    _check_listed(command, sum(counts))
+    return core._apery_list(S, counts)
+
+
 def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
-
-    def enum():
-        core, S = _engine(t)
-        # counted in O(n1 * |X|), so a huge Apery set is refused at once,
-        # and listed from the same counts
-        counts = core._apery_counts(S, xs)
-        _check_listed("apery", sum(counts))
-        return core._apery_list(S, counts)
-
-    members, method = _resolve(t, ns, "apery", enum)
+    members, method = _resolve(
+        t, ns, "apery", lambda: _apery_listed("apery", *_engine(t), xs))
     _emit(ns, lambda: [" ".join(map(str, members))],
           lambda: {"method": method, "x": xs, "apery": members},
           lambda: map(str, members))
@@ -569,17 +570,10 @@ def cmd_ulf(t, ns) -> int:
         raise UsageError("--bound wants a non-negative integer")
 
     def enum():
-        # core.ulf, sized before listing and listed from the same counts;
-        # on N the listing stops at --bound, and apery_multi refuses a
-        # missing one
+        # core.ulf: Ap(S, UBetti(S)), on N (no UBetti) up to --bound
         core, S = _engine(t)
-        ubetti = core.betti_elements(S).unbalanced
-        if not ubetti:
-            _check_listed("ulf", (ns.bound or 0) + 1)
-            return core.apery_multi(S, ubetti, ns.bound)
-        counts = core._apery_counts(S, ubetti)
-        _check_listed("ulf", sum(counts))
-        return core._apery_list(S, counts)
+        return _apery_listed("ulf", core, S,
+                             core.betti_elements(S).unbalanced, ns.bound)
 
     members, method = _resolve(t, ns, "ulf", enum)
     _emit(ns, lambda: [" ".join(map(str, members))],

@@ -279,21 +279,14 @@ def apery(S: Semigroup, x: int):
 def apery_multi(S: Semigroup, xs, bound=None):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
-    Read off Ap(S, n1) by `_apery_counts`: O(n1 * |X|) time plus the
-    output, which has at most min(X) elements.  For X = {} this is all of
-    S, which is infinite, so the members up to an explicit bound are
-    listed, w[i] + k*n1 <= bound for each residue i.
+    Listed from `_apery_counts` in O(n1 * |X|) time plus the output, at
+    most min(X) elements.  X = {} gives all of S, which is infinite, so
+    the members up to an explicit bound are listed, in O(n1) plus the output.
     """
-    xs = sorted(set(xs))
-    if xs:
-        return _apery_list(S, _apery_counts(S, xs))
-    if bound is None:
-        raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
-    n1 = S.generators[0]
-    return _apery_list(S, [max(0, (bound - w) // n1 + 1) for w in S._apery])
+    return _apery_list(S, _apery_counts(S, sorted(set(xs)), bound))
 
 
-def _apery_counts(S: Semigroup, xs):
+def _apery_counts(S: Semigroup, xs, bound=None):
     """Entry i is the number of members of Ap(S, X) congruent to i mod n1.
 
     With w = Ap(S, n1), the member w[i] + k*n1 is outside x + S exactly
@@ -302,15 +295,20 @@ def _apery_counts(S: Semigroup, xs):
     listing.  The column i -> w[(i - x) mod n1] + x is w rotated right by
     x mod n1, plus x: each is read lazily through `islice` and `chain`,
     and `map(min, ...)` takes the least over X, so no per-x list is built
-    and the loops run at C speed.  X must be nonempty; 0 and non-members
-    are refused.
+    and the loops run at C speed.  0 and non-members are refused.  X = {}
+    gives all of S, so only then is bound read, and it must be given:
+    entry i counts the w[i] + k*n1 <= bound, in O(n1).
     """
+    w, n1 = S._apery, S.generators[0]
+    if not xs:
+        if bound is None:
+            raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
+        return [max(0, (bound - wi) // n1 + 1) for wi in w]
     if 0 in xs:
         raise ValueError("the Apery set of 0 is not defined")
     for x in xs:
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
-    w, n1 = S._apery, S.generators[0]
     cols = [map(x.__add__, chain(islice(w, n1 - x % n1, None),
                                  islice(w, n1 - x % n1))) for x in xs]
     least = cols[0] if len(cols) == 1 else map(min, *cols)

@@ -405,6 +405,17 @@ def test_engine_refuses_huge_n1_at_once(capsys):
     assert code == 0 and "betti: [1000000015000000056]" in out
 
 
+def test_invalid_generators_above_max_n1_name_the_gcd(capsys):
+    # generators with gcd d > 1 are no numerical semigroup whatever n1 is,
+    # so the message names d, not the size of an Apery table
+    for argv, d in (("--gens 2000000,4000000 info", 2000000),
+                    ("--gens 2000000 info", 2000000),
+                    ("--gens 1000002,1000004,1000006 betti", 2)):
+        err = refused_at_once(capsys, argv.split())
+        assert "gcd of generators is %d" % d in err, argv
+        assert "Apery table" not in err, argv
+
+
 def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
                                                            monkeypatch):
     # with the closed length interval emptied, --oracle still answers from
@@ -520,15 +531,18 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     # info counts |ULF| without listing
     calls = []
     apery_counts = core._apery_counts
-    monkeypatch.setattr(core, "_apery_counts",
-                        lambda S, xs: calls.append(xs) or apery_counts(S, xs))
+    monkeypatch.setattr(core, "_apery_counts", lambda S, xs, *bound:
+                        calls.append(xs) or apery_counts(S, xs, *bound))
     S = core.Semigroup((6, 9, 20))
-    for argv, out in ((["apery", "9", "20"],
+    for argv, out in ((["--gens", "6,9,20", "apery", "9", "20"],
                        " ".join(map(str, oracle.apery_multi(S, (9, 20))))),
-                      (["ulf"], " ".join(map(str, oracle.ulf(S)))),
-                      (["info"], None)):
+                      (["--gens", "6,9,20", "ulf"],
+                       " ".join(map(str, oracle.ulf(S)))),
+                      (["--gens", "6,9,20", "info"], None),
+                      (["--gens", "1", "ulf", "--bound", "5"],
+                       "0 1 2 3 4 5")):
         calls.clear()
-        code, got, _ = run(capsys, "--gens", "6,9,20", *argv)
+        code, got, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == 1, argv
         assert out is None or got == out + "\n"
 

@@ -307,9 +307,13 @@ def test_apery_multi_empty_needs_bound():
     for gens in [(1,), (3, 5), (6, 9, 20), (10, 11, 12)]:
         S = sg(*gens)
         members = [s for s in range(201) if oracle.member(S, s)]
+        with pytest.raises(ValueError):
+            _apery_counts(S, ())
         for bound in range(-3, 201):
-            assert apery_multi(S, (), bound) == \
-                [s for s in members if s <= bound], (gens, bound)
+            expected = [s for s in members if s <= bound]
+            assert apery_multi(S, (), bound) == expected, (gens, bound)
+            assert sum(_apery_counts(S, (), bound)) == len(expected), \
+                (gens, bound)
     assert apery_multi(sg(1), (), 10 ** 6) == list(range(10 ** 6 + 1))
 
 
