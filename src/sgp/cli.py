@@ -22,7 +22,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
 
 A process loads only what its command runs: the engine on the engine
-paths (imported in `_engine`), `json` for --format json (imported in
+paths (imported in `_resolve`), `json` for --format json (imported in
 `_emit`), the `verify` module for `verify`, and `arithmetic_sequence`
 when the --gens are an arithmetic sequence (imported in `_family`).
 """
@@ -368,10 +368,12 @@ def _resolve(t, ns, command, enum):
 
     t.table maps command to (answer(t.key, ns), count(t.key) or None),
     count being the O(1) size of the listing, checked in every mode.  The
-    answer runs unless it is None or --oracle is given.  Otherwise enum,
-    the engine's thunk, runs, noting the fallback on stderr where the
-    table hands command to it (answer None) without --oracle; but with no
-    enum (no enumeration mode), or with --fast, it is a usage error.
+    answer runs unless it is None or --oracle is given.  Otherwise
+    enum(core, S) runs, core being the engine module and S the Semigroup
+    of t.gens, noting the fallback on stderr where the table hands command
+    to it (answer None) without --oracle; but with no enum (no enumeration
+    mode), or with --fast, it is a usage error, and valid generators with
+    n1 > MAX_N1 are refused before the engine is imported, here alone.
     """
     answer, count = t.table.get(command, (None, None))
     if count is not None:
@@ -390,7 +392,12 @@ def _resolve(t, ns, command, enum):
     if command in t.table and not ns.oracle:
         print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
                                                     t.reason), file=sys.stderr)
-    return enum(), ENUMERATION
+    if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
+        raise UsageError("the engine would build an Apery table of n1 = %d "
+                         "entries, more than %d" % (t.gens[0], MAX_N1))
+    from . import core_semigroup as core
+
+    return enum(core, core.Semigroup(t.gens)), ENUMERATION
 
 
 def _emit(ns, text, obj, csv):
@@ -414,20 +421,6 @@ def _check_listed(command, n, what="members"):
     if n > MAX_LISTED:
         raise UsageError("%s would list %d %s, more than %d"
                          % (command, n, what, MAX_LISTED))
-
-
-def _engine(t):
-    """(core, core.Semigroup(t.gens)), core being the engine module; valid
-    generators with n1 > MAX_N1 are refused at once.
-
-    Every engine path starts here, so the engine is imported here alone.
-    """
-    if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
-        raise UsageError("the engine would build an Apery table of n1 = %d "
-                         "entries, more than %d" % (t.gens[0], MAX_N1))
-    from . import core_semigroup as core
-
-    return core, core.Semigroup(t.gens)
 
 
 def _triple_info(a, ns):
@@ -467,8 +460,7 @@ _TRIPLE = {
 
 
 def cmd_info(t, ns) -> int:
-    def enum():
-        core, S = _engine(t)
+    def enum(core, S):
         cls = core.betti_elements(S)
         # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
         size = (sum(core._apery_counts(S, cls.unbalanced))
@@ -511,8 +503,7 @@ def cmd_info(t, ns) -> int:
 def cmd_factorize(t, ns) -> int:
     r = ns.r
 
-    def enum():
-        core, S = _engine(t)
+    def enum(core, S):
         if r not in S:
             raise NotMemberError("%d is not in %r" % (r, S))
         _check_listed("factorize",
@@ -539,7 +530,7 @@ def _apery_listed(command, core, S, xs, bound=None):
 def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
     members, method = _resolve(
-        t, ns, "apery", lambda: _apery_listed("apery", *_engine(t), xs))
+        t, ns, "apery", lambda core, S: _apery_listed("apery", core, S, xs))
     _emit(ns, lambda: [" ".join(map(str, members))],
           lambda: {"method": method, "x": xs, "apery": members},
           lambda: map(str, members))
@@ -547,11 +538,8 @@ def cmd_apery(t, ns) -> int:
 
 
 def cmd_betti(t, ns) -> int:
-    def enum():
-        core, S = _engine(t)
-        return core.betti_elements(S)
-
-    cls, method = _resolve(t, ns, "betti", enum)
+    cls, method = _resolve(t, ns, "betti",
+                           lambda core, S: core.betti_elements(S))
     _emit(ns,
           lambda: ["betti: %s" % (list(cls.betti),),
                    "balanced: %s" % (list(cls.balanced),),
@@ -569,9 +557,8 @@ def cmd_ulf(t, ns) -> int:
     if ns.bound is not None and ns.bound < 0:
         raise UsageError("--bound wants a non-negative integer")
 
-    def enum():
+    def enum(core, S):
         # core.ulf: Ap(S, UBetti(S)), on N (no UBetti) up to --bound
-        core, S = _engine(t)
         return _apery_listed("ulf", core, S,
                              core.betti_elements(S).unbalanced, ns.bound)
 

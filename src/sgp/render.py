@@ -212,7 +212,11 @@ def ulf_by_length_report(S):
     one row per ell.
 
     Rows run contiguously from 0 to the largest occupied length, with
-    members ascending; empty rows stay in as empty lists.
+    members ascending; empty rows stay in as empty lists.  Both reports
+    list `core.ulf` (ValueError on S = N: neither takes its bound), then
+    an O(M * e) table over [0, M], M = max ULF(S); here `_length_masks`,
+    of O(M^2 / n1) bits.  <1001, 1003> (M = 2006002) took 17.8 s, 340 MiB
+    peak (7.7 s, 69 MiB by denumerant; tracemalloc, 2 cores, Python 3.11).
     """
     from .core_semigroup import _length_masks, ulf
 
@@ -224,7 +228,7 @@ def ulf_by_length_report(S):
 
 def ulf_by_denumerant_report(S):
     """Unique-length members of the Semigroup S grouped by denumerant, one
-    row per d >= 1."""
+    row per d >= 1, from `_denumerants`; costs as ulf_by_length_report."""
     from .core_semigroup import _denumerants, ulf
 
     members = ulf(S)

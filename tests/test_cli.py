@@ -403,6 +403,27 @@ def test_engine_refuses_huge_n1_at_once(capsys):
     # <n1, n2> is an arithmetic sequence, so betti answers in closed form
     code, out, _ = run(capsys, "--gens", "1000000007,1000000008", "betti")
     assert code == 0 and "betti: [1000000015000000056]" in out
+    # the refusal comes before the engine is imported
+    for argv in ("--gens 1000000007,1000000008 info",
+                 "--a 1000001 --oracle info"):
+        assert "sgp.core_semigroup" not in \
+            modules_loaded_by_main(*argv.split()), argv
+
+
+@pytest.mark.parametrize("argv", [
+    "--gens 6,9,20 info", "--gens 6,9,20 factorize 49",
+    "--gens 6,9,20 apery 9 20", "--gens 6,9,20 betti", "--gens 6,9,20 ulf",
+    "--a 10 --oracle info", "--a 10 apery 11"])
+def test_engine_request_builds_one_semigroup(capsys, monkeypatch, argv):
+    # _resolve builds the engine's Semigroup once and hands it to the answer
+    expected = run(capsys, *argv.split())
+    builds = []
+    semigroup = core.Semigroup
+    monkeypatch.setattr(core, "Semigroup",
+                        lambda gens: builds.append(gens) or semigroup(gens))
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and (code, out) == expected[:2]
+    assert len(builds) == 1
 
 
 def test_invalid_generators_above_max_n1_name_the_gcd(capsys):
