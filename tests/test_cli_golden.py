@@ -3,12 +3,12 @@
 Every command runs under each output format and each mode (default,
 --fast, --oracle) on a fixed set of semigroups: consecutive triples given
 by --a and by --gens, arithmetic sequences, generic sets, N itself and a
-non-minimal generating set.  Each case pins the stdout bytes, the exit
-code and whether stderr carries a `fallback=` line; the wording of error
-messages is free to change.
+non-minimal generating set.  Each case pins the exit code and the whole
+stdout and stderr: the `fallback=` notes, the usage lines and the wording
+of every error message.
 
 The expected data lives in cli_golden.json.  Regenerate it only when a
-behaviour change is intended:
+behaviour change is intended, a message reworded on purpose included:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -73,14 +73,14 @@ def cases(selector):
 
 
 def observe(argv):
-    """[exit code, stdout, whether stderr has a fallback= line]."""
+    """[exit code, stdout, stderr]."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return [code, out.getvalue(), "fallback=" in err.getvalue()]
+    return [code, out.getvalue(), err.getvalue()]
 
 
 SELECTORS = list(SEMIGROUPS) + ["verify"]
