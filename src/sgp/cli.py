@@ -45,10 +45,6 @@ MAX_LISTED = 10 ** 6
 MAX_N1 = 10 ** 6
 
 
-class UsageError(ValueError):
-    pass
-
-
 # The command line, read by parse and printed by its help.  Each parser,
 # None for sgp itself and otherwise a command, maps to (help, positional,
 # options).  The positional is (dest, nargs): sgp's is the command, which
@@ -325,16 +321,16 @@ class Target:
 
     def __init__(self, ns):
         if (ns.gens is None) == (ns.a is None):
-            raise UsageError("exactly one of --gens / --a is required")
+            raise ValueError("exactly one of --gens / --a is required")
         if ns.a is not None:
             if ns.a < 1:
-                raise UsageError("--a wants a positive integer")
+                raise ValueError("--a wants a positive integer")
             gens = (ns.a, ns.a + 1, ns.a + 2)
         else:
             try:
                 gens = [int(part) for part in ns.gens.split(",")]
             except ValueError:
-                raise UsageError("--gens wants comma-separated integers, "
+                raise ValueError("--gens wants comma-separated integers, "
                                  "got %r" % ns.gens)
         self.gens = tuple(sorted(set(gens)))
         self.table, self.key, self.reason = _family(self.gens)
@@ -382,18 +378,18 @@ def _resolve(t, ns, command, enum):
         return answer(t.key, ns), CLOSED_FORM
     if enum is None:
         if ns.oracle:
-            raise UsageError("%s has no enumeration mode for --oracle"
+            raise ValueError("%s has no enumeration mode for --oracle"
                              % command)
-        raise UsageError("no closed form for %s (%s), and it has no "
+        raise ValueError("no closed form for %s (%s), and it has no "
                          "enumeration mode" % (command, t.reason))
     if ns.fast:
-        raise UsageError("--fast: no closed form for %s (%s)"
+        raise ValueError("--fast: no closed form for %s (%s)"
                          % (command, t.reason))
     if command in t.table and not ns.oracle:
         print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
                                                     t.reason), file=sys.stderr)
     if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
-        raise UsageError("the engine would build an Apery table of n1 = %d "
+        raise ValueError("the engine would build an Apery table of n1 = %d "
                          "entries, more than %d" % (t.gens[0], MAX_N1))
     from . import core_semigroup as core
 
@@ -419,7 +415,7 @@ def _emit(ns, text, obj, csv):
 def _check_listed(command, n, what="members"):
     # what names the items, and says so when n is only a lower bound
     if n > MAX_LISTED:
-        raise UsageError("%s would list %d %s, more than %d"
+        raise ValueError("%s would list %d %s, more than %d"
                          % (command, n, what, MAX_LISTED))
 
 
@@ -555,7 +551,7 @@ def cmd_betti(t, ns) -> int:
 
 def cmd_ulf(t, ns) -> int:
     if ns.bound is not None and ns.bound < 0:
-        raise UsageError("--bound wants a non-negative integer")
+        raise ValueError("--bound wants a non-negative integer")
 
     def enum(core, S):
         # core.ulf: Ap(S, UBetti(S)), on N (no UBetti) up to --bound
@@ -610,7 +606,7 @@ def main(argv=None) -> int:
     except NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:  # UsageError and invalid generators
+    except ValueError as exc:  # usage errors and invalid generators
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

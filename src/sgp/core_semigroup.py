@@ -322,6 +322,28 @@ def _apery_list(S: Semigroup, counts):
         [range(wi, wi + c * n1, n1) for wi, c in zip(S._apery, counts)]))
 
 
+def _depths(S: Semigroup):
+    """Entry i is the length of one factorization of w[i], w = Ap(S, n1).
+
+    A member x with one length has length (x - w[i]) / n1 + depth[i],
+    i = x mod n1.  Built over Ap(S, n1) ascending: a w > 0 in it is not
+    in n1 + S, so some factorization uses a g > n1 and w - g is in S; then
+    w - g is in Ap(S, n1) too (else w - n1 = (w - g - n1) + g would be in
+    S) and smaller, so depth[w mod n1] = depth[(w - g) mod n1] + 1 reads
+    an entry already set.  O(n1 log n1 + n1 * e) time, O(n1) memory.
+    """
+    gens = S.minimal_generators
+    w, n1, outer = S._apery, gens[0], gens[1:]
+    depth = [0] * n1
+    for v in sorted(w)[1:]:
+        for g in outer:
+            x = v - g
+            if x >= w[x % n1]:
+                depth[v % n1] = depth[x % n1] + 1
+                break
+    return depth
+
+
 def betti_elements(S: Semigroup) -> BettiClassification:
     """All members with a disconnected factorization graph, classified.
 
@@ -341,29 +363,15 @@ def betti_elements(S: Semigroup) -> BettiClassification:
 
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
-    rests on each r - g has one length and L(r) is those lengths plus 1.
-    The length of such an x is (x - w[i]) / n1 + depth[i] with i = x mod n1,
-    where depth[i] is the length of one factorization of w[i]: x is w[i]
-    plus (x - w[i]) / n1 copies of n1.  The depth table is built over
-    Ap(S, n1) ascending.  A w > 0 in it is not in n1 + S, so some
-    factorization uses a g > n1 and w - g is in S; then w - g is in
-    Ap(S, n1) too (else w - n1 = (w - g - n1) + g would be in S) and
-    smaller, so depth[w mod n1] = depth[(w - g) mod n1] + 1 reads an entry
-    already set.
+    rests on each r - g has one length and L(r) is those lengths plus 1,
+    each read off the `_depths` table.
 
     Cost: O(n1 * e) candidates times O(e^2) inline tests, plus
-    O(n1 log n1 + n1 * e) for the depth table; O(n1 * e) extra memory for
-    the candidates and O(n1) for the table.
+    O(n1 log n1 + n1 * e) for `_depths`; O(n1 * e) extra memory for the
+    candidates and O(n1) for the table.
     """
     gens = S.minimal_generators
-    w, n1, outer = S._apery, gens[0], gens[1:]
-    depth = [0] * n1
-    for v in sorted(w)[1:]:
-        for g in outer:
-            x = v - g
-            if x >= w[x % n1]:
-                depth[v % n1] = depth[x % n1] + 1
-                break
+    w, n1, outer, depth = S._apery, gens[0], gens[1:], _depths(S)
     betti, balanced, unbalanced = [], [], []
     for r in sorted({v + g for v in w for g in outer}):
         live = []

@@ -9,7 +9,7 @@ aligned text and JSON.  The by-length and by-denumerant reports work on
 any semigroup through the generic engine, which only they import.
 
 table_to_csv and table_to_json fill fixed %-templates, one per row or
-triple, and look up each (iota, c) class once per call.  Their output is
+triple, and read the (iota, c) classes from one dict.  Their output is
 byte for byte what csv.writer (lineterminator "\n") and
 json.dumps(indent=2) + "\n" write for the same rows and cells, since
 every field is an int or a class name, which needs no quoting or
@@ -58,12 +58,10 @@ def cell_class(iota, c) -> str:
     return _CLASS_NAMES[min(iota, 2)][k]
 
 
-class _Classes(dict):
-    """cell_class(iota, c) keyed by (iota, c), computed on first lookup."""
-
-    def __missing__(self, key):
-        name = self[key] = cell_class(*key)
-        return name
+def _class_names(L):
+    """cell_class(iota, c) keyed by (iota, c), for every iota <= L."""
+    return {(i, c): cell_class(i, c) for i in range(L + 1)
+            for c in ct.gamma(i)}
 
 
 # cells: (ell, d) -> list of (r, iota, c), ascending in r
@@ -118,7 +116,7 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
 
 def table_to_csv(t: PartitionTable) -> str:
     """One row per (ell, d, r, iota, c, class), sorted by (ell, d, r)."""
-    names = _Classes()
+    names = _class_names(t.L)
     # joined cell by cell: a flat list of the 10^6 rows at a = 2000 would
     # hold about 50 MB of string headers beside 30 MB of text
     return ",".join(CSV_HEADER) + "\n" + "".join(
@@ -148,7 +146,9 @@ def table_from_csv(text: str) -> PartitionTable:
     return PartitionTable(a, L, D, cells)
 
 
-def _grid_to_text(L, D, cell_lines) -> str:
+def _grid_to_text(L, D, cells, fmt) -> str:
+    """The L x D grid as aligned text, one fmt % triple line per triple."""
+    cell_lines = {k: [fmt % t for t in trips] for k, trips in cells.items()}
     cols = range(1, D + 1)
     widths = {d: max([len("d=%d" % d)]
                      + [len(s) for ell in range(L + 1)
@@ -172,15 +172,11 @@ def _grid_to_text(L, D, cell_lines) -> str:
 
 def table_to_text(t: PartitionTable) -> str:
     """Aligned plain-text grid, one 'r iota c' line per triple."""
-    cell_lines = {key: ["%d %d %d" % trip for trip in trips]
-                  for key, trips in t.cells.items()}
-    return _grid_to_text(t.L, t.D, cell_lines)
+    return _grid_to_text(t.L, t.D, t.cells, "%d %d %d")
 
 
 def monomial_table_to_text(t: MonomialTable) -> str:
-    cell_lines = {key: ["%s %d %d" % trip for trip in trips]
-                  for key, trips in t.cells.items()}
-    return _grid_to_text(t.ell_max, t.d_max, cell_lines)
+    return _grid_to_text(t.ell_max, t.d_max, t.cells, "%s %d %d")
 
 
 def table_to_json(t: PartitionTable) -> str:
@@ -190,7 +186,7 @@ def table_to_json(t: PartitionTable) -> str:
     at least one cell and no empty cell, as every table of partition_table
     and table_from_csv is; json.dumps would write [] for an empty list.
     """
-    names = _Classes()
+    names = _class_names(t.L)
     cells = [_JSON_CELL % (ell, d, ",\n".join(
                 [_JSON_TRIPLE % (r, iota, c, names[iota, c])
                  for r, iota, c in t.cells[ell, d]]))
@@ -198,12 +194,12 @@ def table_to_json(t: PartitionTable) -> str:
     return "[\n" + ",\n".join(cells) + "\n]\n"
 
 
-def _ulf_rows(members, entries, key, first):
-    """members grouped by key(entries[r]), one row per key value from first
-    up to the largest; members ascending, empty rows kept."""
+def _ulf_rows(members, key, first):
+    """members grouped by key(r), one row per key value from first up to
+    the largest; members ascending, empty rows kept."""
     groups = {}
     for r in members:
-        groups.setdefault(key(entries[r]), []).append(r)
+        groups.setdefault(key(r), []).append(r)
     return [(k, groups.get(k, [])) for k in range(first, max(groups) + 1)]
 
 
@@ -213,23 +209,22 @@ def ulf_by_length_report(S):
 
     Rows run contiguously from 0 to the largest occupied length, with
     members ascending; empty rows stay in as empty lists.  Both reports
-    list `core.ulf` (ValueError on S = N: neither takes its bound), then
-    an O(M * e) table over [0, M], M = max ULF(S); here `_length_masks`,
-    of O(M^2 / n1) bits.  <1001, 1003> (M = 2006002) took 17.8 s, 340 MiB
-    peak (7.7 s, 69 MiB by denumerant; tracemalloc, 2 cores, Python 3.11).
+    list `core.ulf` (ValueError on S = N: neither takes its bound).  The
+    length of member r is (r - w[i]) / n1 + depth[i], i = r mod n1, with
+    w = Ap(S, n1) and depth = `core._depths(S)`: r is w[i] plus
+    (r - w[i]) / n1 copies of n1.
     """
-    from .core_semigroup import _length_masks, ulf
+    from .core_semigroup import _depths, ulf
 
-    members = ulf(S)
-    # a one-length mask is 1 << l
-    return _ulf_rows(members, _length_masks(S, max(members)),
-                     lambda m: m.bit_length() - 1, 0)
+    w, n1, depth = S._apery, S.generators[0], _depths(S)
+    return _ulf_rows(ulf(S),
+                     lambda r: (r - w[r % n1]) // n1 + depth[r % n1], 0)
 
 
 def ulf_by_denumerant_report(S):
     """Unique-length members of the Semigroup S grouped by denumerant, one
-    row per d >= 1, from `_denumerants`; costs as ulf_by_length_report."""
+    row per d >= 1, read off the coin-change table `core._denumerants`."""
     from .core_semigroup import _denumerants, ulf
 
     members = ulf(S)
-    return _ulf_rows(members, _denumerants(S, max(members)), lambda d: d, 1)
+    return _ulf_rows(members, _denumerants(S, max(members)).__getitem__, 1)

@@ -17,7 +17,6 @@ cores, Python 3.11.7).
 from . import cli
 from . import consecutive_triple as ct
 from . import core_semigroup as core
-from .cli import UsageError
 
 
 def _last_r(a):
@@ -146,17 +145,17 @@ def _verify_random(count, seed):
 
 def cmd_verify(ns) -> int:
     if ns.gens is not None or ns.a is not None:
-        raise UsageError("verify sweeps its own semigroups; "
+        raise ValueError("verify sweeps its own semigroups; "
                          "it takes neither --gens nor --a")
     if ns.a_min < 3 or ns.a_max < ns.a_min:
-        raise UsageError("need 3 <= a-min <= a-max")
+        raise ValueError("need 3 <= a-min <= a-max")
     if ns.random < 0:
-        raise UsageError("--random wants a non-negative count")
+        raise ValueError("--random wants a non-negative count")
     # the length table of _verify_triple is the longest at a-max
     size = _last_r(ns.a_max) + 1
     # cli.MAX_LISTED is read per call, so a change to it after import holds
     if size > cli.MAX_LISTED:
-        raise UsageError("verify would build a length table of %d entries "
+        raise ValueError("verify would build a length table of %d entries "
                          "for a = %d, more than %d"
                          % (size, ns.a_max, cli.MAX_LISTED))
     a_values = range(ns.a_min, ns.a_max + 1)
