@@ -1,12 +1,18 @@
 """Tables, serialization round-trips and the two transcript displays."""
 
 import csv
+import hashlib
 import io
 import json
+import tracemalloc
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import golden
+from sgp import oracle
 from sgp.core_semigroup import Semigroup
 from sgp.render import (
     CSV_HEADER,
@@ -135,6 +141,33 @@ def test_text_rendering_mentions_every_r():
             assert "%d %d %d" % (r, iota, c) in text
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# table_to_text of partition_table(a), and monomial_table_to_text of
+# monomial_table(41, 12, 6) without and with superscripts, as recorded
+# before the text tables shared one writer
+TEXT_DIGESTS = {
+    3: "e335f5996829050211c8b8f98d333f7084b361310f1bad0f623b78bd1034ce4b",
+    10: "3c4f4791bfa76e684bce179b74be134267d8314fd25b14ddecfe848be527fa17",
+    41: "087c0595e89bd5ca27952b0790c4cc8b8f564637287de5052c13d4a363c1cd27",
+    150: "8dbf2c15f437e18ec540881f2bfb9188de54391d4305e10b9cde51089cb30613",
+}
+MONOMIAL_DIGESTS = {
+    False: "59e7b6f33c92a97380fcf5dcb3056cc45986a91688381d50ed836ba05c4286b3",
+    True: "965aa12fbbf8dc20682c56273a769bdca1ed1d4aa219c4f9cdb86b435328870c",
+}
+
+
+def test_text_tables_match_recorded_digests():
+    for a, digest in TEXT_DIGESTS.items():
+        assert sha256(table_to_text(partition_table(a))) == digest, a
+    for superscript, digest in MONOMIAL_DIGESTS.items():
+        t = monomial_table(41, 12, 6, superscript)
+        assert sha256(monomial_table_to_text(t)) == digest, superscript
+
+
 def test_monomial_table_figure():
     t = monomial_table(15, 7, 4)
     assert as_tuples(t.cells) == golden.MONOMIAL_CELLS
@@ -178,3 +211,53 @@ def test_by_denumerant_display_a9():
 def test_displays_on_a_two_generator_semigroup():
     rows = ulf_by_length_report(Semigroup((2, 3)))
     assert [row for _, row in rows] == [[0], [2, 3], [4, 5], [7]]
+
+
+def test_reports_refuse_n():
+    # the unique-length set of N is all of N, and neither report takes a
+    # bound: the refusal says so and does not ask for one
+    for gens in ((1,), (1, 2)):
+        for report in (ulf_by_length_report, ulf_by_denumerant_report):
+            with pytest.raises(ValueError, match="all of N") as info:
+                report(Semigroup(gens))
+            assert "bound" not in str(info.value)
+
+
+def one_length(S, r):
+    (length,) = oracle.length_set(S, r)
+    return length
+
+
+def oracle_rows(S, key, first):
+    """oracle.ulf(S) grouped by key(r), rows first..max as the reports."""
+    groups = {}
+    for r in oracle.ulf(S):
+        groups.setdefault(key(r), []).append(r)
+    return [(k, groups.get(k, [])) for k in range(first, max(groups) + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=19), min_size=2,
+                max_size=4, unique=True).filter(lambda g: gcd(*g) == 1))
+@example([2, 3])
+@example([6, 9, 20])
+@example([4, 5, 6, 7])
+@example([10, 11, 12])
+def test_reports_match_the_oracle(gens):
+    S = Semigroup(gens)
+    assert ulf_by_length_report(S) == oracle_rows(
+        S, lambda r: one_length(S, r), 0)
+    assert ulf_by_denumerant_report(S) == oracle_rows(
+        S, lambda r: oracle.denumerant(S, r), 1)
+
+
+def test_by_length_report_stays_lean():
+    # lengths come from Ap(S, n1), not from a length table over [0, max ULF]
+    S = Semigroup((301, 303))
+    tracemalloc.start()
+    try:
+        ulf_by_length_report(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
