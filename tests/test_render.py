@@ -145,9 +145,10 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# table_to_text of partition_table(a), and monomial_table_to_text of
-# monomial_table(41, 12, 6) without and with superscripts, as recorded
-# before the text tables shared one writer
+# sha256 of table_to_text(partition_table(a)), and of
+# monomial_table_to_text(monomial_table(41, 12, 6)) without and with
+# superscripts: text bytes that cli_golden.json (a <= 10, no monomial
+# table) does not pin
 TEXT_DIGESTS = {
     3: "e335f5996829050211c8b8f98d333f7084b361310f1bad0f623b78bd1034ce4b",
     10: "3c4f4791bfa76e684bce179b74be134267d8314fd25b14ddecfe848be527fa17",
