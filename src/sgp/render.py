@@ -126,24 +126,28 @@ def table_to_csv(t: PartitionTable) -> str:
 
 
 def table_from_csv(text: str) -> PartitionTable:
-    """Parse table_to_csv output back; round-trips to an equal table."""
-    import csv
-    import io
+    """Read table_to_csv output back as the table it was written from.
 
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError("unrecognized header: %r" % (rows[:1],))
-    cells = {}
-    for ell, d, r, iota, c, _cls in rows[1:]:
-        cells.setdefault((int(ell), int(d)), []).append(
-            (int(r), int(iota), int(c)))
-    # a is the least member of length 1; L and D are the grid extents.
-    if (1, 1) not in cells:
+    a is the r of the ell = 1, d = 1 row, the second data row, and the
+    table is rebuilt as partition_table(a).  Text that table_to_csv does
+    not write for that table is refused with a ValueError: any other
+    row, class name, row order or line end (CRLF too).
+    """
+    lines = text.split("\n", 3)
+    if lines[0] != ",".join(CSV_HEADER):
+        raise ValueError("unrecognized header: %r" % (lines[0],))
+    row = lines[2].split(",") if len(lines) > 2 else []
+    if row[:2] != ["1", "1"] or len(row) < 3:
         raise ValueError("no row with ell=1, d=1 to read a from")
-    a = min(r for (r, _, _) in cells[(1, 1)])
-    L = max(ell for ell, _ in cells)
-    D = max(d for _, d in cells)
-    return PartitionTable(a, L, D, cells)
+    a = int(row[2])
+    # the text of partition_table(a) has a row of over 2 bytes for each
+    # of its (a + 1) // 2 lengths, so an a above len(text) is refused
+    # before its table is built
+    t = partition_table(a) if a <= len(text) else None
+    if t is None or table_to_csv(t) != text:
+        raise ValueError("not the table_to_csv text of partition_table(%d)"
+                         % a)
+    return t
 
 
 def _grid_to_text(L, D, cells, fmt) -> str:

@@ -27,6 +27,7 @@ from sgp.consecutive_triple import (
 )
 from sgp.consecutive_triple import _lengths
 from sgp.core_semigroup import (
+    Factorization,
     NotMemberError,
     Semigroup,
     _length_masks,
@@ -43,6 +44,17 @@ def test_rejects_small_a():
     for a in (-1, 0, 1, 2):
         with pytest.raises(ValueError):
             TripleSemigroup(a)
+
+
+@pytest.mark.parametrize("closed_form", [
+    member_triple, ulf_membership_triple, factorizations_triple,
+    denumerant_triple, decompose_triple, length_triple, seed,
+    monomial_basis])
+def test_per_element_closed_forms_reject_small_a(closed_form):
+    # each validates a inline, with the message of TripleSemigroup
+    for a in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="need a >= 3, got"):
+            closed_form(a, 4)
 
 
 def test_attributes():
@@ -200,8 +212,27 @@ def test_factorizations_match_engine_in_order():
                                if mask >> ell & 1], (a, r)
             if mask:
                 engine = factorizations(S, r)
-                assert factorizations_triple(a, r) == (
+                fast = factorizations_triple(a, r)
+                assert fast == (
                     engine if len(lengths) > 1 else engine[::-1]), (a, r)
+                assert all(type(v) is Factorization for v in fast), (a, r)
+
+
+def test_long_orbits_match_engine():
+    # one-length members of <10001, 10002, 10003> far past a <= 40: kappa
+    # 1000 (1001 vectors), kappa 0, and orbits on both sides of the size
+    # at which _omega_orbit stops looping
+    a = 10001
+    S = Semigroup((a, a + 1, a + 2))
+    rs = [20004000, 20002000] + [a * 100 + e for e in (14, 16, 184, 186)]
+    # kappa is the outer coordinate phi_3 = e // 2 for small e, phi_1 for
+    # e near 2 * ell
+    assert [seed(a, r).kappa for r in rs] == [1000, 0, 7, 8, 8, 7]
+    for r in rs:
+        fast = factorizations_triple(a, r)
+        assert fast == factorizations(S, r)[::-1], r
+        assert all(type(v) is Factorization for v in fast), r
+    assert len(factorizations_triple(a, 20004000)) == 1001
 
 
 def test_denumerant_spot_values():

@@ -92,6 +92,25 @@ def test_csv_without_the_length_one_row():
         table_from_csv(",".join(CSV_HEADER) + "\n")
 
 
+def test_csv_refuses_text_that_table_to_csv_does_not_write():
+    text = table_to_csv(partition_table(10))
+    header, *rows = text.splitlines(keepends=True)
+    bad = [
+        # a cell outside Gamma_iota with an unknown class name
+        ",".join(CSV_HEADER) + "\n1,1,10,1,5,zz\n",
+        header + "".join(rows[:1] + rows[2:3] + rows[1:2] + rows[3:]),
+        text.replace("\n", "\r\n"),
+        text.replace(",zero\n", ",zz\n"),
+        text[:-1],
+        text + "4,3,44,0,0,zero\n",
+        # an a far larger than any table this text could hold
+        header + rows[0] + "1,1,%d,1,-1,m1\n" % 10 ** 12,
+    ]
+    for t in bad:
+        with pytest.raises(ValueError):
+            table_from_csv(t)
+
+
 def reference_csv(t):
     """table_to_csv by csv.writer, as it was written before the templates."""
     buf = io.StringIO()
@@ -117,7 +136,7 @@ def reference_json(t):
 
 def test_serializers_match_the_library_encoders_byte_for_byte():
     tables = [partition_table(a) for a in range(3, 161)]
-    # a table read back from CSV, with its cells in row order
+    # a table read back from CSV
     tables.append(table_from_csv(table_to_csv(partition_table(37))))
     for t in tables:
         assert table_to_csv(t) == reference_csv(t), t.a
