@@ -23,8 +23,10 @@ query.
 
 A process loads only what its command runs: the engine on the engine
 paths (imported in `_resolve`), `json` for --format json (imported in
-`_emit`), the `verify` module for `verify`, and `arithmetic_sequence`
-when the --gens are an arithmetic sequence (imported in `_family`).
+`_emit`; `ulf` and `apery` fill fixed templates through `_emit_listing`
+and never import it), the `verify` module for `verify`, and
+`arithmetic_sequence` when the --gens are an arithmetic sequence
+(imported in `_family`).
 """
 
 import re
@@ -412,6 +414,49 @@ def _emit(ns, text, obj, csv):
     sys.stdout.write(out)
 
 
+# "00" to "99", the last two digits of 100h + k
+_PAIRS = ["%02d" % k for k in range(100)]
+
+
+def _decimals(runs, sep):
+    """sep.join(map(str, chain.from_iterable(runs))), for an ascending
+    listing given as runs: step-1 ranges and sorted lists of ints.
+
+    A range is written a hundred ints at a time: 100h + k for k in [lo, hi)
+    is str(h) + _PAIRS[k], so one join of stored strings writes the block.
+    A list is written by str, whose ", " between ints is the JSON one.
+    """
+    parts = []
+    for run in runs:
+        if isinstance(run, list):
+            if run:
+                parts.append(str(run)[1:-1].replace(", ", sep))
+            continue
+        lo, hi = run.start, run.stop
+        if lo < 100:
+            parts += map(str, range(lo, min(hi, 100)))
+            lo = 100
+        while lo < hi:
+            h, k = divmod(lo, 100)
+            top = min(hi - lo + k, 100)
+            head = str(h)
+            parts.append(head + (sep + head).join(_PAIRS[k:top]))
+            lo += top - k
+    return sep.join(parts)
+
+
+def _emit_listing(ns, runs, doc):
+    """Write the ascending listing runs to stdout in one piece: one line in
+    text, one row per member in CSV, and in JSON the template doc, whose
+    one %s takes the members' list."""
+    if ns.fmt == "json":
+        out = doc % _decimals(runs, ", ")
+    else:
+        out = _decimals(runs, " " if ns.fmt == "text" else "\n")
+        out += "\n" if out or ns.fmt == "text" else ""
+    sys.stdout.write(out)
+
+
 def _check_listed(command, n, what="members"):
     # what names the items, and says so when n is only a lower bound
     if n > MAX_LISTED:
@@ -447,9 +492,8 @@ _TRIPLE = {
     "factorize": (_triple_factorize, None),
     "apery": (None, None),
     "betti": (lambda a, ns: ct.ubetti_triple(a), None),
-    "ulf": (lambda a, ns: list(chain.from_iterable(
-        ct.s_ell(a, ell) for ell in range(a + 1))),
-        lambda a: ct.TripleSemigroup(a).ulf_size),
+    "ulf": (lambda a, ns: [ct.s_ell(a, ell) for ell in range(a + 1)],
+            lambda a: ct.TripleSemigroup(a).ulf_size),
     "table": (_triple_table, lambda a: (ct.TripleSemigroup(a).L + 1) ** 2),
     "presentation": (lambda a, ns: ct.presentation_triple(a), None),
 }
@@ -516,20 +560,20 @@ def cmd_factorize(t, ns) -> int:
 
 
 def _apery_listed(command, core, S, xs, bound=None):
-    """core.apery_multi(S, xs, bound), counted in O(n1 * |X|) so that a
-    huge Apery set is refused at once, and listed from the same counts."""
+    """core.apery_multi(S, xs, bound) as the one run of a listing, counted
+    in O(n1 * |X|) so that a huge Apery set is refused at once, and listed
+    from the same counts."""
     counts = core._apery_counts(S, xs, bound)
     _check_listed(command, sum(counts))
-    return core._apery_list(S, counts)
+    return [core._apery_list(S, counts)]
 
 
 def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
-    members, method = _resolve(
+    runs, method = _resolve(
         t, ns, "apery", lambda core, S: _apery_listed("apery", core, S, xs))
-    _emit(ns, lambda: [" ".join(map(str, members))],
-          lambda: {"method": method, "x": xs, "apery": members},
-          lambda: map(str, members))
+    _emit_listing(ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n'
+                  % (method, xs))
     return 0
 
 
@@ -558,10 +602,9 @@ def cmd_ulf(t, ns) -> int:
         return _apery_listed("ulf", core, S,
                              core.betti_elements(S).unbalanced, ns.bound)
 
-    members, method = _resolve(t, ns, "ulf", enum)
-    _emit(ns, lambda: [" ".join(map(str, members))],
-          lambda: {"method": method, "count": len(members), "ulf": members},
-          lambda: map(str, members))
+    runs, method = _resolve(t, ns, "ulf", enum)
+    _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": [%%s]}\n'
+                  % (sum(map(len, runs)), method))
     return 0
 
 

@@ -19,9 +19,9 @@ cores, Python 3.11) takes:
     sgp --a 2000 table  (10^6 triples)   json 3.5 s, 0.56 GB max RSS
                                          csv  2.9 s, 0.26 GB
                                          text 3.9 s, 0.40 GB
-    sgp --a 1410 ulf    (995460 members) json 0.3 s, 0.07 GB
-                                         csv  0.6 s, 0.13 GB
-                                         text 0.4 s, 0.13 GB
+    sgp --a 1410 ulf    (995460 members) json 0.15 s, 38 MiB
+                                         csv  0.13 s, 36 MiB
+                                         text 0.15 s, 36 MiB
 """
 
 from collections import namedtuple

@@ -499,21 +499,52 @@ def test_triple_factorize_builds_no_semigroup(capsys, monkeypatch):
             (0, "0 0 %d\n%d 0 0\n" % (x, x + 1), "")
 
 
-def test_json_answer_builds_no_text_or_csv(capsys):
-    # <600, 601, 602> has 180600 unique-length members: the JSON answer
-    # peaks near 12 MiB, and the text line and CSV rows built beside it
-    # took the peak past 22 MiB
+def test_ulf_listing_peak_memory_at_the_edge(capsys):
+    # <1410, 1411, 1412> has 995460 unique-length members, the most of any
+    # triple under MAX_LISTED.  Written from the a + 1 intervals S^ell, the
+    # answer peaks near 18 MiB in JSON and 15 MiB in text and CSV; a list
+    # of ints and its json.dumps or str pieces took 55-107 MiB.  stdout is
+    # a StringIO, so the peak leaves out capsys encoding the text to bytes
     main(["--a", "10", "--format", "json", "ulf"])
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(["--a", "600", "--format", "json", "ulf"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 16 * 1024 * 1024
-    assert json.loads(capsys.readouterr().out)["count"] == 180600
+    for fmt in ("json", "text", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            tracemalloc.start()
+            try:
+                code = main(["--a", "1410", "--format", fmt, "ulf"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        out = stdout.getvalue()
+        assert code == 0
+        assert peak < 24 * 1024 * 1024, fmt
+        count = (json.loads(out)["count"] if fmt == "json"
+                 else len(out.split()))
+        assert count == 995460, fmt
+
+
+# runs of an ascending listing: step-1 ranges, empty ones too, and sorted
+# lists, starting near the edges of the hundred-int blocks and near 10**12
+_STARTS = st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 13),
+                    st.sampled_from([0, 9, 10, 99, 100, 101, 199, 200, 201,
+                                     10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1]))
+_RUNS = st.lists(st.one_of(
+    st.builds(lambda lo, n: range(lo, lo + n), _STARTS, st.integers(0, 350)),
+    st.lists(_STARTS, max_size=30).map(sorted)), max_size=6)
+
+
+@given(_RUNS)
+@settings(max_examples=300, deadline=None)
+@example([range(0, 0), range(0, 9), range(9, 10), range(10, 99),
+          range(99, 101), range(101, 199), range(199, 301), range(301, 399)])
+@example([range(0, 100), range(100, 200), range(200, 201), range(0, 1)])
+@example([range(99, 100), range(100, 101), range(1099, 1201), range(5, 5)])
+@example([range(10 ** 12 - 1, 10 ** 12 + 101), [], [10 ** 12 + 200]])
+@example([[0, 9, 10, 99, 100, 101], range(101, 101), [199, 200, 201]])
+def test_decimals_is_the_join_of_the_members(runs):
+    for sep in (", ", " ", "\n"):
+        assert cli._decimals(runs, sep) == \
+            sep.join(map(str, [x for run in runs for x in run])), sep
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
@@ -964,6 +995,16 @@ def test_fast_and_oracle_agree_where_fast_is_defined(capsys):
                 doc["factorizations"] = sorted(map(tuple,
                                                    doc["factorizations"]))
         assert fast_doc == oracle_doc, command
+    # ulf: the closed intervals S^ell against the engine's sorted list
+    for a in range(3, 41):
+        for fmt in ("json", "text", "csv"):
+            _, closed, _ = run(capsys, "--a", str(a), "--format", fmt, "ulf")
+            _, oracle, _ = run(capsys, "--a", str(a), "--oracle", "--format",
+                               fmt, "ulf")
+            if fmt == "json":
+                closed, oracle = json.loads(closed), json.loads(oracle)
+                closed.pop("method"), oracle.pop("method")
+            assert closed == oracle, (a, fmt)
 
 
 def test_json_output_is_deterministic(capsys):
