@@ -36,9 +36,8 @@ _EXPORTS = {
         factorizations_triple gamma length_triple member_triple
         monomial_basis presentation_triple s_d_i s_d_ulf s_ell seed
         ubetti_triple ulf_membership_triple ulf_triple""",
-    "core_semigroup": """Semigroup apery apery_multi betti_elements
-        factorizations length_sets_up_to min_ulf_breaker minimal_generators
-        ulf""",
+    "core_semigroup": """Semigroup apery_multi betti_elements
+        factorizations length_sets_up_to ulf""",
     "oracle": "FactorizationGraph denumerant length_set nabla_graph",
     "render": """MonomialTable PartitionTable cell_class monomial_table
         monomial_table_to_text partition_table table_from_csv table_to_csv

@@ -16,7 +16,10 @@ applies, else the generic engine of `core_semigroup`, noting a triple's
 fallback on stderr; --fast demands the closed form (usage error outside
 its domain) and --oracle skips the closed forms.  JSON output carries a
 "method" field naming the code path that produced it: "closed-form" or
-"enumeration", the latter meaning the generic engine.
+"enumeration", the latter meaning the generic engine.  Both paths give
+the same fields: `info` gives the two-length threshold, the least
+unbalanced Betti element, on every path, and only N, which has none,
+leaves it out.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
@@ -466,8 +469,7 @@ def _check_listed(command, n, what="members"):
 
 def _triple_info(a, ns):
     ts = ct.TripleSemigroup(a)
-    return (ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size,
-            ts.ulf_bound)
+    return ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size
 
 
 def _triple_factorize(a, ns):
@@ -505,10 +507,12 @@ def cmd_info(t, ns) -> int:
         # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
         size = (sum(core._apery_counts(S, cls.unbalanced))
                 if cls.unbalanced else None)
-        return S.minimal_generators, S.frobenius, cls, size, None
+        return S.minimal_generators, S.frobenius, cls, size
 
-    (mingens, frob, cls, ulf_size, threshold), method = _resolve(
-        t, ns, "info", enum)
+    (mingens, frob, cls, ulf_size), method = _resolve(t, ns, "info", enum)
+    # the least unbalanced Betti element: every member below it has one
+    # factorization length, and it has two; None on N
+    threshold = min(cls.unbalanced, default=None)
 
     def obj():
         o = {"method": method,

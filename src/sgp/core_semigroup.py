@@ -98,20 +98,8 @@ class Semigroup:
         # A negative n is below every entry; a non-integer cannot index.
         return n >= self._apery[n % self.generators[0]]
 
-    def value(self, coords) -> int:
-        """Value of an exponent vector over the minimal generators."""
-        return sum(c * g for c, g in zip(coords, self.minimal_generators))
-
     def __repr__(self):
         return "Semigroup(%s)" % ", ".join(map(str, self.minimal_generators))
-
-
-def minimal_generators(gens):
-    """The unique minimal generating set of <gens>, ascending.
-
-    Rejects empty input, non-positive entries and gcd != 1.
-    """
-    return list(Semigroup(gens).minimal_generators)
 
 
 def _pair_solutions(p, q):
@@ -267,20 +255,13 @@ def _denumerants(S: Semigroup, bound: int):
     return d
 
 
-def apery(S: Semigroup, x: int):
-    """Ap(S, x) = {s in S : s - x not in S}, sorted ascending.
-
-    Exactly the least member of each residue class mod x, hence exactly
-    x elements.  x must be a nonzero member.
-    """
-    return apery_multi(S, (x,))
-
-
 def apery_multi(S: Semigroup, xs, bound=None):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
     Listed from `_apery_counts` in O(n1 * |X|) time plus the output, at
-    most min(X) elements.  X = {} gives all of S, which is infinite, so
+    most min(X) elements.  Ap(S, x) of one nonzero member x is
+    apery_multi(S, (x,)): the least member of each residue class mod x,
+    so exactly x elements.  X = {} gives all of S, which is infinite, so
     the members up to an explicit bound are listed, in O(n1) plus the output.
     """
     return _apery_list(S, _apery_counts(S, sorted(set(xs)), bound))
@@ -414,13 +395,3 @@ def ulf(S: Semigroup, bound=None):
             "every member of %r has a one-length factorization set; "
             "pass an explicit bound" % S)
     return apery_multi(S, cls.unbalanced, bound)
-
-
-def min_ulf_breaker(S: Semigroup):
-    """The least member with two factorization lengths among Betti elements.
-
-    Every member below it has a singleton length set and it does not.
-    None when there is no unbalanced Betti element (S = N).
-    """
-    cls = betti_elements(S)
-    return min(cls.unbalanced) if cls.unbalanced else None

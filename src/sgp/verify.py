@@ -103,8 +103,9 @@ def _verify_arith(a):
                 return checks, (a, (d, n), "betti mismatch")
             if list(cls.unbalanced) != arith.ubetti_arith(A):
                 return checks, (a, (d, n), "unbalanced betti mismatch")
+            gens = S.minimal_generators
             for x, y in arith.presentation_arith(A).relations:
-                if S.value(x) != S.value(y):
+                if x.value(gens) != y.value(gens):
                     return checks, (a, (d, n), "relator with unequal sides")
             checks += 3
     return checks, None

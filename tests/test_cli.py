@@ -22,7 +22,7 @@ from sgp import cli, oracle
 from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
-from test_cli_golden import SEMIGROUPS
+from test_cli_golden import SEMIGROUPS, observe
 
 
 def run(capsys, *argv):
@@ -644,12 +644,11 @@ def test_search_paths_do_not_enumerate(capsys, monkeypatch):
     assert core.betti_elements(S) == core.BettiClassification(
         (18, 60), (), (18, 60))
     assert core.ulf(S) == ulf_6_9_20
-    assert core.min_ulf_breaker(S) == 18
     expected = {
         "info": {"balanced": [], "betti": [18, 60], "frobenius": 43,
                  "generators": [6, 9, 20], "method": "enumeration",
-                 "minimal_generators": [6, 9, 20], "ulf_size": 18,
-                 "unbalanced": [18, 60]},
+                 "minimal_generators": [6, 9, 20], "ulf_bound": 18,
+                 "ulf_size": 18, "unbalanced": [18, 60]},
         "betti": {"balanced": [], "betti": [18, 60],
                   "method": "enumeration", "unbalanced": [18, 60]},
         "ulf": {"count": 18, "method": "enumeration", "ulf": ulf_6_9_20},
@@ -982,29 +981,62 @@ def test_verify_check_count_from_oracle_membership(capsys):
     assert (code, out) == (0, "PASS (%d checks)\n" % expected)
 
 
-def test_fast_and_oracle_agree_where_fast_is_defined(capsys):
-    for command in (["betti"], ["factorize", "38"], ["ulf"]):
-        _, fast, _ = run(capsys, "--a", "12", "--fast", "--format", "json",
-                         *command)
-        _, oracle, _ = run(capsys, "--a", "12", "--oracle", "--format",
-                           "json", *command)
-        fast_doc, oracle_doc = json.loads(fast), json.loads(oracle)
-        fast_doc.pop("method"), oracle_doc.pop("method")
-        if "factorizations" in fast_doc:
-            for doc in (fast_doc, oracle_doc):
-                doc["factorizations"] = sorted(map(tuple,
-                                                   doc["factorizations"]))
-        assert fast_doc == oracle_doc, command
-    # ulf: the closed intervals S^ell against the engine's sorted list
-    for a in range(3, 41):
-        for fmt in ("json", "text", "csv"):
-            _, closed, _ = run(capsys, "--a", str(a), "--format", fmt, "ulf")
-            _, oracle, _ = run(capsys, "--a", str(a), "--oracle", "--format",
-                               fmt, "ulf")
-            if fmt == "json":
-                closed, oracle = json.loads(closed), json.loads(oracle)
-                closed.pop("method"), oracle.pop("method")
-            assert closed == oracle, (a, fmt)
+# The generators of each closed family of cli._family, one strategy a
+# family: a consecutive triple, and an arithmetic sequence it covers
+FAMILIES = st.one_of(
+    st.integers(3, 40).map(lambda a: (a, a + 1, a + 2)),
+    st.builds(lambda a, d, n: tuple(a + i * d for i in range(n + 1)),
+              st.integers(2, 30), st.integers(1, 9), st.integers(1, 5)
+              ).filter(lambda g: cli._family(g)[1] is not None))
+
+
+def enumeration_argvs(gens):
+    """The command lines of every command with an enumeration mode."""
+    n1 = gens[0]
+    return {"info": [[]], "betti": [[]], "ulf": [[]],
+            "factorize": [[str(r)] for r in range(0, 12 * n1, 7)],
+            "apery": [[str(n1)], [str(n1), str(gens[-1])]]}
+
+
+def examples(*cases):
+    """@example once for each case."""
+    def add(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return add
+
+
+@given(FAMILIES)
+@settings(max_examples=60, deadline=None)
+# the ulf cases of every a in [3, 40], and two arithmetic sequences
+@examples(*[(a, a + 1, a + 2) for a in range(3, 41)], (5, 8, 11, 14),
+          (8, 13))
+def test_default_and_oracle_answers_agree(gens):
+    # every command in the family's table with an enumeration mode answers
+    # the same by default and under --oracle: in JSON with the method
+    # dropped and listings sorted, and ulf byte for byte in text and CSV
+    selector = ["--gens", ",".join(map(str, gens))]
+    table = cli._family(gens)[0]
+    argvs = enumeration_argvs(gens)
+    for command in table:
+        if command not in argvs:
+            code, _, err = observe(selector + ["--oracle", command])
+            assert code == 2 and "no enumeration mode" in err, command
+            continue
+        for args in argvs[command]:
+            for fmt in ("json", "text", "csv") if command == "ulf" \
+                    else ("json",):
+                answers = []
+                for mode in ([], ["--oracle"]):
+                    code, out, _ = observe(selector + ["--format", fmt]
+                                           + mode + [command] + args)
+                    if code == 0 and fmt == "json":
+                        out = {key: sorted(value) if isinstance(value, list)
+                               else value for key, value in
+                               json.loads(out).items() if key != "method"}
+                    answers.append((code, out))
+                assert answers[0] == answers[1], (command, args, fmt)
 
 
 def test_json_output_is_deterministic(capsys):

@@ -4,6 +4,9 @@ The references are the literal definitions in `sgp.oracle`, which read
 nothing of a Semigroup but its minimal generators.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import sys
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from sgp import oracle
+from sgp import cli, oracle
 from sgp.core_semigroup import (
     BettiClassification,
     Factorization,
@@ -26,13 +29,10 @@ from sgp.core_semigroup import (
     _denumerants,
     _factorization_count,
     _length_masks,
-    apery,
     apery_multi,
     betti_elements,
     factorizations,
     length_sets_up_to,
-    min_ulf_breaker,
-    minimal_generators,
     ulf,
 )
 from sgp.oracle import denumerant, length_set, nabla_graph
@@ -105,11 +105,10 @@ def test_natural_numbers_semigroup():
 
 
 def test_minimal_generators():
-    assert minimal_generators((3, 4, 5)) == [3, 4, 5]
-    assert minimal_generators((4, 6, 7, 13)) == [4, 6, 7]
-    assert minimal_generators((2, 3, 4)) == [2, 3]
-    assert minimal_generators((5, 5, 6)) == [5, 6]
+    assert sg(3, 4, 5).minimal_generators == (3, 4, 5)
+    assert sg(4, 6, 7, 13).minimal_generators == (4, 6, 7)
     assert sg(2, 3, 4).minimal_generators == (2, 3)
+    assert sg(5, 5, 6).minimal_generators == (5, 6)
 
 
 def test_membership_iff_factorization_exists():
@@ -267,13 +266,13 @@ def test_length_table_memory_is_one_set_per_distinct_length_set():
 
 def test_apery_golden():
     S = sg(10, 11, 12)
-    assert apery(S, 60) == sorted(golden.APERY_60_A10)
+    assert apery_multi(S, (60,)) == sorted(golden.APERY_60_A10)
 
 
 def test_apery_shape():
     for gens, x in [((3, 4, 5), 9), ((10, 11, 12), 60), ((4, 7), 28)]:
         S = sg(*gens)
-        members = apery(S, x)
+        members = apery_multi(S, (x,))
         assert len(members) == x
         assert sorted(members) == members
         assert {m % x for m in members} == set(range(x))
@@ -283,17 +282,17 @@ def test_apery_shape():
 
 def test_apery_rejects_bad_x():
     with pytest.raises(ValueError):
-        apery(sg(3, 4, 5), 0)
+        apery_multi(sg(3, 4, 5), (0,))
     with pytest.raises(NotMemberError):
-        apery(sg(3, 4, 5), 2)
+        apery_multi(sg(3, 4, 5), (2,))
 
 
 def test_apery_multi_is_intersection():
     S = sg(10, 11, 12)
     both = apery_multi(S, (60, 22))
-    expected = sorted(set(apery(S, 60)) & set(apery(S, 22)))
+    expected = sorted(set(apery_multi(S, (60,)))
+                      & set(apery_multi(S, (22,))))
     assert both == expected
-    assert apery_multi(S, (60,)) == apery(S, 60)
 
 
 def test_apery_multi_empty_needs_bound():
@@ -421,11 +420,21 @@ def test_ulf_infinite_needs_bound():
     assert ulf(N, bound=5) == [0, 1, 2, 3, 4, 5]
 
 
+def info_ulf_bound(S):
+    """The ulf_bound of the engine's `sgp info` on S, the least member
+    with two factorization lengths, or None when the answer has none."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--gens", ",".join(map(str, S.generators)),
+                         "--oracle", "--format", "json", "info"]) == 0
+    return json.loads(out.getvalue()).get("ulf_bound")
+
+
 def test_min_ulf_breaker():
-    assert min_ulf_breaker(sg(3, 4, 5)) == 9
-    assert min_ulf_breaker(sg(10, 11, 12)) == 60
-    assert min_ulf_breaker(sg(15, 16, 17)) == 135
-    assert min_ulf_breaker(sg(1)) is None
+    assert info_ulf_bound(sg(3, 4, 5)) == 9
+    assert info_ulf_bound(sg(10, 11, 12)) == 60
+    assert info_ulf_bound(sg(15, 16, 17)) == 135
+    assert info_ulf_bound(sg(1)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,7 +445,7 @@ def test_min_ulf_breaker():
 def test_min_ulf_breaker_contract(gens):
     # the least member with two factorization lengths
     S = _small_semigroup(gens)
-    b = min_ulf_breaker(S)
+    b = info_ulf_bound(S)
     if b is None:
         # any other S has n1 * ne, with the lengths ne and n1
         assert 1 in gens
@@ -463,7 +472,7 @@ def test_random_semigroup_invariants(gens):
         assert S.frobenius + k in S
     assert S.frobenius not in S or S.frobenius == -1
     x = S.minimal_generators[-1]
-    assert len(apery(S, x)) == x
+    assert len(apery_multi(S, (x,))) == x
     # membership, F and the minimal generators agree with the oracle,
     # which shares no code with the residue computation
     assert S.frobenius == oracle.frobenius(S)
@@ -472,7 +481,7 @@ def test_random_semigroup_invariants(gens):
     assert all(oracle.member(S, g) for g in gens)
     # the minimal generators are the inputs that are not a sum of two
     # nonzero members
-    assert minimal_generators(gens) == sorted(
+    assert list(S.minimal_generators) == sorted(
         {g for g in gens
          if not any(oracle.member(S, m) and oracle.member(S, g - m)
                     for m in range(1, g))})
@@ -554,7 +563,7 @@ def test_apery_multi_matches_set_definition(gens, data):
         xs.append(max(F, 0) + data.draw(st.integers(1, 5000)))
     expected = oracle.apery_multi(S, xs)
     assert apery_multi(S, xs) == expected
-    assert apery(S, xs[0]) == oracle.apery_multi(S, xs[:1])
+    assert apery_multi(S, xs[:1]) == oracle.apery_multi(S, xs[:1])
     assert sum(_apery_counts(S, xs)) == len(expected)
 
 
