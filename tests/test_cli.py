@@ -1024,9 +1024,9 @@ def test_default_and_oracle_answers_agree(gens):
             code, _, err = observe(selector + ["--oracle", command])
             assert code == 2 and "no enumeration mode" in err, command
             continue
+        formats = ("json", "text", "csv") if command == "ulf" else ("json",)
         for args in argvs[command]:
-            for fmt in ("json", "text", "csv") if command == "ulf" \
-                    else ("json",):
+            for fmt in formats:
                 answers = []
                 for mode in ([], ["--oracle"]):
                     code, out, _ = observe(selector + ["--format", fmt]

@@ -4,8 +4,6 @@ The references are the literal definitions in `sgp.oracle`, which read
 nothing of a Semigroup but its minimal generators.
 """
 
-import contextlib
-import io
 import json
 import math
 import random
@@ -19,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from sgp import cli, oracle
+from sgp import oracle
 from sgp.core_semigroup import (
     BettiClassification,
     Factorization,
@@ -36,6 +34,7 @@ from sgp.core_semigroup import (
     ulf,
 )
 from sgp.oracle import denumerant, length_set, nabla_graph
+from test_cli_golden import observe
 
 
 @lru_cache(maxsize=None)
@@ -423,11 +422,10 @@ def test_ulf_infinite_needs_bound():
 def info_ulf_bound(S):
     """The ulf_bound of the engine's `sgp info` on S, the least member
     with two factorization lengths, or None when the answer has none."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["--gens", ",".join(map(str, S.generators)),
-                         "--oracle", "--format", "json", "info"]) == 0
-    return json.loads(out.getvalue()).get("ulf_bound")
+    code, out, _ = observe(["--gens", ",".join(map(str, S.generators)),
+                            "--oracle", "--format", "json", "info"])
+    assert code == 0
+    return json.loads(out).get("ulf_bound")
 
 
 def test_min_ulf_breaker():
