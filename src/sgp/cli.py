@@ -19,7 +19,8 @@ its domain) and --oracle skips the closed forms.  JSON output carries a
 "enumeration", the latter meaning the generic engine.  Both paths give
 the same fields: `info` gives the two-length threshold, the least
 unbalanced Betti element, on every path, and only N, which has none,
-leaves it out.
+leaves it out.  `ulf` lists Ap(S, UBetti(S)), finite on every semigroup
+but N, and N, whose unique-length set is all of N, is a usage error.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
@@ -80,10 +81,8 @@ SPEC = {
               "members)" % MAX_LISTED, ("x", "+"), {}),
     "betti": ("Betti elements, balanced and unbalanced", None, {}),
     "ulf": ("all members with a one-length factorization set (refused "
-            "above %d members)" % MAX_LISTED, None, {
-                "--bound": ("bound", int, None, None,
-                            "window bound (>= 0), needed only when the "
-                            "set is infinite")}),
+            "above %d members, and on N, where it is all of N)"
+            % MAX_LISTED, None, {}),
     "table": ("length-by-denumerant partition table (consecutive triples "
               "only; refused above %d members)" % MAX_LISTED, None, {}),
     "presentation": ("minimal presentation (consecutive triples and "
@@ -563,19 +562,18 @@ def cmd_factorize(t, ns) -> int:
     return 0
 
 
-def _apery_listed(command, core, S, xs, bound=None):
-    """core.apery_multi(S, xs, bound) as the one run of a listing, counted
-    in O(n1 * |X|) so that a huge Apery set is refused at once, and listed
-    from the same counts."""
-    counts = core._apery_counts(S, xs, bound)
+def _apery_listed(command, core, S, counts):
+    """The Apery set with the `core._apery_counts` counts as the one run of
+    a listing: the size, their sum, is checked first, so that a huge set
+    is refused at once, and the members are listed from the same counts."""
     _check_listed(command, sum(counts))
     return [core._apery_list(S, counts)]
 
 
 def cmd_apery(t, ns) -> int:
     xs = sorted(set(ns.x))
-    runs, method = _resolve(
-        t, ns, "apery", lambda core, S: _apery_listed("apery", core, S, xs))
+    runs, method = _resolve(t, ns, "apery", lambda core, S: _apery_listed(
+        "apery", core, S, core._apery_counts(S, xs)))
     _emit_listing(ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n'
                   % (method, xs))
     return 0
@@ -598,13 +596,8 @@ def cmd_betti(t, ns) -> int:
 
 
 def cmd_ulf(t, ns) -> int:
-    if ns.bound is not None and ns.bound < 0:
-        raise ValueError("--bound wants a non-negative integer")
-
-    def enum(core, S):
-        # core.ulf: Ap(S, UBetti(S)), on N (no UBetti) up to --bound
-        return _apery_listed("ulf", core, S,
-                             core.betti_elements(S).unbalanced, ns.bound)
+    def enum(core, S):  # core.ulf(S), sized before it is listed
+        return _apery_listed("ulf", core, S, core._ulf_counts(S))
 
     runs, method = _resolve(t, ns, "ulf", enum)
     _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": [%%s]}\n'

@@ -255,19 +255,19 @@ def _denumerants(S: Semigroup, bound: int):
     return d
 
 
-def apery_multi(S: Semigroup, xs, bound=None):
+def apery_multi(S: Semigroup, xs):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
     Listed from `_apery_counts` in O(n1 * |X|) time plus the output, at
     most min(X) elements.  Ap(S, x) of one nonzero member x is
     apery_multi(S, (x,)): the least member of each residue class mod x,
-    so exactly x elements.  X = {} gives all of S, which is infinite, so
-    the members up to an explicit bound are listed, in O(n1) plus the output.
+    so exactly x elements.  X must be a nonempty set of members: X = {}
+    would give all of S, which is infinite.
     """
-    return _apery_list(S, _apery_counts(S, sorted(set(xs)), bound))
+    return _apery_list(S, _apery_counts(S, sorted(set(xs))))
 
 
-def _apery_counts(S: Semigroup, xs, bound=None):
+def _apery_counts(S: Semigroup, xs):
     """Entry i is the number of members of Ap(S, X) congruent to i mod n1.
 
     With w = Ap(S, n1), the member w[i] + k*n1 is outside x + S exactly
@@ -276,15 +276,12 @@ def _apery_counts(S: Semigroup, xs, bound=None):
     listing.  The column i -> w[(i - x) mod n1] + x is w rotated right by
     x mod n1, plus x: each is read lazily through `islice` and `chain`,
     and `map(min, ...)` takes the least over X, so no per-x list is built
-    and the loops run at C speed.  0 and non-members are refused.  X = {}
-    gives all of S, so only then is bound read, and it must be given:
-    entry i counts the w[i] + k*n1 <= bound, in O(n1).
+    and the loops run at C speed.  An empty X, 0 and non-members are
+    refused.
     """
     w, n1 = S._apery, S.generators[0]
     if not xs:
-        if bound is None:
-            raise ValueError("Ap(S, {}) is all of S; pass an explicit bound")
-        return [max(0, (bound - wi) // n1 + 1) for wi in w]
+        raise ValueError("Ap(S, {}) is all of S: X must be nonempty")
     if 0 in xs:
         raise ValueError("the Apery set of 0 is not defined")
     for x in xs:
@@ -381,17 +378,22 @@ def betti_elements(S: Semigroup) -> BettiClassification:
                                tuple(unbalanced))
 
 
-def ulf(S: Semigroup, bound=None):
+def _ulf_counts(S: Semigroup):
+    """The `_apery_counts` of Ap(S, UBetti(S)), the unique-length members,
+    after one Betti search.  Among numerical semigroups only N has no
+    unbalanced Betti element, and its unique-length set, all of N, is
+    refused."""
+    unbalanced = betti_elements(S).unbalanced
+    if not unbalanced:
+        raise ValueError("every member of N has one factorization length: "
+                         "the unique-length set of N is all of N")
+    return _apery_counts(S, unbalanced)
+
+
+def ulf(S: Semigroup):
     """All members whose factorization length set is a singleton.
 
-    Computed as Ap(S, UBetti(S)), which is finite whenever some Betti
-    element has two factorization lengths; among numerical semigroups
-    only N itself (generated by 1) has none, and then an explicit bound
-    is required because every member qualifies.
+    Listed as Ap(S, UBetti(S)) from `_ulf_counts`, which refuses N, where
+    every member qualifies, with a ValueError.
     """
-    cls = betti_elements(S)
-    if not cls.unbalanced and bound is None:
-        raise ValueError(
-            "every member of %r has a one-length factorization set; "
-            "pass an explicit bound" % S)
-    return apery_multi(S, cls.unbalanced, bound)
+    return _apery_list(S, _ulf_counts(S))

@@ -100,9 +100,13 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
 
     Basis monomials are comma-joined into one string per element.  The
     strings only depend on (ell, d, c), not on a, as long as the grid
-    fits inside the L x D range of a.
+    fits inside the L x D range of a.  A grid with no cell, ell_max < 0
+    or d_max < 1, and one that does not fit are refused with a ValueError.
     """
     t = partition_table(a)
+    if ell_max < 0 or d_max < 1:
+        raise ValueError("a %dx%d grid has no cell: it needs ell_max >= 0 "
+                         "and d_max >= 1" % (ell_max, d_max))
     if ell_max > t.L or d_max > t.D:
         raise ValueError(
             "a %dx%d grid does not fit inside the %dx%d table of a=%d"
@@ -198,16 +202,6 @@ def table_to_json(t: PartitionTable) -> str:
     return "[\n" + ",\n".join(cells) + "\n]\n"
 
 
-def _ulf(S):
-    # core.ulf(S), which on S = N would ask for a bound no report takes
-    from .core_semigroup import ulf
-
-    if S.minimal_generators == (1,):
-        raise ValueError("every member of N has one factorization length: "
-                         "the unique-length set of N is all of N")
-    return ulf(S)
-
-
 def _ulf_rows(members, key, first):
     """members grouped by key(r), one row per key value from first up to
     the largest; members ascending, empty rows kept."""
@@ -231,10 +225,10 @@ def ulf_by_length_report(S):
     <1001, 1003> (1004003 members) takes 0.34-0.41 s and 60 MiB max RSS
     (2 cores, Python 3.11, no tracing).
     """
-    from .core_semigroup import _depths
+    from .core_semigroup import _depths, ulf
 
     w, n1, depth = S._apery, S.generators[0], _depths(S)
-    return _ulf_rows(_ulf(S),
+    return _ulf_rows(ulf(S),
                      lambda r: (r - w[r % n1]) // n1 + depth[r % n1], 0)
 
 
@@ -243,7 +237,7 @@ def ulf_by_denumerant_report(S):
     row per d >= 1, read off the coin-change table `core._denumerants`
     over [0, M], M = max ULF(S), in O(M * e): <1001, 1003> takes
     0.45-0.62 s and 83 MiB max RSS (2 cores, Python 3.11, no tracing)."""
-    from .core_semigroup import _denumerants
+    from .core_semigroup import _denumerants, ulf
 
-    members = _ulf(S)
+    members = ulf(S)
     return _ulf_rows(members, _denumerants(S, max(members)).__getitem__, 1)

@@ -42,11 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("x", type=int, nargs="+")
     sub.add_parser("betti", help="Betti elements, balanced and unbalanced")
     text = ("all members with a one-length factorization set (refused "
-            "above %d members)" % MAX_LISTED)
-    u = sub.add_parser("ulf", help=text, description=text)
-    u.add_argument("--bound", type=int, default=None,
-                   help="window bound (>= 0), needed only when the set "
-                        "is infinite")
+            "above %d members, and on N, where it is all of N)" % MAX_LISTED)
+    sub.add_parser("ulf", help=text, description=text)
     text = ("length-by-denumerant partition table (consecutive triples "
             "only; refused above %d members)" % MAX_LISTED)
     sub.add_parser("table", help=text, description=text)

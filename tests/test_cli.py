@@ -239,11 +239,16 @@ def test_ulf_closed_form(capsys):
 
 
 def test_ulf_infinite_needs_bound(capsys):
-    code, _, err = run(capsys, "--gens", "1", "ulf")
-    assert code == 2
-    code, out, _ = run(capsys, "--gens", "1", "ulf", "--bound", "4")
-    assert code == 0
-    assert out.split() == ["0", "1", "2", "3", "4"]
+    # the unique-length set of N is all of N: ulf refuses it in every
+    # mode, and takes no window bound on any semigroup
+    for mode in ([], ["--oracle"]):
+        code, out, err = run(capsys, "--gens", "1", *mode, "ulf")
+        assert code == 2 and out == ""
+        assert "all of N" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--gens", "3,5", "ulf", "--bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
 def test_table_csv(capsys):
@@ -291,12 +296,9 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "--gens", "3,5", "apery", "8") == (
         0, "0 3 5 6 9 10 12 15\n", "")
     assert run(capsys, "--gens", "3,5", "apery", "9")[0] == 2
-    # ulf on any semigroup: <6, 9, 20> has 18 unique-length members, and
-    # N up to a bound b has b + 1
+    # ulf on any semigroup: <6, 9, 20> has 18 unique-length members
     monkeypatch.setattr(cli, "MAX_LISTED", 18)
     assert run(capsys, "--gens", "6,9,20", "ulf")[0] == 0
-    assert run(capsys, "--gens", "1", "ulf", "--bound", "17")[0] == 0
-    assert run(capsys, "--gens", "1", "ulf", "--bound", "18")[0] == 2
     monkeypatch.setattr(cli, "MAX_LISTED", 17)
     assert run(capsys, "--gens", "6,9,20", "ulf")[0] == 2
     # factorize: 99 in <10, 11, 12> has one length and 5 factorizations,
@@ -548,30 +550,30 @@ def test_decimals_is_the_join_of_the_members(runs):
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
-    # |Ap(S, UBetti)| is counted residue by residue, and N up to a bound
-    # has bound + 1 members, so nothing is listed; one Betti search serves
-    # both the count and the listing
+    # |Ap(S, UBetti)| is counted residue by residue, so nothing is listed;
+    # one Betti search serves both the count and the listing, and is all
+    # it takes to refuse N
     searches = []
     betti_elements = core.betti_elements
     monkeypatch.setattr(core, "betti_elements",
                         lambda S: searches.append(S) or betti_elements(S))
-    for argv, count in ((["--gens", "10007,10009", "ulf"], 100160063),
-                        (["--gens", "1", "ulf", "--bound", "1000000000"],
-                         1000000001)):
-        searches.clear()
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 2
-        assert peak < 4 * 1024 * 1024
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert "ulf would list %d members" % count in err
-        assert len(searches) == 1
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["--gens", "10007,10009", "ulf"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2
+    assert peak < 4 * 1024 * 1024
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "ulf would list 100160063 members" in err
+    assert len(searches) == 1
+    searches.clear()
+    code, out, err = run(capsys, "--gens", "1", "ulf")
+    assert code == 2 and out == "" and "all of N" in err
+    assert len(searches) == 1
     searches.clear()
     code, out, _ = run(capsys, "--gens", "6,9,20", "ulf")
     assert code == 0 and len(out.split()) == 18
@@ -583,16 +585,14 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     # info counts |ULF| without listing
     calls = []
     apery_counts = core._apery_counts
-    monkeypatch.setattr(core, "_apery_counts", lambda S, xs, *bound:
-                        calls.append(xs) or apery_counts(S, xs, *bound))
+    monkeypatch.setattr(core, "_apery_counts", lambda S, xs:
+                        calls.append(xs) or apery_counts(S, xs))
     S = core.Semigroup((6, 9, 20))
     for argv, out in ((["--gens", "6,9,20", "apery", "9", "20"],
                        " ".join(map(str, oracle.apery_multi(S, (9, 20))))),
                       (["--gens", "6,9,20", "ulf"],
                        " ".join(map(str, oracle.ulf(S)))),
-                      (["--gens", "6,9,20", "info"], None),
-                      (["--gens", "1", "ulf", "--bound", "5"],
-                       "0 1 2 3 4 5")):
+                      (["--gens", "6,9,20", "info"], None)):
         calls.clear()
         code, got, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == 1, argv
@@ -600,13 +600,9 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
 
 
 def test_negative_counts_exit_2(capsys):
-    for argv, name in ((["--gens", "1", "ulf", "--bound", "-5"], "--bound"),
-                       (["--a", "3", "ulf", "--bound", "-1"], "--bound"),
-                       (["verify", "--a-max", "4", "--random", "-1"],
-                        "--random")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert name in err
+    code, out, err = run(capsys, "verify", "--a-max", "4", "--random", "-1")
+    assert code == 2 and out == ""
+    assert "--random" in err
 
 
 def test_enumerated_info_counts_the_apery_set(capsys):
@@ -719,7 +715,6 @@ OPTIONS = {
     None: {"--gens": st.sampled_from(["3,4,5", "6,9,20", "1"]), "--a": INT,
            "--format": st.sampled_from(["json", "csv", "text"]),
            "--fast": None, "--oracle": None},
-    "ulf": {"--bound": INT},
     "verify": {"--a-min": INT, "--a-max": INT, "--arith": None,
                "--random": INT, "--seed": INT},
 }
@@ -828,7 +823,7 @@ DEFAULTS = {"gens": None, "a": None, "fmt": "text", "fast": False,
     (["apery", "4", "--", "-h"], 2),
     (["--", "info"], 2),
     (["--a", "10", "--", "info"], 2),
-    (["ulf", "--bound", "--", "3"], 2),
+    (["verify", "--seed", "--", "3"], 2),
     # argparse drops "--" from "--a=--" and stores [], which no command
     # can use; parse reads "--" as the value, which is no int
     (["--a=--", "info"], 2),

@@ -51,7 +51,6 @@ def _commands(member, two_lengths, non_member, x1, x2):
     yield ["apery"] + x2.split()
     yield ["betti"]
     yield ["ulf"]
-    yield ["ulf", "--bound", "30"]
     yield ["table"]
     yield ["presentation"]
 

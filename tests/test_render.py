@@ -200,9 +200,12 @@ def test_monomial_table_is_a_independent():
 
 
 def test_monomial_table_rejects_oversized_grid():
-    # a=10 only supports ell <= 4
-    with pytest.raises(ValueError):
-        monomial_table(10, 7, 4)
+    # a=10 only supports ell <= 4; a grid needs ell_max >= 0 and
+    # d_max >= 1 to have a cell at all
+    for ell_max, d_max in ((7, 4), (2, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="%dx%d grid"
+                           % (ell_max, d_max)):
+            monomial_table(10, ell_max, d_max)
 
 
 def test_monomial_text_contains_bases():
