@@ -563,9 +563,9 @@ def cmd_factorize(t, ns) -> int:
 
 
 def _apery_listed(command, core, S, counts):
-    """The Apery set with the `core._apery_counts` counts as the one run of
-    a listing: the size, their sum, is checked first, so that a huge set
-    is refused at once, and the members are listed from the same counts."""
+    """The Apery set whose `core._apery_counts` are counts, as the one run
+    of a listing: their sum is checked first, so that a huge set is
+    refused at once, and the members are listed from the same counts."""
     _check_listed(command, sum(counts))
     return [core._apery_list(S, counts)]
 
