@@ -8,17 +8,19 @@ rendered monomial bases, and both serialize deterministically to CSV,
 aligned text and JSON.  The by-length and by-denumerant reports work on
 any semigroup but N through the generic engine, which only they import.
 
-table_to_csv and table_to_json fill fixed %-templates, one per row or
-triple, and read the (iota, c) classes from one dict.  Their output is
-byte for byte what csv.writer (lineterminator "\n") and
-json.dumps(indent=2) + "\n" write for the same rows and cells, since
-every field is an int or a class name, which needs no quoting or
-escaping.  At the 10^6-item edge of the CLI, a whole `sgp` process (2
-cores, Python 3.11) takes:
+partition_table reads each Gamma_i once and visits only the non-empty
+cells.  table_to_csv and table_to_json build one %-template per (iota,
+c) pair, with iota, c and the class name in it, so each triple is one
+% of ("ell,d,", r) in CSV and of r in JSON.  Their output is byte for
+byte what csv.writer (lineterminator "\n") and json.dumps(indent=2) +
+"\n" write for the same rows and cells, since every field is an int or
+a class name, which needs no quoting or escaping.  At the 10^6-item
+edge of the CLI, a whole `sgp` process (2 cores, Python 3.11.7, three
+runs on a shared machine) takes:
 
-    sgp --a 2000 table  (10^6 triples)   json 3.5 s, 0.56 GB max RSS
-                                         csv  2.9 s, 0.26 GB
-                                         text 3.9 s, 0.40 GB
+    sgp --a 2000 table  (10^6 triples)   json 1.9-2.8 s, 430 MiB max RSS
+                                         csv  1.9-2.3 s, 236 MiB
+                                         text 3.2-3.8 s, 376 MiB
     sgp --a 1410 ulf    (995460 members) json 0.15 s, 38 MiB
                                          csv  0.13 s, 36 MiB
                                          text 0.15 s, 36 MiB
@@ -29,11 +31,13 @@ from collections import namedtuple
 from . import consecutive_triple as ct
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
-_CSV_ROW = "%d,%d,%d,%d,%d,%s\n"
-# one cell and one triple of the json.dumps(indent=2) layout
+# one row, to be filled with (iota, c, class) and then with ("ell,d,", r)
+_CSV_ROW = "%%s%%d,%d,%d,%s\n"
+# one cell and one triple of the json.dumps(indent=2) layout; the triple
+# is filled with (iota, c, class) and then with r
 _JSON_CELL = ('  {\n    "ell": %d,\n    "d": %d,\n'
               '    "triples": [\n%s\n    ]\n  }')
-_JSON_TRIPLE = ('      {\n        "r": %d,\n        "iota": %d,\n'
+_JSON_TRIPLE = ('      {\n        "r": %%d,\n        "iota": %d,\n'
                 '        "c": %d,\n        "class": "%s"\n      }')
 
 # the family names of Gamma_0, Gamma_1 and Gamma_i (i >= 2), in the order
@@ -58,10 +62,22 @@ def cell_class(iota, c) -> str:
     return _CLASS_NAMES[min(iota, 2)][k]
 
 
-def _class_names(L):
-    """cell_class(iota, c) keyed by (iota, c), for every iota <= L."""
-    return {(i, c): cell_class(i, c) for i in range(L + 1)
-            for c in ct.gamma(i)}
+def _filled(t, fmt, write):
+    """write(templates), templates mapping each (iota, c) of the table t to
+    fmt % (iota, c, its class).
+
+    The templates are made for every iota <= t.L, the pairs of every table
+    partition_table builds, by zipping Gamma_iota with its class names.  A
+    hand-built table with another pair gets them from its own pairs by
+    cell_class, whose ValueError refuses a c outside Gamma_iota.
+    """
+    try:
+        return write({(i, c): fmt % (i, c, name) for i in range(t.L + 1)
+                      for c, name in zip(ct.gamma(i),
+                                         _CLASS_NAMES[min(i, 2)])})
+    except KeyError:
+        return write({(i, c): fmt % (i, c, cell_class(i, c))
+                      for trips in t.cells.values() for _, i, c in trips})
 
 
 # cells: (ell, d) -> list of (r, iota, c), ascending in r
@@ -78,21 +94,29 @@ class MonomialTable(namedtuple("MonomialTable", "a ell_max d_max cells")):
     __slots__ = ()
 
 
+def _cells(a, ell_max, d_max):
+    """The cells (ell, d) of partition_table(a) with ell <= ell_max and
+    d <= d_max: S_{d,i} = (a+1) * ell + Gamma_i, i = ell - 2d + 2 >= 0."""
+    gammas = [ct.gamma(i) for i in range(ell_max + 1)]
+    cells = {}
+    for ell in range(ell_max + 1):
+        base = (a + 1) * ell
+        for d in range(1, min(d_max, ell // 2 + 1) + 1):
+            i = ell - 2 * d + 2
+            # a loop, not a comprehension, which costs a call per cell
+            cells[ell, d] = cell = []
+            for c in gammas[i]:
+                cell.append((base + c, i, c))
+    return cells
+
+
 def partition_table(a) -> PartitionTable:
     """All (r, iota_r, c_r) triples for members up to (a+2)L, as a grid.
 
     Cell (ell, d) is empty exactly when ell < 2d - 2.
     """
     ts = ct.TripleSemigroup(a)
-    cells = {}
-    for ell in range(ts.L + 1):
-        for d in range(1, ts.D + 1):
-            i = ell - 2 * d + 2
-            if i >= 0:
-                # S_{d,i} = (a+1) * ell + Gamma_i
-                cells[(ell, d)] = [((a + 1) * ell + c, i, c)
-                                   for c in ct.gamma(i)]
-    return PartitionTable(a, ts.L, ts.D, cells)
+    return PartitionTable(a, ts.L, ts.D, _cells(a, ts.L, ts.D))
 
 
 def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
@@ -102,31 +126,35 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
     strings only depend on (ell, d, c), not on a, as long as the grid
     fits inside the L x D range of a.  A grid with no cell, ell_max < 0
     or d_max < 1, and one that does not fit are refused with a ValueError.
+    Only the cells of the grid are built, so a large a costs nothing more.
     """
-    t = partition_table(a)
+    ts = ct.TripleSemigroup(a)
     if ell_max < 0 or d_max < 1:
         raise ValueError("a %dx%d grid has no cell: it needs ell_max >= 0 "
                          "and d_max >= 1" % (ell_max, d_max))
-    if ell_max > t.L or d_max > t.D:
+    if ell_max > ts.L or d_max > ts.D:
         raise ValueError(
             "a %dx%d grid does not fit inside the %dx%d table of a=%d"
-            % (ell_max, d_max, t.L, t.D, a))
-    cells = {(ell, d): [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
-                        for r, i, c in trips]
-             for (ell, d), trips in t.cells.items()
-             if ell <= ell_max and d <= d_max}
+            % (ell_max, d_max, ts.L, ts.D, a))
+    cells = {k: [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
+                 for r, i, c in trips]
+             for k, trips in _cells(a, ell_max, d_max).items()}
     return MonomialTable(a, ell_max, d_max, cells)
 
 
 def table_to_csv(t: PartitionTable) -> str:
     """One row per (ell, d, r, iota, c, class), sorted by (ell, d, r)."""
-    names = _class_names(t.L)
-    # joined cell by cell: a flat list of the 10^6 rows at a = 2000 would
-    # hold about 50 MB of string headers beside 30 MB of text
-    return ",".join(CSV_HEADER) + "\n" + "".join(
-        ["".join([_CSV_ROW % (ell, d, r, iota, c, names[iota, c])
-                  for r, iota, c in t.cells[ell, d]])
-         for ell, d in sorted(t.cells)])
+    def write(rows):
+        # joined cell by cell: a flat list of the 10^6 rows at a = 2000
+        # would hold about 50 MB of string headers beside 30 MB of text
+        out = [",".join(CSV_HEADER) + "\n"]
+        for ell, d in sorted(t.cells):
+            head = "%d,%d," % (ell, d)
+            out.append("".join([rows[i, c] % (head, r)
+                                for r, i, c in t.cells[ell, d]]))
+        return "".join(out)
+
+    return _filled(t, _CSV_ROW, write)
 
 
 def table_from_csv(text: str) -> PartitionTable:
@@ -194,12 +222,13 @@ def table_to_json(t: PartitionTable) -> str:
     at least one cell and no empty cell, as every table of partition_table
     and table_from_csv is; json.dumps would write [] for an empty list.
     """
-    names = _class_names(t.L)
-    cells = [_JSON_CELL % (ell, d, ",\n".join(
-                [_JSON_TRIPLE % (r, iota, c, names[iota, c])
-                 for r, iota, c in t.cells[ell, d]]))
-             for ell, d in sorted(t.cells)]
-    return "[\n" + ",\n".join(cells) + "\n]\n"
+    def write(triples):
+        return "[\n" + ",\n".join(
+            [_JSON_CELL % (ell, d, ",\n".join([triples[i, c] % r for r, i, c
+                                               in t.cells[ell, d]]))
+             for ell, d in sorted(t.cells)]) + "\n]\n"
+
+    return _filled(t, _JSON_TRIPLE, write)
 
 
 def _ulf_rows(members, key, first):

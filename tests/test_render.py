@@ -42,10 +42,25 @@ def test_cell_class_mapping():
     assert cell_class(5, 5) == "pos_i"
 
 
+# outside Gamma_iota, the last one with iota above the L of a = 10
+INVALID_PAIRS = [(0, 1), (1, 2), (2, 0), (3, 1), (-1, 0), (5, 0)]
+
+
 def test_cell_class_rejects_invalid_pairs():
-    for iota, c in [(0, 1), (1, 2), (2, 0), (3, 1), (-1, 0)]:
+    for iota, c in INVALID_PAIRS:
         with pytest.raises(ValueError):
             cell_class(iota, c)
+
+
+def test_writers_reject_invalid_pairs():
+    # a hand-built table holding one such triple gets cell_class's error
+    t = partition_table(10)
+    for iota, c in INVALID_PAIRS:
+        bad = t._replace(cells={**t.cells, (4, 3): [(44, iota, c)]})
+        for write in (table_to_csv, table_to_json):
+            with pytest.raises(ValueError, match=r"\(%d, %d\) is not a valid"
+                               % (iota, c)):
+                write(bad)
 
 
 def as_tuples(cells):
@@ -138,6 +153,17 @@ def test_serializers_match_the_library_encoders_byte_for_byte():
     tables = [partition_table(a) for a in range(3, 161)]
     # a table read back from CSV
     tables.append(table_from_csv(table_to_csv(partition_table(37))))
+    # hand-built tables, which the writers read and never rebuild from a:
+    # every cell's triples reversed, one cell dropped, every r shifted
+    t = partition_table(20)
+    tables.append(t._replace(cells={k: trips[::-1]
+                                    for k, trips in t.cells.items()}))
+    tables.append(t._replace(cells={k: trips for k, trips in t.cells.items()
+                                    if k != (5, 2)}))
+    tables.append(t._replace(cells={k: [(r + 1, i, c) for r, i, c in trips]
+                                    for k, trips in t.cells.items()}))
+    # and a valid pair with iota above L, which no table of a holds
+    tables.append(t._replace(cells={**t.cells, (9, 1): [(200, 11, -11)]}))
     for t in tables:
         assert table_to_csv(t) == reference_csv(t), t.a
         assert table_to_json(t) == reference_json(t), t.a
@@ -195,7 +221,8 @@ def test_monomial_table_figure():
 
 def test_monomial_table_is_a_independent():
     reference = monomial_table(15, 7, 4).cells
-    for a in (17, 20, 33):
+    # only the grid's cells are built, so a = 10^9 answers at once
+    for a in (17, 20, 33, 10 ** 9):
         assert monomial_table(a, 7, 4).cells == reference
 
 
