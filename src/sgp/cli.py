@@ -26,11 +26,11 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query.
 
 A process loads only what its command runs: the engine on the engine
-paths (imported in `_resolve`), `json` for --format json (imported in
-`_emit`; `ulf` and `apery` fill fixed templates through `_emit_listing`
-and never import it), the `verify` module for `verify`, and
+paths (imported in `_resolve`), the `verify` module for `verify`, and
 `arithmetic_sequence` when the --gens are an arithmetic sequence
-(imported in `_family`).
+(imported in `_family`).  No command loads `json`: `_emit` writes the
+JSON objects itself, `ulf` and `apery` fill fixed templates through
+`_emit_listing`, and `table` those of `render`.
 """
 
 import re
@@ -404,12 +404,17 @@ def _emit(ns, text, obj, csv):
     """Write one answer to stdout in one piece, in the format ns.fmt.
 
     text and csv are thunks giving the lines of those formats, and obj one
-    giving the JSON object; only the one for ns.fmt runs.
+    giving the JSON object; only the one for ns.fmt runs.  The object is
+    a dict whose values are the method name, None, or ints and lists,
+    nested or not, of ints.  It is written as json.dumps(obj,
+    sort_keys=True) writes it: keys sorted, the name quoted, None as
+    null, and the rest by str, whose ints and ", " are JSON's.
     """
     if ns.fmt == "json":
-        import json
-
-        out = json.dumps(obj(), sort_keys=True) + "\n"
+        out = "{%s}\n" % ", ".join([
+            '"%s": %s' % (k, "null" if v is None else
+                          '"%s"' % v if isinstance(v, str) else v)
+            for k, v in sorted(obj().items())])
     else:
         lines = (text if ns.fmt == "text" else csv)()
         out = "".join([line + "\n" for line in lines])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,24 +87,27 @@ def test_closed_forms_load_no_engine(argv):
 @pytest.mark.parametrize("argv", [
     ("--a", "10", "info"), ("--a", "10", "--format", "csv", "info"),
     ("--a", "10", "--format", "csv", "table"),
-    ("--gens", "6,9,20", "--format", "csv", "betti")])
-def test_text_and_csv_load_no_json(argv):
+    ("--gens", "6,9,20", "--format", "csv", "betti"),
+    ("--a", "10", "--format", "json", "info"),
+    ("--a", "10", "--format", "json", "factorize", "43"),
+    ("--a", "10", "--format", "json", "table")])
+def test_no_format_loads_json(argv):
+    # _emit and the table writers write JSON themselves
     assert "json" not in modules_loaded_by_main(*argv)
 
 
 @pytest.mark.parametrize("argv, modules", [
     (("--gens", "6,9,20", "betti"), {"sgp.core_semigroup"}),
     (("--a", "10", "--oracle", "info"), {"sgp.core_semigroup"}),
-    (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"}),
-    (("--a", "10", "--format", "json", "info"), {"json"})])
+    (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"})])
 def test_commands_load_what_they_run(argv, modules):
     # the loads the tests above look for do happen
     assert modules <= set(modules_loaded_by_main(*argv))
 
 
 def test_main_keeps_no_module_state(capsys):
-    # the engine and json are imported where they are used, so the
-    # commands that load them bind nothing in sgp.cli
+    # the engine and the verify module are imported where they are used,
+    # so the commands that load them bind nothing in sgp.cli
     before = dict(vars(cli))
     for argv in (["--gens", "6,9,20", "--format", "json", "info"],
                  ["--a", "10", "--format", "json", "factorize", "60"],
@@ -547,6 +551,28 @@ def test_decimals_is_the_join_of_the_members(runs):
     for sep in (", ", " ", "\n"):
         assert cli._decimals(runs, sep) == \
             sep.join(map(str, [x for run in runs for x in run])), sep
+
+
+# the values _emit writes as JSON: the method name, None, and ints (beyond
+# 64 bits too) or lists, empty or not, of ints or of int lists
+_INTS = st.one_of(st.integers(), st.integers(2 ** 63 - 2, 2 ** 70),
+                  st.integers(-2 ** 70, -2 ** 63 + 2))
+_VALUES = st.one_of(st.sampled_from([cli.CLOSED_FORM, cli.ENUMERATION]),
+                    st.none(), _INTS, st.lists(_INTS),
+                    st.lists(st.lists(_INTS)))
+
+
+@given(st.dictionaries(st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
+                       _VALUES, max_size=9))
+@settings(max_examples=300, deadline=None)
+@example({})
+@example({"method": cli.ENUMERATION, "ulf_size": None, "relations": [[]],
+          "betti": [], "r": -2 ** 64})
+def test_emit_writes_json_as_json_dumps(obj):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._emit(SimpleNamespace(fmt="json"), None, lambda: obj, None)
+    assert stdout.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
