@@ -15,12 +15,12 @@ c) pair, with iota, c and the class name in it, so each triple is one
 byte what csv.writer (lineterminator "\n") and json.dumps(indent=2) +
 "\n" write for the same rows and cells, since every field is an int or
 a class name, which needs no quoting or escaping.  At the 10^6-item
-edge of the CLI, a whole `sgp` process (2 cores, Python 3.11.7, three
+edge of the CLI, a whole `sgp` process (2 cores, Python 3.11.7, six
 runs on a shared machine) takes:
 
     sgp --a 2000 table  (10^6 triples)   json 1.9-2.8 s, 430 MiB max RSS
-                                         csv  1.9-2.3 s, 236 MiB
-                                         text 3.2-3.8 s, 376 MiB
+                                         csv  1.6-2.3 s, 236 MiB
+                                         text 3.0-3.8 s, 376 MiB
     sgp --a 1410 ulf    (995460 members) json 0.15 s, 38 MiB
                                          csv  0.13 s, 36 MiB
                                          text 0.15 s, 36 MiB
