@@ -40,8 +40,8 @@ _EXPORTS = {
         factorizations length_sets_up_to ulf""",
     "oracle": "FactorizationGraph denumerant length_set nabla_graph",
     "render": """MonomialTable PartitionTable cell_class monomial_table
-        monomial_table_to_text partition_table table_from_csv table_to_csv
-        table_to_json table_to_text ulf_by_denumerant_report
+        monomial_table_to_text partition_table table_to_csv table_to_json
+        table_to_text ulf_by_denumerant_report
         ulf_by_length_report""",
     "records": "BettiClassification Factorization NotMemberError Presentation",
 }

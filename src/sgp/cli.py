@@ -483,14 +483,9 @@ def _triple_factorize(a, ns):
     return ct.factorizations_triple(a, ns.r)
 
 
-def _triple_table(a, ns):
-    from . import render
-
-    return render.partition_table(a)
-
-
 # The closed answers of <a, a+1, a+2>, keyed by a: command ->
-# (answer(a, ns), count(a) or None).  apery is handed to the engine with
+# (answer(a, ns), count(a) or None).  table answers a itself, which the
+# render writers take.  apery is handed to the engine with
 # a fallback= note.  An arithmetic sequence hands nothing on, so notes no
 # fallback: every two-generator semigroup is one.
 _TRIPLE = {
@@ -500,7 +495,7 @@ _TRIPLE = {
     "betti": (lambda a, ns: ct.ubetti_triple(a), None),
     "ulf": (lambda a, ns: [ct.s_ell(a, ell) for ell in range(a + 1)],
             lambda a: ct.TripleSemigroup(a).ulf_size),
-    "table": (_triple_table, lambda a: (ct.TripleSemigroup(a).L + 1) ** 2),
+    "table": (lambda a, ns: a, lambda a: (ct.TripleSemigroup(a).L + 1) ** 2),
     "presentation": (lambda a, ns: ct.presentation_triple(a), None),
 }
 
@@ -613,10 +608,10 @@ def cmd_ulf(t, ns) -> int:
 def cmd_table(t, ns) -> int:
     from . import render
 
-    table, _ = _resolve(t, ns, "table", None)
+    a, _ = _resolve(t, ns, "table", None)
     write = {"csv": render.table_to_csv, "json": render.table_to_json,
              "text": render.table_to_text}[ns.fmt]
-    sys.stdout.write(write(table))
+    sys.stdout.write(write(a))
     return 0
 
 

@@ -2,25 +2,27 @@
 
 The members up to (a+2)L arrange naturally into a grid with rows indexed
 by the common factorization length ell and columns by the denumerant d;
-the cell (ell, d) is S_{d,i} with i = ell - 2d + 2.  partition_table
-materializes that grid with (r, iota, c) triples, monomial_table with the
-rendered monomial bases, and both serialize deterministically to CSV,
-aligned text and JSON.  The by-length and by-denumerant reports work on
-any semigroup but N through the generic engine, which only they import.
+the cell (ell, d) is S_{d,i} = (a+1)ell + Gamma_i with i = ell - 2d + 2,
+so the grid is a function of a alone.  One generator, _rows, yields it
+row by row from that formula.  partition_table materializes the grid
+with (r, iota, c) triples and monomial_table with the rendered monomial
+bases.  The writers table_to_csv, table_to_json and table_to_text take
+a and write its grid row by row, and never hold the whole grid.  The
+by-length and by-denumerant reports work on any semigroup but N through
+the generic engine, which only they import.
 
-partition_table reads each Gamma_i once and visits only the non-empty
-cells.  table_to_csv and table_to_json build one %-template per (iota,
-c) pair, with iota, c and the class name in it, so each triple is one
-% of ("ell,d,", r) in CSV and of r in JSON.  Their output is byte for
-byte what csv.writer (lineterminator "\n") and json.dumps(indent=2) +
-"\n" write for the same rows and cells, since every field is an int or
-a class name, which needs no quoting or escaping.  At the 10^6-item
-edge of the CLI, a whole `sgp` process (2 cores, Python 3.11.7, six
-runs on a shared machine) takes:
+table_to_csv and table_to_json build one %-template per (iota, c) pair,
+with iota, c and the class name in it, so each triple is one % of
+("ell,d,", r) in CSV and of r in JSON.  Their output is byte for byte
+what csv.writer (lineterminator "\n") and json.dumps(indent=2) + "\n"
+write for the rows and cells of partition_table(a), since every field
+is an int or a class name, which needs no quoting or escaping.  At the
+10^6-item edge of the CLI, a whole `sgp` process (2 cores, Python
+3.11.7, three runs on a shared machine) takes:
 
-    sgp --a 2000 table  (10^6 triples)   json 1.9-2.8 s, 430 MiB max RSS
-                                         csv  1.6-2.3 s, 236 MiB
-                                         text 3.0-3.8 s, 376 MiB
+    sgp --a 2000 table  (10^6 triples)   json 1.2-1.9 s, 269 MiB max RSS
+                                         csv  0.8-1.3 s, 86 MiB
+                                         text 1.0-1.7 s, 114 MiB
     sgp --a 1410 ulf    (995460 members) json 0.15 s, 38 MiB
                                          csv  0.13 s, 36 MiB
                                          text 0.15 s, 36 MiB
@@ -62,22 +64,11 @@ def cell_class(iota, c) -> str:
     return _CLASS_NAMES[min(iota, 2)][k]
 
 
-def _filled(t, fmt, write):
-    """write(templates), templates mapping each (iota, c) of the table t to
-    fmt % (iota, c, its class).
-
-    The templates are made for every iota <= t.L, the pairs of every table
-    partition_table builds, by zipping Gamma_iota with its class names.  A
-    hand-built table with another pair gets them from its own pairs by
-    cell_class, whose ValueError refuses a c outside Gamma_iota.
-    """
-    try:
-        return write({(i, c): fmt % (i, c, name) for i in range(t.L + 1)
-                      for c, name in zip(ct.gamma(i),
-                                         _CLASS_NAMES[min(i, 2)])})
-    except KeyError:
-        return write({(i, c): fmt % (i, c, cell_class(i, c))
-                      for trips in t.cells.values() for _, i, c in trips})
+def _templates(L, fmt):
+    """fmt % (iota, c, its class) for each (iota, c) of a table of length
+    L, every c of Gamma_iota for iota <= L, keyed by (iota, c)."""
+    return {(i, c): fmt % (i, c, name) for i in range(L + 1)
+            for c, name in zip(ct.gamma(i), _CLASS_NAMES[min(i, 2)])}
 
 
 # cells: (ell, d) -> list of (r, iota, c), ascending in r
@@ -94,20 +85,22 @@ class MonomialTable(namedtuple("MonomialTable", "a ell_max d_max cells")):
     __slots__ = ()
 
 
-def _cells(a, ell_max, d_max):
-    """The cells (ell, d) of partition_table(a) with ell <= ell_max and
-    d <= d_max: S_{d,i} = (a+1) * ell + Gamma_i, i = ell - 2d + 2 >= 0."""
-    gammas = [ct.gamma(i) for i in range(ell_max + 1)]
-    cells = {}
-    for ell in range(ell_max + 1):
+def _rows(a, ells, d_max):
+    """(ell, {d: triples}) for each ell of the range ells: the non-empty
+    cells (ell, d) of the table of a with d <= d_max, ascending in d, each
+    S_{d,i} = (a+1) * ell + Gamma_i, i = ell - 2d + 2 >= 0, as (r, i, c)
+    triples ascending in r."""
+    gammas = [ct.gamma(i) for i in range(ells.stop)]
+    for ell in ells:
         base = (a + 1) * ell
+        cells = {}
         for d in range(1, min(d_max, ell // 2 + 1) + 1):
             i = ell - 2 * d + 2
             # a loop, not a comprehension, which costs a call per cell
-            cells[ell, d] = cell = []
+            cells[d] = cell = []
             for c in gammas[i]:
                 cell.append((base + c, i, c))
-    return cells
+        yield ell, cells
 
 
 def partition_table(a) -> PartitionTable:
@@ -116,7 +109,9 @@ def partition_table(a) -> PartitionTable:
     Cell (ell, d) is empty exactly when ell < 2d - 2.
     """
     ts = ct.TripleSemigroup(a)
-    return PartitionTable(a, ts.L, ts.D, _cells(a, ts.L, ts.D))
+    return PartitionTable(a, ts.L, ts.D, {
+        (ell, d): trips for ell, cells in _rows(a, range(ts.L + 1), ts.D)
+        for d, trips in cells.items()})
 
 
 def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
@@ -136,65 +131,50 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
         raise ValueError(
             "a %dx%d grid does not fit inside the %dx%d table of a=%d"
             % (ell_max, d_max, ts.L, ts.D, a))
-    cells = {k: [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
-                 for r, i, c in trips]
-             for k, trips in _cells(a, ell_max, d_max).items()}
+    cells = {(ell, d): [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
+                        for r, i, c in trips]
+             for ell, row in _rows(a, range(ell_max + 1), d_max)
+             for d, trips in row.items()}
     return MonomialTable(a, ell_max, d_max, cells)
 
 
-def table_to_csv(t: PartitionTable) -> str:
-    """One row per (ell, d, r, iota, c, class), sorted by (ell, d, r)."""
-    def write(rows):
-        # joined cell by cell: a flat list of the 10^6 rows at a = 2000
-        # would hold about 50 MB of string headers beside 30 MB of text
-        out = [",".join(CSV_HEADER) + "\n"]
-        for ell, d in sorted(t.cells):
-            head = "%d,%d," % (ell, d)
-            out.append("".join([rows[i, c] % (head, r)
-                                for r, i, c in t.cells[ell, d]]))
-        return "".join(out)
+def table_to_csv(a) -> str:
+    """The table of a, one row per (ell, d, r, iota, c, class), sorted by
+    (ell, d, r).
 
-    return _filled(t, _CSV_ROW, write)
-
-
-def table_from_csv(text: str) -> PartitionTable:
-    """Read table_to_csv output back as the table it was written from.
-
-    a is the r of the ell = 1, d = 1 row, the second data row, and the
-    table is rebuilt as partition_table(a).  Text that table_to_csv does
-    not write for that table is refused with a ValueError: any other
-    row, class name, row order or line end (CRLF too).
+    About a^2/4 lines, written one row of the grid at a time, in O(a^2)
+    time and memory: the text, and the strings of the rows joined into
+    it.  A non-integer a is a TypeError, an a < 3 a ValueError.
     """
-    lines = text.split("\n", 3)
-    if lines[0] != ",".join(CSV_HEADER):
-        raise ValueError("unrecognized header: %r" % (lines[0],))
-    row = lines[2].split(",") if len(lines) > 2 else []
-    if row[:2] != ["1", "1"] or len(row) < 3:
-        raise ValueError("no row with ell=1, d=1 to read a from")
-    a = int(row[2])
-    # the text of partition_table(a) has a row of over 2 bytes for each
-    # of its (a + 1) // 2 lengths, so an a above len(text) is refused
-    # before its table is built
-    t = partition_table(a) if a <= len(text) else None
-    if t is None or table_to_csv(t) != text:
-        raise ValueError("not the table_to_csv text of partition_table(%d)"
-                         % a)
-    return t
+    ts = ct.TripleSemigroup(a)
+    rows = _templates(ts.L, _CSV_ROW)
+    out = [",".join(CSV_HEADER) + "\n"]
+    for ell, cells in _rows(a, range(ts.L + 1), ts.D):
+        row = []
+        for d, trips in cells.items():
+            head = "%d,%d," % (ell, d)
+            row += [rows[i, c] % (head, r) for r, i, c in trips]
+        out.append("".join(row))
+    return "".join(out)
 
 
-def _grid_to_text(L, D, cells, fmt) -> str:
-    """The L x D grid as aligned text, one fmt % triple line per triple."""
-    cell_lines = {k: [fmt % t for t in trips] for k, trips in cells.items()}
+def _grid_to_text(L, D, rows, measured, fmt) -> str:
+    """The rows (ell, {d: triples}), ell = 0..L, as an aligned grid of the
+    columns d = 1..D, one fmt % triple line per triple.
+
+    Column d is as wide as "d=%d" % d or as its widest line in the rows
+    measured, which must hold the widest line of every column.
+    """
     cols = range(1, D + 1)
-    widths = {d: max([len("d=%d" % d)]
-                     + [len(s) for ell in range(L + 1)
-                        for s in cell_lines.get((ell, d), [])])
-              for d in cols}
+    widths = {d: len("d=%d" % d) for d in cols}
+    for _, cells in measured:
+        for d, trips in cells.items():
+            widths[d] = max([widths[d]] + [len(fmt % t) for t in trips])
     label_w = len("ell=%d" % L)
     lines = [" | ".join([" " * label_w]
                         + [("d=%d" % d).ljust(widths[d]) for d in cols])]
-    for ell in range(L + 1):
-        blocks = {d: cell_lines.get((ell, d), []) for d in cols}
+    for ell, cells in rows:
+        blocks = {d: [fmt % t for t in cells.get(d, ())] for d in cols}
         height = max(1, max(len(b) for b in blocks.values()))
         for k in range(height):
             label = ("ell=%d" % ell) if k == 0 else ""
@@ -203,32 +183,51 @@ def _grid_to_text(L, D, cells, fmt) -> str:
                 b = blocks[d]
                 row.append((b[k] if k < len(b) else "").ljust(widths[d]))
             lines.append(" | ".join(row).rstrip())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last newline, with no copy of the whole text
+    return "\n".join(lines)
 
 
-def table_to_text(t: PartitionTable) -> str:
-    """Aligned plain-text grid, one 'r iota c' line per triple."""
-    return _grid_to_text(t.L, t.D, t.cells, "%d %d %d")
+def table_to_text(a) -> str:
+    """The table of a as an aligned plain-text grid, one 'r iota c' line
+    per triple, in O(a^2) time and memory, as table_to_csv.
+
+    Each column is as wide as its widest line in row L, so the widths
+    are read off that row alone.  Proof: in column d, row ell >= 2d - 2
+    holds r = (a+1)ell + c for c in Gamma_i, i = ell - 2d + 2.  One row
+    down, i grows by 1, and the smallest r, (a+1)(ell+1) - i - 1, exceeds
+    the largest, (a+1)ell + i, by a - 2i >= 1, since i <= L = (a-1)//2.
+    So r, iota and |c| never fall as ell grows.  Row L has a cell in
+    every column d <= D = (a+3)//4, since 2D - 2 <= L, and it holds the
+    line 'r' i' -i'' with i' = L - 2d + 2.  A line 'r i c' of a row above
+    L has r < r' and i < i', so i' >= 1, and c has at most the sign and
+    the digits of -i'.  So no line of the column is wider than that one.
+    """
+    ts = ct.TripleSemigroup(a)
+    return _grid_to_text(ts.L, ts.D, _rows(a, range(ts.L + 1), ts.D),
+                         _rows(a, range(ts.L, ts.L + 1), ts.D), "%d %d %d")
 
 
 def monomial_table_to_text(t: MonomialTable) -> str:
-    return _grid_to_text(t.ell_max, t.d_max, t.cells, "%s %d %d")
+    cols = range(1, t.d_max + 1)
+    rows = [(ell, {d: t.cells[ell, d] for d in cols if (ell, d) in t.cells})
+            for ell in range(t.ell_max + 1)]
+    return _grid_to_text(t.ell_max, t.d_max, rows, rows, "%s %d %d")
 
 
-def table_to_json(t: PartitionTable) -> str:
-    """Array-of-cells JSON with the class tag on every triple.
+def table_to_json(a) -> str:
+    """The table of a as an array of cells with the class tag on every
+    triple, in O(a^2) time and memory, as table_to_csv.
 
-    The bytes are those of json.dumps(indent=2) + "\n" for a table with
-    at least one cell and no empty cell, as every table of partition_table
-    and table_from_csv is; json.dumps would write [] for an empty list.
+    The bytes are those of json.dumps(indent=2) + "\n" for the cells of
+    partition_table(a), none of them empty.
     """
-    def write(triples):
-        return "[\n" + ",\n".join(
-            [_JSON_CELL % (ell, d, ",\n".join([triples[i, c] % r for r, i, c
-                                               in t.cells[ell, d]]))
-             for ell, d in sorted(t.cells)]) + "\n]\n"
-
-    return _filled(t, _JSON_TRIPLE, write)
+    ts = ct.TripleSemigroup(a)
+    triples = _templates(ts.L, _JSON_TRIPLE)
+    return "[\n" + ",\n".join([
+        ",\n".join([_JSON_CELL % (ell, d, ",\n".join([triples[i, c] % r
+                                                      for r, i, c in trips]))
+                    for d, trips in cells.items()])
+        for ell, cells in _rows(a, range(ts.L + 1), ts.D)]) + "\n]\n"
 
 
 def _ulf_rows(members, key, first):

@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 
 import golden
 from sgp import oracle
-from sgp.core_semigroup import Semigroup
+from sgp.core_semigroup import (
+    Semigroup,
+    _denumerants,
+    length_sets_up_to,
+    ulf,
+)
 from sgp.render import (
     CSV_HEADER,
     cell_class,
     monomial_table,
     monomial_table_to_text,
     partition_table,
-    table_from_csv,
     table_to_csv,
     table_to_json,
     table_to_text,
@@ -42,25 +46,24 @@ def test_cell_class_mapping():
     assert cell_class(5, 5) == "pos_i"
 
 
-# outside Gamma_iota, the last one with iota above the L of a = 10
-INVALID_PAIRS = [(0, 1), (1, 2), (2, 0), (3, 1), (-1, 0), (5, 0)]
-
-
 def test_cell_class_rejects_invalid_pairs():
-    for iota, c in INVALID_PAIRS:
+    # each c outside Gamma_iota
+    for iota, c in [(0, 1), (1, 2), (2, 0), (3, 1), (-1, 0), (5, 0)]:
         with pytest.raises(ValueError):
             cell_class(iota, c)
 
 
-def test_writers_reject_invalid_pairs():
-    # a hand-built table holding one such triple gets cell_class's error
-    t = partition_table(10)
-    for iota, c in INVALID_PAIRS:
-        bad = t._replace(cells={**t.cells, (4, 3): [(44, iota, c)]})
-        for write in (table_to_csv, table_to_json):
-            with pytest.raises(ValueError, match=r"\(%d, %d\) is not a valid"
-                               % (iota, c)):
-                write(bad)
+WRITERS = (table_to_csv, table_to_json, table_to_text)
+
+
+def test_writers_reject_small_a():
+    # the writers take a, and refuse it as TripleSemigroup does
+    for write in WRITERS:
+        for a in (2, 0, -5):
+            with pytest.raises(ValueError, match="need a >= 3"):
+                write(a)
+        with pytest.raises(TypeError):
+            write(10.0)
 
 
 def as_tuples(cells):
@@ -79,14 +82,25 @@ def test_partition_table_figure_a15():
     assert as_tuples(t.cells) == golden.FIGURE_A15
 
 
-def test_csv_round_trip():
-    for a in (3, 6, 10, 15, 21):
+def test_partition_table_matches_engine():
+    # the cells against the generic engine: the r of the table are the
+    # unique-length members of length <= L, and each r sits in the cell
+    # (its one length, its denumerant)
+    for a in range(3, 61):
         t = partition_table(a)
-        assert table_from_csv(table_to_csv(t)) == t
+        S = Semigroup((a, a + 1, a + 2))
+        members = ulf(S)
+        lsets = length_sets_up_to(S, members[-1])
+        counts = _denumerants(S, members[-1])
+        assert sorted(r for trips in t.cells.values() for r, _, _ in trips) \
+            == [r for r in members if max(lsets[r]) <= t.L], a
+        for (ell, d), trips in t.cells.items():
+            for r, _, _ in trips:
+                assert lsets[r] == {ell} and counts[r] == d, (a, r)
 
 
 def test_csv_layout():
-    lines = table_to_csv(partition_table(10)).splitlines()
+    lines = table_to_csv(10).splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1] == "0,1,0,0,0,zero"
     assert "1,1,10,1,-1,m1" in lines
@@ -94,36 +108,6 @@ def test_csv_layout():
     # deterministic: rows ordered by (ell, d, r)
     keys = [tuple(map(int, line.split(",")[:3])) for line in lines[1:]]
     assert keys == sorted(keys)
-
-
-def test_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        table_from_csv("x,y\n1,2\n")
-
-
-def test_csv_without_the_length_one_row():
-    # a is read off the (ell, d) = (1, 1) row; without it the error names it
-    with pytest.raises(ValueError, match="ell=1, d=1"):
-        table_from_csv(",".join(CSV_HEADER) + "\n")
-
-
-def test_csv_refuses_text_that_table_to_csv_does_not_write():
-    text = table_to_csv(partition_table(10))
-    header, *rows = text.splitlines(keepends=True)
-    bad = [
-        # a cell outside Gamma_iota with an unknown class name
-        ",".join(CSV_HEADER) + "\n1,1,10,1,5,zz\n",
-        header + "".join(rows[:1] + rows[2:3] + rows[1:2] + rows[3:]),
-        text.replace("\n", "\r\n"),
-        text.replace(",zero\n", ",zz\n"),
-        text[:-1],
-        text + "4,3,44,0,0,zero\n",
-        # an a far larger than any table this text could hold
-        header + rows[0] + "1,1,%d,1,-1,m1\n" % 10 ** 12,
-    ]
-    for t in bad:
-        with pytest.raises(ValueError):
-            table_from_csv(t)
 
 
 def reference_csv(t):
@@ -149,38 +133,54 @@ def reference_json(t):
     return json.dumps(cells, indent=2) + "\n"
 
 
+def reference_text(t):
+    """table_to_text with every cell scanned for the column widths, as it
+    was written before the widths were read off row L."""
+    cell_lines = {k: ["%d %d %d" % x for x in trips]
+                  for k, trips in t.cells.items()}
+    cols = range(1, t.D + 1)
+    widths = {d: max([len("d=%d" % d)]
+                     + [len(s) for ell in range(t.L + 1)
+                        for s in cell_lines.get((ell, d), [])])
+              for d in cols}
+    label_w = len("ell=%d" % t.L)
+    lines = [" | ".join([" " * label_w]
+                        + [("d=%d" % d).ljust(widths[d]) for d in cols])]
+    for ell in range(t.L + 1):
+        blocks = {d: cell_lines.get((ell, d), []) for d in cols}
+        height = max(1, max(len(b) for b in blocks.values()))
+        for k in range(height):
+            label = ("ell=%d" % ell) if k == 0 else ""
+            row = [label.ljust(label_w)]
+            for d in cols:
+                b = blocks[d]
+                row.append((b[k] if k < len(b) else "").ljust(widths[d]))
+            lines.append(" | ".join(row).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def test_serializers_match_the_library_encoders_byte_for_byte():
-    tables = [partition_table(a) for a in range(3, 161)]
-    # a table read back from CSV
-    tables.append(table_from_csv(table_to_csv(partition_table(37))))
-    # hand-built tables, which the writers read and never rebuild from a:
-    # every cell's triples reversed, one cell dropped, every r shifted
-    t = partition_table(20)
-    tables.append(t._replace(cells={k: trips[::-1]
-                                    for k, trips in t.cells.items()}))
-    tables.append(t._replace(cells={k: trips for k, trips in t.cells.items()
-                                    if k != (5, 2)}))
-    tables.append(t._replace(cells={k: [(r + 1, i, c) for r, i, c in trips]
-                                    for k, trips in t.cells.items()}))
-    # and a valid pair with iota above L, which no table of a holds
-    tables.append(t._replace(cells={**t.cells, (9, 1): [(200, 11, -11)]}))
-    for t in tables:
-        assert table_to_csv(t) == reference_csv(t), t.a
-        assert table_to_json(t) == reference_json(t), t.a
+    # the writers build no table; each is checked against the encoders
+    # run over partition_table(a)
+    for a in range(3, 161):
+        t = partition_table(a)
+        assert table_to_csv(a) == reference_csv(t), a
+        assert table_to_json(a) == reference_json(t), a
+        assert table_to_text(a) == reference_text(t), a
     # the class lookup is cached per call only: 2.0 == 2 still refuses
     with pytest.raises(TypeError):
         cell_class(2.0, 0)
 
 
 def test_json_shape():
-    doc = json.loads(table_to_json(partition_table(10)))
+    doc = json.loads(table_to_json(10))
     by_cell = {(c["ell"], c["d"]): c["triples"] for c in doc}
     assert by_cell[(2, 2)] == [{"r": 22, "iota": 0, "c": 0, "class": "zero"}]
     assert [t["r"] for t in by_cell[(1, 1)]] == [10, 11, 12]
 
 
 def test_text_rendering_mentions_every_r():
-    text = table_to_text(partition_table(10))
+    text = table_to_text(10)
     for cell in golden.FIGURE_A10.values():
         for r, iota, c in cell:
             assert "%d %d %d" % (r, iota, c) in text
@@ -190,7 +190,7 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of table_to_text(partition_table(a)), and of
+# sha256 of table_to_text(a), and of
 # monomial_table_to_text(monomial_table(41, 12, 6)) without and with
 # superscripts: text bytes that cli_golden.json (a <= 10, no monomial
 # table) does not pin
@@ -208,10 +208,23 @@ MONOMIAL_DIGESTS = {
 
 def test_text_tables_match_recorded_digests():
     for a, digest in TEXT_DIGESTS.items():
-        assert sha256(table_to_text(partition_table(a))) == digest, a
+        assert sha256(table_to_text(a)) == digest, a
     for superscript, digest in MONOMIAL_DIGESTS.items():
         t = monomial_table(41, 12, 6, superscript)
         assert sha256(monomial_table_to_text(t)) == digest, superscript
+
+
+def test_writers_hold_no_table():
+    # each writer holds its output and the row strings joined into it, not
+    # the 40000 triples of the table of 400
+    for write in WRITERS:
+        tracemalloc.start()
+        try:
+            n = len(write(400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n, (write.__name__, peak, n)
 
 
 def test_monomial_table_figure():
