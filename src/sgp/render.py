@@ -3,44 +3,49 @@
 The members up to (a+2)L arrange naturally into a grid with rows indexed
 by the common factorization length ell and columns by the denumerant d;
 the cell (ell, d) is S_{d,i} = (a+1)ell + Gamma_i with i = ell - 2d + 2,
-so the grid is a function of a alone.  One generator, _rows, yields it
-row by row from that formula.  partition_table materializes the grid
-with (r, iota, c) triples and monomial_table with the rendered monomial
-bases.  The writers table_to_csv, table_to_json and table_to_text take
-a and write its grid row by row, and never hold the whole grid.  The
-by-length and by-denumerant reports work on any semigroup but N through
-the generic engine, which only they import.
+so the grid is a function of a alone.  One generator, _rows, holds that
+formula: it yields the layout of each row, ell, (a+1)ell and the iota of
+each column d, and the tables and writers below all build from it.
+partition_table materializes the grid with (r, iota, c) triples and
+monomial_table with the rendered monomial bases.  The writers
+table_to_csv, table_to_json and table_to_text take a and write its grid
+row by row, and never hold the whole grid.  The by-length and
+by-denumerant reports work on any semigroup but N through the generic
+engine, which only they import.
 
-table_to_csv and table_to_json build one %-template per (iota, c) pair,
-with iota, c and the class name in it, so each triple is one % of
-("ell,d,", r) in CSV and of r in JSON.  Their output is byte for byte
-what csv.writer (lineterminator "\n") and json.dumps(indent=2) + "\n"
-write for the rows and cells of partition_table(a), since every field
-is an int or a class name, which needs no quoting or escaping.  At the
-10^6-item edge of the CLI, a whole `sgp` process (2 cores, Python
-3.11.7, three runs on a shared machine) takes:
+The CSV and JSON writers keep one template per iota, with iota, c and
+the class name of each c of Gamma_iota in it, so a cell of 1, 3 or 4
+triples is one % of ell, d and its r = (a+1)ell + c.  table_to_text
+formats each line as one % of r into a "%d iota c" template kept per
+(iota, c).  The CSV and JSON output is byte for byte what csv.writer
+(lineterminator "\n") and json.dumps(indent=2) + "\n" write for the
+rows and cells of partition_table(a), since every field is an int or a
+class name, which needs no quoting or escaping.  At the 10^6-item edge
+of the CLI, a whole `sgp` process (2 cores, Python 3.11.7, three runs on
+a shared machine) takes:
 
-    sgp --a 2000 table  (10^6 triples)   json 1.2-1.9 s, 269 MiB max RSS
-                                         csv  0.8-1.3 s, 86 MiB
-                                         text 1.0-1.7 s, 114 MiB
+    sgp --a 2000 table  (10^6 triples)   json 0.7-0.8 s, 274 MiB max RSS
+                                         csv  0.5-0.8 s, 72 MiB
+                                         text 0.5-0.8 s, 103 MiB
     sgp --a 1410 ulf    (995460 members) json 0.15 s, 38 MiB
                                          csv  0.13 s, 36 MiB
                                          text 0.15 s, 36 MiB
 """
 
 from collections import namedtuple
+from itertools import zip_longest
 
 from . import consecutive_triple as ct
 
 CSV_HEADER = ("ell", "d", "r", "iota", "c", "class")
-# one row, to be filled with (iota, c, class) and then with ("ell,d,", r)
-_CSV_ROW = "%%s%%d,%d,%d,%s\n"
-# one cell and one triple of the json.dumps(indent=2) layout; the triple
-# is filled with (iota, c, class) and then with r
-_JSON_CELL = ('  {\n    "ell": %d,\n    "d": %d,\n'
-              '    "triples": [\n%s\n    ]\n  }')
+# the lines of one triple, to be filled with (iota, c, class) and then
+# with (ell, d, r) in CSV and with r in json.dumps(indent=2) layout, and
+# a JSON cell, to be filled with the template of its triples
+_CSV_LINE = "%%d,%%d,%%d,%d,%d,%s\n"
 _JSON_TRIPLE = ('      {\n        "r": %%d,\n        "iota": %d,\n'
                 '        "c": %d,\n        "class": "%s"\n      }')
+_JSON_CELL = ('  {\n    "ell": %%d,\n    "d": %%d,\n'
+              '    "triples": [\n%s\n    ]\n  }')
 
 # the family names of Gamma_0, Gamma_1 and Gamma_i (i >= 2), in the order
 # of ct.gamma
@@ -64,11 +69,16 @@ def cell_class(iota, c) -> str:
     return _CLASS_NAMES[min(iota, 2)][k]
 
 
-def _templates(L, fmt):
-    """fmt % (iota, c, its class) for each (iota, c) of a table of length
-    L, every c of Gamma_iota for iota <= L, keyed by (iota, c)."""
-    return {(i, c): fmt % (i, c, name) for i in range(L + 1)
-            for c, name in zip(ct.gamma(i), _CLASS_NAMES[min(i, 2)])}
+def _cell_templates(L, line, sep):
+    """(template, Gamma_iota) for iota = 0..L: the template joins by sep
+    one line % (iota, c, its class) for each c of Gamma_iota."""
+    out = []
+    for i in range(L + 1):
+        gamma = ct.gamma(i)
+        out.append((sep.join([line % (i, c, name) for c, name
+                              in zip(gamma, _CLASS_NAMES[min(i, 2)])]),
+                    gamma))
+    return out
 
 
 # cells: (ell, d) -> list of (r, iota, c), ascending in r
@@ -86,21 +96,14 @@ class MonomialTable(namedtuple("MonomialTable", "a ell_max d_max cells")):
 
 
 def _rows(a, ells, d_max):
-    """(ell, {d: triples}) for each ell of the range ells: the non-empty
-    cells (ell, d) of the table of a with d <= d_max, ascending in d, each
-    S_{d,i} = (a+1) * ell + Gamma_i, i = ell - 2d + 2 >= 0, as (r, i, c)
-    triples ascending in r."""
-    gammas = [ct.gamma(i) for i in range(ells.stop)]
+    """(ell, (a+1) * ell, iotas) for each ell of the range ells: the
+    layout of row ell of the table of a, cut at d <= d_max.  Its
+    non-empty cells are d = 1..len(iotas), and cell d is S_{d,i} =
+    (a+1) * ell + Gamma_i with i = iotas[d - 1] = ell - 2d + 2 >= 0,
+    ascending in r as Gamma_i is."""
     for ell in ells:
-        base = (a + 1) * ell
-        cells = {}
-        for d in range(1, min(d_max, ell // 2 + 1) + 1):
-            i = ell - 2 * d + 2
-            # a loop, not a comprehension, which costs a call per cell
-            cells[d] = cell = []
-            for c in gammas[i]:
-                cell.append((base + c, i, c))
-        yield ell, cells
+        yield ell, (a + 1) * ell, range(
+            ell, ell - 2 * min(d_max, ell // 2 + 1), -2)
 
 
 def partition_table(a) -> PartitionTable:
@@ -109,9 +112,18 @@ def partition_table(a) -> PartitionTable:
     Cell (ell, d) is empty exactly when ell < 2d - 2.
     """
     ts = ct.TripleSemigroup(a)
-    return PartitionTable(a, ts.L, ts.D, {
-        (ell, d): trips for ell, cells in _rows(a, range(ts.L + 1), ts.D)
-        for d, trips in cells.items()})
+    gammas = [ct.gamma(i) for i in range(ts.L + 1)]
+    cells = {}
+    for ell, base, iotas in _rows(a, range(ts.L + 1), ts.D):
+        for d, i in enumerate(iotas, 1):
+            gamma = gammas[i]
+            if len(gamma) == 4:  # the corners of Gamma_i, i >= 2, unrolled
+                c0, c1, c2, c3 = gamma
+                cells[ell, d] = [(base + c0, i, c0), (base + c1, i, c1),
+                                 (base + c2, i, c2), (base + c3, i, c3)]
+            else:  # Gamma_0 or Gamma_1, at most once a row
+                cells[ell, d] = [(base + c, i, c) for c in gamma]
+    return PartitionTable(a, ts.L, ts.D, cells)
 
 
 def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
@@ -131,10 +143,10 @@ def monomial_table(a, ell_max, d_max, superscript=False) -> MonomialTable:
         raise ValueError(
             "a %dx%d grid does not fit inside the %dx%d table of a=%d"
             % (ell_max, d_max, ts.L, ts.D, a))
-    cells = {(ell, d): [(",".join(ct.monomial_basis(a, r, superscript)), i, c)
-                        for r, i, c in trips]
-             for ell, row in _rows(a, range(ell_max + 1), d_max)
-             for d, trips in row.items()}
+    cells = {(ell, d): [(",".join(ct.monomial_basis(a, base + c, superscript)),
+                         i, c) for c in ct.gamma(i)]
+             for ell, base, iotas in _rows(a, range(ell_max + 1), d_max)
+             for d, i in enumerate(iotas, 1)}
     return MonomialTable(a, ell_max, d_max, cells)
 
 
@@ -144,47 +156,53 @@ def table_to_csv(a) -> str:
 
     About a^2/4 lines, written one row of the grid at a time, in O(a^2)
     time and memory: the text, and the strings of the rows joined into
-    it.  A non-integer a is a TypeError, an a < 3 a ValueError.
+    it.  Each cell is one % of its iota's template.  A non-integer a is
+    a TypeError, an a < 3 a ValueError.
     """
     ts = ct.TripleSemigroup(a)
-    rows = _templates(ts.L, _CSV_ROW)
+    cells = _cell_templates(ts.L, _CSV_LINE, "")
     out = [",".join(CSV_HEADER) + "\n"]
-    for ell, cells in _rows(a, range(ts.L + 1), ts.D):
+    for ell, base, iotas in _rows(a, range(ts.L + 1), ts.D):
         row = []
-        for d, trips in cells.items():
-            head = "%d,%d," % (ell, d)
-            row += [rows[i, c] % (head, r) for r, i, c in trips]
+        for d, i in enumerate(iotas, 1):
+            fmt, gamma = cells[i]
+            if len(gamma) == 4:  # as in partition_table
+                c0, c1, c2, c3 = gamma
+                row.append(fmt % (ell, d, base + c0, ell, d, base + c1,
+                                  ell, d, base + c2, ell, d, base + c3))
+            else:
+                row.append(fmt % tuple([x for c in gamma
+                                        for x in (ell, d, base + c)]))
         out.append("".join(row))
     return "".join(out)
 
 
-def _grid_to_text(L, D, rows, measured, fmt) -> str:
-    """The rows (ell, {d: triples}), ell = 0..L, as an aligned grid of the
-    columns d = 1..D, one fmt % triple line per triple.
+def _grid_to_text(L, D, rows, measured) -> str:
+    """The rows (ell, blocks), ell = 0..L, as an aligned grid of the
+    columns d = 1..D, where blocks[d - 1] holds the lines of column d,
+    for the first len(blocks) columns, and the columns after them are
+    empty.
 
     Column d is as wide as "d=%d" % d or as its widest line in the rows
     measured, which must hold the widest line of every column.
     """
-    cols = range(1, D + 1)
-    widths = {d: len("d=%d" % d) for d in cols}
-    for _, cells in measured:
-        for d, trips in cells.items():
-            widths[d] = max([widths[d]] + [len(fmt % t) for t in trips])
+    widths = [len("d=%d" % d) for d in range(1, D + 1)]
+    for _, blocks in measured:
+        for k, lines in enumerate(blocks):
+            widths[k] = max([widths[k]] + [len(s) for s in lines])
+    blanks = [" " * w for w in widths]
     label_w = len("ell=%d" % L)
-    lines = [" | ".join([" " * label_w]
-                        + [("d=%d" % d).ljust(widths[d]) for d in cols])]
-    for ell, cells in rows:
-        blocks = {d: [fmt % t for t in cells.get(d, ())] for d in cols}
-        height = max(1, max(len(b) for b in blocks.values()))
-        for k in range(height):
-            label = ("ell=%d" % ell) if k == 0 else ""
-            row = [label.ljust(label_w)]
-            for d in cols:
-                b = blocks[d]
-                row.append((b[k] if k < len(b) else "").ljust(widths[d]))
-            lines.append(" | ".join(row).rstrip())
-    lines.append("")  # the last newline, with no copy of the whole text
-    return "\n".join(lines)
+    out = [" | ".join([" " * label_w] + [("d=%d" % d).ljust(w) for d, w
+                                         in enumerate(widths, 1)])]
+    for ell, blocks in rows:
+        label, empty = ("ell=%d" % ell).ljust(label_w), blanks[len(blocks):]
+        for parts in (list(zip_longest(*blocks, fillvalue=""))
+                      or [("",) * len(blocks)]):
+            out.append(" | ".join([label, *map(str.ljust, parts, widths),
+                                   *empty]).rstrip())
+            label = " " * label_w
+    out.append("")  # the last newline, with no copy of the whole text
+    return "\n".join(out)
 
 
 def table_to_text(a) -> str:
@@ -203,15 +221,25 @@ def table_to_text(a) -> str:
     the digits of -i'.  So no line of the column is wider than that one.
     """
     ts = ct.TripleSemigroup(a)
-    return _grid_to_text(ts.L, ts.D, _rows(a, range(ts.L + 1), ts.D),
-                         _rows(a, range(ts.L, ts.L + 1), ts.D), "%d %d %d")
+    # "%d iota c" and c for each c of Gamma_iota
+    lines = [[("%%d %d %d" % (i, c), c) for c in ct.gamma(i)]
+             for i in range(ts.L + 1)]
+
+    def rows(ells):
+        for ell, base, iotas in _rows(a, ells, ts.D):
+            yield ell, [[fmt % (base + c) for fmt, c in lines[i]]
+                        for i in iotas]
+
+    return _grid_to_text(ts.L, ts.D, rows(range(ts.L + 1)),
+                         rows(range(ts.L, ts.L + 1)))
 
 
 def monomial_table_to_text(t: MonomialTable) -> str:
     cols = range(1, t.d_max + 1)
-    rows = [(ell, {d: t.cells[ell, d] for d in cols if (ell, d) in t.cells})
+    rows = [(ell, [["%s %d %d" % x for x in t.cells.get((ell, d), ())]
+                   for d in cols])
             for ell in range(t.ell_max + 1)]
-    return _grid_to_text(t.ell_max, t.d_max, rows, rows, "%s %d %d")
+    return _grid_to_text(t.ell_max, t.d_max, rows, rows)
 
 
 def table_to_json(a) -> str:
@@ -219,15 +247,26 @@ def table_to_json(a) -> str:
     triple, in O(a^2) time and memory, as table_to_csv.
 
     The bytes are those of json.dumps(indent=2) + "\n" for the cells of
-    partition_table(a), none of them empty.
+    partition_table(a), none of them empty.  Each cell is one % of its
+    iota's template.
     """
     ts = ct.TripleSemigroup(a)
-    triples = _templates(ts.L, _JSON_TRIPLE)
-    return "[\n" + ",\n".join([
-        ",\n".join([_JSON_CELL % (ell, d, ",\n".join([triples[i, c] % r
-                                                      for r, i, c in trips]))
-                    for d, trips in cells.items()])
-        for ell, cells in _rows(a, range(ts.L + 1), ts.D)]) + "\n]\n"
+    cells = [(_JSON_CELL % fmt, gamma) for fmt, gamma
+             in _cell_templates(ts.L, _JSON_TRIPLE, ",\n")]
+    out = ["[\n"]
+    for ell, base, iotas in _rows(a, range(ts.L + 1), ts.D):
+        row = []
+        for d, i in enumerate(iotas, 1):
+            fmt, gamma = cells[i]
+            if len(gamma) == 4:  # as in partition_table
+                c0, c1, c2, c3 = gamma
+                row.append(fmt % (ell, d, base + c0, base + c1, base + c2,
+                                  base + c3))
+            else:
+                row.append(fmt % (ell, d, *map(base.__add__, gamma)))
+        out += (",\n".join(row), ",\n")
+    out[-1] = "\n]\n"  # one join, with no copy of the whole text
+    return "".join(out)
 
 
 def _ulf_rows(members, key, first):

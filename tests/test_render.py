@@ -161,8 +161,9 @@ def reference_text(t):
 
 def test_serializers_match_the_library_encoders_byte_for_byte():
     # the writers build no table; each is checked against the encoders
-    # run over partition_table(a)
-    for a in range(3, 161):
+    # run over partition_table(a), and at a in {201, 202}, where L = 100,
+    # on ell, iota and |c| with three digits
+    for a in [*range(3, 161), 201, 202]:
         t = partition_table(a)
         assert table_to_csv(a) == reference_csv(t), a
         assert table_to_json(a) == reference_json(t), a
@@ -199,6 +200,7 @@ TEXT_DIGESTS = {
     10: "3c4f4791bfa76e684bce179b74be134267d8314fd25b14ddecfe848be527fa17",
     41: "087c0595e89bd5ca27952b0790c4cc8b8f564637287de5052c13d4a363c1cd27",
     150: "8dbf2c15f437e18ec540881f2bfb9188de54391d4305e10b9cde51089cb30613",
+    201: "8cd8c03a563734ff5c7dca9d7968fe8e2e46b0d34ce420b9df91aa75a0d45fec",
 }
 MONOMIAL_DIGESTS = {
     False: "59e7b6f33c92a97380fcf5dcb3056cc45986a91688381d50ed836ba05c4286b3",
