@@ -28,9 +28,11 @@ query.
 A process loads only what its command runs: the engine on the engine
 paths (imported in `_resolve`), the `verify` module for `verify`, and
 `arithmetic_sequence` when the --gens are an arithmetic sequence
-(imported in `_family`).  No command loads `json`: `_emit` writes the
-JSON objects itself, `ulf` and `apery` fill fixed templates through
-`_emit_listing`, and `table` those of `render`.
+(imported in `_family`).  Each command returns the text of its answer,
+and `main` alone writes it to stdout, in one piece once every error has
+been raised, and picks the exit code.  No command loads `json`: `_emit`
+builds the JSON objects itself, `ulf` and `apery` fill fixed templates
+through `_emit_listing`, and `table` those of `render`.
 """
 
 import re
@@ -363,8 +365,8 @@ def _family(g):
     return {}, None, reason
 
 
-def _resolve(t, ns, command, enum):
-    """Answer one command by closed form or generic engine: (result, method).
+def _resolve(t, ns, enum):
+    """Answer ns.command by closed form or generic engine: (result, method).
 
     t.table maps command to (answer(t.key, ns), count(t.key) or None),
     count being the O(1) size of the listing, checked in every mode.  The
@@ -375,6 +377,7 @@ def _resolve(t, ns, command, enum):
     mode), or with --fast, it is a usage error, and valid generators with
     n1 > MAX_N1 are refused before the engine is imported, here alone.
     """
+    command = ns.command
     answer, count = t.table.get(command, (None, None))
     if count is not None:
         _check_listed(command, count(t.key))
@@ -401,7 +404,7 @@ def _resolve(t, ns, command, enum):
 
 
 def _emit(ns, text, obj, csv):
-    """Write one answer to stdout in one piece, in the format ns.fmt.
+    """The text of one answer, in the format ns.fmt.
 
     text and csv are thunks giving the lines of those formats, and obj one
     giving the JSON object; only the one for ns.fmt runs.  The object is
@@ -411,14 +414,12 @@ def _emit(ns, text, obj, csv):
     null, and the rest by str, whose ints and ", " are JSON's.
     """
     if ns.fmt == "json":
-        out = "{%s}\n" % ", ".join([
+        return "{%s}\n" % ", ".join([
             '"%s": %s' % (k, "null" if v is None else
                           '"%s"' % v if isinstance(v, str) else v)
             for k, v in sorted(obj().items())])
-    else:
-        lines = (text if ns.fmt == "text" else csv)()
-        out = "".join([line + "\n" for line in lines])
-    sys.stdout.write(out)
+    lines = (text if ns.fmt == "text" else csv)()
+    return "".join([line + "\n" for line in lines])
 
 
 # "00" to "99", the last two digits of 100h + k
@@ -453,15 +454,14 @@ def _decimals(runs, sep):
 
 
 def _emit_listing(ns, runs, doc):
-    """Write the ascending listing runs to stdout in one piece: one line in
-    text, one row per member in CSV, and in JSON the template doc, whose
-    one %s takes the members' list."""
+    """The text of the ascending listing runs: one line in text, one row
+    per member in CSV, and in JSON the template doc, whose one %s takes
+    the members' list."""
     if ns.fmt == "json":
-        out = doc % _decimals(runs, ", ")
-    else:
-        out = _decimals(runs, " " if ns.fmt == "text" else "\n")
-        out += "\n" if out or ns.fmt == "text" else ""
-    sys.stdout.write(out)
+        return doc % _decimals(runs, ", ")
+    out = _decimals(runs, " " if ns.fmt == "text" else "\n")
+    out += "\n" if out or ns.fmt == "text" else ""  # in place: no copy
+    return out
 
 
 def _check_listed(command, n, what="members"):
@@ -500,7 +500,7 @@ _TRIPLE = {
 }
 
 
-def cmd_info(t, ns) -> int:
+def cmd_info(t, ns) -> str:
     def enum(core, S):
         cls = core.betti_elements(S)
         # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
@@ -508,7 +508,7 @@ def cmd_info(t, ns) -> int:
                 if cls.unbalanced else None)
         return S.minimal_generators, S.frobenius, cls, size
 
-    (mingens, frob, cls, ulf_size), method = _resolve(t, ns, "info", enum)
+    (mingens, frob, cls, ulf_size), method = _resolve(t, ns, enum)
     # the least unbalanced Betti element: every member below it has one
     # factorization length, and it has two; None on N
     threshold = min(cls.unbalanced, default=None)
@@ -537,13 +537,12 @@ def cmd_info(t, ns) -> int:
             "unique-length members: %s"
             % ("unbounded" if ulf_size is None else ulf_size)]
 
-    _emit(ns, text, obj, lambda: [  # a list holds commas: quote it
+    return _emit(ns, text, obj, lambda: [  # a list holds commas: quote it
         "%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
         for k, v in sorted(obj().items())])
-    return 0
 
 
-def cmd_factorize(t, ns) -> int:
+def cmd_factorize(t, ns) -> str:
     r = ns.r
 
     def enum(core, S):
@@ -554,12 +553,11 @@ def cmd_factorize(t, ns) -> int:
                       "or more factorizations")
         return core.factorizations(S, r)
 
-    facs, method = _resolve(t, ns, "factorize", enum)
-    _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
-          lambda: {"method": method, "r": r,
-                   "factorizations": [list(f) for f in facs]},
-          lambda: [",".join(map(str, f)) for f in facs])
-    return 0
+    facs, method = _resolve(t, ns, enum)
+    return _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
+                 lambda: {"method": method, "r": r,
+                          "factorizations": [list(f) for f in facs]},
+                 lambda: [",".join(map(str, f)) for f in facs])
 
 
 def _apery_listed(command, core, S, counts):
@@ -570,64 +568,58 @@ def _apery_listed(command, core, S, counts):
     return [core._apery_list(S, counts)]
 
 
-def cmd_apery(t, ns) -> int:
+def cmd_apery(t, ns) -> str:
     xs = sorted(set(ns.x))
-    runs, method = _resolve(t, ns, "apery", lambda core, S: _apery_listed(
+    runs, method = _resolve(t, ns, lambda core, S: _apery_listed(
         "apery", core, S, core._apery_counts(S, xs)))
-    _emit_listing(ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n'
-                  % (method, xs))
-    return 0
+    return _emit_listing(
+        ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n' % (method, xs))
 
 
-def cmd_betti(t, ns) -> int:
-    cls, method = _resolve(t, ns, "betti",
-                           lambda core, S: core.betti_elements(S))
-    _emit(ns,
-          lambda: ["betti: %s" % (list(cls.betti),),
-                   "balanced: %s" % (list(cls.balanced),),
-                   "unbalanced: %s" % (list(cls.unbalanced),)],
-          lambda: {"method": method, "betti": list(cls.betti),
-                   "balanced": list(cls.balanced),
-                   "unbalanced": list(cls.unbalanced)},
-          lambda: ["%d,%s" % (b, "balanced" if b in cls.balanced
-                                else "unbalanced")
-                   for b in cls.betti])
-    return 0
+def cmd_betti(t, ns) -> str:
+    cls, method = _resolve(t, ns, lambda core, S: core.betti_elements(S))
+    return _emit(ns,
+                 lambda: ["betti: %s" % (list(cls.betti),),
+                          "balanced: %s" % (list(cls.balanced),),
+                          "unbalanced: %s" % (list(cls.unbalanced),)],
+                 lambda: {"method": method, "betti": list(cls.betti),
+                          "balanced": list(cls.balanced),
+                          "unbalanced": list(cls.unbalanced)},
+                 lambda: ["%d,%s" % (b, "balanced" if b in cls.balanced
+                                       else "unbalanced")
+                          for b in cls.betti])
 
 
-def cmd_ulf(t, ns) -> int:
+def cmd_ulf(t, ns) -> str:
     def enum(core, S):  # core.ulf(S), sized before it is listed
         return _apery_listed("ulf", core, S, core._ulf_counts(S))
 
-    runs, method = _resolve(t, ns, "ulf", enum)
-    _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": [%%s]}\n'
-                  % (sum(map(len, runs)), method))
-    return 0
+    runs, method = _resolve(t, ns, enum)
+    return _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": '
+                         '[%%s]}\n' % (sum(map(len, runs)), method))
 
 
-def cmd_table(t, ns) -> int:
+def cmd_table(t, ns) -> str:
     from . import render
 
-    a, _ = _resolve(t, ns, "table", None)
-    write = {"csv": render.table_to_csv, "json": render.table_to_json,
-             "text": render.table_to_text}[ns.fmt]
-    sys.stdout.write(write(a))
-    return 0
+    a, _ = _resolve(t, ns, None)
+    return {"csv": render.table_to_csv, "json": render.table_to_json,
+            "text": render.table_to_text}[ns.fmt](a)
 
 
-def cmd_presentation(t, ns) -> int:
-    pres, method = _resolve(t, ns, "presentation", None)
-    _emit(ns,
-          lambda: ["%s  =  %s   (value %d)"
-                   % (" ".join(map(str, x)), " ".join(map(str, y)),
-                      x.value(t.gens))
-                   for x, y in pres.relations],
-          lambda: {"method": method,
-                   "relations": [[list(x), list(y)]
-                                 for x, y in pres.relations]},
-          lambda: ["%s,%s" % (" ".join(map(str, x)), " ".join(map(str, y)))
-                   for x, y in pres.relations])
-    return 0
+def cmd_presentation(t, ns) -> str:
+    pres, method = _resolve(t, ns, None)
+    return _emit(ns,
+                 lambda: ["%s  =  %s   (value %d)"
+                          % (" ".join(map(str, x)), " ".join(map(str, y)),
+                             x.value(t.gens))
+                          for x, y in pres.relations],
+                 lambda: {"method": method,
+                          "relations": [[list(x), list(y)]
+                                        for x, y in pres.relations]},
+                 lambda: ["%s,%s" % (" ".join(map(str, x)),
+                                     " ".join(map(str, y)))
+                          for x, y in pres.relations])
 
 
 COMMANDS = {"info": cmd_info, "factorize": cmd_factorize, "apery": cmd_apery,
@@ -641,8 +633,11 @@ def main(argv=None) -> int:
         if ns.command == "verify":
             from .verify import cmd_verify
 
-            return cmd_verify(ns)
-        return COMMANDS[ns.command](Target(ns), ns)
+            out, code = cmd_verify(ns)
+        else:
+            out, code = COMMANDS[ns.command](Target(ns), ns), 0
+        sys.stdout.write(out)
+        return code
     except NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

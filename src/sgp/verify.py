@@ -144,7 +144,8 @@ def _verify_random(count, seed):
     return checks, None
 
 
-def cmd_verify(ns) -> int:
+def cmd_verify(ns):
+    """The PASS or FAIL line of one verify run, and its exit code."""
     if ns.gens is not None or ns.a is not None:
         raise ValueError("verify sweeps its own semigroups; "
                          "it takes neither --gens nor --a")
@@ -165,10 +166,7 @@ def cmd_verify(ns) -> int:
         results += [_verify_arith(a) for a in a_values if a >= 5]
     if ns.random:
         results.append(_verify_random(ns.random, ns.seed))
-    total = sum(c for c, _ in results)
     for _, failure in results:
         if failure is not None:
-            print("FAIL %s" % (failure,))
-            return 1
-    print("PASS (%d checks)" % total)
-    return 0
+            return "FAIL %s\n" % (failure,), 1
+    return "PASS (%d checks)\n" % sum(c for c, _ in results), 0

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import golden
 from argparse_reference import build_parser
+from sgp import arithmetic_sequence as arith
 from sgp import cli, oracle
 from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
+from sgp.records import Factorization, Presentation
 from test_cli_golden import SEMIGROUPS, observe
 
 
@@ -553,7 +555,7 @@ def test_decimals_is_the_join_of_the_members(runs):
             sep.join(map(str, [x for run in runs for x in run])), sep
 
 
-# the values _emit writes as JSON: the method name, None, and ints (beyond
+# the values _emit gives as JSON: the method name, None, and ints (beyond
 # 64 bits too) or lists, empty or not, of ints or of int lists
 _INTS = st.one_of(st.integers(), st.integers(2 ** 63 - 2, 2 ** 70),
                   st.integers(-2 ** 70, -2 ** 63 + 2))
@@ -569,10 +571,9 @@ _VALUES = st.one_of(st.sampled_from([cli.CLOSED_FORM, cli.ENUMERATION]),
 @example({"method": cli.ENUMERATION, "ulf_size": None, "relations": [[]],
           "betti": [], "r": -2 ** 64})
 def test_emit_writes_json_as_json_dumps(obj):
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        cli._emit(SimpleNamespace(fmt="json"), None, lambda: obj, None)
-    assert stdout.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
+    # _emit returns the text that main writes
+    assert cli._emit(SimpleNamespace(fmt="json"), None, lambda: obj,
+                     None) == json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
@@ -884,6 +885,14 @@ def test_verify_rejects_selector(capsys, selector):
     assert "verify" in err
 
 
+@pytest.mark.parametrize("argv", [("--a-min", "2"),
+                                  ("--a-min", "6", "--a-max", "5")])
+def test_verify_refuses_an_empty_or_small_a_range(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "need 3 <= a-min <= a-max" in err
+
+
 def test_verify_reads_max_listed_when_called(capsys, monkeypatch):
     # the length table of a-max 4 has 25 entries
     monkeypatch.setattr(cli, "MAX_LISTED", 10)
@@ -978,6 +987,43 @@ def test_verify_reports_counterexample(capsys, monkeypatch, name, wrong,
     code, out, _ = run(capsys, "verify", "--a-max", "3")
     assert code == 1
     assert out == "FAIL %s\n" % ((3, 8, reason),)
+
+
+# a wrong answer from each formula that verify --arith and --random check:
+# name -> (its module, the wrong answer made from the right one, the verify
+# options, and the end of the FAIL line).  <5, 6, 7> is the first
+# arithmetic sequence --arith checks at a = 5.
+FAMILY_WRONG_ANSWERS = {
+    "betti_arith": (arith, lambda betti: betti[1:],
+                    ("--a-min", "5", "--a-max", "5", "--arith"),
+                    "(5, (1, 2), 'betti mismatch')"),
+    # betti_arith reads ubetti_arith as a set, so a repeat is wrong here
+    # alone
+    "ubetti_arith": (arith, lambda ubetti: ubetti + ubetti[-1:],
+                     ("--a-min", "5", "--a-max", "5", "--arith"),
+                     "(5, (1, 2), 'unbalanced betti mismatch')"),
+    "presentation_arith": (
+        arith, lambda pres: Presentation(tuple(
+            (x, Factorization((x[0] + 1,) + x[1:])) for x, _ in
+            pres.relations)),
+        ("--a-min", "5", "--a-max", "5", "--arith"),
+        "(5, (1, 2), 'relator with unequal sides')"),
+    "apery_multi": (core, lambda thm: thm + [max(thm) + 1],
+                    ("--a-max", "3", "--random", "1"),
+                    ", None, 'unique-length set differs from the Apery "
+                    "form')"),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_WRONG_ANSWERS)
+def test_verify_reports_family_counterexample(capsys, monkeypatch, name):
+    module, wrong, options, end = FAMILY_WRONG_ANSWERS[name]
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: wrong(right(*args)))
+    code, out, _ = run(capsys, "verify", *options)
+    assert code == 1
+    assert out.startswith("FAIL (") and out.endswith(end + "\n")
+    assert out.count("\n") == 1
 
 
 def test_verify_check_count_from_oracle_membership(capsys):

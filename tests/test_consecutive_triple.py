@@ -46,15 +46,21 @@ def test_rejects_small_a():
             TripleSemigroup(a)
 
 
-@pytest.mark.parametrize("closed_form", [
-    member_triple, ulf_membership_triple, factorizations_triple,
-    denumerant_triple, decompose_triple, length_triple, seed,
-    monomial_basis])
-def test_per_element_closed_forms_reject_small_a(closed_form):
-    # each validates a inline, with the message of TripleSemigroup
+@pytest.mark.parametrize("closed_form, args", [
+    pytest.param(closed_form, args, id=closed_form.__name__)
+    for closed_form, args in [
+        (member_triple, (4,)), (ulf_membership_triple, (4,)),
+        (factorizations_triple, (4,)), (denumerant_triple, (4,)),
+        (decompose_triple, (4,)), (length_triple, (4,)), (seed, (4,)),
+        (monomial_basis, (4,)), (ubetti_triple, ()), (s_ell, (1,)),
+        (s_d_i, (1, 0)), (s_d_ulf, (1,)), (ulf_triple, ()),
+        (presentation_triple, ())]])
+def test_per_element_closed_forms_reject_small_a(closed_form, args):
+    # each validates a inline, with the message of TripleSemigroup, and
+    # s_d_i through TripleSemigroup itself
     for a in (-1, 0, 1, 2):
         with pytest.raises(ValueError, match="need a >= 3, got"):
-            closed_form(a, 4)
+            closed_form(a, *args)
 
 
 def test_attributes():
@@ -97,6 +103,8 @@ def test_seed_spot_values():
     assert (sd.iota, sd.c) == (2, -1)
     assert seed(10, 0).phi == (0, 0, 0)
     assert seed(15, 63).phi == (2, 1, 1)
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        seed(10, -1)
 
 
 def test_seed_value_identity():

@@ -152,6 +152,8 @@ def test_factorizations_golden():
     S = sg(3, 4, 5)
     for r, expected in golden.TINY_FACTORIZATIONS.items():
         assert set(map(tuple, factorizations(S, r))) == expected
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        factorizations(S, -1)
 
 
 def test_factorizations_sorted_and_exact():
@@ -208,6 +210,8 @@ def test_factorizations_match_the_oracle_descent(gens):
     top = oracle.frobenius(S) + 2 * max(S.minimal_generators)
     for r in range(top + 1):
         assert factorizations(S, r) == oracle.factorizations(S, r), r
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        oracle.factorizations(S, -1)
 
 
 # ---------------------------------------------------------------------------
