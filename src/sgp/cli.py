@@ -23,18 +23,24 @@ leaves it out.  `ulf` lists Ap(S, UBetti(S)), finite on every semigroup
 but N, and N, whose unique-length set is all of N, is a usage error.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
-query.
+query, 4 the answer or the help could not be written (stdout closed, or
+its reader gone).
 
 A process loads only what its command runs: the engine on the engine
 paths (imported in `_resolve`), the `verify` module for `verify`, and
 `arithmetic_sequence` when the --gens are an arithmetic sequence
 (imported in `_family`).  Each command returns the text of its answer,
-and `main` alone writes it to stdout, in one piece once every error has
-been raised, and picks the exit code.  No command loads `json`: `_emit`
-builds the JSON objects itself, `ulf` and `apery` fill fixed templates
-through `_emit_listing`, and `table` those of `render`.
+and `main` alone writes and flushes it to stdout, in one piece once every
+error has been raised, and picks the exit code.  If stdout takes no more,
+`_write`, which also writes the help, prints one `error:` line on stderr,
+points stdout's descriptor at os.devnull so that the flush at
+interpreter exit writes nothing, and exits 4.  No command loads `json`: each JSON answer is one `%` of a fixed
+template of its command, keys in sorted order (`_emit` for info,
+factorize, betti and presentation, `_emit_listing` for ulf and apery, and
+`render` for table).
 """
 
+import os
 import re
 import sys
 from itertools import chain
@@ -113,6 +119,10 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 # the tokens a positional takes, in the pattern of _parse
 _NARGS = {1: re.compile("-*A-*"), "+": re.compile("-*A[A-]*"),
           "...": re.compile("-*A[-AO]*")}
+# each parser's option defaults, set on the namespace as it starts
+_DEFAULTS = {command: {dest: default for dest, _, default, _, _
+                       in options.values()}
+             for command, (_, _, options) in SPEC.items()}
 
 
 def parse(argv=None) -> SimpleNamespace:
@@ -142,25 +152,34 @@ def _parse(command, args, ns, extras):
     As in argparse, every token is first read as an option (O), a value
     (A) or the "--" (-) after which all are values; then options and
     positionals are taken left to right, so help or an error comes at the
-    first token that asks for it.
+    first token that asks for it.  A plain value or an exact option name
+    is read in the token loop itself, and only the other tokens that
+    start with "-" go to _option.
     """
     _, positional, options = SPEC[command]
-    for dest, _, default, _, _ in options.values():
-        setattr(ns, dest, default)
-    found, pattern = {}, []
+    vars(ns).update(_DEFAULTS[command])
+    found, pattern = {}, ""
     for i, arg in enumerate(args):
-        if arg == "--":
-            pattern.append("-" + "A" * (len(args) - i - 1))
+        if arg[:1] != "-" or arg == "-":
+            pattern += "A"
+        elif arg in options or arg in HELP:
+            found[i] = arg, None
+            pattern += "O"
+        elif arg == "--":
+            pattern += "-" + "A" * (len(args) - i - 1)
             break
-        option = _option(command, arg)
-        if option is not None:
-            found[i] = option
-        pattern.append("A" if option is None else "O")
-    pattern = "".join(pattern)
+        else:
+            option = _option(command, options, arg)
+            if option is None:
+                pattern += "A"
+            else:
+                found[i] = option
+                pattern += "O"
     i = 0
     while i < len(args):
         if i in found:
-            i = _take(command, ns, args, pattern, i, found[i], extras)
+            i = _take(command, options, ns, args, pattern, i, found[i],
+                      extras)
             continue
         match = positional and _NARGS[positional[1]].match(pattern, i)
         if not match:
@@ -188,15 +207,11 @@ def _parse(command, args, ns, extras):
               % positional[0])
 
 
-def _option(command, arg):
-    """How the parser of command reads arg: None for a value, else (the
-    option, or None for one it does not have; the text after "=", or
-    None)."""
-    options = SPEC[command][2]
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in options or arg in HELP:
-        return arg, None
+def _option(command, options, arg):
+    """How the parser of command, whose options are options, reads arg, a
+    token that starts with "-" and is neither "-", "--", -h/--help nor the
+    exact name of an option: None for a value, else (the option, or None
+    for one it does not have; the text after "=", or None)."""
     head, eq, tail = arg.partition("=")
     if eq and (head in options or head in HELP):
         return head, tail
@@ -217,9 +232,10 @@ def _option(command, arg):
     return None, None
 
 
-def _take(command, ns, args, pattern, i, option, extras):
-    """Apply option, read from args[i] by _option; return the index past
-    the option and its value."""
+def _take(command, options, ns, args, pattern, i, option, extras):
+    """Apply option, read from args[i] by _parse, of the parser of command
+    whose options are options; return the index past the option and its
+    value."""
     name, tail = option
     if name is None:
         extras.append(args[i])
@@ -230,13 +246,13 @@ def _take(command, ns, args, pattern, i, option, extras):
             _help(command)
         _fail(command, "argument -h/--help: ignored explicit argument %r"
               % tail)
-    dest, kind, _, _, _ = SPEC[command][2][name]
+    dest, kind, _, _, _ = options[name]
     if kind is bool:
         if tail is not None:
             _fail(command, "argument %s: ignored explicit argument %r"
                   % (name, tail))
         rival = RIVALS.get(name)
-        if rival and getattr(ns, SPEC[command][2][rival][0]):
+        if rival and getattr(ns, options[rival][0]):
             _fail(command, "argument %s: not allowed with argument %s"
                   % (name, rival))
         setattr(ns, dest, True)
@@ -293,7 +309,8 @@ def _fail(command, message):
 
 
 def _help(command):
-    """Print the help of sgp (command None) or of one command; exit 0."""
+    """Print the help of sgp (command None) or of one command; exit 0, or
+    4 as main does when stdout takes no more."""
     from textwrap import wrap
 
     text, positional, options = SPEC[command]
@@ -314,8 +331,7 @@ def _help(command):
             right = wrap(right, 77 - width) or [""]
             lines.append(("  %-*s%s" % (width, left, right[0])).rstrip())
             lines += [" " * (width + 2) + more for more in right[1:]]
-    sys.stdout.write("\n".join(lines) + "\n")
-    raise SystemExit(0)
+    raise SystemExit(_write("\n".join(lines) + "\n", 0))
 
 
 class Target:
@@ -331,14 +347,14 @@ class Target:
         if ns.a is not None:
             if ns.a < 1:
                 raise ValueError("--a wants a positive integer")
-            gens = (ns.a, ns.a + 1, ns.a + 2)
+            self.gens = (ns.a, ns.a + 1, ns.a + 2)  # sorted and distinct
         else:
             try:
-                gens = [int(part) for part in ns.gens.split(",")]
+                gens = {int(part) for part in ns.gens.split(",")}
             except ValueError:
                 raise ValueError("--gens wants comma-separated integers, "
                                  "got %r" % ns.gens)
-        self.gens = tuple(sorted(set(gens)))
+            self.gens = tuple(sorted(gens))
         self.table, self.key, self.reason = _family(self.gens)
 
 
@@ -403,21 +419,18 @@ def _resolve(t, ns, enum):
     return enum(core, core.Semigroup(t.gens)), ENUMERATION
 
 
-def _emit(ns, text, obj, csv):
+def _emit(ns, text, doc, csv):
     """The text of one answer, in the format ns.fmt.
 
-    text and csv are thunks giving the lines of those formats, and obj one
-    giving the JSON object; only the one for ns.fmt runs.  The object is
-    a dict whose values are the method name, None, or ints and lists,
-    nested or not, of ints.  It is written as json.dumps(obj,
-    sort_keys=True) writes it: keys sorted, the name quoted, None as
-    null, and the rest by str, whose ints and ", " are JSON's.
+    text and csv are thunks giving the lines of those formats, and doc one
+    giving the JSON text; only the one for ns.fmt runs.  doc fills one
+    fixed template of its command, whose keys are in sorted order, with
+    the method name, ints and lists, nested or not, of ints: str of an int
+    or of such a list is its JSON, ", " included, so the text is that of
+    json.dumps(answer, sort_keys=True) and a newline.
     """
     if ns.fmt == "json":
-        return "{%s}\n" % ", ".join([
-            '"%s": %s' % (k, "null" if v is None else
-                          '"%s"' % v if isinstance(v, str) else v)
-            for k, v in sorted(obj().items())])
+        return doc()
     lines = (text if ns.fmt == "text" else csv)()
     return "".join([line + "\n" for line in lines])
 
@@ -500,6 +513,17 @@ _TRIPLE = {
 }
 
 
+# The JSON answers of info, factorize, betti and presentation, keys in
+# sorted order; info's ulf_bound, absent on N, comes in with its key
+_INFO_JSON = ('{"balanced": %s, "betti": %s, "frobenius": %d, "generators": '
+              '%s, "method": "%s", "minimal_generators": %s%s, "ulf_size": '
+              '%s, "unbalanced": %s}\n')
+_FACTORIZE_JSON = '{"factorizations": %s, "method": "%s", "r": %d}\n'
+_BETTI_JSON = ('{"balanced": %s, "betti": %s, "method": "%s", "unbalanced": '
+               '%s}\n')
+_PRESENTATION_JSON = '{"method": "%s", "relations": %s}\n'
+
+
 def cmd_info(t, ns) -> str:
     def enum(core, S):
         cls = core.betti_elements(S)
@@ -513,7 +537,7 @@ def cmd_info(t, ns) -> str:
     # factorization length, and it has two; None on N
     threshold = min(cls.unbalanced, default=None)
 
-    def obj():
+    def obj():  # the fields, as CSV rows
         o = {"method": method,
              "generators": list(t.gens),
              "minimal_generators": list(mingens),
@@ -526,6 +550,14 @@ def cmd_info(t, ns) -> str:
             o["ulf_bound"] = threshold
         return o
 
+    def doc():  # the same fields; ulf_size is null on N
+        return (_INFO_JSON % (
+            list(cls.balanced), list(cls.betti), frob, list(t.gens), method,
+            list(mingens), "" if threshold is None else
+            ', "ulf_bound": %d' % threshold,
+            "null" if ulf_size is None else ulf_size,
+            list(cls.unbalanced)))
+
     def text():
         lines = ["minimal generators: %s" % (list(mingens),),
                  "frobenius: %d" % frob]
@@ -537,7 +569,7 @@ def cmd_info(t, ns) -> str:
             "unique-length members: %s"
             % ("unbounded" if ulf_size is None else ulf_size)]
 
-    return _emit(ns, text, obj, lambda: [  # a list holds commas: quote it
+    return _emit(ns, text, doc, lambda: [  # a list holds commas: quote it
         "%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
         for k, v in sorted(obj().items())])
 
@@ -555,8 +587,8 @@ def cmd_factorize(t, ns) -> str:
 
     facs, method = _resolve(t, ns, enum)
     return _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
-                 lambda: {"method": method, "r": r,
-                          "factorizations": [list(f) for f in facs]},
+                 lambda: _FACTORIZE_JSON % ([list(f) for f in facs],
+                                            method, r),
                  lambda: [",".join(map(str, f)) for f in facs])
 
 
@@ -582,9 +614,9 @@ def cmd_betti(t, ns) -> str:
                  lambda: ["betti: %s" % (list(cls.betti),),
                           "balanced: %s" % (list(cls.balanced),),
                           "unbalanced: %s" % (list(cls.unbalanced),)],
-                 lambda: {"method": method, "betti": list(cls.betti),
-                          "balanced": list(cls.balanced),
-                          "unbalanced": list(cls.unbalanced)},
+                 lambda: _BETTI_JSON % (list(cls.balanced),
+                                        list(cls.betti), method,
+                                        list(cls.unbalanced)),
                  lambda: ["%d,%s" % (b, "balanced" if b in cls.balanced
                                        else "unbalanced")
                           for b in cls.betti])
@@ -614,9 +646,8 @@ def cmd_presentation(t, ns) -> str:
                           % (" ".join(map(str, x)), " ".join(map(str, y)),
                              x.value(t.gens))
                           for x, y in pres.relations],
-                 lambda: {"method": method,
-                          "relations": [[list(x), list(y)]
-                                        for x, y in pres.relations]},
+                 lambda: _PRESENTATION_JSON % (
+                     method, [[list(x), list(y)] for x, y in pres.relations]),
                  lambda: ["%s,%s" % (" ".join(map(str, x)),
                                      " ".join(map(str, y)))
                           for x, y in pres.relations])
@@ -636,14 +667,33 @@ def main(argv=None) -> int:
             out, code = cmd_verify(ns)
         else:
             out, code = COMMANDS[ns.command](Target(ns), ns), 0
-        sys.stdout.write(out)
-        return code
     except NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:  # usage errors and invalid generators
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return _write(out, code)
+
+
+def _write(text, code):
+    """Write and flush text to stdout and return code; if stdout is closed
+    or its reader has gone, say so in one line on stderr, point stdout's
+    descriptor at os.devnull, so that the flush at interpreter exit
+    writes nothing, and return 4."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        print("error: cannot write to stdout: %s" % exc, file=sys.stderr)
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # a closed or in-memory stdout
+            pass
+        return 4
+    return code
 
 
 if __name__ == "__main__":

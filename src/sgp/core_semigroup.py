@@ -51,9 +51,11 @@ class Semigroup:
     O(e^2) membership tests.  An instance keeps O(n1) memory.
     Construction is Dijkstra over the residues mod n1, Nijenhuis's
     minimal-path algorithm (Amer. Math. Monthly 86, 1979): its heap holds
-    int path weights w, each at residue w mod n1, and it stops once all n1
+    int path weights w, each at residue w mod n1, pushed only when it
+    lowers the tentative weight of its residue, and it stops once all n1
     residues are settled.  For e <= n1 generators it takes O(n1 * e *
-    log n1) time and at most n1 * e heap entries.  Bocker & Liptak's
+    log n1) time, and the heap takes at most 1 + n1 * (e - 1) entries, at
+    most one per edge out of a settled residue.  Bocker & Liptak's
     heap-free round robin computes the same table and measured no faster
     than this Dijkstra.  Instances are immutable after construction and
     safe to share between threads.
@@ -74,25 +76,33 @@ class Semigroup:
         self.generators = tuple(gens)
         n1 = gens[0]
         # Shortest paths from residue 0, where adding generator g is an
-        # edge of weight g from residue i to (i + g) mod n1.
-        ap, left, outer = [None] * n1, n1, gens[1:]
-        heap = [0]
+        # edge of weight g from residue i to (i + g) mod n1.  ap holds
+        # each residue's tentative weight, n1 * gens[-1] standing for none
+        # (every entry is below it), and w + g is pushed only when it
+        # lowers its entry; so a popped w is settled when it is still the
+        # entry of its residue, and any other is stale.
+        outer = gens[1:]
+        ap = [n1 * gens[-1]] * n1
+        ap[0], left, heap = 0, n1, [0]
         while left:  # until every residue is settled
             w = heappop(heap)
-            i = w % n1
-            if ap[i] is None:
-                ap[i] = w
+            if w == ap[w % n1]:
                 left -= 1
                 for g in outer:
-                    if ap[(w + g) % n1] is None:
-                        heappush(heap, w + g)
+                    v = w + g
+                    if v < ap[v % n1]:
+                        ap[v % n1] = v
+                        heappush(heap, v)
         self._apery = ap
         self.frobenius = max(ap) - n1
         # g splits as s + t with both parts nonzero members exactly when
-        # g - h is a member for some smaller generator h.
-        self.minimal_generators = tuple(
-            g for k, g in enumerate(gens)
-            if not any(g - h in self for h in gens[:k]))
+        # g - m is a member for some smaller minimal generator m: a smaller
+        # h that is not minimal is m + u with u a nonzero member.
+        mins = [n1]
+        for g in outer:
+            if all(g - m < ap[(g - m) % n1] for m in mins):
+                mins.append(g)
+        self.minimal_generators = tuple(mins)
 
     def __contains__(self, n) -> bool:
         # A negative n is below every entry; a non-integer cannot index.

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -555,25 +554,29 @@ def test_decimals_is_the_join_of_the_members(runs):
             sep.join(map(str, [x for run in runs for x in run])), sep
 
 
-# the values _emit gives as JSON: the method name, None, and ints (beyond
-# 64 bits too) or lists, empty or not, of ints or of int lists
-_INTS = st.one_of(st.integers(), st.integers(2 ** 63 - 2, 2 ** 70),
-                  st.integers(-2 ** 70, -2 ** 63 + 2))
-_VALUES = st.one_of(st.sampled_from([cli.CLOSED_FORM, cli.ENUMERATION]),
-                    st.none(), _INTS, st.lists(_INTS),
-                    st.lists(st.lists(_INTS)))
+def dumped(out):
+    """out as json.dumps writes what it holds: keys sorted, one line."""
+    return json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
-@given(st.dictionaries(st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
-                       _VALUES, max_size=9))
-@settings(max_examples=300, deadline=None)
-@example({})
-@example({"method": cli.ENUMERATION, "ulf_size": None, "relations": [[]],
-          "betti": [], "r": -2 ** 64})
-def test_emit_writes_json_as_json_dumps(obj):
-    # _emit returns the text that main writes
-    assert cli._emit(SimpleNamespace(fmt="json"), None, lambda: obj,
-                     None) == json.dumps(obj, sort_keys=True) + "\n"
+def ints(value):
+    """The ints of value, an int or a list, nested or not, of ints."""
+    if isinstance(value, int):
+        return [value]
+    return [x for item in value for x in ints(item)]
+
+
+# a = 2**65 puts each of these answers beyond a signed 64-bit int: a
+# itself, and in a presentation the exponent a/2 of a power of a + 2
+@pytest.mark.parametrize("args", [["info"], ["betti"], ["presentation"],
+                                  ["factorize", str(3 * 2 ** 65)]])
+def test_json_writes_ints_beyond_64_bits(capsys, args):
+    code, out, _ = run(capsys, "--a", str(2 ** 65), "--format", "json",
+                       *args)
+    assert code == 0 and out == dumped(out)
+    doc = json.loads(out)
+    del doc["method"]
+    assert max(ints(list(doc.values()))) >= 2 ** 63, doc
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
@@ -1099,11 +1102,49 @@ def test_default_and_oracle_answers_agree(gens):
                     code, out, _ = observe(selector + ["--format", fmt]
                                            + mode + [command] + args)
                     if code == 0 and fmt == "json":
+                        assert out == dumped(out), (command, args, mode)
                         out = {key: sorted(value) if isinstance(value, list)
                                else value for key, value in
                                json.loads(out).items() if key != "method"}
                     answers.append((code, out))
                 assert answers[0] == answers[1], (command, args, fmt)
+
+
+# an answer larger than a pipe holds (693766 bytes) whose reader leaves
+# after one byte, and a small answer and the help whose reader is gone
+# before they start
+@pytest.mark.parametrize("argv, read", [(["--a", "300", "table"], 1),
+                                        (["--a", "10", "info"], 0),
+                                        (["-h"], 0)])
+def test_closed_pipe_exits_4_without_traceback(argv, read):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # unbuffered, a text write ends at the pipe's first short write and
+    # says nothing, so the child's stdout keeps its default buffer
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, "-m", "sgp.cli"] + argv,
+                            stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    if read:
+        assert len(os.read(r, read)) == read
+        os.close(r)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 4
+    assert err == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_exits_4(monkeypatch):
+    out, err = io.StringIO(), io.StringIO()
+    out.close()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["--a", "10", "info"]) == 4
+    assert err.getvalue() == ("error: cannot write to stdout: I/O operation "
+                              "on closed file\n")
 
 
 def test_json_output_is_deterministic(capsys):
