@@ -34,15 +34,17 @@ and `main` alone writes and flushes it to stdout, in one piece once every
 error has been raised, and picks the exit code.  If stdout takes no more,
 `_write`, which also writes the help, prints one `error:` line on stderr,
 points stdout's descriptor at os.devnull so that the flush at
-interpreter exit writes nothing, and exits 4.  No command loads `json`: each JSON answer is one `%` of a fixed
-template of its command, keys in sorted order (`_emit` for info,
-factorize, betti and presentation, `_emit_listing` for ulf and apery, and
-`render` for table).
+interpreter exit writes nothing, and exits 4; a stderr that has gone too
+is pointed at os.devnull as well.  No command loads `json`: each JSON
+answer is one `%` of a fixed template of its command, keys in sorted
+order (`_emit` for info, factorize, betti and presentation,
+`_emit_listing` for ulf and apery, and `render` for table).
 """
 
 import os
 import re
 import sys
+from io import FileIO
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
@@ -680,20 +682,41 @@ def _write(text, code):
     """Write and flush text to stdout and return code; if stdout is closed
     or its reader has gone, say so in one line on stderr, point stdout's
     descriptor at os.devnull, so that the flush at interpreter exit
-    writes nothing, and return 4."""
+    writes nothing, and return 4.  When stderr has gone too, it is
+    pointed at os.devnull as well, with no line.
+
+    Unbuffered (python -u), the text layer sits on the raw file and takes
+    a short write for the whole one, so there the encoded text is written
+    in a loop until every byte is out or the write fails."""
+    out = sys.stdout
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if isinstance(getattr(out, "buffer", None), FileIO):
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[out.buffer.write(data):]
+        else:
+            out.write(text)
+        out.flush()
     except (OSError, ValueError) as exc:
-        print("error: cannot write to stdout: %s" % exc, file=sys.stderr)
         try:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        except (OSError, ValueError):  # a closed or in-memory stdout
-            pass
+            print("error: cannot write to stdout: %s" % exc, file=sys.stderr)
+        except (OSError, ValueError):
+            _to_devnull(sys.stderr)
+        _to_devnull(out)
         return 4
     return code
+
+
+def _to_devnull(stream):
+    """Point the descriptor of stream at os.devnull; a closed or in-memory
+    stream has none and is left as it is."""
+    try:
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+    except (OSError, ValueError):
+        return
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -1112,29 +1112,36 @@ def test_default_and_oracle_answers_agree(gens):
 
 # an answer larger than a pipe holds (693766 bytes) whose reader leaves
 # after one byte, and a small answer and the help whose reader is gone
-# before they start
+# before they start.  Each runs buffered and unbuffered (where the text
+# layer takes a short write for the whole one), and with stderr on its
+# own pipe or on the same pipe as stdout (the error line then goes
+# nowhere)
 @pytest.mark.parametrize("argv, read", [(["--a", "300", "table"], 1),
                                         (["--a", "10", "info"], 0),
                                         (["-h"], 0)])
 def test_closed_pipe_exits_4_without_traceback(argv, read):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    # unbuffered, a text write ends at the pipe's first short write and
-    # says nothing, so the child's stdout keeps its default buffer
-    env.pop("PYTHONUNBUFFERED", None)
-    r, w = os.pipe()
-    if not read:
-        os.close(r)
-    proc = subprocess.Popen([sys.executable, "-m", "sgp.cli"] + argv,
-                            stdout=w, stderr=subprocess.PIPE, env=env)
-    os.close(w)
-    if read:
-        assert len(os.read(r, read)) == read
-        os.close(r)
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 4
-    assert err == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+    for unbuffered in (False, True):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for shared in (False, True):
+            r, w = os.pipe()
+            if not read:
+                os.close(r)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sgp.cli"] + argv, stdout=w,
+                stderr=w if shared else subprocess.PIPE, env=env)
+            os.close(w)
+            if read:
+                assert len(os.read(r, read)) == read
+                os.close(r)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 4, (unbuffered, shared)
+            assert err == (None if shared else b"error: cannot write to "
+                           b"stdout: [Errno 32] Broken pipe\n"), unbuffered
 
 
 def test_closed_stdout_exits_4(monkeypatch):

@@ -17,13 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from sgp import oracle
+from sgp import core_semigroup, oracle
 from sgp.core_semigroup import (
     BettiClassification,
     Factorization,
     NotMemberError,
     Semigroup,
     _apery_counts,
+    _betti_bits,
+    _betti_scan,
     _denumerants,
     _factorization_count,
     _length_masks,
@@ -495,6 +497,7 @@ def test_random_semigroup_invariants(gens):
 @example([1])
 @example([4, 5, 6])
 @example([5, 6, 8, 9])
+@example([5, 6, 9])
 def test_betti_candidates_match_full_scan(gens):
     # the candidates w + n_j against every member up to frobenius + n_1 +
     # n_e, split by length set: betti, balanced and unbalanced.  The first
@@ -502,19 +505,49 @@ def test_betti_candidates_match_full_scan(gens):
     # element; in <3, 4, 5> and <10, 11, 12> the first unbalanced element
     # (9, 60) and the balanced ones (8, 22) are told apart only by the
     # lengths the depth table gives; <5, 8> has e = 2 and <1> is N.  The
-    # last two pin the traversal: in <4, 5, 6> the candidate 16 is
+    # next two pin the traversal: in <4, 5, 6> the candidate 16 is
     # connected only through a second step (4 reaches 6 by 16 - 4 - 6 = 6,
     # and 6 reaches 5 by 16 - 6 - 5 = 5, while 16 - 4 - 5 = 7 is a gap);
     # in <5, 6, 8, 9> the Betti element 18 = 3*6 = 2*9 = 2*5 + 8 has three
-    # R-classes, and the traversal steps from 5 to 8 before it runs out
+    # R-classes, and the traversal steps from 5 to 8 before it runs out.
+    # In <5, 6, 9> the Betti element 18 = 3*6 = 2*9 lies in Ap(S, 5): n1
+    # is not live there, so the bit pass roots it at 6
     S = _small_semigroup(gens)
-    assert betti_elements(S) == oracle.betti_elements(S)
+    want = oracle.betti_elements(S)
+    assert _betti_paths(S) == (want.betti, want, want)
+    assert betti_elements(S) == want
+
+
+def _betti_paths(S):
+    """The bit pass alone, the scan given its Betti elements, and the
+    scan given every candidate w + n_j, called directly."""
+    outer = S.minimal_generators[1:]
+    return (tuple(_betti_bits(S)), _betti_scan(S, _betti_bits(S)),
+            _betti_scan(S, sorted({v + g for v in S._apery for g in outer})))
+
+
+# one semigroup on each side of each bound of the bit pass: X = max Ap(S,
+# n1) + n_e at 32 * n1 and one above it, n1 at 10 and at 9, e at 3 and 2
+@pytest.mark.parametrize("gens, bits", [((10, 15, 61), True),
+                                        ((10, 27, 98), False),
+                                        ((10, 11, 13), True),
+                                        ((9, 11, 13), False),
+                                        ((10, 11), False)])
+def test_betti_takes_the_bit_pass_on_dense_semigroups(monkeypatch, gens,
+                                                      bits):
+    S, calls = Semigroup(gens), []
+    monkeypatch.setattr(core_semigroup, "_betti_bits",
+                        lambda S: calls.append(S) or _betti_bits(S))
+    want = oracle.betti_elements(S)
+    assert betti_elements(S) == want
+    assert calls == ([S] if bits else [])
+    assert _betti_paths(S) == (want.betti, want, want)
 
 
 def test_betti_matches_oracle_at_engine_cli_sizes():
     # seeded semigroups the size of the benchmark's generic requests: e
     # from 2 to 5, n1 from 8 to 40, the other minimal generators below
-    # 2 * n1; Ap(S, UBetti) is checked there too
+    # 2 * n1; both paths and Ap(S, UBetti) are checked there too
     rng = random.Random(15)
     checked = 0
     while checked < 100:
@@ -525,8 +558,9 @@ def test_betti_matches_oracle_at_engine_cli_sizes():
         S = Semigroup(gens)
         if len(S.minimal_generators) < e:
             continue
-        cls = betti_elements(S)
-        assert cls == oracle.betti_elements(S), gens
+        cls = oracle.betti_elements(S)
+        assert betti_elements(S) == cls, gens
+        assert _betti_paths(S) == (cls.betti, cls, cls), gens
         assert apery_multi(S, cls.unbalanced) == \
             oracle.apery_multi(S, cls.unbalanced), gens
         checked += 1
