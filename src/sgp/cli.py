@@ -9,12 +9,13 @@ gives the help of `sgp -h` and `sgp COMMAND -h`.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
-and takes neither.  `Target` recognizes the closed family once, a
-consecutive triple or an arithmetic sequence, and `_resolve` alone reads
-its table of closed answers: by default the closed form where one
-applies, else the generic engine of `core_semigroup`, noting a triple's
-fallback on stderr; --fast demands the closed form (usage error outside
-its domain) and --oracle skips the closed forms.  JSON output carries a
+and takes neither.  `Target` recognizes the closed family once, as its
+record: a `TripleSemigroup`, an `ArithSemigroup` or None.  Each command
+asks one attribute by name, and `_resolve` alone picks who answers: the
+record where it has the name, else the generic engine's `Semigroup`
+(which has none for table and presentation), noting the fallback on
+stderr where the record's name is None; --fast demands the record (usage
+error outside its domain) and --oracle skips it.  JSON output carries a
 "method" field naming the code path that produced it: "closed-form" or
 "enumeration", the latter meaning the generic engine.  Both paths give
 the same fields: `info` gives the two-length threshold, the least
@@ -339,8 +340,8 @@ def _help(command):
 class Target:
     """The semigroup a command addresses.
 
-    gens are the parsed generators, sorted and deduplicated, and table,
-    key and reason their family, from _family, for _resolve alone.
+    gens are the parsed generators, sorted and deduplicated, and record
+    and reason their family, from _family, for _resolve alone.
     """
 
     def __init__(self, ns):
@@ -357,51 +358,48 @@ class Target:
                 raise ValueError("--gens wants comma-separated integers, "
                                  "got %r" % ns.gens)
             self.gens = tuple(sorted(gens))
-        self.table, self.key, self.reason = _family(self.gens)
+        self.record, self.reason = _family(self.gens)
 
 
 def _family(g):
-    """(table, key, reason): the closed answers of the family of the
-    sorted generators g, as in _TRIPLE, the key they take (a for <a, a+1,
-    a+2> with a >= 3, or the ArithSemigroup of an arithmetic sequence it
-    covers), and why a command missing from table has no closed form."""
+    """(record, reason): the closed-form record of the family of the
+    sorted generators g, a TripleSemigroup for <a, a+1, a+2> with a >= 3
+    or the ArithSemigroup of an arithmetic sequence it covers, else None;
+    and why a question the record does not answer has no closed form."""
     if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3:
-        return _TRIPLE, g[0], "enumeration only"  # said of apery alone
+        return ct.TripleSemigroup(g[0]), "enumeration only"  # of apery
     reason = "need a consecutive triple or an arithmetic sequence"
     d = g[1] - g[0] if len(g) > 1 else 0
     if d and all(g[i] - g[i - 1] == d for i in range(2, len(g))):
         from . import arithmetic_sequence as arith
 
-        table = {"betti": (lambda S, ns: arith.classify_arith(S), None),
-                 "presentation": (lambda S, ns: arith.presentation_arith(S),
-                                  None)}
         try:
-            return (table, arith.ArithSemigroup(g[0], d, len(g) - 1),
+            return (arith.ArithSemigroup(g[0], d, len(g) - 1),
                     "an arithmetic sequence has none")
         except ValueError as exc:  # an arithmetic sequence it does not cover
             reason = str(exc)
-    return {}, None, reason
+    return None, reason
 
 
-def _resolve(t, ns, enum):
-    """Answer ns.command by closed form or generic engine: (result, method).
+def _resolve(t, ns, name, engine=True):
+    """(answerer, method): what answers ns.command by its attribute name,
+    the closed-form record t.record or the generic engine's Semigroup.
 
-    t.table maps command to (answer(t.key, ns), count(t.key) or None),
-    count being the O(1) size of the listing, checked in every mode.  The
-    answer runs unless it is None or --oracle is given.  Otherwise
-    enum(core, S) runs, core being the engine module and S the Semigroup
-    of t.gens, noting the fallback on stderr where the table hands command
-    to it (answer None) without --oracle; but with no enum (no enumeration
-    mode), or with --fast, it is a usage error, and valid generators with
-    n1 > MAX_N1 are refused before the engine is imported, here alone.
+    The record's <command>_size, the O(1) size of its listing, is checked
+    in every mode.  The record answers unless --oracle is given or its
+    name is missing or None; else the engine does, unless it has no answer
+    (engine false, known without importing it) or --fast is given, both
+    usage errors.  Valid generators with n1 > MAX_N1 are refused before
+    the engine is imported, here alone; only then is the fallback noted
+    on stderr, where the record's name is None and --oracle is not given.
     """
-    command = ns.command
-    answer, count = t.table.get(command, (None, None))
-    if count is not None:
-        _check_listed(command, count(t.key))
-    if answer is not None and not ns.oracle:
-        return answer(t.key, ns), CLOSED_FORM
-    if enum is None:
+    command, record = ns.command, t.record
+    size = getattr(record, command + "_size", None)
+    if size is not None:
+        _check_listed(command, size)
+    if not ns.oracle and getattr(record, name, None) is not None:
+        return record, CLOSED_FORM
+    if not engine:
         if ns.oracle:
             raise ValueError("%s has no enumeration mode for --oracle"
                              % command)
@@ -410,15 +408,15 @@ def _resolve(t, ns, enum):
     if ns.fast:
         raise ValueError("--fast: no closed form for %s (%s)"
                          % (command, t.reason))
-    if command in t.table and not ns.oracle:
-        print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
-                                                    t.reason), file=sys.stderr)
     if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
         raise ValueError("the engine would build an Apery table of n1 = %d "
                          "entries, more than %d" % (t.gens[0], MAX_N1))
+    if not ns.oracle and hasattr(record, name):
+        print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
+                                                    t.reason), file=sys.stderr)
     from . import core_semigroup as core
 
-    return enum(core, core.Semigroup(t.gens)), ENUMERATION
+    return core.Semigroup(t.gens), ENUMERATION
 
 
 def _emit(ns, text, doc, csv):
@@ -486,35 +484,6 @@ def _check_listed(command, n, what="members"):
                          % (command, n, what, MAX_LISTED))
 
 
-def _triple_info(a, ns):
-    ts = ct.TripleSemigroup(a)
-    return ts.generators, ts.frob, ct.ubetti_triple(a), ts.ulf_size
-
-
-def _triple_factorize(a, ns):
-    n, exact = ct._factorization_count(a, ns.r, MAX_LISTED)
-    _check_listed("factorize", n, "factorizations" if exact
-                  else "or more factorizations")
-    return ct.factorizations_triple(a, ns.r)
-
-
-# The closed answers of <a, a+1, a+2>, keyed by a: command ->
-# (answer(a, ns), count(a) or None).  table answers a itself, which the
-# render writers take.  apery is handed to the engine with
-# a fallback= note.  An arithmetic sequence hands nothing on, so notes no
-# fallback: every two-generator semigroup is one.
-_TRIPLE = {
-    "info": (_triple_info, None),
-    "factorize": (_triple_factorize, None),
-    "apery": (None, None),
-    "betti": (lambda a, ns: ct.ubetti_triple(a), None),
-    "ulf": (lambda a, ns: [ct.s_ell(a, ell) for ell in range(a + 1)],
-            lambda a: ct.TripleSemigroup(a).ulf_size),
-    "table": (lambda a, ns: a, lambda a: (ct.TripleSemigroup(a).L + 1) ** 2),
-    "presentation": (lambda a, ns: ct.presentation_triple(a), None),
-}
-
-
 # The JSON answers of info, factorize, betti and presentation, keys in
 # sorted order; info's ulf_bound, absent on N, comes in with its key
 _INFO_JSON = ('{"balanced": %s, "betti": %s, "frobenius": %d, "generators": '
@@ -527,14 +496,8 @@ _PRESENTATION_JSON = '{"method": "%s", "relations": %s}\n'
 
 
 def cmd_info(t, ns) -> str:
-    def enum(core, S):
-        cls = core.betti_elements(S)
-        # |ULF(S)| = |Ap(S, UBetti)|, counted without listing; None on N
-        size = (sum(core._apery_counts(S, cls.unbalanced))
-                if cls.unbalanced else None)
-        return S.minimal_generators, S.frobenius, cls, size
-
-    (mingens, frob, cls, ulf_size), method = _resolve(t, ns, enum)
+    S, method = _resolve(t, ns, "info")
+    mingens, frob, cls, ulf_size = S.info()
     # the least unbalanced Betti element: every member below it has one
     # factorization length, and it has two; None on N
     threshold = min(cls.unbalanced, default=None)
@@ -578,40 +541,28 @@ def cmd_info(t, ns) -> str:
 
 def cmd_factorize(t, ns) -> str:
     r = ns.r
-
-    def enum(core, S):
-        if r not in S:
-            raise NotMemberError("%d is not in %r" % (r, S))
-        _check_listed("factorize",
-                      core._factorization_count(S, r, MAX_LISTED),
-                      "or more factorizations")
-        return core.factorizations(S, r)
-
-    facs, method = _resolve(t, ns, enum)
+    S, method = _resolve(t, ns, "factorizations")
+    n, exact = S.factorization_count(r, MAX_LISTED)
+    _check_listed("factorize", n, "factorizations" if exact
+                  else "or more factorizations")
+    facs = S.factorizations(r)
     return _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
                  lambda: _FACTORIZE_JSON % ([list(f) for f in facs],
                                             method, r),
                  lambda: [",".join(map(str, f)) for f in facs])
 
 
-def _apery_listed(command, core, S, counts):
-    """The Apery set whose `core._apery_counts` are counts, as the one run
-    of a listing: their sum is checked first, so that a huge set is
-    refused at once, and the members are listed from the same counts."""
-    _check_listed(command, sum(counts))
-    return [core._apery_list(S, counts)]
-
-
 def cmd_apery(t, ns) -> str:
     xs = sorted(set(ns.x))
-    runs, method = _resolve(t, ns, lambda core, S: _apery_listed(
-        "apery", core, S, core._apery_counts(S, xs)))
+    S, method = _resolve(t, ns, "apery_runs")
+    runs = S.apery_runs(xs, lambda n: _check_listed("apery", n))
     return _emit_listing(
         ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n' % (method, xs))
 
 
 def cmd_betti(t, ns) -> str:
-    cls, method = _resolve(t, ns, lambda core, S: core.betti_elements(S))
+    S, method = _resolve(t, ns, "betti")
+    cls = S.betti()
     return _emit(ns,
                  lambda: ["betti: %s" % (list(cls.betti),),
                           "balanced: %s" % (list(cls.balanced),),
@@ -625,10 +576,8 @@ def cmd_betti(t, ns) -> str:
 
 
 def cmd_ulf(t, ns) -> str:
-    def enum(core, S):  # core.ulf(S), sized before it is listed
-        return _apery_listed("ulf", core, S, core._ulf_counts(S))
-
-    runs, method = _resolve(t, ns, enum)
+    S, method = _resolve(t, ns, "ulf_runs")
+    runs = S.ulf_runs(lambda n: _check_listed("ulf", n))
     return _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": '
                          '[%%s]}\n' % (sum(map(len, runs)), method))
 
@@ -636,13 +585,14 @@ def cmd_ulf(t, ns) -> str:
 def cmd_table(t, ns) -> str:
     from . import render
 
-    a, _ = _resolve(t, ns, None)
+    ts, _ = _resolve(t, ns, "table_size", engine=False)
     return {"csv": render.table_to_csv, "json": render.table_to_json,
-            "text": render.table_to_text}[ns.fmt](a)
+            "text": render.table_to_text}[ns.fmt](ts.a)
 
 
 def cmd_presentation(t, ns) -> str:
-    pres, method = _resolve(t, ns, None)
+    P, method = _resolve(t, ns, "presentation", engine=False)
+    pres = P.presentation()
     return _emit(ns,
                  lambda: ["%s  =  %s   (value %d)"
                           % (" ".join(map(str, x)), " ".join(map(str, y)),

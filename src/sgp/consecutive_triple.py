@@ -89,28 +89,66 @@ def _ubetti(a):
 
 
 class TripleSemigroup:
-    """Derived constants of <a, a+1, a+2>.
+    """<a, a+1, a+2> as a record: its constants and its answers.
 
     L is the largest length realized below the threshold, D the largest
     denumerant there, frob the Frobenius number, ulf_bound the threshold
-    L_a itself and ulf_size the number of unique-length members.
+    L_a itself, ulf_size the number of unique-length members and
+    table_size the cells of the partition table, each an O(1) property.
+    It answers what `sgp` asks: `info()`, `betti()` and `presentation()`
+    in O(1), `factorization_count(r, cap)` in at most about 1500 steps
+    for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), and
+    `ulf_runs(check)`, the ranges S^0, ..., S^a, in O(a), leaving check
+    to the caller, who reads ulf_size first.  `apery_runs` is None: the
+    engine answers it.
     """
 
-    __slots__ = ("a", "generators", "L", "D", "frob", "ulf_bound", "ulf_size")
+    __slots__ = ("a", "generators")
+
+    apery_runs = None
+    L = property(lambda self: (self.a - 1) // 2)
+    D = property(lambda self: (self.a + 3) // 4)
+    frob = property(lambda self: self.a // 2 * self.a - 1)
+    ulf_bound = property(lambda self: _threshold(self.a))
+    # m_0(m_0 + 1) + m_1(m_1 + 1) = 2 m_0 (m_1 + 1), as m_0 - m_1 = a mod 2
+    ulf_size = property(lambda self: (self.a + 1) // 2 * (self.a // 2 + 1) * 2)
+    table_size = property(lambda self: (self.L + 1) ** 2)
 
     def __init__(self, a):
         if index(a) < 3:
             raise _small_a(a)
         self.a = a
         self.generators = (a, a + 1, a + 2)
-        self.L = (a - 1) // 2
-        self.D = (a + 3) // 4
-        self.frob = (a // 2) * a - 1
-        self.ulf_bound = _threshold(a)
-        self.ulf_size = sum(m * (m + 1) for m in (_m(a, 0), _m(a, 1)))
 
     def __repr__(self):
         return "TripleSemigroup(%d)" % self.a
+
+    def info(self):
+        return self.generators, self.frob, ubetti_triple(self.a), self.ulf_size
+
+    def betti(self):
+        return ubetti_triple(self.a)
+
+    def presentation(self):
+        return presentation_triple(self.a)
+
+    def factorization_count(self, r, cap):
+        # (n, exact): n is |F(r)| when exact, else a lower bound above
+        # cap.  One omega-orbit of min(phi_1, phi_3) + 1 vectors per
+        # length, growing by about a/2 per length from the longest
+        n = 0
+        for ell in reversed(_lengths(self.a, r)):
+            if n > cap:
+                return n, False
+            p1, _, p3 = _phi(self.a, r, ell)
+            n += min(p1, p3) + 1
+        return n, True
+
+    def factorizations(self, r):
+        return factorizations_triple(self.a, r)
+
+    def ulf_runs(self, check):
+        return [s_ell(self.a, ell) for ell in range(self.a + 1)]
 
 
 class SeedDescriptor(namedtuple("SeedDescriptor",
@@ -251,20 +289,6 @@ def factorizations_triple(a, r):
         _omega_orbit(_phi(a, r, ell), out)
     out.sort()
     return out
-
-
-def _factorization_count(a, r, cap):
-    # (n, exact): n is |F(r)| when exact, else a lower bound above cap.
-    # One omega-orbit of min(phi_1, phi_3) + 1 vectors per length, growing
-    # by about a/2 per length from the longest: for cap 10**6 the sum
-    # passes cap or L(r) ends within about 1500 lengths
-    n = 0
-    for ell in reversed(_lengths(a, r)):
-        if n > cap:
-            return n, False
-        p1, _, p3 = _phi(a, r, ell)
-        n += min(p1, p3) + 1
-    return n, True
 
 
 def _phi_below_threshold(a, r):

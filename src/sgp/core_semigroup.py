@@ -59,6 +59,13 @@ class Semigroup:
     heap-free round robin computes the same table and measured no faster
     than this Dijkstra.  Instances are immutable after construction and
     safe to share between threads.
+
+    An instance answers what `sgp` asks of a semigroup, under the names
+    of the closed-form records, by the module functions: `info()` and
+    `betti()` by one `betti_elements` search, `factorization_count(r,
+    cap)`, `factorizations(r)`, and `ulf_runs(check)` and `apery_runs(xs,
+    check)`, which call check(n) once the n members are counted, in
+    O(n1 * |X|), and before they are listed.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
@@ -110,6 +117,34 @@ class Semigroup:
 
     def __repr__(self):
         return "Semigroup(%s)" % ", ".join(map(str, self.minimal_generators))
+
+    def info(self):
+        # |ULF| = |Ap(S, UBetti)| is counted without listing; None on N
+        cls = betti_elements(self)
+        return self.minimal_generators, self.frobenius, cls, sum(
+            _apery_counts(self, cls.unbalanced)) if cls.unbalanced else None
+
+    def betti(self):
+        return betti_elements(self)
+
+    def factorization_count(self, r, cap):
+        if r not in self:
+            raise NotMemberError("%d is not in %r" % (r, self))
+        n = _factorization_count(self, r, cap)
+        return n, n <= cap
+
+    def factorizations(self, r):
+        return factorizations(self, r)
+
+    def ulf_runs(self, check):
+        counts = _ulf_counts(self)
+        check(sum(counts))
+        return [_apery_list(self, counts)]
+
+    def apery_runs(self, xs, check):
+        counts = _apery_counts(self, xs)
+        check(sum(counts))
+        return [_apery_list(self, counts)]
 
 
 def _pair_solutions(p, q):

@@ -403,6 +403,8 @@ def test_engine_refuses_huge_n1_at_once(capsys):
                  "--a 1000001 apery 5"):
         err = refused_at_once(capsys, argv.split())
         assert "n1 = %s" % argv.split()[1].split(",")[0] in err, argv
+        # the engine never runs, so no fallback to it is noted
+        assert "fallback=" not in err, argv
     code, out, _ = run(capsys, "--gens", "10007,10009", "info")
     assert code == 0 and "frobenius: 100140047" in out
     code, out, _ = run(capsys, "--a", "1000000", "info")
@@ -433,6 +435,26 @@ def test_engine_request_builds_one_semigroup(capsys, monkeypatch, argv):
     assert len(builds) == 1
 
 
+def test_a_record_answers_by_name(capsys, monkeypatch):
+    # a family is its record: a command asks the record by name, and one
+    # the record lacks goes to the engine with no fallback= note
+    class Betti:
+        def betti(self):
+            return core.BettiClassification((18, 60), (), (18, 60))
+
+    monkeypatch.setattr(cli, "_family", lambda g: (Betti(), "betti only"))
+    code, out, err = run(capsys, "--gens", "6,9,20", "--format", "json",
+                         "betti")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "closed-form"
+    code, out, err = run(capsys, "--gens", "6,9,20", "--format", "json",
+                         "info")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "enumeration"
+    code, _, err = run(capsys, "--gens", "6,9,20", "--fast", "info")
+    assert code == 2 and "no closed form for info (betti only)" in err
+
+
 def test_invalid_generators_above_max_n1_name_the_gcd(capsys):
     # generators with gcd d > 1 are no numerical semigroup whatever n1 is,
     # so the message names d, not the size of an Apery table
@@ -459,9 +481,9 @@ def test_oracle_factorize_is_sized_by_the_engine(capsys, monkeypatch):
     def closed(*args):
         raise AssertionError("closed form called with %r" % (args,))
 
-    monkeypatch.setattr(cli.ct, "_lengths", closed)
-    monkeypatch.setattr(cli.ct, "_phi", closed)
-    monkeypatch.setattr(cli.ct, "_factorization_count", closed)
+    # what the triple record's factorization_count and factorizations call
+    for name in ("_lengths", "_phi", "factorizations_triple"):
+        monkeypatch.setattr(cli.ct, name, closed)
     err = refused_at_once(capsys, ["--oracle", "--a", "10", "factorize",
                                    str(10 ** 12)])
     assert "or more factorizations, more than %d" % cli.MAX_LISTED in err
@@ -1057,7 +1079,12 @@ FAMILIES = st.one_of(
     st.integers(3, 40).map(lambda a: (a, a + 1, a + 2)),
     st.builds(lambda a, d, n: tuple(a + i * d for i in range(n + 1)),
               st.integers(2, 30), st.integers(1, 9), st.integers(1, 5)
-              ).filter(lambda g: cli._family(g)[1] is not None))
+              ).filter(lambda g: cli._family(g)[0] is not None))
+
+# the attribute of a record that each command asks for, in its cmd_*
+QUESTIONS = {"info": "info", "factorize": "factorizations",
+             "apery": "apery_runs", "betti": "betti", "ulf": "ulf_runs",
+             "table": "table_size", "presentation": "presentation"}
 
 
 def enumeration_argvs(gens):
@@ -1083,13 +1110,20 @@ def examples(*cases):
 @examples(*[(a, a + 1, a + 2) for a in range(3, 41)], (5, 8, 11, 14),
           (8, 13))
 def test_default_and_oracle_answers_agree(gens):
-    # every command in the family's table with an enumeration mode answers
-    # the same by default and under --oracle: in JSON with the method
-    # dropped and listings sorted, and ulf byte for byte in text and CSV
+    # every command the family's record answers, with an enumeration mode,
+    # answers the same by default and under --oracle: in JSON with the
+    # method dropped and listings sorted, and ulf byte for byte in text
+    # and CSV.  A triple answers all seven commands (apery by handing it
+    # on), an arithmetic sequence betti and presentation
     selector = ["--gens", ",".join(map(str, gens))]
-    table = cli._family(gens)[0]
+    record = cli._family(gens)[0]
+    commands = [command for command, name in QUESTIONS.items()
+                if hasattr(record, name)]
+    triple = len(gens) == 3 and gens[2] - gens[0] == 2
+    assert commands == (list(QUESTIONS) if triple
+                        else ["betti", "presentation"])
     argvs = enumeration_argvs(gens)
-    for command in table:
+    for command in commands:
         if command not in argvs:
             code, _, err = observe(selector + ["--oracle", command])
             assert code == 2 and "no enumeration mode" in err, command
