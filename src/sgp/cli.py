@@ -502,7 +502,7 @@ def cmd_info(t, ns) -> str:
     # factorization length, and it has two; None on N
     threshold = min(cls.unbalanced, default=None)
 
-    def obj():  # the fields, as CSV rows
+    def obj():  # the fields, as CSV rows; ulf_size is empty on N
         o = {"method": method,
              "generators": list(t.gens),
              "minimal_generators": list(mingens),
@@ -510,7 +510,7 @@ def cmd_info(t, ns) -> str:
              "betti": list(cls.betti),
              "balanced": list(cls.balanced),
              "unbalanced": list(cls.unbalanced),
-             "ulf_size": ulf_size}
+             "ulf_size": "" if ulf_size is None else ulf_size}
         if threshold is not None:
             o["ulf_bound"] = threshold
         return o
