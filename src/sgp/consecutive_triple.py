@@ -91,10 +91,11 @@ def _ubetti(a):
 class TripleSemigroup:
     """<a, a+1, a+2> as a record: its constants and its answers.
 
-    L is the largest length realized below the threshold, D the largest
-    denumerant there, frob the Frobenius number, ulf_bound the threshold
-    L_a itself, ulf_size the number of unique-length members and
-    table_size the cells of the partition table, each an O(1) property.
+    generators is (a, a+1, a+2), L the largest length realized below the
+    threshold, D the largest denumerant there, frob the Frobenius number,
+    ulf_bound the threshold L_a itself, ulf_size the number of
+    unique-length members and table_size the cells of the partition
+    table, each an O(1) property, so a build only checks a.
     It answers what `sgp` asks: `info()`, `betti()` and `presentation()`
     in O(1), `factorization_count(r, cap)` in at most about 1500 steps
     for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), and
@@ -103,9 +104,10 @@ class TripleSemigroup:
     engine answers it.
     """
 
-    __slots__ = ("a", "generators")
+    __slots__ = ("a",)
 
     apery_runs = None
+    generators = property(lambda self: (self.a, self.a + 1, self.a + 2))
     L = property(lambda self: (self.a - 1) // 2)
     D = property(lambda self: (self.a + 3) // 4)
     frob = property(lambda self: self.a // 2 * self.a - 1)
@@ -118,7 +120,6 @@ class TripleSemigroup:
         if index(a) < 3:
             raise _small_a(a)
         self.a = a
-        self.generators = (a, a + 1, a + 2)
 
     def __repr__(self):
         return "TripleSemigroup(%d)" % self.a
@@ -133,14 +134,13 @@ class TripleSemigroup:
         return presentation_triple(self.a)
 
     def factorization_count(self, r, cap):
-        # (n, exact): n is |F(r)| when exact, else a lower bound above
-        # cap.  One omega-orbit of min(phi_1, phi_3) + 1 vectors per
-        # length, growing by about a/2 per length from the longest
-        n = 0
-        for ell in reversed(_lengths(self.a, r)):
+        # (n, exact): n = |F(r)|, or a lower bound above cap if not exact;
+        # orbits of min(phi_1, phi_3) + 1, longest first, growing by ~a/2
+        a, n = self.a, 0
+        for ell in reversed(_lengths(a, r)):
             if n > cap:
                 return n, False
-            p1, _, p3 = _phi(self.a, r, ell)
+            p1, _, p3 = _phi(a, r, ell)
             n += min(p1, p3) + 1
         return n, True
 
