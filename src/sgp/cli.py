@@ -591,8 +591,8 @@ def cmd_table(t, ns) -> str:
 
 
 def cmd_presentation(t, ns) -> str:
-    P, method = _resolve(t, ns, "presentation", engine=False)
-    pres = P.presentation()
+    S, method = _resolve(t, ns, "presentation", engine=False)
+    pres = S.presentation()
     return _emit(ns,
                  lambda: ["%s  =  %s   (value %d)"
                           % (" ".join(map(str, x)), " ".join(map(str, y)),

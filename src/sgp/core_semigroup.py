@@ -60,12 +60,12 @@ class Semigroup:
     than this Dijkstra.  Instances are immutable after construction and
     safe to share between threads.
 
-    An instance answers what `sgp` asks of a semigroup, under the names
-    of the closed-form records, by the module functions: `info()` and
-    `betti()` by one `betti_elements` search, `factorization_count(r,
-    cap)`, `factorizations(r)`, and `ulf_runs(check)` and `apery_runs(xs,
-    check)`, which call check(n) once the n members are counted, in
-    O(n1 * |X|), and before they are listed.  It has no `presentation()`.
+    An instance answers what `sgp` asks, under the names the closed-form
+    records use, at the cost of the module function each calls: `info()`
+    and `betti()` one `betti_elements` search, `factorization_count(r,
+    cap)` and `factorizations(r)` one descent, and `ulf_runs(check)` and
+    `apery_runs(xs, check)` O(n1 * |X|) to count the n members, then
+    check(n), then the listing.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
