@@ -138,13 +138,78 @@ def parse(argv=None) -> SimpleNamespace:
     -h/--help prints help and exits 0; a rejected argv prints a usage
     line and an error on stderr and exits 2.  The argv accepted and the
     namespace given are those of the argparse parser this replaces.
+
+    A plain command line, of exact option names, values that do not start
+    with "-" and one command, is read by `_plain` in one pass; every other
+    argv, and every one that asks for help or an error, by `_parse`.
     """
     args = sys.argv[1:] if argv is None else list(argv)
-    ns = SimpleNamespace()
-    extras = []
-    _parse(None, args, ns, extras)
-    if extras:
-        _fail(None, "unrecognized arguments: %s" % " ".join(extras))
+    ns = _plain(args)
+    if ns is None:
+        ns = SimpleNamespace()
+        extras = []
+        _parse(None, args, ns, extras)
+        if extras:
+            _fail(None, "unrecognized arguments: %s" % " ".join(extras))
+    return ns
+
+
+def _plain(args):
+    """The namespace `_parse` gives args, when args is made only of exact
+    option names of the parser they appear in, values that do not start
+    with "-" and one command; else None.
+
+    It declines, with None and without printing, every other token and
+    every argv that `_parse` would answer with help or an error: --fast
+    with --oracle, a bad choice or int, a missing or extra positional or
+    an option with no value.  An option after a positional's value is
+    declined too, since argparse ends the positional there.
+    """
+    ns = SimpleNamespace(**_DEFAULTS[None])
+    command, options, values = None, SPEC[None][2], []
+    tokens = iter(args)
+    for arg in tokens:
+        if arg in options:
+            if values:
+                return None
+            dest, kind, _, _, _ = options[arg]
+            if kind is bool:
+                setattr(ns, dest, True)
+                continue
+            text = next(tokens, "-")  # no value left reads as "-"
+            if text[:1] == "-":
+                return None
+            if kind is int:
+                try:
+                    text = int(text)
+                except ValueError:
+                    return None
+            elif kind is not str and text not in kind:
+                return None
+            setattr(ns, dest, text)
+        elif arg[:1] == "-":
+            return None
+        elif command is None:
+            if arg not in SPEC:
+                return None
+            command = ns.command = arg
+            vars(ns).update(_DEFAULTS[arg])
+            options = SPEC[arg][2]
+        else:
+            values.append(arg)
+    if command is None or ns.fast and ns.oracle:
+        return None
+    positional = SPEC[command][1]
+    if positional is None:
+        return None if values else ns
+    dest, nargs = positional
+    if not values or nargs == 1 and len(values) > 1:
+        return None
+    try:
+        values = [int(v) for v in values]
+    except ValueError:
+        return None
+    setattr(ns, dest, values if nargs == "+" else values[0])
     return ns
 
 

@@ -130,8 +130,7 @@ class Semigroup:
     def factorization_count(self, r, cap):
         if r not in self:
             raise NotMemberError("%d is not in %r" % (r, self))
-        n = _factorization_count(self, r, cap)
-        return n, n <= cap
+        return _factorization_count(self, r, cap)
 
     def factorizations(self, r):
         return factorizations(self, r)
@@ -202,9 +201,10 @@ def factorizations(S: Semigroup, r: int):
     return out
 
 
-def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
-    """The number of factorizations of r >= 0, or some number above cap
-    once the running count passes it (a lower bound on the count).
+def _factorization_count(S: Semigroup, r: int, cap: int):
+    """(n, exact): n is the number of factorizations of r >= 0, or, once
+    the running count passes cap with some of it left uncounted, that
+    running count, a lower bound above cap, and exact is false.
 
     The coordinates of the largest generators are fixed one at a time,
     largest first; the two smallest, p < q, are counted in O(1) by
@@ -212,22 +212,27 @@ def _factorization_count(S: Semigroup, r: int, cap: int) -> int:
     """
     gens = S.minimal_generators
     if len(gens) == 1:  # N: one factorization
-        return 1
+        return 1, True
     pair, outer = _pair_solutions(gens[0], gens[1]), gens[2:]
+    exact = True
 
     def tally(k, s, cap):
         # factorizations of s over the two smallest and outer[:k]
+        nonlocal exact
         if k == 0:  # len() of a range wider than sys.maxsize overflows
             xs = pair(s)
             return max(0, (xs.stop - xs.start + xs.step - 1) // xs.step)
         n, total = outer[k - 1], 0
-        for x in range(s // n + 1):
+        top = s // n
+        for x in range(top + 1):
             total += tally(k - 1, s - x * n, cap - total)
-            if total > cap:
+            if total > cap and x < top:
+                exact = False
                 break
         return total
 
-    return tally(len(outer), r, cap)
+    n = tally(len(outer), r, cap)
+    return n, exact
 
 
 def _length_masks(S: Semigroup, bound: int):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,15 @@ def test_main_keeps_no_module_state(capsys):
                  ["verify", "--a-max", "4"]):
         assert run(capsys, *argv)[0] == 0, argv
     assert vars(cli) == before
+    # each parse builds its own namespace, so changing one, or a list in
+    # it, changes no other; dict(vars(cli)) would miss a memo changed in
+    # place
+    argv = ["--a", "10", "--format", "json", "apery", "4", "5"]
+    first, second = cli.parse(argv), cli.parse(argv)
+    first.x.append(6)
+    first.fmt = "csv"
+    assert vars(second) == vars(cli.parse(argv)) == \
+        vars(REFERENCE.parse_args(argv))
 
 
 def test_info_text(capsys):
@@ -361,7 +371,8 @@ def test_apery_guard_refuses_before_listing(capsys):
 
 
 def test_factorize_and_verify_guards_refuse_at_once(capsys):
-    # the engine count stops just past MAX_LISTED, a one-length member of
+    # the engine counts <3, 4, 10007> = <3, 4> exactly in O(1) and stops
+    # a longer count just past MAX_LISTED, a one-length member of
     # a triple has kappa_r + 1 factorizations, and verify's table size is
     # a formula, so nothing is listed or built; <3, 4, 5> is a triple, so
     # its count is the closed one, while --oracle leaves the refusal to the
@@ -370,7 +381,7 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
     for argv, message in (
             ("--gens 3,4,5 factorize 100000", "or more factorizations"),
             ("--gens 3,4,10007 factorize 1000000000",
-             "83333334 or more factorizations"),
+             "83333334 factorizations,"),
             (huge % "", "2000000 factorizations,"),
             (huge % "--fast", "2000000 factorizations,"),
             (huge % "--oracle", "n1 = 4000000 entries"),
@@ -382,15 +393,33 @@ def test_factorize_and_verify_guards_refuse_at_once(capsys):
 def test_factorize_guard_counts_past_sys_maxsize(capsys):
     # the pair count of <3, 5> and the length interval L(r) of a triple are
     # ranges longer than sys.maxsize, so neither is counted with len(); the
-    # triple's count stops once its sum of orbits passes MAX_LISTED
+    # pair's count is exact, and the triple's stops once its sum of orbits
+    # passes MAX_LISTED
     for argv, count in (
             ("--gens 3,5 factorize 100000000000000000000000",
              "6666666666666666666667"),
-            ("--gens 3,4,5 factorize 100000000000000000000000", "1001096"),
-            ("--a 3 factorize 99999999999999999999999", "1000519")):
+            ("--gens 3,4,5 factorize 100000000000000000000000",
+             "1001096 or more"),
+            ("--a 3 factorize 99999999999999999999999", "1000519 or more")):
         err = refused_at_once(capsys, argv.split())
-        assert ("factorize would list %s or more factorizations, more than "
-                "%d" % (count, cli.MAX_LISTED)) in err
+        assert ("factorize would list %s factorizations, more than %d"
+                % (count, cli.MAX_LISTED)) in err
+
+
+@pytest.mark.parametrize("cap, argv, count", [
+    (1, "--oracle --a 10 factorize 60", 2),
+    (1, "--a 10 factorize 60", 2),
+    (11, "--gens 6,9,20 factorize 120", 12)])
+def test_factorize_refusal_names_a_finished_count(capsys, monkeypatch, cap,
+                                                  argv, count):
+    # the engine's count says whether it stopped early, so a count it
+    # finished past the cap is named without "or more", as the closed
+    # count of a triple is
+    monkeypatch.setattr(cli, "MAX_LISTED", cap)
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert "factorize would list %d factorizations, more than %d" \
+        % (count, cap) in err
 
 
 def test_engine_refuses_huge_n1_at_once(capsys):
@@ -858,6 +887,45 @@ def test_parse_accepts_what_argparse_accepts(argv):
         assert out.startswith("usage: sgp")
     if got == 2:
         assert err.startswith("usage: sgp") and "\nsgp: error: " in err
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+@example(["--a", "10", "--fast", "--oracle", "info"])
+@example(["--a", "10", "--format", "xml", "info"])
+@example(["--a", "x", "info"])
+@example(["--a", "10", "factorize", "5", "6"])
+@example(["--a", "10", "apery"])
+@example(["--a", "10", "info", "extra"])
+@example(["--a", "10", "factorize", "-5"])
+@example(["--gens", "-", "info"])
+@example(["--a", "10", "info", "--format", "json"])
+@example(["--a", "10", "factorize", "-h"])
+def test_plain_reading_agrees_with_parse(argv):
+    # the one-pass reading prints nothing, raises nothing, and either
+    # declines or gives the namespace of the general reading, which is
+    # parse with the one-pass reading declining everything
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = cli._plain(list(argv))
+    assert out.getvalue() == err.getvalue() == ""
+    if got is not None:
+        with mock.patch.object(cli, "_plain", lambda args: None):
+            assert vars(got) == parse_outcome(cli.parse, argv)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "--a 20970 --format text factorize 167760",
+    "--gens 12,25,31 --format json apery 40 51 77",
+    "--gens 12,25,31 --format json info",
+    "verify --a-min 4 --a-max 5 --random 2 --seed 7",
+    "verify --a-min 4 --a-max 5 --arith"])
+def test_plain_reading_answers_the_workload_shapes(argv):
+    # a reading that declines everything passes the property above, so
+    # the benchmark's argv shapes are pinned to the one pass here
+    got = cli._plain(argv.split())
+    assert got is not None
+    assert vars(got) == vars(REFERENCE.parse_args(argv.split()))
 
 
 DEFAULTS = {"gens": None, "a": None, "fmt": "text", "fast": False,
