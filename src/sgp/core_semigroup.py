@@ -61,11 +61,13 @@ class Semigroup:
     safe to share between threads.
 
     An instance answers what `sgp` asks, under the names the closed-form
-    records use, at the cost of the module function each calls: `info()`
-    and `betti()` one `betti_elements` search, `factorization_count(r,
-    cap)` and `factorizations(r)` one descent, and `ulf_runs(check)` and
-    `apery_runs(xs, check)` O(n1 * |X|) to count the n members, then
-    check(n), then the listing.  It has no `presentation()`.
+    records use, at the cost of the module function each calls: `betti()`
+    one `betti_elements` search, `info()` that search and the count of
+    Ap(S, UBetti), `factorization_count(r, cap)` and `factorizations(r)`
+    one descent, and `ulf_runs(check)` and `apery_runs(xs, check)` the
+    count of the n members of Ap(S, X) by `_apery_sized`, then check(n),
+    then the listing.  That count is a popcount on a dense semigroup
+    (`_dense`) and O(n1 * |X|) elsewhere.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
@@ -121,8 +123,8 @@ class Semigroup:
     def info(self):
         # |ULF| = |Ap(S, UBetti)| is counted without listing; None on N
         cls = betti_elements(self)
-        return self.minimal_generators, self.frobenius, cls, sum(
-            _apery_counts(self, cls.unbalanced)) if cls.unbalanced else None
+        return self.minimal_generators, self.frobenius, cls, _apery_sized(
+            self, cls.unbalanced)[0] if cls.unbalanced else None
 
     def betti(self):
         return betti_elements(self)
@@ -136,14 +138,14 @@ class Semigroup:
         return factorizations(self, r)
 
     def ulf_runs(self, check):
-        counts = _ulf_counts(self)
-        check(sum(counts))
-        return [_apery_list(self, counts)]
+        n, listing = _ulf_sized(self)
+        check(n)
+        return [listing()]
 
     def apery_runs(self, xs, check):
-        counts = _apery_counts(self, xs)
-        check(sum(counts))
-        return [_apery_list(self, counts)]
+        n, listing = _apery_sized(self, xs)
+        check(n)
+        return [listing()]
 
 
 def _pair_solutions(p, q):
@@ -308,13 +310,103 @@ def _denumerants(S: Semigroup, bound: int):
 def apery_multi(S: Semigroup, xs):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
-    Listed from `_apery_counts` in O(n1 * |X|) time plus the output, at
-    most min(X) elements.  Ap(S, x) of one nonzero member x is
-    apery_multi(S, (x,)): the least member of each residue class mod x,
-    so exactly x elements.  X must be a nonempty set of members: X = {}
-    would give all of S, which is infinite.
+    Listed by `_apery_sized`, at most min(X) elements.  Ap(S, x) of one
+    nonzero member x is apery_multi(S, (x,)): the least member of each
+    residue class mod x, so exactly x elements.  X must be a nonempty set
+    of members: X = {} would give all of S, which is infinite.
     """
-    return _apery_list(S, _apery_counts(S, sorted(set(xs))))
+    return _apery_sized(S, sorted(set(xs)))[1]()
+
+
+def _dense(S: Semigroup):
+    """Whether S is dense: e >= 3, n1 >= 10 and X = max Ap(S, n1) + n_e
+    <= 32 * n1.  There the engine works on ints whose bit x stands for x
+    (`_member_bits`), and elsewhere on Ap(S, n1) residue by residue.
+
+    The last bound keeps each such int within a small multiple of 32 * n1
+    bits, O(n1) bytes like the Apery table itself.  Elsewhere an X-bit int
+    would outgrow that table: X / n1 is 5406 on <99991, 100003, 166651>.
+    The other two are where the ints measured faster (median time per
+    call on CPython 3.11): the Betti bit pass took 1.03-3.3x the scan's
+    time at e = 2 and up to 1.3x at n1 <= 8, against 0.30-0.96x for e >= 3
+    and n1 from 10 to 96.
+    """
+    gens = S.minimal_generators
+    n1 = gens[0]
+    return (len(gens) > 2 and n1 >= 10
+            and S.frobenius + n1 + gens[-1] <= 32 * n1)
+
+
+def _member_bits(S: Semigroup, top):
+    """The members up to top as an int M: for 0 <= x <= top, bit x is set
+    exactly when x is a member, and no higher bit is set.
+
+    With A the int with bit w set for each w in Ap(S, n1), M is A * (1 +
+    2^n1 + ... + 2^(K*n1)), K = top // n1, cut to top + 1 bits.  The
+    product has no carries: its terms A * 2^(k*n1) set the bits w + k*n1,
+    and two of them coincide only if their w agree mod n1, that is, only
+    if they are one Apery element and one k.  So bit x of M is set exactly
+    when x = w + k*n1 with w = Ap(S, n1)[x mod n1] and k >= 0, that is,
+    when x >= w[x mod n1]: the one membership representation.  Being
+    carry-free, M is the OR of its terms, built by doubling (M |= M << s
+    for s = n1, 2*n1, 4*n1, ... up to top) in O(log(top / n1)) shifts,
+    not by a multiplication.  A is read from a base-2 digit string in
+    linear time (base 2 is exempt from the int digit limit).
+    """
+    w, n1 = S._apery, S.generators[0]
+    high = S.frobenius + n1  # max Ap(S, n1)
+    digits = bytearray(b"0") * (high + 1)
+    for v in w:
+        digits[high - v] = 49  # a "1" at bit v
+    member = int(digits, 2)
+    shift = n1
+    while shift <= top:
+        member |= member << shift
+        shift *= 2
+    return member & ((2 << top) - 1)
+
+
+def _apery_sized(S: Semigroup, xs):
+    """(n, listing): n is |Ap(S, X)|, and listing() returns the members of
+    Ap(S, X) ascending, so a caller can check n before anything is listed.
+
+    Every member r of Ap(S, X) is at most top = F + min(X), since r - x is
+    a member once it exceeds F.  On a dense semigroup (`_dense`) with top
+    <= 32 * n1 as well, the set is read off M = `_member_bits`(S, top):
+    B = M & ~(M << x) over the x in X keeps the members r with r - x not
+    in S, and an x above top removes nothing, so it is not shifted.  n is
+    the popcount of B, and the listing keeps from range(top + 1) the bits
+    of B, its binary digits read least significant first as the bytes 0
+    and 1 by `compress`.  That is O(|X| * top / 64) word operations on
+    O(n1)-byte ints, plus O(n) for the listing.  Every other semigroup is
+    counted by `_apery_counts`, O(n1 * |X|), and listed by `_apery_list`:
+    there top / n1 has no bound, so an int of top bits could outgrow the
+    Apery table, as `_dense` says.  An empty X, 0 and non-members are
+    refused, in that order, before anything is counted.
+    """
+    n1 = S.generators[0]
+    if xs and _dense(S) and (top := S.frobenius + min(xs)) <= 32 * n1:
+        _check_apery_xs(S, xs)
+        member = bits = _member_bits(S, top)
+        for x in xs:
+            if x <= top:
+                bits &= ~(member << x)
+        return bits.bit_count(), lambda: list(compress(
+            range(top + 1), bin(bits)[:1:-1].encode().translate(_BITS)))
+    counts = _apery_counts(S, xs)
+    return sum(counts), lambda: _apery_list(S, counts)
+
+
+def _check_apery_xs(S: Semigroup, xs):
+    """Refuse an X that has no finite Apery set: empty, holding 0, or
+    holding a non-member."""
+    if not xs:
+        raise ValueError("Ap(S, {}) is all of S: X must be nonempty")
+    if 0 in xs:
+        raise ValueError("the Apery set of 0 is not defined")
+    for x in xs:
+        if x not in S:
+            raise NotMemberError("%d is not in %r" % (x, S))
 
 
 def _apery_counts(S: Semigroup, xs):
@@ -326,17 +418,10 @@ def _apery_counts(S: Semigroup, xs):
     listing.  The column i -> w[(i - x) mod n1] + x is w rotated right by
     x mod n1, plus x: each is read lazily through `islice` and `chain`,
     and `map(min, ...)` takes the least over X, so no per-x list is built
-    and the loops run at C speed.  An empty X, 0 and non-members are
-    refused.
+    and the loops run at C speed.  X is checked by `_check_apery_xs`.
     """
+    _check_apery_xs(S, xs)
     w, n1 = S._apery, S.generators[0]
-    if not xs:
-        raise ValueError("Ap(S, {}) is all of S: X must be nonempty")
-    if 0 in xs:
-        raise ValueError("the Apery set of 0 is not defined")
-    for x in xs:
-        if x not in S:
-            raise NotMemberError("%d is not in %r" % (x, S))
     cols = [map(x.__add__, chain(islice(w, n1 - x % n1, None),
                                  islice(w, n1 - x % n1))) for x in xs]
     least = cols[0] if len(cols) == 1 else map(min, *cols)
@@ -359,6 +444,7 @@ def _depths(S: Semigroup):
     w - g is in Ap(S, n1) too (else w - n1 = (w - g - n1) + g would be in
     S) and smaller, so depth[w mod n1] = depth[(w - g) mod n1] + 1 reads
     an entry already set.  O(n1 log n1 + n1 * e) time, O(n1) memory.
+    `_betti_scan` sets only the entries it reads, down the same chains.
     """
     gens = S.minimal_generators
     w, n1, outer = S._apery, gens[0], gens[1:]
@@ -382,26 +468,20 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     at most X = max Ap(S, n1) + n_e.
 
     Two paths differ only in the candidates `_betti_scan` is given.  On
-    dense semigroups, X <= 32 * n1 with e >= 3 and n1 >= 10, `_betti_bits`
-    decides every candidate at once on int bitsets and hands over only
-    the Betti elements; the first bound keeps each of its ints below
-    4X bits, O(n1) bytes like the Apery table.  Every other semigroup
-    gives the scan all candidates: there an X-bit int would outgrow that
-    table (X / n1 is 5406 on <99991, 100003, 166651>), or the bit pass
-    lost to the scan (median time per call on CPython 3.11: 1.03-3.3x
-    the scan's at e = 2 and up to 1.3x at n1 <= 8, against 0.30-0.96x
-    for e >= 3 and n1 from 10 to 96).
+    dense semigroups (`_dense`: e >= 3, n1 >= 10 and X <= 32 * n1)
+    `_betti_bits` decides every candidate at once on int bitsets and
+    hands over only the Betti elements; each of its ints stays below 4X
+    bits.  Every other semigroup gives the scan all candidates.
 
-    Cost: `_depths` takes O(n1 log n1 + n1 * e) time and O(n1) memory.
-    The scan of all O(n1 * e) candidates takes O(e^2) inline membership
-    tests each and O(n1 * e) memory.  The bit pass takes O(e^2 * X / 64)
-    word operations per round, in at most e - 1 rounds, and O(e * X)
-    bits of memory.
+    Cost: the scan of all O(n1 * e) candidates takes O(e^2) inline
+    membership tests each and O(n1 * e) memory.  The lengths it reads need
+    the Apery depths of a few residues, set on demand along their chains:
+    O(e) membership tests for each residue set, at most n1 of them, and
+    O(n1) memory.  The bit pass takes O(e^2 * X / 64) word operations per
+    round, in at most e - 1 rounds, and O(e * X) bits of memory.
     """
     gens = S.minimal_generators
-    n1 = gens[0]
-    if (len(gens) > 2 and n1 >= 10
-            and max(S._apery) + gens[-1] <= 32 * n1):
+    if _dense(S):
         return _betti_scan(S, _betti_bits(S))
     return _betti_scan(S, sorted({v + g for v in S._apery for g in gens[1:]}))
 
@@ -421,11 +501,19 @@ def _betti_scan(S: Semigroup, candidates):
 
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
-    rests on each r - g has one length and L(r) is those lengths plus 1,
-    each read off the `_depths` table.
+    rests on each r - g has one length and L(r) is those lengths plus 1.
+    The length of x = r - g is (x - w[i]) / n1 + depth[i], i = x mod n1,
+    where depth[i] is the length of one factorization of w[i], as in
+    `_depths`.  Only the depths read are set, on demand: from w = w[i]
+    the chain w -> w - h, h the largest minimal generator with w - h in S,
+    stays in Ap(S, n1) (see `_depths`) and ends at a residue already
+    known, and each residue on it gets one more than the next.  Any
+    factorization will do: x has one length, and so does each
+    factorization of w[i], plus (x - w[i]) / n1 copies of n1.
     """
     gens = S.minimal_generators
-    w, n1, depth = S._apery, gens[0], _depths(S)
+    w, n1, down = S._apery, gens[0], gens[:0:-1]
+    depth = [0] + [None] * (n1 - 1)
     betti, balanced, unbalanced = [], [], []
     for r in candidates:
         live = []
@@ -453,7 +541,23 @@ def _betti_scan(S: Semigroup, candidates):
             lengths = set()
             for g in live:
                 x = r - g
-                lengths.add((x - w[x % n1]) // n1 + depth[x % n1])
+                i = x % n1
+                d = depth[i]
+                if d is None:  # set the depths down the chain from w[i]
+                    chain, j = [], i
+                    while d is None:
+                        chain.append(j)
+                        v = w[j]
+                        for h in down:
+                            y = v - h
+                            if y >= w[y % n1]:
+                                break
+                        j = y % n1
+                        d = depth[j]
+                    for j in reversed(chain):
+                        d += 1
+                        depth[j] = d
+                lengths.add((x - w[i]) // n1 + d)
             if len(lengths) == 1:
                 balanced.append(r)
                 continue
@@ -467,18 +571,8 @@ def _betti_bits(S: Semigroup):
     graph, ascending, all decided at once on ints whose bit r stands for
     the candidate r <= X = max Ap(S, n1) + n_e.
 
-    With A the int with bit w set for each w in Ap(S, n1), the members
-    up to X are bits of M = A * (1 + 2^n1 + ... + 2^(K*n1)), K = X // n1.
-    The product has no carries: its terms A * 2^(k*n1) set the bits
-    w + k*n1, and two of them coincide only if their w agree mod n1,
-    that is, only if they are one Apery element and one k.  So bit x of M,
-    for x <= X, is set exactly when x = w + k*n1 with w = Ap(S, n1)[x mod
-    n1] and k >= 0, that is, when x >= w[x mod n1]: the one membership
-    representation.  Being carry-free, M is the OR of its terms, built
-    by doubling (M |= M << s for s = n1, 2*n1, 4*n1, ... up to X) in
-    O(log(X / n1)) shifts, not by a multiplication; the terms past K
-    only add members above X.  A is read from a base-2 digit string in
-    linear time (base 2 is exempt from the int digit limit).
+    M = `_member_bits`(S, X) holds the members up to X, and A = M & ~(M
+    << n1) those of Ap(S, n1), the members r with r - n1 not in S.
 
     The candidates are C = OR over j >= 2 of A << n_j.  Generator g is
     live at r when r - g is in S, so live_g = C & (M << g), and g and h
@@ -492,16 +586,8 @@ def _betti_bits(S: Semigroup):
     candidates with a live generator left unreached are disconnected.
     """
     gens = S.minimal_generators
-    w, n1 = S._apery, gens[0]
-    top = max(w)
-    digits = bytearray(b"0") * (top + 1)
-    for v in w:
-        digits[top - v] = 49  # a "1" at bit v
-    member = a = int(digits, 2)
-    shift = n1
-    while shift <= top + gens[-1]:
-        member |= member << shift
-        shift *= 2
+    member = _member_bits(S, S.frobenius + gens[0] + gens[-1])
+    a = member & ~(member << gens[0])
     cand = 0
     for g in gens[1:]:
         cand |= a << g
@@ -538,8 +624,8 @@ def _betti_bits(S: Semigroup):
     return out
 
 
-def _ulf_counts(S: Semigroup):
-    """The `_apery_counts` of Ap(S, UBetti(S)), the unique-length members,
+def _ulf_sized(S: Semigroup):
+    """The `_apery_sized` of Ap(S, UBetti(S)), the unique-length members,
     after one Betti search.  Among numerical semigroups only N has no
     unbalanced Betti element, and its unique-length set, all of N, is
     refused."""
@@ -547,13 +633,13 @@ def _ulf_counts(S: Semigroup):
     if not unbalanced:
         raise ValueError("every member of N has one factorization length: "
                          "the unique-length set of N is all of N")
-    return _apery_counts(S, unbalanced)
+    return _apery_sized(S, unbalanced)
 
 
 def ulf(S: Semigroup):
     """All members whose factorization length set is a singleton.
 
-    Listed as Ap(S, UBetti(S)) from `_ulf_counts`, which refuses N, where
+    Listed as Ap(S, UBetti(S)) by `_ulf_sized`, which refuses N, where
     every member qualifies, with a ValueError.
     """
-    return _apery_list(S, _ulf_counts(S))
+    return _ulf_sized(S)[1]()

@@ -359,10 +359,12 @@ def refused_at_once(capsys, argv):
 
 
 def test_apery_guard_refuses_before_listing(capsys):
-    # |Ap(S, x)| = x is counted residue by residue, so nothing is listed
+    # |Ap(S, x)| = x is counted residue by residue, so nothing is listed;
+    # <10, 11, 13> is dense, but an int of F + x bits would not be O(n1)
     for gens, xs in (("3,5", ["1000000000"]),
                      ("10007,10009", ["100160063"]),
-                     ("2,3", ["1000001", "1000003"])):
+                     ("2,3", ["1000001", "1000003"]),
+                     ("10,11,13", ["1000000000"])):
         err = refused_at_once(capsys, ["--gens", gens, "apery", *xs])
         assert "apery would list %d members" % int(min(xs)) in err
     # an intersection with a small Apery set still answers
@@ -657,29 +659,44 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
     code, out, err = run(capsys, "--gens", "1", "ulf")
     assert code == 2 and out == "" and "all of N" in err
     assert len(searches) == 1
-    searches.clear()
-    code, out, _ = run(capsys, "--gens", "6,9,20", "ulf")
-    assert code == 0 and len(out.split()) == 18
-    assert len(searches) == 1
+    for gens, count in (("6,9,20", 18), ("73,90,105", 630)):
+        searches.clear()
+        code, out, _ = run(capsys, "--gens", gens, "ulf")
+        assert code == 0 and len(out.split()) == count
+        assert len(searches) == 1
 
 
 def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
-    # apery and ulf size the listing from the counts they list from, and
-    # info counts |ULF| without listing
+    # apery and ulf count the set once and check the count before they
+    # list it, and info counts |ULF| without listing; <6, 9, 20> counts
+    # residue by residue and the dense <73, 90, 105> on the member int
     calls = []
-    apery_counts = core._apery_counts
+    apery_sized, apery_counts = core._apery_sized, core._apery_counts
+
+    def sized(S, xs):
+        n, listing = apery_sized(S, xs)
+        calls.append("count")
+        return n, lambda: calls.append("list") or listing()
+
+    monkeypatch.setattr(core, "_apery_sized", sized)
     monkeypatch.setattr(core, "_apery_counts", lambda S, xs:
-                        calls.append(xs) or apery_counts(S, xs))
-    S = core.Semigroup((6, 9, 20))
-    for argv, out in ((["--gens", "6,9,20", "apery", "9", "20"],
-                       " ".join(map(str, oracle.apery_multi(S, (9, 20))))),
-                      (["--gens", "6,9,20", "ulf"],
-                       " ".join(map(str, oracle.ulf(S)))),
-                      (["--gens", "6,9,20", "info"], None)):
-        calls.clear()
-        code, got, _ = run(capsys, *argv)
-        assert code == 0 and len(calls) == 1, argv
-        assert out is None or got == out + "\n"
+                        calls.append("residues") or apery_counts(S, xs))
+    check_listed = cli._check_listed
+    monkeypatch.setattr(cli, "_check_listed", lambda command, n:
+                        calls.append("check") or check_listed(command, n))
+    for gens, residues in (((6, 9, 20), ["residues"]), ((73, 90, 105), [])):
+        S, g = core.Semigroup(gens), ",".join(map(str, gens))
+        xs = S.minimal_generators[1:]
+        for argv, out in ((["--gens", g, "apery", *map(str, xs)],
+                           oracle.apery_multi(S, xs)),
+                          (["--gens", g, "ulf"], oracle.ulf(S)),
+                          (["--gens", g, "info"], None)):
+            calls.clear()
+            code, got, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert calls == residues + ["count"] + ["check", "list"] * bool(
+                out), argv
+            assert out is None or got == " ".join(map(str, out)) + "\n"
 
 
 def test_negative_counts_exit_2(capsys):

@@ -24,6 +24,7 @@ from sgp.core_semigroup import (
     NotMemberError,
     Semigroup,
     _apery_counts,
+    _apery_sized,
     _betti_bits,
     _betti_scan,
     _denumerants,
@@ -46,6 +47,11 @@ def sg(*gens):
 
 SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
                             min_size=1, max_size=4)
+# semigroups of the kind `core_semigroup._dense` admits: e from 3 to 5 and
+# n1 from 10, the other generators in (n1, 2 * n1), so all minimal
+DENSE_GENERATORS = st.integers(min_value=10, max_value=30).flatmap(
+    lambda n1: st.lists(st.integers(n1 + 1, 2 * n1 - 1), min_size=2,
+                        max_size=4, unique=True).map(lambda g: [n1] + g))
 
 
 def _small_semigroup(gens):
@@ -392,12 +398,15 @@ def test_ulf_golden():
 
 
 @settings(max_examples=60, deadline=None)
-@given(SMALL_GENERATORS)
+@given(st.one_of(SMALL_GENERATORS, DENSE_GENERATORS))
 @example([3, 4, 5])
 @example([4, 7])
 @example([5, 8, 11])
 @example([6, 9, 20])
 @example([1])
+@example([10, 11, 13])  # n1 = 10 with e = 3
+@example([10, 15, 61])  # max Ap(S, n1) + n_e = 32 * n1: dense
+@example([10, 27, 98])  # max Ap(S, n1) + n_e = 32 * n1 + 1: not dense
 def test_ulf_equals_singleton_length_scan(gens):
     S = _small_semigroup(gens)
     if 1 in gens:  # S = N: every member has one length
@@ -405,7 +414,11 @@ def test_ulf_equals_singleton_length_scan(gens):
             ulf(S)
         assert oracle.ulf(S, bound=30) == list(range(31))
     else:
-        assert ulf(S) == oracle.ulf(S), gens
+        expected = oracle.ulf(S)
+        assert ulf(S) == expected, gens
+        unbalanced = betti_elements(S).unbalanced
+        assert _apery_sized(S, unbalanced)[0] == \
+            sum(_apery_counts(S, unbalanced)) == len(expected), gens
 
 
 def test_ulf_infinite_needs_bound():
@@ -578,21 +591,56 @@ def test_betti_classification_matches_length_sets(gens):
 
 
 @settings(max_examples=60, deadline=None)
-@given(SMALL_GENERATORS, st.data())
-def test_apery_multi_matches_set_definition(gens, data):
+@given(st.one_of(SMALL_GENERATORS, DENSE_GENERATORS),
+       st.lists(st.one_of(st.integers(0, 63), st.integers(-5000, -1)),
+                min_size=1, max_size=4))
+# on <10, 11, 13>, where F = 38, a pick p < 0 is x = 38 - p: the first
+# example takes the member int at n1 = 10 with e = 3, the next X has only
+# a member far above F and takes the residues, the third holds it too
+# beside a small member, and the int leaves it unshifted; the next two
+# put F + min(X) = 76 - p at 32 * n1 and one past it, and the last
+# semigroup is one past the 32 * n1 rule of `_dense`
+@example([10, 11, 13], [0, 7])
+@example([10, 11, 13], [-5000])
+@example([10, 11, 13], [3, -5000])
+@example([10, 11, 13], [-244])
+@example([10, 11, 13], [-245])
+@example([10, 27, 98], [0, 2])
+def test_apery_multi_matches_set_definition(gens, picks):
+    # a pick p >= 0 is a small member, and p < 0 the member max(F, 0) - p
+    # above F: every r > F is one
     S = _small_semigroup(gens)
     F = oracle.frobenius(S)
     members = [s for s in range(1, F + 3 * max(gens) + 2)
                if oracle.member(S, s)]
-    xs = data.draw(st.lists(st.sampled_from(members), min_size=1,
-                            max_size=3))
-    if data.draw(st.booleans()):
-        # a member far above F: every r > F is one
-        xs.append(max(F, 0) + data.draw(st.integers(1, 5000)))
+    xs = [members[p % len(members)] if p >= 0 else max(F, 0) - p
+          for p in picks]
     expected = oracle.apery_multi(S, xs)
     assert apery_multi(S, xs) == expected
     assert apery_multi(S, xs[:1]) == oracle.apery_multi(S, xs[:1])
-    assert sum(_apery_counts(S, xs)) == len(expected)
+    assert _apery_sized(S, xs)[0] == sum(_apery_counts(S, xs)) == \
+        len(expected)
+
+
+# the member int and the residues, on each side of each bound: F + min(X)
+# at 32 * n1 and one above it (F = 38), a member above that beside a small
+# one, a semigroup past the 32 * n1 rule, n1 = 9 and e = 2
+@pytest.mark.parametrize("gens, xs, bits", [((10, 11, 13), (282,), True),
+                                            ((10, 11, 13), (283,), False),
+                                            ((10, 11, 13), (11, 5000), True),
+                                            ((10, 27, 98), (10,), False),
+                                            ((9, 11, 13), (9,), False),
+                                            ((10, 11), (10,), False)])
+def test_apery_takes_the_member_int_on_dense_semigroups(monkeypatch, gens,
+                                                        xs, bits):
+    S, calls = Semigroup(gens), []
+    member_bits = core_semigroup._member_bits
+    monkeypatch.setattr(core_semigroup, "_member_bits", lambda S, top:
+                        calls.append(top) or member_bits(S, top))
+    expected = oracle.apery_multi(S, xs)
+    assert apery_multi(S, xs) == expected
+    assert calls == ([S.frobenius + min(xs)] if bits else [])
+    assert _apery_sized(S, xs)[0] == len(expected)
 
 
 @settings(max_examples=40, deadline=None)
