@@ -66,8 +66,8 @@ class Semigroup:
     Ap(S, UBetti), `factorization_count(r, cap)` and `factorizations(r)`
     one descent, and `ulf_runs(check)` and `apery_runs(xs, check)` the
     count of the n members of Ap(S, X) by `_apery_sized`, then check(n),
-    then the listing.  That count is a popcount on a dense semigroup
-    (`_dense`) and O(n1 * |X|) elsewhere.  It has no `presentation()`.
+    then the listing.  That count is a popcount when F + min(X) <= 32 *
+    n1 and O(n1 * |X|) otherwise.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
@@ -318,25 +318,6 @@ def apery_multi(S: Semigroup, xs):
     return _apery_sized(S, sorted(set(xs)))[1]()
 
 
-def _dense(S: Semigroup):
-    """Whether S is dense: e >= 3, n1 >= 10 and X = max Ap(S, n1) + n_e
-    <= 32 * n1.  There the engine works on ints whose bit x stands for x
-    (`_member_bits`), and elsewhere on Ap(S, n1) residue by residue.
-
-    The last bound keeps each such int within a small multiple of 32 * n1
-    bits, O(n1) bytes like the Apery table itself.  Elsewhere an X-bit int
-    would outgrow that table: X / n1 is 5406 on <99991, 100003, 166651>.
-    The other two are where the ints measured faster (median time per
-    call on CPython 3.11): the Betti bit pass took 1.03-3.3x the scan's
-    time at e = 2 and up to 1.3x at n1 <= 8, against 0.30-0.96x for e >= 3
-    and n1 from 10 to 96.
-    """
-    gens = S.minimal_generators
-    n1 = gens[0]
-    return (len(gens) > 2 and n1 >= 10
-            and S.frobenius + n1 + gens[-1] <= 32 * n1)
-
-
 def _member_bits(S: Semigroup, top):
     """The members up to top as an int M: for 0 <= x <= top, bit x is set
     exactly when x is a member, and no higher bit is set.
@@ -371,21 +352,25 @@ def _apery_sized(S: Semigroup, xs):
     Ap(S, X) ascending, so a caller can check n before anything is listed.
 
     Every member r of Ap(S, X) is at most top = F + min(X), since r - x is
-    a member once it exceeds F.  On a dense semigroup (`_dense`) with top
-    <= 32 * n1 as well, the set is read off M = `_member_bits`(S, top):
-    B = M & ~(M << x) over the x in X keeps the members r with r - x not
-    in S, and an x above top removes nothing, so it is not shifted.  n is
-    the popcount of B, and the listing keeps from range(top + 1) the bits
-    of B, its binary digits read least significant first as the bytes 0
-    and 1 by `compress`.  That is O(|X| * top / 64) word operations on
-    O(n1)-byte ints, plus O(n) for the listing.  Every other semigroup is
-    counted by `_apery_counts`, O(n1 * |X|), and listed by `_apery_list`:
-    there top / n1 has no bound, so an int of top bits could outgrow the
-    Apery table, as `_dense` says.  An empty X, 0 and non-members are
+    a member once it exceeds F.  When top <= 32 * n1 the set is read off
+    M = `_member_bits`(S, top): B = M & ~(M << x) over the x in X keeps
+    the members r with r - x not in S, and an x above top removes nothing,
+    so it is not shifted.  n is the popcount of B, and the listing keeps
+    from range(top + 1) the bits of B, its binary digits read least
+    significant first as the bytes 0 and 1 by `compress`.  That is
+    O(|X| * top / 64) word operations on ints of at most 4 * n1 bytes,
+    plus O(top) for the listing.  Every other X is counted by
+    `_apery_counts`, O(n1 * |X|), and listed by `_apery_list`: there top
+    / n1 has no bound, and a top-bit int could outgrow the Apery table
+    (F / n1 is 5403 on <99991, 100003, 166651>).  The bound is also where
+    the int stops paying (time per call on CPython 3.11, random
+    semigroups with n1 from 3 to 120 and e from 2 to 5): up to 32 * n1,
+    count and list took 0.41-0.79x the residues' time in the median of
+    each e and band of top / n1, and from there to 48 * n1 a quarter of
+    the calls took 1.25x or more.  An empty X, 0 and non-members are
     refused, in that order, before anything is counted.
     """
-    n1 = S.generators[0]
-    if xs and _dense(S) and (top := S.frobenius + min(xs)) <= 32 * n1:
+    if xs and (top := S.frobenius + min(xs)) <= 32 * S.generators[0]:
         _check_apery_xs(S, xs)
         member = bits = _member_bits(S, top)
         for x in xs:
@@ -444,7 +429,6 @@ def _depths(S: Semigroup):
     w - g is in Ap(S, n1) too (else w - n1 = (w - g - n1) + g would be in
     S) and smaller, so depth[w mod n1] = depth[(w - g) mod n1] + 1 reads
     an entry already set.  O(n1 log n1 + n1 * e) time, O(n1) memory.
-    `_betti_scan` sets only the entries it reads, down the same chains.
     """
     gens = S.minimal_generators
     w, n1, outer = S._apery, gens[0], gens[1:]
@@ -468,20 +452,26 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     at most X = max Ap(S, n1) + n_e.
 
     Two paths differ only in the candidates `_betti_scan` is given.  On
-    dense semigroups (`_dense`: e >= 3, n1 >= 10 and X <= 32 * n1)
-    `_betti_bits` decides every candidate at once on int bitsets and
-    hands over only the Betti elements; each of its ints stays below 4X
-    bits.  Every other semigroup gives the scan all candidates.
+    dense semigroups, X <= 32 * n1 with e >= 3 and n1 >= 10, `_betti_bits`
+    decides every candidate at once on int bitsets and hands over only
+    the Betti elements; the first bound keeps each of its ints below
+    4X bits, O(n1) bytes like the Apery table.  Every other semigroup
+    gives the scan all candidates: there an X-bit int would outgrow that
+    table (X / n1 is 5406 on <99991, 100003, 166651>), or the bit pass
+    lost to the scan (median time per call on CPython 3.11: 1.03-3.3x
+    the scan's at e = 2 and up to 1.3x at n1 <= 8, against 0.30-0.96x
+    for e >= 3 and n1 from 10 to 96).
 
-    Cost: the scan of all O(n1 * e) candidates takes O(e^2) inline
-    membership tests each and O(n1 * e) memory.  The lengths it reads need
-    the Apery depths of a few residues, set on demand along their chains:
-    O(e) membership tests for each residue set, at most n1 of them, and
-    O(n1) memory.  The bit pass takes O(e^2 * X / 64) word operations per
-    round, in at most e - 1 rounds, and O(e * X) bits of memory.
+    Cost: `_depths` takes O(n1 log n1 + n1 * e) time and O(n1) memory.
+    The scan of all O(n1 * e) candidates takes O(e^2) inline membership
+    tests each and O(n1 * e) memory.  The bit pass takes O(e^2 * X / 64)
+    word operations per round, in at most e - 1 rounds, and O(e * X)
+    bits of memory.
     """
     gens = S.minimal_generators
-    if _dense(S):
+    n1 = gens[0]
+    if (len(gens) > 2 and n1 >= 10
+            and S.frobenius + n1 + gens[-1] <= 32 * n1):
         return _betti_scan(S, _betti_bits(S))
     return _betti_scan(S, sorted({v + g for v in S._apery for g in gens[1:]}))
 
@@ -501,19 +491,11 @@ def _betti_scan(S: Semigroup, candidates):
 
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
-    rests on each r - g has one length and L(r) is those lengths plus 1.
-    The length of x = r - g is (x - w[i]) / n1 + depth[i], i = x mod n1,
-    where depth[i] is the length of one factorization of w[i], as in
-    `_depths`.  Only the depths read are set, on demand: from w = w[i]
-    the chain w -> w - h, h the largest minimal generator with w - h in S,
-    stays in Ap(S, n1) (see `_depths`) and ends at a residue already
-    known, and each residue on it gets one more than the next.  Any
-    factorization will do: x has one length, and so does each
-    factorization of w[i], plus (x - w[i]) / n1 copies of n1.
+    rests on each r - g has one length and L(r) is those lengths plus 1,
+    each read off the `_depths` table.
     """
     gens = S.minimal_generators
-    w, n1, down = S._apery, gens[0], gens[:0:-1]
-    depth = [0] + [None] * (n1 - 1)
+    w, n1, depth = S._apery, gens[0], _depths(S)
     betti, balanced, unbalanced = [], [], []
     for r in candidates:
         live = []
@@ -541,23 +523,7 @@ def _betti_scan(S: Semigroup, candidates):
             lengths = set()
             for g in live:
                 x = r - g
-                i = x % n1
-                d = depth[i]
-                if d is None:  # set the depths down the chain from w[i]
-                    chain, j = [], i
-                    while d is None:
-                        chain.append(j)
-                        v = w[j]
-                        for h in down:
-                            y = v - h
-                            if y >= w[y % n1]:
-                                break
-                        j = y % n1
-                        d = depth[j]
-                    for j in reversed(chain):
-                        d += 1
-                        depth[j] = d
-                lengths.add((x - w[i]) // n1 + d)
+                lengths.add((x - w[x % n1]) // n1 + depth[x % n1])
             if len(lengths) == 1:
                 balanced.append(r)
                 continue

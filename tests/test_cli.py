@@ -360,7 +360,7 @@ def refused_at_once(capsys, argv):
 
 def test_apery_guard_refuses_before_listing(capsys):
     # |Ap(S, x)| = x is counted residue by residue, so nothing is listed;
-    # <10, 11, 13> is dense, but an int of F + x bits would not be O(n1)
+    # <10, 11, 13> lists off the member int, but not past F + x = 32 * n1
     for gens, xs in (("3,5", ["1000000000"]),
                      ("10007,10009", ["100160063"]),
                      ("2,3", ["1000001", "1000003"]),
@@ -668,8 +668,8 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
 
 def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     # apery and ulf count the set once and check the count before they
-    # list it, and info counts |ULF| without listing; <6, 9, 20> counts
-    # residue by residue and the dense <73, 90, 105> on the member int
+    # list it, and info counts |ULF| without listing; <5, 37> counts
+    # residue by residue and <73, 90, 105> on the member int
     calls = []
     apery_sized, apery_counts = core._apery_sized, core._apery_counts
 
@@ -684,7 +684,7 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     check_listed = cli._check_listed
     monkeypatch.setattr(cli, "_check_listed", lambda command, n:
                         calls.append("check") or check_listed(command, n))
-    for gens, residues in (((6, 9, 20), ["residues"]), ((73, 90, 105), [])):
+    for gens, residues in (((5, 37), ["residues"]), ((73, 90, 105), [])):
         S, g = core.Semigroup(gens), ",".join(map(str, gens))
         xs = S.minimal_generators[1:]
         for argv, out in ((["--gens", g, "apery", *map(str, xs)],

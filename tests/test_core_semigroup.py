@@ -47,8 +47,8 @@ def sg(*gens):
 
 SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
                             min_size=1, max_size=4)
-# semigroups of the kind `core_semigroup._dense` admits: e from 3 to 5 and
-# n1 from 10, the other generators in (n1, 2 * n1), so all minimal
+# semigroups of the kind `betti_elements` decides on int bitsets: e from 3
+# to 5 and n1 from 10, the other generators in (n1, 2 * n1), so all minimal
 DENSE_GENERATORS = st.integers(min_value=10, max_value=30).flatmap(
     lambda n1: st.lists(st.integers(n1 + 1, 2 * n1 - 1), min_size=2,
                         max_size=4, unique=True).map(lambda g: [n1] + g))
@@ -405,8 +405,8 @@ def test_ulf_golden():
 @example([6, 9, 20])
 @example([1])
 @example([10, 11, 13])  # n1 = 10 with e = 3
-@example([10, 15, 61])  # max Ap(S, n1) + n_e = 32 * n1: dense
-@example([10, 27, 98])  # max Ap(S, n1) + n_e = 32 * n1 + 1: not dense
+@example([10, 15, 61])  # max Ap(S, n1) + n_e = 32 * n1: the bit pass
+@example([10, 27, 98])  # max Ap(S, n1) + n_e = 32 * n1 + 1: the scan
 def test_ulf_equals_singleton_length_scan(gens):
     S = _small_semigroup(gens)
     if 1 in gens:  # S = N: every member has one length
@@ -599,7 +599,7 @@ def test_betti_classification_matches_length_sets(gens):
 # a member far above F and takes the residues, the third holds it too
 # beside a small member, and the int leaves it unshifted; the next two
 # put F + min(X) = 76 - p at 32 * n1 and one past it, and the last
-# semigroup is one past the 32 * n1 rule of `_dense`
+# semigroup is one past the 32 * n1 rule of the Betti bit pass
 @example([10, 11, 13], [0, 7])
 @example([10, 11, 13], [-5000])
 @example([10, 11, 13], [3, -5000])
@@ -622,17 +622,18 @@ def test_apery_multi_matches_set_definition(gens, picks):
         len(expected)
 
 
-# the member int and the residues, on each side of each bound: F + min(X)
-# at 32 * n1 and one above it (F = 38), a member above that beside a small
-# one, a semigroup past the 32 * n1 rule, n1 = 9 and e = 2
+# the member int and the residues on each side of F + min(X) = 32 * n1
+# (F = 38 on <10, 11, 13>), and a member above that beside a small one;
+# the rule asks nothing else, so a semigroup past the bit pass's rule,
+# n1 = 9 and e = 2 take the int, and <10, 37>, where F = 323, does not
 @pytest.mark.parametrize("gens, xs, bits", [((10, 11, 13), (282,), True),
                                             ((10, 11, 13), (283,), False),
                                             ((10, 11, 13), (11, 5000), True),
-                                            ((10, 27, 98), (10,), False),
-                                            ((9, 11, 13), (9,), False),
-                                            ((10, 11), (10,), False)])
-def test_apery_takes_the_member_int_on_dense_semigroups(monkeypatch, gens,
-                                                        xs, bits):
+                                            ((10, 27, 98), (10,), True),
+                                            ((9, 11, 13), (9,), True),
+                                            ((10, 11), (10,), True),
+                                            ((10, 37), (10,), False)])
+def test_apery_takes_the_member_int_up_to_32_n1(monkeypatch, gens, xs, bits):
     S, calls = Semigroup(gens), []
     member_bits = core_semigroup._member_bits
     monkeypatch.setattr(core_semigroup, "_member_bits", lambda S, top:
