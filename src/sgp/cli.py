@@ -46,7 +46,7 @@ import os
 import re
 import sys
 from io import FileIO
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 from types import SimpleNamespace
 
@@ -505,18 +505,29 @@ _PAIRS = ["%02d" % k for k in range(100)]
 
 
 def _decimals(runs, sep):
-    """sep.join(map(str, chain.from_iterable(runs))), for an ascending
-    listing given as runs: step-1 ranges and sorted lists of ints.
+    """sep.join(map(str, members)), for the members of an ascending
+    listing given as runs: step-1 ranges, sorted lists of ints and 0/1
+    byte masks, whose byte r is 1 when r is a member.
 
     A range is written a hundred ints at a time: 100h + k for k in [lo, hi)
     is str(h) + _PAIRS[k], so one join of stored strings writes the block.
-    A list is written by str, whose ", " between ints is the JSON one.
+    A mask is written the same way, a hundred positions at a time, its
+    bytes picking the _PAIRS by `compress`.  A list is written by str,
+    whose ", " between ints is the JSON one.
     """
     parts = []
     for run in runs:
         if isinstance(run, list):
             if run:
                 parts.append(str(run)[1:-1].replace(", ", sep))
+            continue
+        if not isinstance(run, range):  # a mask
+            parts += map(str, compress(range(100), run[:100]))
+            for lo in range(100, len(run), 100):
+                head = str(lo // 100)
+                body = (sep + head).join(compress(_PAIRS, run[lo:lo + 100]))
+                if body:
+                    parts.append(head + body)
             continue
         lo, hi = run.start, run.stop
         if lo < 100:
@@ -643,8 +654,10 @@ def cmd_betti(t, ns) -> str:
 def cmd_ulf(t, ns) -> str:
     S, method = _resolve(t, ns, "ulf_runs")
     runs = S.ulf_runs(lambda n: _check_listed("ulf", n))
+    count = sum([len(r) if isinstance(r, (list, range)) else r.count(1)
+                 for r in runs])  # a mask counts its ones
     return _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": '
-                         '[%%s]}\n' % (sum(map(len, runs)), method))
+                         '[%%s]}\n' % (count, method))
 
 
 def cmd_table(t, ns) -> str:

@@ -27,7 +27,7 @@ Conventions used throughout:
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, islice, repeat
-from math import gcd
+from math import comb, gcd
 from operator import floordiv, index, sub
 
 from .records import (  # re-exported: the engine returns and raises them
@@ -49,16 +49,27 @@ class Semigroup:
     non-integer query is a TypeError.  The Frobenius number is the
     largest entry minus n1, and the minimal generators are derived with
     O(e^2) membership tests.  An instance keeps O(n1) memory.
-    Construction is Dijkstra over the residues mod n1, Nijenhuis's
-    minimal-path algorithm (Amer. Math. Monthly 86, 1979): its heap holds
-    int path weights w, each at residue w mod n1, pushed only when it
-    lowers the tentative weight of its residue, and it stops once all n1
-    residues are settled.  For e <= n1 generators it takes O(n1 * e *
-    log n1) time, and the heap takes at most 1 + n1 * (e - 1) entries, at
-    most one per edge out of a settled residue.  Bocker & Liptak's
-    heap-free round robin computes the same table and measured no faster
-    than this Dijkstra.  Instances are immutable after construction and
-    safe to share between threads.
+
+    There are two constructions.  On e >= 3 input generators with n1 >=
+    20, `_member_closure` first builds the member int M, whose bit x is
+    set when x <= 32 * n1 is a member, by shift-ORs, in O(e * n1) word
+    operations; when F + n1 <= 32 * n1 it reads Ap(S, n1) and F off M and
+    keeps M, at most 4 * n1 bytes, for `_member_bits`.  Every other
+    semigroup, and one that fails that bound after those word
+    operations, gets Dijkstra over the residues mod n1, Nijenhuis's
+    minimal-path algorithm (Amer. Math. Monthly 86, 1979), and keeps no
+    M: its heap holds int path weights w, each at residue w mod n1,
+    pushed only when it lowers the tentative weight of its residue, and it
+    stops once all n1 residues are settled.  For e <= n1 generators it
+    takes O(n1 * e * log n1) time, and the heap takes at most 1 + n1 * (e
+    - 1) entries, at most one per edge out of a settled residue.  Bocker
+    & Liptak's heap-free round robin computes the same table and measured
+    no faster than this Dijkstra.  The rule is where the closure measured
+    faster (median time per construction on CPython 3.11, generators
+    drawn from (n1, 2 * n1)): 0.80-0.93x the Dijkstra's for each e from 3
+    to 5 at n1 from 20 to 24, and 0.62-0.77x from 35 to 39, but
+    1.01-1.14x at n1 from 10 to 14 and 1.2-1.5x at e = 2.  Instances are
+    immutable after construction and safe to share between threads.
 
     An instance answers what `sgp` asks, under the names the closed-form
     records use, at the cost of the module function each calls: `betti()`
@@ -70,7 +81,8 @@ class Semigroup:
     n1 and O(n1 * |X|) otherwise.  It has no `presentation()`.
     """
 
-    __slots__ = ("generators", "minimal_generators", "frobenius", "_apery")
+    __slots__ = ("generators", "minimal_generators", "frobenius", "_apery",
+                 "_member")
 
     def __init__(self, generators):
         gens = sorted({index(g) for g in generators})
@@ -84,26 +96,30 @@ class Semigroup:
                 "not a numerical semigroup: gcd of generators is %d" % g)
         self.generators = tuple(gens)
         n1 = gens[0]
-        # Shortest paths from residue 0, where adding generator g is an
-        # edge of weight g from residue i to (i + g) mod n1.  ap holds
-        # each residue's tentative weight, n1 * gens[-1] standing for none
-        # (every entry is below it), and w + g is pushed only when it
-        # lowers its entry; so a popped w is settled when it is still the
-        # entry of its residue, and any other is stale.
         outer = gens[1:]
-        ap = [n1 * gens[-1]] * n1
-        ap[0], left, heap = 0, n1, [0]
-        while left:  # until every residue is settled
-            w = heappop(heap)
-            if w == ap[w % n1]:
-                left -= 1
-                for g in outer:
-                    v = w + g
-                    if v < ap[v % n1]:
-                        ap[v % n1] = v
-                        heappush(heap, v)
+        built = _member_closure(gens) if len(gens) >= 3 and n1 >= 20 else None
+        if built:
+            self._member, self.frobenius, ap = built
+        else:
+            # Shortest paths from residue 0, where adding generator g is an
+            # edge of weight g from residue i to (i + g) mod n1.  ap holds
+            # each residue's tentative weight, n1 * gens[-1] standing for
+            # none (every entry is below it), and w + g is pushed only when
+            # it lowers its entry; so a popped w is settled when it is
+            # still the entry of its residue, and any other is stale.
+            ap = [n1 * gens[-1]] * n1
+            ap[0], left, heap = 0, n1, [0]
+            while left:  # until every residue is settled
+                w = heappop(heap)
+                if w == ap[w % n1]:
+                    left -= 1
+                    for g in outer:
+                        v = w + g
+                        if v < ap[v % n1]:
+                            ap[v % n1] = v
+                            heappush(heap, v)
+            self._member, self.frobenius = None, max(ap) - n1
         self._apery = ap
-        self.frobenius = max(ap) - n1
         # g splits as s + t with both parts nonzero members exactly when
         # g - m is a member for some smaller minimal generator m: a smaller
         # h that is not minimal is m + u with u a nonzero member.
@@ -310,30 +326,93 @@ def _denumerants(S: Semigroup, bound: int):
 def apery_multi(S: Semigroup, xs):
     """Ap(S, X) = S minus (X + S), the intersection of the Apery sets.
 
-    Listed by `_apery_sized`, at most min(X) elements.  Ap(S, x) of one
-    nonzero member x is apery_multi(S, (x,)): the least member of each
-    residue class mod x, so exactly x elements.  X must be a nonempty set
-    of members: X = {} would give all of S, which is infinite.
+    Listed ascending by `_apery_sized`, at most min(X) elements.  Ap(S, x)
+    of one nonzero member x is apery_multi(S, (x,)): the least member of
+    each residue class mod x, so exactly x elements.  X must be a nonempty
+    set of members: X = {} would give all of S, which is infinite.
     """
-    return _apery_sized(S, sorted(set(xs)))[1]()
+    return _members(_apery_sized(S, sorted(set(xs)))[1]())
+
+
+def _members(run):
+    """The ascending list of a listing run of `_apery_sized`: a list as it
+    is, a 0/1 byte mask as the positions of its ones."""
+    return run if isinstance(run, list) else list(
+        compress(range(len(run)), run))
+
+
+def _member_closure(gens):
+    """(M, F, Ap(S, n1)) for the sorted generators gens, M the member int
+    up to top = 32 * n1: bit x is set exactly when x <= top is a member.
+    None when F + n1 > top.
+
+    M starts as 1, the member 0, and is closed under each generator g in
+    turn by M |= M << s for s = g, 2g, 4g, ... up to top, then cut to top
+    + 1 bits: the doubling ORs in every multiple of g that fits, so after
+    the last generator M holds every sum of generators up to top.  Every
+    x > F is a member, so the top n1 bits are all set exactly when the
+    highest gap, F, is at most top - n1.  Then Ap(S, n1) is read off the
+    gaps by Selmer's formula: w[i] = i + n1 * (the number of gaps
+    congruent to i mod n1), since a residue class holds gaps below w[i]
+    and members from it on.  The gaps up to F become one byte each, from
+    the binary digits of the gap int, and the rows of n1 bytes are summed
+    by folding the int in halves; a byte sums at most 32 rows, so none
+    carries.  That is O(e) shift-ORs on ints of at most 4 * n1 bytes,
+    O(e * n1) word operations, plus O(F) for the digits.  A semigroup
+    with too few sums of e - 1 generators for n1 Apery elements below
+    top, such as every one with e = 3 and n1 > 528, is refused first.
+    """
+    n1 = gens[0]
+    top = 32 * n1
+    # each w in Ap(S, n1) is a sum of other generators, at most top //
+    # gens[1] of them when w <= top, and no two w share a sum
+    if comb(top // gens[1] + len(gens) - 1, len(gens) - 1) < n1:
+        return None
+    cut = (2 << top) - 1
+    member = 1
+    for g in gens:
+        s = g
+        while s <= top:
+            member |= member << s
+            s += s
+        member &= cut
+    gaps = member ^ cut
+    frob = gaps.bit_length() - 1
+    if frob > top - n1:
+        return None
+    counts = int.from_bytes(bin(gaps)[:1:-1].encode().translate(_BITS),
+                            "little")
+    rows, width = frob // n1 + 1, 8 * n1
+    while rows > 1:
+        rows = (rows + 1) // 2
+        counts = ((counts & ((1 << rows * width) - 1))
+                  + (counts >> rows * width))
+    return member, frob, [i + n1 * k for i, k in
+                          enumerate(counts.to_bytes(n1, "little"))]
 
 
 def _member_bits(S: Semigroup, top):
     """The members up to top as an int M: for 0 <= x <= top, bit x is set
     exactly when x is a member, and no higher bit is set.
 
-    With A the int with bit w set for each w in Ap(S, n1), M is A * (1 +
-    2^n1 + ... + 2^(K*n1)), K = top // n1, cut to top + 1 bits.  The
-    product has no carries: its terms A * 2^(k*n1) set the bits w + k*n1,
-    and two of them coincide only if their w agree mod n1, that is, only
-    if they are one Apery element and one k.  So bit x of M is set exactly
-    when x = w + k*n1 with w = Ap(S, n1)[x mod n1] and k >= 0, that is,
-    when x >= w[x mod n1]: the one membership representation.  Being
-    carry-free, M is the OR of its terms, built by doubling (M |= M << s
-    for s = n1, 2*n1, 4*n1, ... up to top) in O(log(top / n1)) shifts,
-    not by a multiplication.  A is read from a base-2 digit string in
-    linear time (base 2 is exempt from the int digit limit).
+    A semigroup built as a member int keeps M up to 32 * n1
+    (`_member_closure`): every bit above F is set, here past 32 * n1 too,
+    and M is cut to top + 1 bits, in O(top / 64) word operations.  Every
+    other semigroup unrolls Ap(S, n1).  With A the int with bit w set for
+    each w in Ap(S, n1), M is A * (1 + 2^n1 + ... + 2^(K*n1)), K = top //
+    n1, cut to top + 1 bits.  The product has no carries: its terms A *
+    2^(k*n1) set the bits w + k*n1, and two of them coincide only if
+    their w agree mod n1, that is, only if they are one Apery element and
+    one k.  So bit x of M is set exactly when x = w + k*n1 with w = Ap(S,
+    n1)[x mod n1] and k >= 0, that is, when x >= w[x mod n1]: the one
+    membership representation.  Being carry-free, M is the OR of its
+    terms, built by doubling (M |= M << s for s = n1, 2*n1, 4*n1, ... up
+    to top) in O(log(top / n1)) shifts, not by a multiplication.  A is
+    read from a base-2 digit string in linear time (base 2 is exempt from
+    the int digit limit).
     """
+    if S._member is not None:  # -2^(F+1) has every bit above F set
+        return (S._member | -(2 << S.frobenius)) & ((2 << top) - 1)
     w, n1 = S._apery, S.generators[0]
     high = S.frobenius + n1  # max Ap(S, n1)
     digits = bytearray(b"0") * (high + 1)
@@ -348,27 +427,33 @@ def _member_bits(S: Semigroup, top):
 
 
 def _apery_sized(S: Semigroup, xs):
-    """(n, listing): n is |Ap(S, X)|, and listing() returns the members of
-    Ap(S, X) ascending, so a caller can check n before anything is listed.
+    """(n, listing): n is |Ap(S, X)|, and listing() returns its members,
+    so a caller can check n before anything is listed.
 
     Every member r of Ap(S, X) is at most top = F + min(X), since r - x is
-    a member once it exceeds F.  When top <= 32 * n1 the set is read off
-    M = `_member_bits`(S, top): B = M & ~(M << x) over the x in X keeps
-    the members r with r - x not in S, and an x above top removes nothing,
-    so it is not shifted.  n is the popcount of B, and the listing keeps
-    from range(top + 1) the bits of B, its binary digits read least
-    significant first as the bytes 0 and 1 by `compress`.  That is
-    O(|X| * top / 64) word operations on ints of at most 4 * n1 bytes,
-    plus O(top) for the listing.  Every other X is counted by
-    `_apery_counts`, O(n1 * |X|), and listed by `_apery_list`: there top
-    / n1 has no bound, and a top-bit int could outgrow the Apery table
-    (F / n1 is 5403 on <99991, 100003, 166651>).  The bound is also where
-    the int stops paying (time per call on CPython 3.11, random
-    semigroups with n1 from 3 to 120 and e from 2 to 5): up to 32 * n1,
-    count and list took 0.41-0.79x the residues' time in the median of
-    each e and band of top / n1, and from there to 48 * n1 a quarter of
-    the calls took 1.25x or more.  An empty X, 0 and non-members are
-    refused, in that order, before anything is counted.
+    a member once it exceeds F.  listing() gives one run of them in one of
+    two forms: a dense set, whose span top + 1 is at most 8 * n, as a 0/1
+    byte mask whose byte r is 1 exactly when r is a member, and a sparse
+    one as the ascending list of ints.  The mask makes no int per member,
+    and past 8x its zeros cost the writer more than the ints it saves.
+
+    When top <= 32 * n1 the set is read off M = `_member_bits`(S, top): B
+    = M & ~(M << x) over the x in X keeps the members r with r - x not in
+    S, and an x above top removes nothing, so it is not shifted.  n is the
+    popcount of B, and the mask is B's binary digits read least
+    significant first as the bytes 0 and 1; the list keeps from range(top
+    + 1) the positions of its ones.  That is O(|X| * top / 64) word
+    operations on ints of at most 4 * n1 bytes, plus O(top) for the
+    listing.  Every other X is counted by `_apery_counts`, O(n1 * |X|),
+    and listed by `_apery_list`: there top / n1 has no bound, and a
+    top-bit int could outgrow the Apery table (F / n1 is 5403 on <99991,
+    100003, 166651>).  The bound is also where the int stops paying (time
+    per call on CPython 3.11, random semigroups with n1 from 3 to 120 and
+    e from 2 to 5): up to 32 * n1, count and list took 0.41-0.79x the
+    residues' time in the median of each e and band of top / n1, and from
+    there to 48 * n1 a quarter of the calls took 1.25x or more.  An empty
+    X, 0 and non-members are refused, in that order, before anything is
+    counted.
     """
     if xs and (top := S.frobenius + min(xs)) <= 32 * S.generators[0]:
         _check_apery_xs(S, xs)
@@ -376,10 +461,16 @@ def _apery_sized(S: Semigroup, xs):
         for x in xs:
             if x <= top:
                 bits &= ~(member << x)
-        return bits.bit_count(), lambda: list(compress(
-            range(top + 1), bin(bits)[:1:-1].encode().translate(_BITS)))
+        n = bits.bit_count()
+
+        def listing():
+            mask = bin(bits)[:1:-1].encode().translate(_BITS)
+            return mask if top < 8 * n else _members(mask)
+
+        return n, listing
     counts = _apery_counts(S, xs)
-    return sum(counts), lambda: _apery_list(S, counts)
+    return sum(counts), lambda: _apery_list(S, counts,
+                                            S.frobenius + min(xs) + 1)
 
 
 def _check_apery_xs(S: Semigroup, xs):
@@ -413,11 +504,18 @@ def _apery_counts(S: Semigroup, xs):
     return list(map(floordiv, map(sub, least, w), repeat(n1)))
 
 
-def _apery_list(S: Semigroup, counts):
-    """The members of Ap(S, X), ascending, from its `_apery_counts`."""
-    n1 = S.generators[0]
-    return sorted(chain.from_iterable(
-        [range(wi, wi + c * n1, n1) for wi, c in zip(S._apery, counts)]))
+def _apery_list(S: Semigroup, counts, span):
+    """The members of Ap(S, X), all below span, from its `_apery_counts`:
+    with n of them, a 0/1 byte mask of length span, one slice assignment
+    per residue, when span <= 8 * n, else the ascending list."""
+    w, n1 = S._apery, S.generators[0]
+    if span > 8 * sum(counts):
+        return sorted(chain.from_iterable(
+            [range(wi, wi + c * n1, n1) for wi, c in zip(w, counts)]))
+    mask, ones = bytearray(span), b"\x01" * max(counts)
+    for wi, c in zip(w, counts):
+        mask[wi:wi + c * n1:n1] = ones[:c]
+    return mask
 
 
 def _depths(S: Semigroup):
@@ -451,34 +549,35 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     would join C to the n1 side), so r - n_j is in Ap(S, n1).  They are
     at most X = max Ap(S, n1) + n_e.
 
-    Two paths differ only in the candidates `_betti_scan` is given.  On
-    dense semigroups, X <= 32 * n1 with e >= 3 and n1 >= 10, `_betti_bits`
-    decides every candidate at once on int bitsets and hands over only
-    the Betti elements; the first bound keeps each of its ints below
-    4X bits, O(n1) bytes like the Apery table.  Every other semigroup
-    gives the scan all candidates: there an X-bit int would outgrow that
-    table (X / n1 is 5406 on <99991, 100003, 166651>), or the bit pass
-    lost to the scan (median time per call on CPython 3.11: 1.03-3.3x
-    the scan's at e = 2 and up to 1.3x at n1 <= 8, against 0.30-0.96x
-    for e >= 3 and n1 from 10 to 96).
+    Two paths differ only in how the Betti elements are found, and
+    `_betti_classify` splits them.  On dense semigroups, X <= 32 * n1
+    with e >= 3 and n1 >= 10, `_betti_bits` decides every candidate at
+    once on int bitsets; the first bound keeps each of its ints below 4X
+    bits, O(n1) bytes like the Apery table.  Every other semigroup gives
+    all candidates to `_betti_filter`: there an X-bit int would outgrow
+    that table (X / n1 is 5406 on <99991, 100003, 166651>), or the bit
+    pass lost to the filter (median time per call on CPython 3.11:
+    1.03-3.3x the filter's at e = 2 and up to 1.3x at n1 <= 8, against
+    0.30-0.96x for e >= 3 and n1 from 10 to 96).
 
-    Cost: `_depths` takes O(n1 log n1 + n1 * e) time and O(n1) memory.
-    The scan of all O(n1 * e) candidates takes O(e^2) inline membership
-    tests each and O(n1 * e) memory.  The bit pass takes O(e^2 * X / 64)
-    word operations per round, in at most e - 1 rounds, and O(e * X)
-    bits of memory.
+    Cost: the filter of all O(n1 * e) candidates takes O(e^2) inline
+    membership tests each and O(n1 * e) memory.  The bit pass takes
+    O(e^2 * X / 64) word operations per round, in at most e - 1 rounds,
+    and O(e * X) bits of memory.  The split takes O(e) membership tests
+    per Betti element, and `_depths`, O(n1 log n1 + n1 * e) time and
+    O(n1) memory.
     """
     gens = S.minimal_generators
     n1 = gens[0]
     if (len(gens) > 2 and n1 >= 10
             and S.frobenius + n1 + gens[-1] <= 32 * n1):
-        return _betti_scan(S, _betti_bits(S))
-    return _betti_scan(S, sorted({v + g for v in S._apery for g in gens[1:]}))
+        return _betti_classify(S, _betti_bits(S))
+    return _betti_classify(S, _betti_filter(
+        S, sorted({v + g for v in S._apery for g in gens[1:]})))
 
 
-def _betti_scan(S: Semigroup, candidates):
-    """`betti_elements` among the ascending candidates, which must hold
-    every Betti element.
+def _betti_filter(S: Semigroup, candidates):
+    """The ascending candidates with a disconnected factorization graph.
 
     Membership alone decides, each test read inline as x >= w[x mod n1]
     with w = Ap(S, n1).  The components (R-classes) match those of the
@@ -488,15 +587,10 @@ def _betti_scan(S: Semigroup, candidates):
     one traversal from the first live generator, stopped once every live
     generator is reached, decides.  The live test and the traversal are
     plain loops: before CPython 3.12 a comprehension is a function call.
-
-    Ascending, every unbalanced u < r is known.  If r - u in S, r is
-    unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
-    rests on each r - g has one length and L(r) is those lengths plus 1,
-    each read off the `_depths` table.
     """
     gens = S.minimal_generators
-    w, n1, depth = S._apery, gens[0], _depths(S)
-    betti, balanced, unbalanced = [], [], []
+    w, n1 = S._apery, gens[0]
+    betti = []
     for r in candidates:
         live = []
         for g in gens:
@@ -513,17 +607,32 @@ def _betti_scan(S: Semigroup, candidates):
                 break
             todo += near
             rest = far
-        if not far:
-            continue
-        betti.append(r)
+        if far:
+            betti.append(r)
+    return betti
+
+
+def _betti_classify(S: Semigroup, betti):
+    """The `BettiClassification` of the ascending Betti elements betti.
+
+    Ascending, every unbalanced u < r is known.  If r - u in S, r is
+    unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
+    rests on each r - g in S has one length and L(r) is those lengths
+    plus 1, each read off the `_depths` table.
+    """
+    gens = S.minimal_generators
+    w, n1, depth = S._apery, gens[0], _depths(S)
+    balanced, unbalanced = [], []
+    for r in betti:
         for u in unbalanced:
             if r - u >= w[(r - u) % n1]:
                 break
         else:
             lengths = set()
-            for g in live:
+            for g in gens:
                 x = r - g
-                lengths.add((x - w[x % n1]) // n1 + depth[x % n1])
+                if x >= w[x % n1]:
+                    lengths.add((x - w[x % n1]) // n1 + depth[x % n1])
             if len(lengths) == 1:
                 balanced.append(r)
                 continue
@@ -608,4 +717,4 @@ def ulf(S: Semigroup):
     Listed as Ap(S, UBetti(S)) by `_ulf_sized`, which refuses N, where
     every member qualifies, with a ValueError.
     """
-    return _ulf_sized(S)[1]()
+    return _members(_ulf_sized(S)[1]())

@@ -585,14 +585,36 @@ def test_ulf_listing_peak_memory_at_the_edge(capsys):
         assert count == 995460, fmt
 
 
-# runs of an ascending listing: step-1 ranges, empty ones too, and sorted
-# lists, starting near the edges of the hundred-int blocks and near 10**12
+# runs of an ascending listing: step-1 ranges, empty ones too, sorted
+# lists, starting near the edges of the hundred-int blocks and near 10**12,
+# and 0/1 byte masks (bytes or bytearray) with ones near those edges
 _STARTS = st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 13),
                     st.sampled_from([0, 9, 10, 99, 100, 101, 199, 200, 201,
                                      10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1]))
+_ONES = st.one_of(st.integers(0, 700),
+                  st.sampled_from([0, 1, 98, 99, 100, 101, 198, 199, 200,
+                                   201, 299, 300]))
 _RUNS = st.lists(st.one_of(
     st.builds(lambda lo, n: range(lo, lo + n), _STARTS, st.integers(0, 350)),
-    st.lists(_STARTS, max_size=30).map(sorted)), max_size=6)
+    st.lists(_STARTS, max_size=30).map(sorted),
+    st.builds(lambda ones, pad, kind: _mask(ones, pad, kind),
+              st.sets(_ONES, max_size=60), st.integers(0, 150),
+              st.sampled_from([bytes, bytearray]))), max_size=6)
+
+
+def _mask(ones, pad=0, kind=bytes):
+    """The 0/1 byte mask with its ones at the positions ones, and pad more
+    zeros past the last one."""
+    mask = bytearray(max(ones, default=-1) + 1 + pad)
+    for r in ones:
+        mask[r] = 1
+    return kind(mask)
+
+
+def _listed(run):
+    """The members of a run: a mask lists the positions of its ones."""
+    return run if isinstance(run, (list, range)) else [
+        r for r, bit in enumerate(run) if bit]
 
 
 @given(_RUNS)
@@ -603,10 +625,30 @@ _RUNS = st.lists(st.one_of(
 @example([range(99, 100), range(100, 101), range(1099, 1201), range(5, 5)])
 @example([range(10 ** 12 - 1, 10 ** 12 + 101), [], [10 ** 12 + 200]])
 @example([[0, 9, 10, 99, 100, 101], range(101, 101), [199, 200, 201]])
+# ones at the block edges, with [300, 400) all zeros inside the mask, and
+# masks with no ones at all
+@example([_mask([0, 99, 100, 199, 200, 450])])
+@example([_mask([1, 98, 101, 198, 201, 299], 0, bytearray), range(3, 5)])
+@example([_mask([], 250), [7], _mask([]), _mask([100])])
 def test_decimals_is_the_join_of_the_members(runs):
     for sep in (", ", " ", "\n"):
         assert cli._decimals(runs, sep) == \
-            sep.join(map(str, [x for run in runs for x in run])), sep
+            sep.join(map(str, [x for run in runs for x in _listed(run)])), sep
+
+
+# the engine's ulf listed as a mask, off the member int (<6, 9, 20>) and
+# residue by residue (<20, 21>, F + min UBetti = 799 > 32 * n1): its count
+# is of members, not of the mask's positions
+@pytest.mark.parametrize("gens", [(6, 9, 20), (20, 21)])
+def test_ulf_count_counts_the_members_of_a_mask(capsys, gens):
+    S = core.Semigroup(gens)
+    mask = S.ulf_runs(lambda n: None)[0]
+    assert not isinstance(mask, list) and len(mask) > mask.count(1)
+    code, out, _ = run(capsys, "--gens", ",".join(map(str, gens)),
+                       "--format", "json", "ulf")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["count"] == len(doc["ulf"]) == len(oracle.ulf(S))
 
 
 def dumped(out):

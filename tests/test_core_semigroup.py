@@ -26,7 +26,8 @@ from sgp.core_semigroup import (
     _apery_counts,
     _apery_sized,
     _betti_bits,
-    _betti_scan,
+    _betti_classify,
+    _betti_filter,
     _denumerants,
     _factorization_count,
     _length_masks,
@@ -151,6 +152,67 @@ def test_apery_of_n1_matches_oracle_at_engine_cli_sizes():
             {g for g in gens
              if not any(oracle.member(ref, m) and oracle.member(ref, g - m)
                         for m in range(1, g))})), gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(SMALL_GENERATORS, DENSE_GENERATORS))
+# each side of each bound of the member-int construction: 2 and 3 input
+# generators, n1 = 19 and 20, and F + n1 = 32 * n1 - 1 and 32 * n1 + 1 (F
+# is a gap, never a multiple of n1, so F + n1 = 32 * n1 cannot occur);
+# in <20, 21, 41> the third input generator is 20 + 21
+@example([20, 21])
+@example([20, 21, 23])
+@example([19, 21, 23])
+@example([20, 61, 90])
+@example([20, 39, 407])
+@example([20, 21, 41])
+def test_construction_matches_oracle(gens):
+    # Ap(S, n1), F, the minimal generators and membership against the
+    # definitions, handed the input generators; the member int is kept
+    # exactly where the rule builds it, and cut to any top it is the
+    # members up to top
+    S = _small_semigroup(gens)
+    gens = S.generators
+    n1 = gens[0]
+    ref = SimpleNamespace(minimal_generators=gens)
+    F = oracle.frobenius(ref)
+    assert sorted(S._apery) == oracle.apery_multi(ref, [n1])
+    assert [w % n1 for w in S._apery] == list(range(n1))
+    assert S.frobenius == F
+    assert S.minimal_generators == tuple(sorted(
+        {g for g in gens
+         if not any(oracle.member(ref, m) and oracle.member(ref, g - m)
+                    for m in range(1, g))}))
+    assert [r in S for r in range(-3, F + 2 * n1 + 1)] == \
+        [oracle.member(ref, r) for r in range(-3, F + 2 * n1 + 1)]
+    assert (S._member is not None) == (
+        len(gens) >= 3 and n1 >= 20 and F + n1 <= 32 * n1)
+    for top in (0, max(F, 0), F + n1 + gens[-1], 40 * n1):
+        assert core_semigroup._member_bits(S, top) == sum(
+            1 << r for r in range(top + 1) if r in S), top
+
+
+# the member int is tried from 3 input generators and n1 = 20, and kept
+# when F + n1 <= 32 * n1; the Dijkstra builds the rest.  <351, 352, 385>
+# keeps it at F + n1 = 31.97 * n1, and <529, 530, 532> is refused before
+# any shift: 528 sums of at most 31 of two generators cannot reach 529
+# Apery elements
+@pytest.mark.parametrize("gens, tried, kept", [((20, 21), False, False),
+                                               ((20, 21, 23), True, True),
+                                               ((19, 21, 23), False, False),
+                                               ((20, 61, 90), True, True),
+                                               ((20, 39, 407), True, False),
+                                               ((20, 21, 41), True, True),
+                                               ((351, 352, 385), True, True),
+                                               ((529, 530, 532), True, False)])
+def test_construction_takes_the_member_int_on_dense_inputs(
+        monkeypatch, gens, tried, kept):
+    calls, closure = [], core_semigroup._member_closure
+    monkeypatch.setattr(core_semigroup, "_member_closure",
+                        lambda g: calls.append(g) or closure(g))
+    S = Semigroup(gens)
+    assert calls == ([list(gens)] if tried else [])
+    assert (S._member is not None) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +589,26 @@ def test_betti_candidates_match_full_scan(gens):
     # is not live there, so the bit pass roots it at 6
     S = _small_semigroup(gens)
     want = oracle.betti_elements(S)
-    assert _betti_paths(S) == (want.betti, want, want)
+    assert _betti_paths(S) == _oracle_paths(want)
     assert betti_elements(S) == want
 
 
 def _betti_paths(S):
-    """The bit pass alone, the scan given its Betti elements, and the
-    scan given every candidate w + n_j, called directly."""
+    """The bit pass alone, the filter given its Betti elements and given
+    every candidate w + n_j, and the split of the bit pass's and of the
+    filter's Betti elements, called directly."""
     outer = S.minimal_generators[1:]
-    return (tuple(_betti_bits(S)), _betti_scan(S, _betti_bits(S)),
-            _betti_scan(S, sorted({v + g for v in S._apery for g in outer})))
+    everything = _betti_filter(
+        S, sorted({v + g for v in S._apery for g in outer}))
+    return (tuple(_betti_bits(S)), tuple(_betti_filter(S, _betti_bits(S))),
+            tuple(everything), _betti_classify(S, _betti_bits(S)),
+            _betti_classify(S, everything))
+
+
+def _oracle_paths(want):
+    """What `_betti_paths` gives when every path agrees with the oracle's
+    classification want."""
+    return (want.betti,) * 3 + (want,) * 2
 
 
 # one semigroup on each side of each bound of the bit pass: X = max Ap(S,
@@ -554,7 +626,7 @@ def test_betti_takes_the_bit_pass_on_dense_semigroups(monkeypatch, gens,
     want = oracle.betti_elements(S)
     assert betti_elements(S) == want
     assert calls == ([S] if bits else [])
-    assert _betti_paths(S) == (want.betti, want, want)
+    assert _betti_paths(S) == _oracle_paths(want)
 
 
 def test_betti_matches_oracle_at_engine_cli_sizes():
@@ -573,7 +645,7 @@ def test_betti_matches_oracle_at_engine_cli_sizes():
             continue
         cls = oracle.betti_elements(S)
         assert betti_elements(S) == cls, gens
-        assert _betti_paths(S) == (cls.betti, cls, cls), gens
+        assert _betti_paths(S) == _oracle_paths(cls), gens
         assert apery_multi(S, cls.unbalanced) == \
             oracle.apery_multi(S, cls.unbalanced), gens
         checked += 1
