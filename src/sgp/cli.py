@@ -517,28 +517,27 @@ def _decimals(runs, sep):
     """
     parts = []
     for run in runs:
-        if isinstance(run, list):
+        if isinstance(run, range):  # the many runs of a closed form
+            lo, hi = run.start, run.stop
+            if lo < 100:
+                parts += map(str, range(lo, min(hi, 100)))
+                lo = 100
+            while lo < hi:
+                h, k = divmod(lo, 100)
+                top = min(hi - lo + k, 100)
+                head = str(h)
+                parts.append(head + (sep + head).join(_PAIRS[k:top]))
+                lo += top - k
+        elif isinstance(run, list):
             if run:
                 parts.append(str(run)[1:-1].replace(", ", sep))
-            continue
-        if not isinstance(run, range):  # a mask
+        else:  # a mask
             parts += map(str, compress(range(100), run[:100]))
             for lo in range(100, len(run), 100):
                 head = str(lo // 100)
                 body = (sep + head).join(compress(_PAIRS, run[lo:lo + 100]))
                 if body:
                     parts.append(head + body)
-            continue
-        lo, hi = run.start, run.stop
-        if lo < 100:
-            parts += map(str, range(lo, min(hi, 100)))
-            lo = 100
-        while lo < hi:
-            h, k = divmod(lo, 100)
-            top = min(hi - lo + k, 100)
-            head = str(h)
-            parts.append(head + (sep + head).join(_PAIRS[k:top]))
-            lo += top - k
     return sep.join(parts)
 
 
@@ -654,8 +653,9 @@ def cmd_betti(t, ns) -> str:
 def cmd_ulf(t, ns) -> str:
     S, method = _resolve(t, ns, "ulf_runs")
     runs = S.ulf_runs(lambda n: _check_listed("ulf", n))
-    count = sum([len(r) if isinstance(r, (list, range)) else r.count(1)
-                 for r in runs])  # a mask counts its ones
+    count = sum(map(len, runs))
+    if runs and not isinstance(runs[0], (list, range)):
+        count = runs[0].count(1)  # the engine's one run, a mask of its ones
     return _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": '
                          '[%%s]}\n' % (count, method))
 

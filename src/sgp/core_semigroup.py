@@ -27,7 +27,7 @@ Conventions used throughout:
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, islice, repeat
-from math import comb, gcd
+from math import gcd
 from operator import floordiv, index, sub
 
 from .records import (  # re-exported: the engine returns and raises them
@@ -50,26 +50,36 @@ class Semigroup:
     largest entry minus n1, and the minimal generators are derived with
     O(e^2) membership tests.  An instance keeps O(n1) memory.
 
-    There are two constructions.  On e >= 3 input generators with n1 >=
-    20, `_member_closure` first builds the member int M, whose bit x is
-    set when x <= 32 * n1 is a member, by shift-ORs, in O(e * n1) word
-    operations; when F + n1 <= 32 * n1 it reads Ap(S, n1) and F off M and
-    keeps M, at most 4 * n1 bytes, for `_member_bits`.  Every other
-    semigroup, and one that fails that bound after those word
-    operations, gets Dijkstra over the residues mod n1, Nijenhuis's
-    minimal-path algorithm (Amer. Math. Monthly 86, 1979), and keeps no
-    M: its heap holds int path weights w, each at residue w mod n1,
-    pushed only when it lowers the tentative weight of its residue, and it
-    stops once all n1 residues are settled.  For e <= n1 generators it
-    takes O(n1 * e * log n1) time, and the heap takes at most 1 + n1 * (e
-    - 1) entries, at most one per edge out of a settled residue.  Bocker
-    & Liptak's heap-free round robin computes the same table and measured
-    no faster than this Dijkstra.  The rule is where the closure measured
-    faster (median time per construction on CPython 3.11, generators
-    drawn from (n1, 2 * n1)): 0.80-0.93x the Dijkstra's for each e from 3
-    to 5 at n1 from 20 to 24, and 0.62-0.77x from 35 to 39, but
-    1.01-1.14x at n1 from 10 to 14 and 1.2-1.5x at e = 2.  Instances are
-    immutable after construction and safe to share between threads.
+    There are two constructions.  With n1 from 20 to 100 and at least
+    three input generators up to 32 * n1, `_member_closure` first builds
+    the member int M, whose bit x is set when x <= 32 * n1 is a member, by
+    shift-ORs, in O(e * n1) word operations; when F + n1 <= 32 * n1 it
+    reads Ap(S, n1) and F off M and keeps M, at most 4 * n1 bytes, for
+    `_member_bits`.  Every other semigroup, and one that fails that bound
+    after those word operations, gets Dijkstra over the residues mod n1,
+    Nijenhuis's minimal-path algorithm (Amer. Math. Monthly 86, 1979), and
+    keeps no M: its heap holds int path weights w, each at residue w mod
+    n1, pushed only when it lowers the tentative weight of its residue,
+    and it stops once all n1 residues are settled.  For e <= n1 generators
+    it takes O(n1 * e * log n1) time, and the heap takes at most 1 + n1 *
+    (e - 1) entries, at most one per edge out of a settled residue.
+    Bocker & Liptak's heap-free round robin computes the same table and
+    measured no faster than this Dijkstra.
+
+    The rule is where the closure measured faster (time per construction
+    on CPython 3.11, generators drawn from (n1, 2 * n1) and (n1, 4 * n1)).
+    From n1 = 20 to 100 a closure that kept M took 0.39-0.61x the
+    Dijkstra's time in the median of each e from 3 to 5, and one that
+    failed cost 3-6 us, 0.11-0.15x.  Below, it took 1.01-1.14x at n1 from
+    10 to 14, and 1.2-1.5x at e = 2.  Above, F + n1 outgrows 32 * n1 on
+    most inputs with e = 3 from n1 = 300, e = 4 from 1000 and e = 5 from
+    3000, and a failure costs 4-17% of the Dijkstra's time, the most near
+    n1 = 10^6, where M no longer fits in cache; neither the count of sums
+    below 32 * n1 nor the volume bound on it tells half of those inputs
+    apart.  The rule counts input generators, so a redundant one, as in
+    <n1, n2, n1 + n2>, sends an e = 2 semigroup to the closure, at
+    1.1-1.2x.  Instances are immutable after construction and safe to
+    share between threads.
 
     An instance answers what `sgp` asks, under the names the closed-form
     records use, at the cost of the module function each calls: `betti()`
@@ -97,7 +107,9 @@ class Semigroup:
         self.generators = tuple(gens)
         n1 = gens[0]
         outer = gens[1:]
-        built = _member_closure(gens) if len(gens) >= 3 and n1 >= 20 else None
+        # a generator above 32 * n1 adds nothing to the member int
+        built = _member_closure(gens) if 20 <= n1 <= 100 and len(
+            gens) >= 3 and gens[2] <= 32 * n1 else None
         if built:
             self._member, self.frobenius, ap = built
         else:
@@ -358,16 +370,10 @@ def _member_closure(gens):
     the binary digits of the gap int, and the rows of n1 bytes are summed
     by folding the int in halves; a byte sums at most 32 rows, so none
     carries.  That is O(e) shift-ORs on ints of at most 4 * n1 bytes,
-    O(e * n1) word operations, plus O(F) for the digits.  A semigroup
-    with too few sums of e - 1 generators for n1 Apery elements below
-    top, such as every one with e = 3 and n1 > 528, is refused first.
+    O(e * n1) word operations, plus O(F) for the digits.
     """
     n1 = gens[0]
     top = 32 * n1
-    # each w in Ap(S, n1) is a sum of other generators, at most top //
-    # gens[1] of them when w <= top, and no two w share a sum
-    if comb(top // gens[1] + len(gens) - 1, len(gens) - 1) < n1:
-        return None
     cut = (2 << top) - 1
     member = 1
     for g in gens:
@@ -432,28 +438,29 @@ def _apery_sized(S: Semigroup, xs):
 
     Every member r of Ap(S, X) is at most top = F + min(X), since r - x is
     a member once it exceeds F.  listing() gives one run of them in one of
-    two forms: a dense set, whose span top + 1 is at most 8 * n, as a 0/1
-    byte mask whose byte r is 1 exactly when r is a member, and a sparse
-    one as the ascending list of ints.  The mask makes no int per member,
-    and past 8x its zeros cost the writer more than the ints it saves.
+    two forms: a 0/1 byte mask of span top + 1, whose byte r is 1 exactly
+    when r is a member, or the ascending list of ints.  The mask makes no
+    int per member.
 
     When top <= 32 * n1 the set is read off M = `_member_bits`(S, top): B
     = M & ~(M << x) over the x in X keeps the members r with r - x not in
     S, and an x above top removes nothing, so it is not shifted.  n is the
-    popcount of B, and the mask is B's binary digits read least
-    significant first as the bytes 0 and 1; the list keeps from range(top
-    + 1) the positions of its ones.  That is O(|X| * top / 64) word
+    popcount of B, and the listing is always the mask, B's binary digits
+    read least significant first as the bytes 0 and 1: a list would be
+    read off the same digits, one int per position, and took 1.01-1.3x
+    the mask's time (listing and writing, median of each band of span / n
+    from 8 to 1024, n1 from 8 to 100).  That is O(|X| * top / 64) word
     operations on ints of at most 4 * n1 bytes, plus O(top) for the
     listing.  Every other X is counted by `_apery_counts`, O(n1 * |X|),
-    and listed by `_apery_list`: there top / n1 has no bound, and a
-    top-bit int could outgrow the Apery table (F / n1 is 5403 on <99991,
-    100003, 166651>).  The bound is also where the int stops paying (time
-    per call on CPython 3.11, random semigroups with n1 from 3 to 120 and
-    e from 2 to 5): up to 32 * n1, count and list took 0.41-0.79x the
-    residues' time in the median of each e and band of top / n1, and from
-    there to 48 * n1 a quarter of the calls took 1.25x or more.  An empty
-    X, 0 and non-members are refused, in that order, before anything is
-    counted.
+    and listed by `_apery_list`, as a mask only when its span is at most 8
+    * n: there top / n1 has no bound, and a top-bit int could outgrow the
+    Apery table (F / n1 is 5403 on <99991, 100003, 166651>).  The bound is
+    also where the int stops paying (time per call on CPython 3.11, random
+    semigroups with n1 from 3 to 120 and e from 2 to 5): up to 32 * n1,
+    count and list took 0.41-0.79x the residues' time in the median of
+    each e and band of top / n1, and from there to 48 * n1 a quarter of
+    the calls took 1.25x or more.  An empty X, 0 and non-members are
+    refused, in that order, before anything is counted.
     """
     if xs and (top := S.frobenius + min(xs)) <= 32 * S.generators[0]:
         _check_apery_xs(S, xs)
@@ -462,12 +469,7 @@ def _apery_sized(S: Semigroup, xs):
             if x <= top:
                 bits &= ~(member << x)
         n = bits.bit_count()
-
-        def listing():
-            mask = bin(bits)[:1:-1].encode().translate(_BITS)
-            return mask if top < 8 * n else _members(mask)
-
-        return n, listing
+        return n, lambda: bin(bits)[:1:-1].encode().translate(_BITS)
     counts = _apery_counts(S, xs)
     return sum(counts), lambda: _apery_list(S, counts,
                                             S.frobenius + min(xs) + 1)
@@ -507,7 +509,10 @@ def _apery_counts(S: Semigroup, xs):
 def _apery_list(S: Semigroup, counts, span):
     """The members of Ap(S, X), all below span, from its `_apery_counts`:
     with n of them, a 0/1 byte mask of length span, one slice assignment
-    per residue, when span <= 8 * n, else the ascending list."""
+    per residue, when span <= 8 * n, else the ascending list.  Against
+    the list, built from n1 progressions, the mask took 0.41x the time
+    (listing and writing) at spans under 2x, 0.85x at 4-8x and 1.64x at
+    8-16x."""
     w, n1 = S._apery, S.generators[0]
     if span > 8 * sum(counts):
         return sorted(chain.from_iterable(

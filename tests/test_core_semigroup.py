@@ -157,12 +157,17 @@ def test_apery_of_n1_matches_oracle_at_engine_cli_sizes():
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(SMALL_GENERATORS, DENSE_GENERATORS))
 # each side of each bound of the member-int construction: 2 and 3 input
-# generators, n1 = 19 and 20, and F + n1 = 32 * n1 - 1 and 32 * n1 + 1 (F
-# is a gap, never a multiple of n1, so F + n1 = 32 * n1 cannot occur);
-# in <20, 21, 41> the third input generator is 20 + 21
+# generators, n1 = 19 and 20, n1 = 100 and 101, a third generator at 32 *
+# n1 and one past it, and F + n1 = 32 * n1 - 1 and 32 * n1 + 1 (F is a
+# gap, never a multiple of n1, so F + n1 = 32 * n1 cannot occur); in <20,
+# 21, 41> the third input generator is 20 + 21
 @example([20, 21])
 @example([20, 21, 23])
 @example([19, 21, 23])
+@example([100, 101, 116])
+@example([101, 102, 120])
+@example([20, 21, 640])
+@example([20, 21, 641])
 @example([20, 61, 90])
 @example([20, 39, 407])
 @example([20, 21, 41])
@@ -186,25 +191,28 @@ def test_construction_matches_oracle(gens):
     assert [r in S for r in range(-3, F + 2 * n1 + 1)] == \
         [oracle.member(ref, r) for r in range(-3, F + 2 * n1 + 1)]
     assert (S._member is not None) == (
-        len(gens) >= 3 and n1 >= 20 and F + n1 <= 32 * n1)
+        20 <= n1 <= 100 and len(gens) >= 3 and gens[2] <= 32 * n1
+        and F + n1 <= 32 * n1)
     for top in (0, max(F, 0), F + n1 + gens[-1], 40 * n1):
         assert core_semigroup._member_bits(S, top) == sum(
             1 << r for r in range(top + 1) if r in S), top
 
 
-# the member int is tried from 3 input generators and n1 = 20, and kept
-# when F + n1 <= 32 * n1; the Dijkstra builds the rest.  <351, 352, 385>
-# keeps it at F + n1 = 31.97 * n1, and <529, 530, 532> is refused before
-# any shift: 528 sums of at most 31 of two generators cannot reach 529
-# Apery elements
+# the member int is tried with n1 from 20 to 100 and 3 input generators up
+# to 32 * n1, and kept when F + n1 <= 32 * n1; the Dijkstra builds the
+# rest.  <20, 61, 90> keeps it at F + n1 = 31.95 * n1, and <351, 352, 385>,
+# which would keep it at 31.97 * n1, is past the n1 range
 @pytest.mark.parametrize("gens, tried, kept", [((20, 21), False, False),
                                                ((20, 21, 23), True, True),
                                                ((19, 21, 23), False, False),
+                                               ((100, 101, 116), True, True),
+                                               ((101, 102, 120), False, False),
+                                               ((20, 21, 640), True, True),
+                                               ((20, 21, 641), False, False),
                                                ((20, 61, 90), True, True),
                                                ((20, 39, 407), True, False),
                                                ((20, 21, 41), True, True),
-                                               ((351, 352, 385), True, True),
-                                               ((529, 530, 532), True, False)])
+                                               ((351, 352, 385), False, False)])
 def test_construction_takes_the_member_int_on_dense_inputs(
         monkeypatch, gens, tried, kept):
     calls, closure = [], core_semigroup._member_closure
@@ -697,7 +705,9 @@ def test_apery_multi_matches_set_definition(gens, picks):
 # the member int and the residues on each side of F + min(X) = 32 * n1
 # (F = 38 on <10, 11, 13>), and a member above that beside a small one;
 # the rule asks nothing else, so a semigroup past the bit pass's rule,
-# n1 = 9 and e = 2 take the int, and <10, 37>, where F = 323, does not
+# n1 = 9 and e = 2 take the int, and <10, 37>, where F = 323, does not.
+# The int lists a byte mask even at a span of 10 times the count, on <10,
+# 11>, and the residues a mask up to 8 times the count only
 @pytest.mark.parametrize("gens, xs, bits", [((10, 11, 13), (282,), True),
                                             ((10, 11, 13), (283,), False),
                                             ((10, 11, 13), (11, 5000), True),
@@ -713,7 +723,10 @@ def test_apery_takes_the_member_int_up_to_32_n1(monkeypatch, gens, xs, bits):
     expected = oracle.apery_multi(S, xs)
     assert apery_multi(S, xs) == expected
     assert calls == ([S.frobenius + min(xs)] if bits else [])
-    assert _apery_sized(S, xs)[0] == len(expected)
+    n, listing = _apery_sized(S, xs)
+    assert n == len(expected)
+    assert isinstance(listing(), list) == (
+        not bits and S.frobenius + min(xs) + 1 > 8 * n)
 
 
 @settings(max_examples=40, deadline=None)
