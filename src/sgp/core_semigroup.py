@@ -353,27 +353,18 @@ def _members(run):
         compress(range(len(run)), run))
 
 
-def _member_closure(gens):
-    """(M, F, Ap(S, n1)) for the sorted generators gens, M the member int
-    up to top = 32 * n1: bit x is set exactly when x <= top is a member.
-    None when F + n1 > top.
+def _close(gens, top):
+    """The sums of gens up to top as an int: bit x is set exactly when
+    0 <= x <= top is a sum of the gens, 0 the empty one, and no higher
+    bit is set.
 
-    M starts as 1, the member 0, and is closed under each generator g in
-    turn by M |= M << s for s = g, 2g, 4g, ... up to top, then cut to top
-    + 1 bits: the doubling ORs in every multiple of g that fits, so after
-    the last generator M holds every sum of generators up to top.  Every
-    x > F is a member, so the top n1 bits are all set exactly when the
-    highest gap, F, is at most top - n1.  Then Ap(S, n1) is read off the
-    gaps by Selmer's formula: w[i] = i + n1 * (the number of gaps
-    congruent to i mod n1), since a residue class holds gaps below w[i]
-    and members from it on.  The gaps up to F become one byte each, from
-    the binary digits of the gap int, and the rows of n1 bytes are summed
-    by folding the int in halves; a byte sums at most 32 rows, so none
-    carries.  That is O(e) shift-ORs on ints of at most 4 * n1 bytes,
-    O(e * n1) word operations, plus O(F) for the digits.
+    M starts as 1 and is closed under each g in turn by M |= M << s for s
+    = g, 2g, 4g, ... up to top, then cut to top + 1 bits: the doubling ORs
+    in every multiple of g that fits, so after the last g M holds every
+    sum up to top.  That is O(log(top / g)) shift-ORs per g on ints of at
+    most top + 1 bits, O(e * log(top / n1) * top / 64) word operations in
+    all, n1 the least g.
     """
-    n1 = gens[0]
-    top = 32 * n1
     cut = (2 << top) - 1
     member = 1
     for g in gens:
@@ -382,7 +373,27 @@ def _member_closure(gens):
             member |= member << s
             s += s
         member &= cut
-    gaps = member ^ cut
+    return member
+
+
+def _member_closure(gens):
+    """(M, F, Ap(S, n1)) for the sorted generators gens, M = `_close`(gens,
+    32 * n1), the member int up to top = 32 * n1.  None when F + n1 > top.
+
+    Every x > F is a member, so the top n1 bits of M are all set exactly
+    when the highest gap, F, is at most top - n1.  Then Ap(S, n1) is read
+    off the gaps by Selmer's formula: w[i] = i + n1 * (the number of gaps
+    congruent to i mod n1), since a residue class holds gaps below w[i]
+    and members from it on.  The gaps up to F become one byte each, from
+    the binary digits of the gap int, and the rows of n1 bytes are summed
+    by folding the int in halves; a byte sums at most 32 rows, so none
+    carries.  That is O(e * n1) word operations for M, plus O(F) for the
+    digits.
+    """
+    n1 = gens[0]
+    top = 32 * n1
+    member = _close(gens, top)
+    gaps = member ^ ((2 << top) - 1)
     frob = gaps.bit_length() - 1
     if frob > top - n1:
         return None
@@ -404,32 +415,16 @@ def _member_bits(S: Semigroup, top):
     A semigroup built as a member int keeps M up to 32 * n1
     (`_member_closure`): every bit above F is set, here past 32 * n1 too,
     and M is cut to top + 1 bits, in O(top / 64) word operations.  Every
-    other semigroup unrolls Ap(S, n1).  With A the int with bit w set for
-    each w in Ap(S, n1), M is A * (1 + 2^n1 + ... + 2^(K*n1)), K = top //
-    n1, cut to top + 1 bits.  The product has no carries: its terms A *
-    2^(k*n1) set the bits w + k*n1, and two of them coincide only if
-    their w agree mod n1, that is, only if they are one Apery element and
-    one k.  So bit x of M is set exactly when x = w + k*n1 with w = Ap(S,
-    n1)[x mod n1] and k >= 0, that is, when x >= w[x mod n1]: the one
-    membership representation.  Being carry-free, M is the OR of its
-    terms, built by doubling (M |= M << s for s = n1, 2*n1, 4*n1, ... up
-    to top) in O(log(top / n1)) shifts, not by a multiplication.  A is
-    read from a base-2 digit string in linear time (base 2 is exempt from
-    the int digit limit).
+    other semigroup closes its minimal generators up to top by `_close`.
+    Timed on CPython 3.11 at the Betti top, on the benchmark's generic
+    semigroups, the cut took 0.61 us in the median against 3.3 us for a
+    new closure; and the closure took 0.37-1.03x the time of unrolling
+    Ap(S, n1) into M in the median of each e and band of n1 up to 50, and
+    0.22-0.39x with n1 from 120 to 3000.
     """
     if S._member is not None:  # -2^(F+1) has every bit above F set
         return (S._member | -(2 << S.frobenius)) & ((2 << top) - 1)
-    w, n1 = S._apery, S.generators[0]
-    high = S.frobenius + n1  # max Ap(S, n1)
-    digits = bytearray(b"0") * (high + 1)
-    for v in w:
-        digits[high - v] = 49  # a "1" at bit v
-    member = int(digits, 2)
-    shift = n1
-    while shift <= top:
-        member |= member << shift
-        shift *= 2
-    return member & ((2 << top) - 1)
+    return _close(S.minimal_generators, top)
 
 
 def _apery_sized(S: Semigroup, xs):
@@ -459,25 +454,10 @@ def _apery_sized(S: Semigroup, xs):
     semigroups with n1 from 3 to 120 and e from 2 to 5): up to 32 * n1,
     count and list took 0.41-0.79x the residues' time in the median of
     each e and band of top / n1, and from there to 48 * n1 a quarter of
-    the calls took 1.25x or more.  An empty X, 0 and non-members are
-    refused, in that order, before anything is counted.
+    the calls took 1.25x or more.  An X with no finite Apery set, empty,
+    holding 0 or holding a non-member, is refused, in that order, before
+    anything is counted.
     """
-    if xs and (top := S.frobenius + min(xs)) <= 32 * S.generators[0]:
-        _check_apery_xs(S, xs)
-        member = bits = _member_bits(S, top)
-        for x in xs:
-            if x <= top:
-                bits &= ~(member << x)
-        n = bits.bit_count()
-        return n, lambda: bin(bits)[:1:-1].encode().translate(_BITS)
-    counts = _apery_counts(S, xs)
-    return sum(counts), lambda: _apery_list(S, counts,
-                                            S.frobenius + min(xs) + 1)
-
-
-def _check_apery_xs(S: Semigroup, xs):
-    """Refuse an X that has no finite Apery set: empty, holding 0, or
-    holding a non-member."""
     if not xs:
         raise ValueError("Ap(S, {}) is all of S: X must be nonempty")
     if 0 in xs:
@@ -485,6 +465,16 @@ def _check_apery_xs(S: Semigroup, xs):
     for x in xs:
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
+    top = S.frobenius + min(xs)
+    if top <= 32 * S.generators[0]:
+        member = bits = _member_bits(S, top)
+        for x in xs:
+            if x <= top:
+                bits &= ~(member << x)
+        n = bits.bit_count()
+        return n, lambda: bin(bits)[:1:-1].encode().translate(_BITS)
+    counts = _apery_counts(S, xs)
+    return sum(counts), lambda: _apery_list(S, counts, top + 1)
 
 
 def _apery_counts(S: Semigroup, xs):
@@ -496,9 +486,9 @@ def _apery_counts(S: Semigroup, xs):
     listing.  The column i -> w[(i - x) mod n1] + x is w rotated right by
     x mod n1, plus x: each is read lazily through `islice` and `chain`,
     and `map(min, ...)` takes the least over X, so no per-x list is built
-    and the loops run at C speed.  X is checked by `_check_apery_xs`.
+    and the loops run at C speed.  X is a nonempty set of nonzero members,
+    as `_apery_sized` checks.
     """
-    _check_apery_xs(S, xs)
     w, n1 = S._apery, S.generators[0]
     cols = [map(x.__add__, chain(islice(w, n1 - x % n1, None),
                                  islice(w, n1 - x % n1))) for x in xs]
@@ -555,15 +545,18 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     at most X = max Ap(S, n1) + n_e.
 
     Two paths differ only in how the Betti elements are found, and
-    `_betti_classify` splits them.  On dense semigroups, X <= 32 * n1
-    with e >= 3 and n1 >= 10, `_betti_bits` decides every candidate at
-    once on int bitsets; the first bound keeps each of its ints below 4X
-    bits, O(n1) bytes like the Apery table.  Every other semigroup gives
-    all candidates to `_betti_filter`: there an X-bit int would outgrow
-    that table (X / n1 is 5406 on <99991, 100003, 166651>), or the bit
-    pass lost to the filter (median time per call on CPython 3.11:
-    1.03-3.3x the filter's at e = 2 and up to 1.3x at n1 <= 8, against
-    0.30-0.96x for e >= 3 and n1 from 10 to 96).
+    `_betti_classify` splits them.  When X <= 32 * n1, the window of
+    `_apery_sized`, `_betti_bits` decides every candidate at once on int
+    bitsets, each below 4X bits, O(n1) bytes like the Apery table.  Every
+    other semigroup gives all candidates to `_betti_filter`: there an
+    X-bit int would outgrow that table (X / n1 is 5406 on <99991, 100003,
+    166651>).  Inside the window the bit pass took 0.10-0.95x the filter's
+    time, candidates included, in the median of each e from 3 to 5 and n1
+    from 4 to 96, and 1.16x at n1 = 3; at e = 2 it took 0.50-0.97x from
+    n1 = 7 and 1.02-1.35x below (CPython 3.11, 15 random semigroups per e
+    and n1).  Those losses are a few microseconds: taking the bit pass
+    there too cost no band of the benchmark's generic `sgp` requests, by
+    command, e and n1, more than 2% of its time.
 
     Cost: the filter of all O(n1 * e) candidates takes O(e^2) inline
     membership tests each and O(n1 * e) memory.  The bit pass takes
@@ -574,8 +567,7 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     """
     gens = S.minimal_generators
     n1 = gens[0]
-    if (len(gens) > 2 and n1 >= 10
-            and S.frobenius + n1 + gens[-1] <= 32 * n1):
+    if S.frobenius + n1 + gens[-1] <= 32 * n1:
         return _betti_classify(S, _betti_bits(S))
     return _betti_classify(S, _betti_filter(
         S, sorted({v + g for v in S._apery for g in gens[1:]})))

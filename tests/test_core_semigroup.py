@@ -48,8 +48,8 @@ def sg(*gens):
 
 SMALL_GENERATORS = st.lists(st.integers(min_value=1, max_value=20),
                             min_size=1, max_size=4)
-# semigroups of the kind `betti_elements` decides on int bitsets: e from 3
-# to 5 and n1 from 10, the other generators in (n1, 2 * n1), so all minimal
+# dense semigroups, which `betti_elements` decides on int bitsets: e from
+# 3 to 5 and n1 from 10, the other generators in (n1, 2 * n1), so all minimal
 DENSE_GENERATORS = st.integers(min_value=10, max_value=30).flatmap(
     lambda n1: st.lists(st.integers(n1 + 1, 2 * n1 - 1), min_size=2,
                         max_size=4, unique=True).map(lambda g: [n1] + g))
@@ -160,7 +160,8 @@ def test_apery_of_n1_matches_oracle_at_engine_cli_sizes():
 # generators, n1 = 19 and 20, n1 = 100 and 101, a third generator at 32 *
 # n1 and one past it, and F + n1 = 32 * n1 - 1 and 32 * n1 + 1 (F is a
 # gap, never a multiple of n1, so F + n1 = 32 * n1 cannot occur); in <20,
-# 21, 41> the third input generator is 20 + 21
+# 21, 41> the third input generator is 20 + 21.  In <4, 9>, closed up to
+# top 2 * n1 = 8, only the shift s = 8 = top sets bit 8
 @example([20, 21])
 @example([20, 21, 23])
 @example([19, 21, 23])
@@ -171,6 +172,7 @@ def test_apery_of_n1_matches_oracle_at_engine_cli_sizes():
 @example([20, 61, 90])
 @example([20, 39, 407])
 @example([20, 21, 41])
+@example([4, 9])
 def test_construction_matches_oracle(gens):
     # Ap(S, n1), F, the minimal generators and membership against the
     # definitions, handed the input generators; the member int is kept
@@ -193,7 +195,7 @@ def test_construction_matches_oracle(gens):
     assert (S._member is not None) == (
         20 <= n1 <= 100 and len(gens) >= 3 and gens[2] <= 32 * n1
         and F + n1 <= 32 * n1)
-    for top in (0, max(F, 0), F + n1 + gens[-1], 40 * n1):
+    for top in (0, 2 * n1, max(F, 0), F + n1 + gens[-1], 40 * n1):
         assert core_semigroup._member_bits(S, top) == sum(
             1 << r for r in range(top + 1) if r in S), top
 
@@ -384,7 +386,7 @@ def test_apery_multi_empty_needs_bound():
         with pytest.raises(ValueError, match="nonempty"):
             apery_multi(S, ())
         with pytest.raises(ValueError, match="nonempty"):
-            _apery_counts(S, ())
+            _apery_sized(S, ())
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +621,16 @@ def _oracle_paths(want):
     return (want.betti,) * 3 + (want,) * 2
 
 
-# one semigroup on each side of each bound of the bit pass: X = max Ap(S,
-# n1) + n_e at 32 * n1 and one above it, n1 at 10 and at 9, e at 3 and 2
+# one semigroup on each side of the bound of the bit pass, X = max Ap(S,
+# n1) + n_e at 32 * n1 and one above it; the rule asks nothing else, so
+# n1 = 9, e = 2, <3, 4, 5> and N, which has no Betti element, take it too
 @pytest.mark.parametrize("gens, bits", [((10, 15, 61), True),
                                         ((10, 27, 98), False),
                                         ((10, 11, 13), True),
-                                        ((9, 11, 13), False),
-                                        ((10, 11), False)])
+                                        ((9, 11, 13), True),
+                                        ((10, 11), True),
+                                        ((3, 4, 5), True),
+                                        ((1,), True)])
 def test_betti_takes_the_bit_pass_on_dense_semigroups(monkeypatch, gens,
                                                       bits):
     S, calls = Semigroup(gens), []
@@ -707,14 +712,17 @@ def test_apery_multi_matches_set_definition(gens, picks):
 # the rule asks nothing else, so a semigroup past the bit pass's rule,
 # n1 = 9 and e = 2 take the int, and <10, 37>, where F = 323, does not.
 # The int lists a byte mask even at a span of 10 times the count, on <10,
-# 11>, and the residues a mask up to 8 times the count only
+# 11>, and the residues a mask up to 8 times the count only: on <10, 33>,
+# where F = 287, Ap(S, 40) has 40 members over a span of 328, between 8
+# and 9 times that
 @pytest.mark.parametrize("gens, xs, bits", [((10, 11, 13), (282,), True),
                                             ((10, 11, 13), (283,), False),
                                             ((10, 11, 13), (11, 5000), True),
                                             ((10, 27, 98), (10,), True),
                                             ((9, 11, 13), (9,), True),
                                             ((10, 11), (10,), True),
-                                            ((10, 37), (10,), False)])
+                                            ((10, 37), (10,), False),
+                                            ((10, 33), (40,), False)])
 def test_apery_takes_the_member_int_up_to_32_n1(monkeypatch, gens, xs, bits):
     S, calls = Semigroup(gens), []
     member_bits = core_semigroup._member_bits
