@@ -17,8 +17,10 @@ needs (PEP 562).  The result records that the engine and the closed
 forms share (`BettiClassification`, `Factorization`, `Presentation`,
 `NotMemberError`) live in the small `records` module, so a closed form
 returns them without loading the engine.  The `sgp` command loads the
-engine only on its engine paths, never for a closed form, and the
-`verify` module only for `sgp verify`.  Result records such as
+engine only on its engine paths, never for a closed form, the `verify`
+module only for `sgp verify`, and `grammar`, the general reading of a
+command line with its help and errors, only for an argv that the
+one-pass reading in `cli` declines.  Result records such as
 `BettiClassification` are immutable named tuples, with `_replace` and
 `_asdict`.
 
@@ -45,7 +47,7 @@ _EXPORTS = {
         ulf_by_length_report""",
     "records": "BettiClassification Factorization NotMemberError Presentation",
 }
-_MODULES = (*_EXPORTS, "cli", "verify")
+_MODULES = (*_EXPORTS, "cli", "grammar", "verify")
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names.split()}
 __all__ = list(_ORIGIN)

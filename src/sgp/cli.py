@@ -5,7 +5,10 @@
 
 Global options come before COMMAND, and the command's own options and
 arguments after it; `parse` reads them from the table SPEC, which also
-gives the help of `sgp -h` and `sgp COMMAND -h`.
+gives the help of `sgp -h` and `sgp COMMAND -h`.  `_plain` reads a plain
+command line in one pass, and the `grammar` module, imported only for an
+argv that pass declines, every other one, with the usage, the errors and
+the help.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
@@ -28,9 +31,10 @@ query, 4 the answer or the help could not be written (stdout closed, or
 its reader gone).
 
 A process loads only what its command runs: the engine on the engine
-paths (imported in `_resolve`), the `verify` module for `verify`, and
+paths (imported in `_resolve`), the `verify` module for `verify`,
 `arithmetic_sequence` when the --gens are an arithmetic sequence
-(imported in `_family`).  Each command returns the text of its answer,
+(imported in `_family`), and `grammar` when `_plain` declines the argv
+(imported in `parse`).  Each command returns the text of its answer,
 and `main` alone writes and flushes it to stdout, in one piece once every
 error has been raised, and picks the exit code.  If stdout takes no more,
 `_write`, which also writes the help, prints one `error:` line on stderr,
@@ -43,10 +47,9 @@ order (`_emit` for info, factorize, betti and presentation,
 """
 
 import os
-import re
 import sys
 from io import FileIO
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 from types import SimpleNamespace
 
@@ -114,14 +117,6 @@ SPEC = {
                               "seed for --random sampling"),
                }),
 }
-HELP = ("-h", "--help")
-# flags that exclude each other
-RIVALS = {"--fast": "--oracle", "--oracle": "--fast"}
-# argparse's test for a token that is a negative number, so a value
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# the tokens a positional takes, in the pattern of _parse
-_NARGS = {1: re.compile("-*A-*"), "+": re.compile("-*A[A-]*"),
-          "...": re.compile("-*A[-AO]*")}
 # each parser's option defaults, set on the namespace as it starts
 _DEFAULTS = {command: {dest: default for dest, _, default, _, _
                        in options.values()}
@@ -141,26 +136,26 @@ def parse(argv=None) -> SimpleNamespace:
 
     A plain command line, of exact option names, values that do not start
     with "-" and one command, is read by `_plain` in one pass; every other
-    argv, and every one that asks for help or an error, by `_parse`.
+    argv, and every one that asks for help or an error, by the general
+    reading `grammar.read`, whose module is imported only then.
     """
     args = sys.argv[1:] if argv is None else list(argv)
     ns = _plain(args)
     if ns is None:
-        ns = SimpleNamespace()
-        extras = []
-        _parse(None, args, ns, extras)
-        if extras:
-            _fail(None, "unrecognized arguments: %s" % " ".join(extras))
+        from .grammar import read
+
+        ns = read(args)
     return ns
 
 
 def _plain(args):
-    """The namespace `_parse` gives args, when args is made only of exact
-    option names of the parser they appear in, values that do not start
-    with "-" and one command; else None.
+    """The namespace the general reading gives args, when args is made
+    only of exact option names of the parser they appear in, values that
+    do not start with "-" and one command; else None.
 
     It declines, with None and without printing, every other token and
-    every argv that `_parse` would answer with help or an error: --fast
+    every argv that the general reading would answer with help or an
+    error: --fast
     with --oracle, a bad choice or int, a missing or extra positional or
     an option with no value.  An option after a positional's value is
     declined too, since argparse ends the positional there.
@@ -211,195 +206,6 @@ def _plain(args):
         return None
     setattr(ns, dest, values if nargs == "+" else values[0])
     return ns
-
-
-def _parse(command, args, ns, extras):
-    """Read args with the parser of command into ns; tokens it does not
-    know go to extras.
-
-    As in argparse, every token is first read as an option (O), a value
-    (A) or the "--" (-) after which all are values; then options and
-    positionals are taken left to right, so help or an error comes at the
-    first token that asks for it.  A plain value or an exact option name
-    is read in the token loop itself, and only the other tokens that
-    start with "-" go to _option.
-    """
-    _, positional, options = SPEC[command]
-    vars(ns).update(_DEFAULTS[command])
-    found, pattern = {}, ""
-    for i, arg in enumerate(args):
-        if arg[:1] != "-" or arg == "-":
-            pattern += "A"
-        elif arg in options or arg in HELP:
-            found[i] = arg, None
-            pattern += "O"
-        elif arg == "--":
-            pattern += "-" + "A" * (len(args) - i - 1)
-            break
-        else:
-            option = _option(command, options, arg)
-            if option is None:
-                pattern += "A"
-            else:
-                found[i] = option
-                pattern += "O"
-    i = 0
-    while i < len(args):
-        if i in found:
-            i = _take(command, options, ns, args, pattern, i, found[i],
-                      extras)
-            continue
-        match = positional and _NARGS[positional[1]].match(pattern, i)
-        if not match:
-            j = pattern.find("O", i)
-            j = len(args) if j < 0 else j
-            extras += args[i:j]
-            i = j
-            continue
-        dest, nargs = positional
-        values, i, positional = args[i:match.end()], match.end(), None
-        if nargs == "...":
-            if values[0] not in SPEC:
-                _fail(None, "argument command: invalid choice: %r (choose "
-                      "from %s)" % (values[0], ", ".join(
-                          repr(name) for name in SPEC if name)))
-            ns.command = values[0]
-            _parse(values[0], values[1:], ns, extras)
-            continue
-        if "--" in values:
-            values.remove("--")
-        values = [_value(command, dest, int, v) for v in values]
-        setattr(ns, dest, values if nargs == "+" else values[0])
-    if positional:
-        _fail(command, "the following arguments are required: %s"
-              % positional[0])
-
-
-def _option(command, options, arg):
-    """How the parser of command, whose options are options, reads arg, a
-    token that starts with "-" and is neither "-", "--", -h/--help nor the
-    exact name of an option: None for a value, else (the option, or None
-    for one it does not have; the text after "=", or None)."""
-    head, eq, tail = arg.partition("=")
-    if eq and (head in options or head in HELP):
-        return head, tail
-    if arg[1] == "-":
-        hits = [name for name in chain(HELP, options)
-                if name.startswith(head)]
-        tail = tail if eq else None
-    else:  # -h with more of itself or a value run on
-        hits = ["-h"] if arg[:2] == "-h" else []
-        tail = arg[2:]
-    if len(hits) > 1:
-        _fail(command, "ambiguous option: %s could match %s"
-              % (arg, ", ".join(hits)))
-    if hits:
-        return hits[0], tail
-    if _NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _take(command, options, ns, args, pattern, i, option, extras):
-    """Apply option, read from args[i] by _parse, of the parser of command
-    whose options are options; return the index past the option and its
-    value."""
-    name, tail = option
-    if name is None:
-        extras.append(args[i])
-        return i + 1
-    if name in HELP:
-        # -hh is -h twice
-        if tail is None or name == "-h" and tail and not tail.strip("h"):
-            _help(command)
-        _fail(command, "argument -h/--help: ignored explicit argument %r"
-              % tail)
-    dest, kind, _, _, _ = options[name]
-    if kind is bool:
-        if tail is not None:
-            _fail(command, "argument %s: ignored explicit argument %r"
-                  % (name, tail))
-        rival = RIVALS.get(name)
-        if rival and getattr(ns, options[rival][0]):
-            _fail(command, "argument %s: not allowed with argument %s"
-                  % (name, rival))
-        setattr(ns, dest, True)
-        return i + 1
-    if tail is None:
-        if pattern[i + 1:i + 2] != "A":
-            _fail(command, "argument %s: expected one argument" % name)
-        i += 1
-        tail = args[i]
-    setattr(ns, dest, _value(command, name, kind, tail))
-    return i + 1
-
-
-def _value(command, name, kind, text):
-    """text as the value of argument name: an int, or a str among the
-    choices kind when kind is a tuple."""
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            _fail(command, "argument %s: invalid int value: %r"
-                  % (name, text))
-    if kind is not str and text not in kind:
-        _fail(command, "argument %s: invalid choice: %r (choose from %s)"
-              % (name, text, ", ".join(map(repr, kind))))
-    return text
-
-
-def _syntax(name, spec):
-    """How the usage line and the help show option name."""
-    dest, kind, _, metavar, _ = spec
-    if kind is bool:
-        return name
-    if kind is str or kind is int:
-        return "%s %s" % (name, metavar or dest.upper())
-    return "%s {%s}" % (name, ",".join(kind))
-
-
-def _usage(command):
-    """The usage line of sgp (command None) or of one command."""
-    _, positional, options = SPEC[command]
-    words = ["usage: sgp", command or "", "[-h]"]
-    words += ["[%s]" % _syntax(name, spec) for name, spec in options.items()]
-    if positional:
-        dest, nargs = positional
-        words.append({1: dest, "+": "%s [%s ...]" % (dest, dest),
-                      "...": "COMMAND ..."}[nargs])
-    return " ".join(word for word in words if word)
-
-
-def _fail(command, message):
-    sys.stderr.write("%s\nsgp: error: %s\n" % (_usage(command), message))
-    raise SystemExit(2)
-
-
-def _help(command):
-    """Print the help of sgp (command None) or of one command; exit 0, or
-    4 as main does when stdout takes no more."""
-    from textwrap import wrap
-
-    text, positional, options = SPEC[command]
-    if command is None:
-        title, args = "commands", [(name, SPEC[name][0])
-                                   for name in SPEC if name]
-    else:
-        title, args = "positional arguments", [(positional[0], "")] \
-            if positional else []
-    opts = [("-h, --help", "show this help and exit")] + [
-        (_syntax(name, spec), spec[4] or "") for name, spec in options.items()]
-    width = max(len(left) for left, _ in args + opts) + 2
-    lines = [_usage(command), ""] + wrap(text, 79)
-    for heading, rows in ((title, args), ("options", opts)):
-        if rows:
-            lines += ["", heading + ":"]
-        for left, right in rows:
-            right = wrap(right, 77 - width) or [""]
-            lines.append(("  %-*s%s" % (width, left, right[0])).rstrip())
-            lines += [" " * (width + 2) + more for more in right[1:]]
-    raise SystemExit(_write("\n".join(lines) + "\n", 0))
 
 
 class Target:

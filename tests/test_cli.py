@@ -66,8 +66,10 @@ def test_startup_loads_only_what_a_command_runs():
         for name in ("dataclasses", "sgp.oracle", "sgp.render",
                      "sgp.arithmetic_sequence", "random", "argparse",
                      "gettext", "sgp.core_semigroup", "heapq", "json",
-                     "sgp.verify"):
+                     "sgp.verify", "sgp.grammar"):
             assert name not in loaded, (name, site)
+        # site loads re itself; without it only the general reading would
+        assert site or "re" not in loaded
     assert [m for m in modules_loaded_by("import sgp")
             if m.startswith("sgp.")] == []
 
@@ -77,10 +79,13 @@ def test_startup_loads_only_what_a_command_runs():
     ("--a", "10", "betti"), ("--a", "10", "ulf"), ("--a", "10", "table"),
     ("--a", "10", "presentation"), ("--gens", "5,7,9", "presentation"),
     ("--gens", "5,8,11,14", "betti"),
-    ("--gens", "1000003,1000005,1000007", "betti")])
+    ("--gens", "1000003,1000005,1000007", "betti"),
+    ("--a", "10", "--format", "json", "factorize", "43")])
 def test_closed_forms_load_no_engine(argv):
     loaded = modules_loaded_by_main(*argv)
     assert "sgp.core_semigroup" not in loaded
+    # a plain argv is read in one pass, without the general reading
+    assert "sgp.grammar" not in loaded
     # a triple is recognized by arithmetic alone
     if argv[0] == "--a":
         assert "sgp.arithmetic_sequence" not in loaded
@@ -101,19 +106,23 @@ def test_no_format_loads_json(argv):
 @pytest.mark.parametrize("argv, modules", [
     (("--gens", "6,9,20", "betti"), {"sgp.core_semigroup"}),
     (("--a", "10", "--oracle", "info"), {"sgp.core_semigroup"}),
-    (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"})])
+    (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"}),
+    (("--a=10", "--fo", "json", "factorize", "43"), {"sgp.grammar"})])
 def test_commands_load_what_they_run(argv, modules):
     # the loads the tests above look for do happen
     assert modules <= set(modules_loaded_by_main(*argv))
 
 
 def test_main_keeps_no_module_state(capsys):
-    # the engine and the verify module are imported where they are used,
-    # so the commands that load them bind nothing in sgp.cli
+    # the engine, the verify module and the general reading are imported
+    # where they are used, so the argvs that load them bind nothing in
+    # sgp.cli
     before = dict(vars(cli))
     for argv in (["--gens", "6,9,20", "--format", "json", "info"],
                  ["--a", "10", "--format", "json", "factorize", "60"],
-                 ["verify", "--a-max", "4"]):
+                 ["verify", "--a-max", "4"],
+                 # declined by the one pass, so read by the lazy grammar
+                 ["--a=10", "--fo", "json", "factorize", "60"]):
         assert run(capsys, *argv)[0] == 0, argv
     assert vars(cli) == before
     # each parse builds its own namespace, so changing one, or a list in
@@ -975,13 +984,25 @@ def test_plain_reading_agrees_with_parse(argv):
 
 @pytest.mark.parametrize("argv", [
     "--a 20970 --format text factorize 167760",
+    "--a 20970 --format json factorize 167760",
+    "--a 150 --format text table", "--a 150 --format csv table",
+    "--a 150 --format json table",
+    "--a 300 --format json ulf", "--a 300 --format json betti",
+    "--a 300 --format json info", "--a 300 --format json presentation",
     "--gens 12,25,31 --format json apery 40 51 77",
     "--gens 12,25,31 --format json info",
+    "--gens 12,25,31 --format json betti",
+    "--gens 12,25,31 --format json ulf",
+    "--gens 12,25,31 --format json factorize 37",
+    "--gens 5,8,11,14 --format json presentation",
+    "verify --a-min 4 --a-max 5",
     "verify --a-min 4 --a-max 5 --random 2 --seed 7",
     "verify --a-min 4 --a-max 5 --arith"])
 def test_plain_reading_answers_the_workload_shapes(argv):
     # a reading that declines everything passes the property above, so
-    # the benchmark's argv shapes are pinned to the one pass here
+    # the benchmark's argv shapes are pinned to the one pass here: a
+    # declined one would also compile the general reading in a timed
+    # request
     got = cli._plain(argv.split())
     assert got is not None
     assert vars(got) == vars(REFERENCE.parse_args(argv.split()))

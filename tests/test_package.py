@@ -11,7 +11,8 @@ from sgp import core_semigroup as core
 from sgp import oracle, render
 
 MODULES = ("arithmetic_sequence", "cli", "consecutive_triple",
-           "core_semigroup", "oracle", "records", "render", "verify")
+           "core_semigroup", "grammar", "oracle", "records", "render",
+           "verify")
 
 
 def test_exported_names_are_their_modules_objects():
