@@ -436,9 +436,10 @@ def cmd_factorize(t, ns) -> str:
 def cmd_apery(t, ns) -> str:
     xs = sorted(set(ns.x))
     S, method = _resolve(t, ns, "apery_runs")
-    runs = S.apery_runs(xs, lambda n: _check_listed("apery", n))
-    return _emit_listing(
-        ns, runs, '{"apery": [%%s], "method": "%s", "x": %s}\n' % (method, xs))
+    n, listing = S.apery_runs(xs)
+    _check_listed("apery", n)
+    return _emit_listing(ns, listing(), '{"apery": [%%s], "method": "%s", '
+                         '"x": %s}\n' % (method, xs))
 
 
 def cmd_betti(t, ns) -> str:
@@ -458,12 +459,10 @@ def cmd_betti(t, ns) -> str:
 
 def cmd_ulf(t, ns) -> str:
     S, method = _resolve(t, ns, "ulf_runs")
-    runs = S.ulf_runs(lambda n: _check_listed("ulf", n))
-    count = sum(map(len, runs))
-    if runs and not isinstance(runs[0], (list, range)):
-        count = runs[0].count(1)  # the engine's one run, a mask of its ones
-    return _emit_listing(ns, runs, '{"count": %d, "method": "%s", "ulf": '
-                         '[%%s]}\n' % (count, method))
+    n, listing = S.ulf_runs()
+    _check_listed("ulf", n)
+    return _emit_listing(ns, listing(), '{"count": %d, "method": "%s", '
+                         '"ulf": [%%s]}\n' % (n, method))
 
 
 def cmd_table(t, ns) -> str:
@@ -554,4 +553,7 @@ def _to_devnull(stream):
 
 
 if __name__ == "__main__":
+    # grammar and verify import sgp.cli by name: under `python -m sgp.cli`
+    # they get this module, not a second copy compiled from the same file
+    sys.modules["sgp.cli"] = sys.modules[__name__]
     sys.exit(main())

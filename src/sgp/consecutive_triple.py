@@ -31,9 +31,8 @@ with no caching and no call into the generic engine, so the functions
 are freely usable from concurrent code.  Every public function
 validates a (and r) inline and then does only its arithmetic: the
 per-element ones compare floor(r/a) with ceil(r/(a+2)) for L(r), take
-phi_r from one divmod and L_a in O(1), list an omega-orbit in a loop
-(with `map` over three ranges from 9 vectors on), and
-`decompose_triple` builds its record with `tuple.__new__`.  Over the
+phi_r from one divmod and L_a in O(1), list an omega-orbit in a loop,
+and `decompose_triple` builds its record with `tuple.__new__`.  Over the
 574 members below L_a at a = 45, whose orbits hold 4.5 vectors on
 average, a call costs about 0.2 us for `member_triple` and
 `ulf_membership_triple`, 0.8 us for `denumerant_triple`, 1.3 us for
@@ -99,9 +98,9 @@ class TripleSemigroup:
     It answers what `sgp` asks: `info()`, `betti()` and `presentation()`
     in O(1), `factorization_count(r, cap)` in at most about 1500 steps
     for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), and
-    `ulf_runs(check)`, the ranges S^0, ..., S^a, in O(a), leaving check
-    to the caller, who reads ulf_size first.  `apery_runs` is None: the
-    engine answers it.
+    `ulf_runs()`, (ulf_size, listing) in O(1), where listing() gives the
+    ranges S^0, ..., S^a in O(a).  `apery_runs` is None: the engine
+    answers it.
     """
 
     __slots__ = ("a",)
@@ -147,8 +146,9 @@ class TripleSemigroup:
     def factorizations(self, r):
         return factorizations_triple(self.a, r)
 
-    def ulf_runs(self, check):
-        return [s_ell(self.a, ell) for ell in range(self.a + 1)]
+    def ulf_runs(self):
+        return self.ulf_size, lambda: [s_ell(self.a, ell)
+                                       for ell in range(self.a + 1)]
 
 
 class SeedDescriptor(namedtuple("SeedDescriptor",
@@ -248,16 +248,8 @@ def ulf_membership_triple(a, r) -> bool:
 
 def _omega_orbit(phi, out):
     # appends phi + j*omega for 0 <= j <= min(phi_1, phi_3) to the list
-    # out, ordered by j, and returns out.  Most orbits below the threshold
-    # have a few vectors, which a loop builds at the least fixed cost;
-    # from 9 vectors on, map builds each vector faster (zip stops at the
-    # shorter outer range, so min(phi_1, phi_3) is never taken).
+    # out, ordered by j, and returns out
     p1, p2, p3 = phi
-    if p1 > 7 and p3 > 7:
-        out.extend(map(Factorization, zip(range(p1, -1, -1),
-                                          range(p2, p2 + 2 * p1 + 2, 2),
-                                          range(p3, -1, -1))))
-        return out
     out.append(Factorization(phi))
     while p1 > 0 and p3 > 0:
         p1 -= 1

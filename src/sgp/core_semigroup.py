@@ -85,10 +85,10 @@ class Semigroup:
     records use, at the cost of the module function each calls: `betti()`
     one `betti_elements` search, `info()` that search and the count of
     Ap(S, UBetti), `factorization_count(r, cap)` and `factorizations(r)`
-    one descent, and `ulf_runs(check)` and `apery_runs(xs, check)` the
-    count of the n members of Ap(S, X) by `_apery_sized`, then check(n),
-    then the listing.  That count is a popcount when F + min(X) <= 32 *
-    n1 and O(n1 * |X|) otherwise.  It has no `presentation()`.
+    one descent, and `ulf_runs()` and `apery_runs(xs)` (n, listing): the
+    count n of the members of Ap(S, X) by `_apery_sized`, and listing(),
+    which gives them as one run.  That count is a popcount when F + min(X)
+    <= 32 * n1 and O(n1 * |X|) otherwise.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery",
@@ -165,15 +165,13 @@ class Semigroup:
     def factorizations(self, r):
         return factorizations(self, r)
 
-    def ulf_runs(self, check):
+    def ulf_runs(self):
         n, listing = _ulf_sized(self)
-        check(n)
-        return [listing()]
+        return n, lambda: [listing()]
 
-    def apery_runs(self, xs, check):
+    def apery_runs(self, xs):
         n, listing = _apery_sized(self, xs)
-        check(n)
-        return [listing()]
+        return n, lambda: [listing()]
 
 
 def _pair_solutions(p, q):

@@ -116,13 +116,7 @@ def partition_table(a) -> PartitionTable:
     cells = {}
     for ell, base, iotas in _rows(a, range(ts.L + 1), ts.D):
         for d, i in enumerate(iotas, 1):
-            gamma = gammas[i]
-            if len(gamma) == 4:  # the corners of Gamma_i, i >= 2, unrolled
-                c0, c1, c2, c3 = gamma
-                cells[ell, d] = [(base + c0, i, c0), (base + c1, i, c1),
-                                 (base + c2, i, c2), (base + c3, i, c3)]
-            else:  # Gamma_0 or Gamma_1, at most once a row
-                cells[ell, d] = [(base + c, i, c) for c in gamma]
+            cells[ell, d] = [(base + c, i, c) for c in gammas[i]]
     return PartitionTable(a, ts.L, ts.D, cells)
 
 
@@ -166,7 +160,7 @@ def table_to_csv(a) -> str:
         row = []
         for d, i in enumerate(iotas, 1):
             fmt, gamma = cells[i]
-            if len(gamma) == 4:  # as in partition_table
+            if len(gamma) == 4:  # Gamma_i, i >= 2, unrolled
                 c0, c1, c2, c3 = gamma
                 row.append(fmt % (ell, d, base + c0, ell, d, base + c1,
                                   ell, d, base + c2, ell, d, base + c3))
@@ -258,7 +252,7 @@ def table_to_json(a) -> str:
         row = []
         for d, i in enumerate(iotas, 1):
             fmt, gamma = cells[i]
-            if len(gamma) == 4:  # as in partition_table
+            if len(gamma) == 4:  # Gamma_i, i >= 2, unrolled
                 c0, c1, c2, c3 = gamma
                 row.append(fmt % (ell, d, base + c0, base + c1, base + c2,
                                   base + c3))

@@ -34,6 +34,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the package's source directory, put on PYTHONPATH for subprocesses
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
 def modules_loaded_by(statement, site=False):
     """The modules a fresh interpreter (without site, unless site) loads
     for statement.
@@ -42,12 +47,10 @@ def modules_loaded_by(statement, site=False):
     """
     probe = ("import sys; before = set(sys.modules); %s; "
              "print(); print(*sorted(set(sys.modules) - before))" % statement)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     return subprocess.run(
         [sys.executable] + ([] if site else ["-S"]) + ["-c", probe],
         check=True, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src)
+        env=dict(os.environ, PYTHONPATH=SRC)
     ).stdout.split("\n")[-2].split()
 
 
@@ -111,6 +114,30 @@ def test_no_format_loads_json(argv):
 def test_commands_load_what_they_run(argv, modules):
     # the loads the tests above look for do happen
     assert modules <= set(modules_loaded_by_main(*argv))
+
+
+@pytest.mark.parametrize("argv, module", [
+    (("--a=10", "--fo", "json", "factorize", "43"), "sgp.grammar"),
+    (("verify", "--a-max", "4"), "sgp.verify")])
+def test_module_run_compiles_cli_once(capsys, argv, module):
+    # under python -m sgp.cli the running copy of cli.py is __main__, and
+    # grammar and verify, which import sgp.cli by name, get that copy.
+    # -X importtime lists the imports of import statements, and -v every
+    # module the import system loads, "from . import cli" in verify too
+    code, out, _ = run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-v", "-m", "sgp.cli", *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (code, out)
+    timed, loaded = set(), set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            timed.add(line.split("|")[-1].strip())
+        elif line.startswith("import '"):
+            loaded.add(line.split("'")[1])
+    assert module in timed and module in loaded
+    assert "sgp.cli" not in timed | loaded
 
 
 def test_main_keeps_no_module_state(capsys):
@@ -645,19 +672,32 @@ def test_decimals_is_the_join_of_the_members(runs):
             sep.join(map(str, [x for run in runs for x in _listed(run)])), sep
 
 
-# the engine's ulf listed as a mask, off the member int (<6, 9, 20>) and
-# residue by residue (<20, 21>, F + min UBetti = 799 > 32 * n1): its count
-# is of members, not of the mask's positions
-@pytest.mark.parametrize("gens", [(6, 9, 20), (20, 21)])
+# the form of each ulf listing: the engine's mask off the member int
+# (<6, 9, 20>) and residue by residue (<20, 21>, F + min UBetti = 799 >
+# 32 * n1), whose count is of members, not of the mask's positions; the
+# engine's sorted list, read residue by residue (<8, 12, 77>: 24 members,
+# span 260 > 8 * 24); and a triple's ranges S^0, ..., S^a
+ULF_FORMS = {(6, 9, 20): bytes, (20, 21): bytearray, (8, 12, 77): list,
+             (10, 11, 12): range}
+
+
+@pytest.mark.parametrize("gens", list(ULF_FORMS))
 def test_ulf_count_counts_the_members_of_a_mask(capsys, gens):
-    S = core.Semigroup(gens)
-    mask = S.ulf_runs(lambda n: None)[0]
-    assert not isinstance(mask, list) and len(mask) > mask.count(1)
-    code, out, _ = run(capsys, "--gens", ",".join(map(str, gens)),
-                       "--format", "json", "ulf")
+    S, g = core.Semigroup(gens), ",".join(map(str, gens))
+    ns = cli.parse(["--gens", g, "ulf"])
+    answerer, _ = cli._resolve(cli.Target(ns), ns, "ulf_runs")
+    n, listing = answerer.ulf_runs()
+    runs = listing()
+    assert {type(run) for run in runs} == {ULF_FORMS[gens]}
+    if ULF_FORMS[gens] is list:
+        assert runs == [oracle.ulf(S)] and runs[0][-1] + 1 == 260
+    elif ULF_FORMS[gens] is not range:
+        mask, = runs
+        assert len(mask) > mask.count(1)
+    code, out, _ = run(capsys, "--gens", g, "--format", "json", "ulf")
     doc = json.loads(out)
     assert code == 0
-    assert doc["count"] == len(doc["ulf"]) == len(oracle.ulf(S))
+    assert doc["count"] == n == len(doc["ulf"]) == len(oracle.ulf(S))
 
 
 def dumped(out):
@@ -720,7 +760,9 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
 def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     # apery and ulf count the set once and check the count before they
     # list it, and info counts |ULF| without listing; <5, 37> counts
-    # residue by residue and <73, 90, 105> on the member int
+    # residue by residue and <73, 90, 105> on the member int.  The
+    # engine's apery_runs(xs) gives (n, listing) and lists nothing until
+    # listing() is called, which gives the set as one run
     calls = []
     apery_sized, apery_counts = core._apery_sized, core._apery_counts
 
@@ -748,6 +790,13 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
             assert calls == residues + ["count"] + ["check", "list"] * bool(
                 out), argv
             assert out is None or got == " ".join(map(str, out)) + "\n"
+        expected = oracle.apery_multi(S, xs)
+        calls.clear()
+        n, listing = S.apery_runs(xs)
+        assert calls == residues + ["count"] and n == len(expected)
+        one, = listing()
+        assert calls == residues + ["count", "list"]
+        assert core._members(one) == expected
 
 
 def test_negative_counts_exit_2(capsys):
@@ -1304,10 +1353,8 @@ def test_default_and_oracle_answers_agree(gens):
                                         (["--a", "10", "info"], 0),
                                         (["-h"], 0)])
 def test_closed_pipe_exits_4_without_traceback(argv, read):
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     for unbuffered in (False, True):
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

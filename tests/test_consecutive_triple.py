@@ -228,8 +228,8 @@ def test_factorizations_match_engine_in_order():
 
 def test_long_orbits_match_engine():
     # one-length members of <10001, 10002, 10003> far past a <= 40: kappa
-    # 1000 (1001 vectors), kappa 0, and orbits on both sides of the size
-    # at which _omega_orbit stops looping
+    # 1000 (1001 vectors), kappa 0, and kappa 7 and 8, orbits of 8 and 9
+    # vectors, with either outer coordinate the smaller
     a = 10001
     S = Semigroup((a, a + 1, a + 2))
     rs = [20004000, 20002000] + [a * 100 + e for e in (14, 16, 184, 186)]
