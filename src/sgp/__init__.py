@@ -16,13 +16,15 @@ them, and `sgp.betti_elements` or `sgp.render` imports the one module it
 needs (PEP 562).  The result records that the engine and the closed
 forms share (`BettiClassification`, `Factorization`, `Presentation`,
 `NotMemberError`) live in the small `records` module, so a closed form
-returns them without loading the engine.  The `sgp` command loads the
-engine only on its engine paths, never for a closed form, the `verify`
-module only for `sgp verify`, and `grammar`, the general reading of a
-command line with its help and errors, only for an argv that the
-one-pass reading in `cli` declines.  Result records such as
-`BettiClassification` are immutable named tuples, with `_replace` and
-`_asdict`.
+returns them without loading the engine.  The `sgp` command reaches
+each module of a request as an attribute of this package, loaded on
+first use: `consecutive_triple` only for a consecutive triple or `sgp
+verify`, `arithmetic_sequence` for an arithmetic sequence, the engine on
+its engine paths and `render` for `table`.  It imports `verify` only for
+`sgp verify`, and `grammar`, the general reading of a command line, only
+for an argv that the one-pass reading in `cli` declines.  Result
+records such as `BettiClassification` are immutable named tuples, with
+`_replace` and `_asdict`.
 
 All arithmetic is exact; there are no floats anywhere in the package.
 """

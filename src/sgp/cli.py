@@ -30,20 +30,24 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query, 4 the answer or the help could not be written (stdout closed, or
 its reader gone).
 
-A process loads only what its command runs: the engine on the engine
-paths (imported in `_resolve`), the `verify` module for `verify`,
-`arithmetic_sequence` when the --gens are an arithmetic sequence
-(imported in `_family`), and `grammar` when `_plain` declines the argv
-(imported in `parse`).  Each command returns the text of its answer,
-and `main` alone writes and flushes it to stdout, in one piece once every
-error has been raised, and picks the exit code.  If stdout takes no more,
-`_write`, which also writes the help, prints one `error:` line on stderr,
-points stdout's descriptor at os.devnull so that the flush at
-interpreter exit writes nothing, and exits 4; a stderr that has gone too
-is pointed at os.devnull as well.  No command loads `json`: each JSON
-answer is one `%` of a fixed template of its command, keys in sorted
-order (`_emit` for info, factorize, betti and presentation,
-`_emit_listing` for ulf and apery, and `render` for table).
+A process loads only what its command runs.  `_family` reaches
+`consecutive_triple` for a consecutive triple and `arithmetic_sequence`
+for an arithmetic sequence, `_resolve` the engine on the engine paths
+and `cmd_table` `render`, each as an attribute of the package `sgp`,
+whose `__getattr__` imports the module on first use; after that it is a
+plain attribute, so no closed-form or engine request runs an import
+statement.  `parse` imports `grammar` only when `_plain` declines the
+argv, and `main` the `verify` module only for `verify`.  Each command
+returns the text of its answer, and `main` alone writes and flushes it
+to stdout, in one piece once every error has been raised, and picks the
+exit code.  If stdout takes no more, `_write`, which also writes the
+help, prints one `error:` line on stderr, points stdout's descriptor at
+os.devnull so that the flush at interpreter exit writes nothing, and
+exits 4; a stderr that has gone too is pointed at os.devnull as well.
+No command loads `json`: each JSON answer is one `%` of a fixed
+template of its command, keys in sorted order (`_emit` for info,
+factorize, betti and presentation, `_emit_listing` for ulf and apery,
+and `render` for table).
 """
 
 import os
@@ -53,7 +57,7 @@ from itertools import compress
 from math import gcd
 from types import SimpleNamespace
 
-from . import consecutive_triple as ct
+import sgp
 from .records import NotMemberError
 
 CLOSED_FORM = "closed-form"
@@ -238,15 +242,14 @@ def _family(g):
     or the ArithSemigroup of an arithmetic sequence it covers, else None;
     and why a question the record does not answer has no closed form."""
     if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3:
-        return ct.TripleSemigroup(g[0]), "enumeration only"  # of apery
+        return (sgp.consecutive_triple.TripleSemigroup(g[0]),
+                "enumeration only")  # of apery
     reason = "need a consecutive triple or an arithmetic sequence"
     d = g[1] - g[0] if len(g) > 1 else 0
     if d and all(g[i] - g[i - 1] == d for i in range(2, len(g))):
-        from . import arithmetic_sequence as arith
-
         try:
-            return (arith.ArithSemigroup(g[0], d, len(g) - 1),
-                    "an arithmetic sequence has none")
+            S = sgp.arithmetic_sequence.ArithSemigroup(g[0], d, len(g) - 1)
+            return S, "an arithmetic sequence has none"
         except ValueError as exc:  # an arithmetic sequence it does not cover
             reason = str(exc)
     return None, reason
@@ -285,9 +288,7 @@ def _resolve(t, ns, name, engine=True):
     if not ns.oracle and hasattr(record, name):
         print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
                                                     t.reason), file=sys.stderr)
-    from . import core_semigroup as core
-
-    return core.Semigroup(t.gens), ENUMERATION
+    return sgp.core_semigroup.Semigroup(t.gens), ENUMERATION
 
 
 def _emit(ns, text, doc, csv):
@@ -466,11 +467,8 @@ def cmd_ulf(t, ns) -> str:
 
 
 def cmd_table(t, ns) -> str:
-    from . import render
-
     ts, _ = _resolve(t, ns, "table_size", engine=False)
-    return {"csv": render.table_to_csv, "json": render.table_to_json,
-            "text": render.table_to_text}[ns.fmt](ts.a)
+    return getattr(sgp.render, "table_to_" + ns.fmt)(ts.a)
 
 
 def cmd_presentation(t, ns) -> str:

@@ -21,6 +21,7 @@ import golden
 from argparse_reference import build_parser
 from sgp import arithmetic_sequence as arith
 from sgp import cli, oracle
+from sgp import consecutive_triple as ct
 from sgp import core_semigroup as core
 from sgp.cli import main
 from sgp.consecutive_triple import TripleSemigroup
@@ -64,12 +65,11 @@ def test_startup_loads_only_what_a_command_runs():
     # with site (as the installed sgp script runs) and without
     for site in (False, True):
         loaded = modules_loaded_by("import sgp.cli", site)
-        assert {"sgp.cli", "sgp.consecutive_triple",
-                "sgp.records"} <= set(loaded)
+        assert {"sgp.cli", "sgp.records"} <= set(loaded)
         for name in ("dataclasses", "sgp.oracle", "sgp.render",
                      "sgp.arithmetic_sequence", "random", "argparse",
                      "gettext", "sgp.core_semigroup", "heapq", "json",
-                     "sgp.verify", "sgp.grammar"):
+                     "sgp.verify", "sgp.grammar", "sgp.consecutive_triple"):
             assert name not in loaded, (name, site)
         # site loads re itself; without it only the general reading would
         assert site or "re" not in loaded
@@ -110,10 +110,21 @@ def test_no_format_loads_json(argv):
     (("--gens", "6,9,20", "betti"), {"sgp.core_semigroup"}),
     (("--a", "10", "--oracle", "info"), {"sgp.core_semigroup"}),
     (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"}),
-    (("--a=10", "--fo", "json", "factorize", "43"), {"sgp.grammar"})])
+    (("--a=10", "--fo", "json", "factorize", "43"), {"sgp.grammar"}),
+    (("--a", "10", "info"), {"sgp.consecutive_triple"}),
+    (("--gens", "10,11,12", "betti"), {"sgp.consecutive_triple"})])
 def test_commands_load_what_they_run(argv, modules):
-    # the loads the tests above look for do happen
+    # the loads the tests above and below look for do happen
     assert modules <= set(modules_loaded_by_main(*argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--gens", "6,9,20", "betti"),
+    ("--gens", "6,9,20", "--format", "json", "ulf"),
+    ("--gens", "5,8,11,14", "betti")])
+def test_only_a_triple_loads_its_closed_forms(argv):
+    # the engine and the arithmetic-sequence forms never need them
+    assert "sgp.consecutive_triple" not in modules_loaded_by_main(*argv)
 
 
 @pytest.mark.parametrize("argv, module", [
@@ -141,12 +152,14 @@ def test_module_run_compiles_cli_once(capsys, argv, module):
 
 
 def test_main_keeps_no_module_state(capsys):
-    # the engine, the verify module and the general reading are imported
-    # where they are used, so the argvs that load them bind nothing in
-    # sgp.cli
+    # the modules a request loads are reached through the package, and the
+    # verify module and the general reading are imported where they are
+    # used, so the argvs that load them bind nothing in sgp.cli
     before = dict(vars(cli))
     for argv in (["--gens", "6,9,20", "--format", "json", "info"],
                  ["--a", "10", "--format", "json", "factorize", "60"],
+                 ["--gens", "5,8,11,14", "--format", "json", "betti"],
+                 ["--a", "10", "--format", "csv", "table"],
                  ["verify", "--a-max", "4"],
                  # declined by the one pass, so read by the lazy grammar
                  ["--a=10", "--fo", "json", "factorize", "60"]):
@@ -539,7 +552,7 @@ def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
                                                            monkeypatch):
     # with the closed length interval emptied, --oracle still answers from
     # the engine alone
-    monkeypatch.setattr(cli.ct, "_lengths", lambda a, r: range(0))
+    monkeypatch.setattr(ct, "_lengths", lambda a, r: range(0))
     assert run(capsys, "--oracle", "--a", "10", "factorize", "43") == \
         (0, "1 3 0\n2 1 1\n", "")
 
@@ -552,7 +565,7 @@ def test_oracle_factorize_is_sized_by_the_engine(capsys, monkeypatch):
 
     # what the triple record's factorization_count and factorizations call
     for name in ("_lengths", "_phi", "factorizations_triple"):
-        monkeypatch.setattr(cli.ct, name, closed)
+        monkeypatch.setattr(ct, name, closed)
     err = refused_at_once(capsys, ["--oracle", "--a", "10", "factorize",
                                    str(10 ** 12)])
     assert "or more factorizations, more than %d" % cli.MAX_LISTED in err
@@ -1136,8 +1149,8 @@ def test_verify_does_not_enumerate(capsys, monkeypatch):
     for name in ("factorizations", "length_sets_up_to"):
         monkeypatch.setattr(core, name, refuse)
     # the closed forms reach the engine through neither name
-    assert not hasattr(cli.ct, "factorizations")
-    assert not hasattr(cli.ct, "Semigroup")
+    assert not hasattr(ct, "factorizations")
+    assert not hasattr(ct, "Semigroup")
     code, out, _ = run(capsys, "verify", "--a-max", "12", "--arith",
                        "--random", "3")
     assert code == 0
@@ -1202,11 +1215,10 @@ def test_verify_reports_counterexample(capsys, monkeypatch, name, wrong,
                                        reason):
     # 8 = 2*4 = 3 + 5 is a one-length member of <3, 4, 5> below its
     # threshold 9, so verify calls every closed form on it
-    import sgp.cli
-    right = getattr(sgp.cli.ct, name)
-    assert sgp.cli.ct.factorizations_triple(3, 8) == [(1, 0, 1), (0, 2, 0)]
+    right = getattr(ct, name)
+    assert ct.factorizations_triple(3, 8) == [(1, 0, 1), (0, 2, 0)]
     monkeypatch.setattr(
-        sgp.cli.ct, name,
+        ct, name,
         lambda a, r: wrong(right(a, r)) if r == 8 else right(a, r))
     code, out, _ = run(capsys, "verify", "--a-max", "3")
     assert code == 1
