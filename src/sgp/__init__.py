@@ -33,8 +33,8 @@ from importlib import import_module
 
 # each module and the names the package exports from it
 _EXPORTS = {
-    "arithmetic_sequence": """ArithSemigroup betti_arith classify_arith
-        presentation_arith ubetti_arith""",
+    "arithmetic_sequence": """ArithSemigroup PairSemigroup betti_arith
+        classify_arith presentation_arith ubetti_arith""",
     "consecutive_triple": """SeedDescriptor TripleDecomposition
         TripleSemigroup UlfElement decompose_triple denumerant_triple
         factorizations_triple gamma length_triple member_triple

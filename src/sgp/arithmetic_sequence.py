@@ -11,17 +11,28 @@ lengths, so their degrees form the unbalanced Betti elements.
 
 Indices here follow the 1-based e_1 .. e_{n+1} convention of the
 formulas; vectors are stored 0-based.
+
+Two generators, n = 1, are the simplest case, and `PairSemigroup`
+answers every question of `sgp` on them but `apery` from their classical
+closed forms.
 """
 
 from math import gcd
 
-from .records import BettiClassification, Factorization, Presentation
+from .records import (
+    BettiClassification,
+    Factorization,
+    NotMemberError,
+    Presentation,
+)
 
 
 class ArithSemigroup:
     """<a, a+d, ..., a+nd> with the derived split a = c*n + b, a record
     that answers `betti()` in O(n^2 log n) and `presentation()` in O(n^3)
-    for `sgp`, and leaves its other questions to the engine."""
+    for `sgp`.  It has no name for the other questions, so `sgp` hands
+    them to the engine without a note; two generators have the subclass
+    `PairSemigroup`, which answers all of them but `apery`."""
 
     __slots__ = ("a", "d", "n", "b", "c", "generators")
 
@@ -46,6 +57,77 @@ class ArithSemigroup:
 
     def presentation(self):
         return presentation_arith(self)
+
+
+class PairSemigroup(ArithSemigroup):
+    """<p, q> with 2 <= p < q and gcd(p, q) = 1: the arithmetic sequence
+    with n = 1 and d = q - p, as a record that answers every question of
+    `sgp` but `apery` without the engine.
+
+    The factorizations of r are (x, (r - xp)/q) for x = x0, x0 + q, ... up
+    to r // p, where x0 = r p^-1 mod q (Popoviciu), so r is a member
+    exactly when x0 p <= r.  The Frobenius number is pq - p - q
+    (Sylvester), the one Betti element is pq, with lengths p and q, and
+    the unique-length set Ap(S, pq) is {xp + yq : 0 <= x < q, 0 <= y < p},
+    pq members in a span of 2pq - p - q + 1.  Costs:
+
+    - `info()`, `betti()` and `presentation()`: O(1);
+    - `ulf_size`: pq, an O(1) property, so `sgp` refuses an oversized
+      listing before anything is built;
+    - `factorization_count(r, cap)`: one modular inverse, exact at any
+      size (no len() of a range, which overflows past sys.maxsize);
+    - `factorizations(r)`: O(|F(r)|), lexicographic, as the engine lists
+      them;
+    - `ulf_runs()`: (pq, listing) in O(1), where listing() gives one 0/1
+      byte mask of the unique-length set in p slice assignments, O(pq).
+
+    `apery_runs` is not here: the engine answers it.
+    """
+
+    __slots__ = ()
+
+    ulf_size = property(lambda self: self.a * (self.a + self.d))
+
+    def __init__(self, p, q):
+        ArithSemigroup.__init__(self, p, q - p, 1)
+
+    def __repr__(self):
+        return "PairSemigroup(%d, %d)" % self.generators
+
+    def info(self):
+        p, q = self.generators
+        return self.generators, p * q - p - q, classify_arith(self), p * q
+
+    def _xs(self, r):
+        # the x of the factorizations (x, y) of r, empty off S (r < 0 too)
+        p, q = self.generators
+        return range(r * pow(p, -1, q) % q, r // p + 1, q)
+
+    def factorization_count(self, r, cap):
+        # (n, True): n = |F(r)|, counted whatever cap is
+        xs = self._xs(r)
+        if xs.start > xs.stop - 1:
+            raise NotMemberError("%d is not in Semigroup(%d, %d)"
+                                 % ((r,) + self.generators))
+        return (xs.stop - 1 - xs.start) // xs.step + 1, True
+
+    def factorizations(self, r):
+        # y falls by p as x rises by q
+        p, q = self.generators
+        xs = self._xs(r)
+        return list(map(Factorization, zip(
+            xs, range((r - xs.start * p) // q, -1, -p))))
+
+    def ulf_runs(self):
+        p, q = self.generators
+
+        def listing():
+            mask, ones = bytearray(2 * p * q - p - q + 1), b"\x01" * q
+            for y in range(0, p * q, q):  # the members xp + yq, 0 <= x < q
+                mask[y:y + (q - 1) * p + 1:p] = ones
+            return [mask]
+
+        return p * q, listing
 
 
 def presentation_arith(S: ArithSemigroup) -> Presentation:

@@ -238,9 +238,12 @@ class Target:
 
 def _family(g):
     """(record, reason): the closed-form record of the family of the
-    sorted generators g, a TripleSemigroup for <a, a+1, a+2> with a >= 3
-    or the ArithSemigroup of an arithmetic sequence it covers, else None;
-    and why a question the record does not answer has no closed form."""
+    sorted generators g, else None, and why a question the record does not
+    answer has no closed form.  The record is a TripleSemigroup for <a,
+    a+1, a+2> with a >= 3, a PairSemigroup for two coprime generators from
+    2 up, which answers all but apery, or the ArithSemigroup of a longer
+    arithmetic sequence it covers, which answers betti and presentation;
+    two generators it does not cover keep the ArithSemigroup's reason."""
     if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3:
         return (sgp.consecutive_triple.TripleSemigroup(g[0]),
                 "enumeration only")  # of apery
@@ -248,7 +251,10 @@ def _family(g):
     d = g[1] - g[0] if len(g) > 1 else 0
     if d and all(g[i] - g[i - 1] == d for i in range(2, len(g))):
         try:
-            S = sgp.arithmetic_sequence.ArithSemigroup(g[0], d, len(g) - 1)
+            if len(g) == 2:
+                S = sgp.arithmetic_sequence.PairSemigroup(*g)
+            else:
+                S = sgp.arithmetic_sequence.ArithSemigroup(g[0], d, len(g) - 1)
             return S, "an arithmetic sequence has none"
         except ValueError as exc:  # an arithmetic sequence it does not cover
             reason = str(exc)

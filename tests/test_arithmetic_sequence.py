@@ -6,16 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgp import oracle
 from sgp.arithmetic_sequence import (
     ArithSemigroup,
+    PairSemigroup,
     betti_arith,
     classify_arith,
     presentation_arith,
     ubetti_arith,
 )
 from sgp.consecutive_triple import presentation_triple
-from sgp.core_semigroup import Semigroup, betti_elements
+from sgp.core_semigroup import Semigroup, betti_elements, factorizations
 from sgp.oracle import length_set
+from sgp.records import NotMemberError
 
 
 def unordered(pres):
@@ -131,3 +134,46 @@ def test_degrees_of_presentation_are_betti_elements():
         degrees = sorted({x.value(gens) for x, _ in
                           presentation_arith(A).relations})
         assert degrees == betti_arith(A)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(p, q) with 2 <= p < q <= 30 and gcd(p, q) = 1."""
+    p = draw(st.integers(min_value=2, max_value=12))
+    q = draw(st.integers(min_value=p + 1, max_value=30).filter(
+        lambda q: gcd(p, q) == 1))
+    return p, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_pairs())
+@example((2, 3))  # the smallest pair
+@example((2, 29))  # p = 2, a long ulf box
+@example((7, 8))  # q = p + 1
+@example((12, 13))
+def test_pair_record_matches_engine_and_oracle(pair):
+    # sgp info, factorize, betti and ulf answer with these on every pair
+    p, q = pair
+    P, S = PairSemigroup(p, q), Semigroup(pair)
+    gens, frob, cls, ulf_size = P.info()
+    assert gens == pair == S.minimal_generators
+    assert frob == p * q - p - q == S.frobenius == oracle.frobenius(S)
+    assert cls == P.betti() == betti_elements(S) == oracle.betti_elements(S)
+    assert cls.unbalanced == (p * q,) and cls.balanced == ()
+    # membership, from the count and its refusal, over [-3, pq + 4]
+    for r in range(-3, p * q + 5):
+        if oracle.member(S, r):
+            n, exact = P.factorization_count(r, 10 ** 6)
+            assert (n, exact) == (oracle.denumerant(S, r), True), r
+        else:
+            with pytest.raises(NotMemberError) as refused:
+                P.factorization_count(r, 10 ** 6)
+            assert str(refused.value) == "%d is not in %r" % (r, S)
+    n, listing = P.ulf_runs()
+    mask, = listing()
+    members = [r for r, one in enumerate(mask) if one]
+    assert set(mask) == {0, 1} and len(mask) == 2 * p * q - p - q + 1
+    assert members == oracle.ulf(S)
+    assert n == ulf_size == P.ulf_size == len(members) == p * q
+    for r in range(3 * p * q):
+        assert P.factorizations(r) == factorizations(S, r), r

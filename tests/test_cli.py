@@ -476,11 +476,13 @@ def test_factorize_refusal_names_a_finished_count(capsys, monkeypatch, cap,
 def test_engine_refuses_huge_n1_at_once(capsys):
     # the engine's Apery table has n1 entries, so every command that would
     # build it is refused before it starts; closed forms still answer
-    for argv in ("--gens 1000000007,1000000008 info",
-                 "--gens 1000000007,1000000008 factorize 5",
-                 "--gens 1000000007,1000000008 apery 5",
-                 "--gens 1000000007,1000000008,1000000010 betti",
-                 "--gens 1000000007,1000000008 ulf",
+    pair, three = "1000000007,1000000008", "1000000007,1000000008,1000000010"
+    for argv in ("--gens %s info" % three,
+                 "--gens %s factorize 5" % three,
+                 "--gens %s apery 5" % pair,
+                 "--gens %s betti" % three,
+                 "--gens %s ulf" % three,
+                 "--gens %s --oracle info" % pair,
                  "--a 1000001 --oracle info",
                  "--a 1000001 apery 5"):
         err = refused_at_once(capsys, argv.split())
@@ -491,12 +493,25 @@ def test_engine_refuses_huge_n1_at_once(capsys):
     assert code == 0 and "frobenius: 100140047" in out
     code, out, _ = run(capsys, "--a", "1000000", "info")
     assert code == 0 and "frobenius: 499999999999" in out
-    # <n1, n2> is an arithmetic sequence, so betti answers in closed form
-    code, out, _ = run(capsys, "--gens", "1000000007,1000000008", "betti")
+    # <n1, n2> answers all but apery in closed form: F = pq - p - q, the
+    # one Betti element pq, its pq unique-length members (too many to
+    # list) and a member's one factorization
+    code, out, _ = run(capsys, "--gens", pair, "betti")
     assert code == 0 and "betti: [1000000015000000056]" in out
-    # the refusal comes before the engine is imported
-    for argv in ("--gens 1000000007,1000000008 info",
-                 "--a 1000001 --oracle info"):
+    code, out, _ = run(capsys, "--gens", pair, "info")
+    assert code == 0 and "frobenius: 1000000013000000041" in out
+    assert "unique-length members: 1000000015000000056" in out
+    err = refused_at_once(capsys, ["--gens", pair, "ulf"])
+    assert "ulf would list 1000000015000000056 members" in err
+    code, out, _ = run(capsys, "--gens", pair, "factorize", "3000000022")
+    assert (code, out) == (0, "2 1\n")
+    code, _, err = run(capsys, "--gens", pair, "factorize", "5")
+    assert code == 3
+    assert "5 is not in Semigroup(1000000007, 1000000008)" in err
+    # the refusal comes before the engine is imported, and a pair's closed
+    # forms never import it
+    for argv in ("--gens %s info" % three, "--a 1000001 --oracle info",
+                 "--gens %s info" % pair, "--gens %s ulf" % pair):
         assert "sgp.core_semigroup" not in \
             modules_loaded_by_main(*argv.split()), argv
 
@@ -739,9 +754,9 @@ def test_json_writes_ints_beyond_64_bits(capsys, args):
 
 
 def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
-    # |Ap(S, UBetti)| is counted residue by residue, so nothing is listed;
-    # one Betti search serves both the count and the listing, and is all
-    # it takes to refuse N
+    # the engine counts |Ap(S, UBetti)| residue by residue, so nothing is
+    # listed; one Betti search serves both the count and the listing, and
+    # is all it takes to refuse N
     searches = []
     betti_elements = core.betti_elements
     monkeypatch.setattr(core, "betti_elements",
@@ -749,7 +764,7 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code = main(["--gens", "10007,10009", "ulf"])
+        code = main(["--gens", "2003,2005,2011", "ulf"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -757,9 +772,13 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
     assert peak < 4 * 1024 * 1024
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "ulf would list 100160063 members" in err
+    assert "ulf would list 1007009 members" in err
     assert len(searches) == 1
     searches.clear()
+    # a pair's count is its ulf_size pq, so it is refused with no search
+    err = refused_at_once(capsys, ["--gens", "10007,10009", "ulf"])
+    assert "ulf would list 100160063 members" in err
+    assert searches == []
     code, out, err = run(capsys, "--gens", "1", "ulf")
     assert code == 2 and out == "" and "all of N" in err
     assert len(searches) == 1
@@ -772,10 +791,11 @@ def test_ulf_guard_refuses_before_listing(capsys, monkeypatch):
 
 def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     # apery and ulf count the set once and check the count before they
-    # list it, and info counts |ULF| without listing; <5, 37> counts
-    # residue by residue and <73, 90, 105> on the member int.  The
-    # engine's apery_runs(xs) gives (n, listing) and lists nothing until
-    # listing() is called, which gives the set as one run
+    # list it, and info counts |ULF| without listing; <5, 37> and <5, 37,
+    # 101> count residue by residue and <73, 90, 105> on the member int.
+    # A pair answers ulf and info in closed form, so only its apery reaches
+    # the engine.  The engine's apery_runs(xs) gives (n, listing) and lists
+    # nothing until listing() is called, which gives the set as one run
     calls = []
     apery_sized, apery_counts = core._apery_sized, core._apery_counts
 
@@ -790,13 +810,16 @@ def test_apery_set_is_counted_once_per_request(capsys, monkeypatch):
     check_listed = cli._check_listed
     monkeypatch.setattr(cli, "_check_listed", lambda command, n:
                         calls.append("check") or check_listed(command, n))
-    for gens, residues in (((5, 37), ["residues"]), ((73, 90, 105), [])):
+    for gens, residues in (((5, 37), ["residues"]),
+                           ((5, 37, 101), ["residues"]),
+                           ((73, 90, 105), [])):
         S, g = core.Semigroup(gens), ",".join(map(str, gens))
         xs = S.minimal_generators[1:]
-        for argv, out in ((["--gens", g, "apery", *map(str, xs)],
-                           oracle.apery_multi(S, xs)),
-                          (["--gens", g, "ulf"], oracle.ulf(S)),
-                          (["--gens", g, "info"], None)):
+        cases = [(["--gens", g, "apery", *map(str, xs)],
+                  oracle.apery_multi(S, xs)),
+                 (["--gens", g, "ulf"], oracle.ulf(S)),
+                 (["--gens", g, "info"], None)]
+        for argv, out in cases[:1] if len(gens) == 2 else cases:
             calls.clear()
             code, got, _ = run(capsys, *argv)
             assert code == 0, argv
@@ -1317,22 +1340,28 @@ def examples(*cases):
 
 @given(FAMILIES)
 @settings(max_examples=60, deadline=None)
-# the ulf cases of every a in [3, 40], and two arithmetic sequences
+# the ulf cases of every a in [3, 40], two arithmetic sequences and
+# three pairs: p = 2, and q = p + 1
 @examples(*[(a, a + 1, a + 2) for a in range(3, 41)], (5, 8, 11, 14),
-          (8, 13))
+          (8, 13), (2, 3), (7, 8))
 def test_default_and_oracle_answers_agree(gens):
     # every command the family's record answers, with an enumeration mode,
     # answers the same by default and under --oracle: in JSON with the
     # method dropped and listings sorted, and ulf byte for byte in text
     # and CSV.  A triple answers all seven commands (apery by handing it
-    # on), an arithmetic sequence betti and presentation
+    # on), a pair all but apery and table, and a longer arithmetic
+    # sequence betti and presentation
     selector = ["--gens", ",".join(map(str, gens))]
     record = cli._family(gens)[0]
     commands = [command for command, name in QUESTIONS.items()
                 if hasattr(record, name)]
-    triple = len(gens) == 3 and gens[2] - gens[0] == 2
-    assert commands == (list(QUESTIONS) if triple
-                        else ["betti", "presentation"])
+    if len(gens) == 2:
+        assert commands == ["info", "factorize", "betti", "ulf",
+                            "presentation"]
+    elif gens[-1] - gens[0] == 2:  # a triple
+        assert commands == list(QUESTIONS)
+    else:
+        assert commands == ["betti", "presentation"]
     argvs = enumeration_argvs(gens)
     for command in commands:
         if command not in argvs:
