@@ -19,12 +19,8 @@ closed forms.
 
 from math import gcd
 
-from .records import (
-    BettiClassification,
-    Factorization,
-    NotMemberError,
-    Presentation,
-)
+from .records import (BettiClassification, Factorization, NotMemberError,
+                      Presentation)
 
 
 class ArithSemigroup:
@@ -91,9 +87,6 @@ class PairSemigroup(ArithSemigroup):
     def __init__(self, p, q):
         ArithSemigroup.__init__(self, p, q - p, 1)
 
-    def __repr__(self):
-        return "PairSemigroup(%d, %d)" % self.generators
-
     def info(self):
         p, q = self.generators
         return self.generators, p * q - p - q, classify_arith(self), p * q
@@ -104,12 +97,13 @@ class PairSemigroup(ArithSemigroup):
         return range(r * pow(p, -1, q) % q, r // p + 1, q)
 
     def factorization_count(self, r, cap):
-        # (n, True): n = |F(r)|, counted whatever cap is
+        # (n, True): n = |F(r)| whatever cap is, by arithmetic, since len()
+        # of a range longer than sys.maxsize overflows
         xs = self._xs(r)
-        if xs.start > xs.stop - 1:
+        if not xs:
             raise NotMemberError("%d is not in Semigroup(%d, %d)"
                                  % ((r,) + self.generators))
-        return (xs.stop - 1 - xs.start) // xs.step + 1, True
+        return (xs[-1] - xs.start) // xs.step + 1, True
 
     def factorizations(self, r):
         # y falls by p as x rises by q

@@ -13,9 +13,10 @@ the help.
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
 and takes neither.  `Target` recognizes the closed family once, as its
-record: a `TripleSemigroup`, an `ArithSemigroup` or None.  Each command
-asks one attribute by name, and `_resolve` alone picks who answers: the
-record where it has the name, else the generic engine's `Semigroup`
+record: a `TripleSemigroup`, a `PairSemigroup` (two generators), an
+`ArithSemigroup` or None.  Each command asks one attribute by name, and
+`_resolve` alone picks who answers: the record where it has the name,
+else the generic engine's `Semigroup`
 (which has none for table and presentation), noting the fallback on
 stderr where the record's name is None; --fast demands the record (usage
 error outside its domain) and --oracle skips it.  JSON output carries a
@@ -241,9 +242,10 @@ def _family(g):
     sorted generators g, else None, and why a question the record does not
     answer has no closed form.  The record is a TripleSemigroup for <a,
     a+1, a+2> with a >= 3, a PairSemigroup for two coprime generators from
-    2 up, which answers all but apery, or the ArithSemigroup of a longer
-    arithmetic sequence it covers, which answers betti and presentation;
-    two generators it does not cover keep the ArithSemigroup's reason."""
+    2 up, which answers every command but apery and table, or the
+    ArithSemigroup of a longer arithmetic sequence it covers, which
+    answers betti and presentation.  Two generators it does not cover
+    (gcd above 1, or 1 among them) keep the ArithSemigroup's reason."""
     if len(g) == 3 and g[2] == g[0] + 2 and g[0] >= 3:
         return (sgp.consecutive_triple.TripleSemigroup(g[0]),
                 "enumeration only")  # of apery

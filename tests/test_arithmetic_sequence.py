@@ -176,4 +176,7 @@ def test_pair_record_matches_engine_and_oracle(pair):
     assert members == oracle.ulf(S)
     assert n == ulf_size == P.ulf_size == len(members) == p * q
     for r in range(3 * p * q):
-        assert P.factorizations(r) == factorizations(S, r), r
+        facs = P.factorizations(r)
+        assert facs == factorizations(S, r), r
+        if facs:
+            assert P.factorization_count(r, 10 ** 6) == (len(facs), True), r
