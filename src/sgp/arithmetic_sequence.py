@@ -71,7 +71,7 @@ class PairSemigroup(ArithSemigroup):
     - `ulf_size`: pq, an O(1) property, so `sgp` refuses an oversized
       listing before anything is built;
     - `factorization_count(r, cap)`: one modular inverse, exact at any
-      size (no len() of a range, which overflows past sys.maxsize);
+      size;
     - `factorizations(r)`: O(|F(r)|), lexicographic, as the engine lists
       them;
     - `ulf_runs()`: (pq, listing) in O(1), where listing() gives one 0/1

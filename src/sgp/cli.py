@@ -16,10 +16,10 @@ and takes neither.  `Target` recognizes the closed family once, as its
 record: a `TripleSemigroup`, a `PairSemigroup` (two generators), an
 `ArithSemigroup` or None.  Each command asks one attribute by name, and
 `_resolve` alone picks who answers: the record where it has the name,
-else the generic engine's `Semigroup`
-(which has none for table and presentation), noting the fallback on
-stderr where the record's name is None; --fast demands the record (usage
-error outside its domain) and --oracle skips it.  JSON output carries a
+else the generic engine's `Semigroup` (which has none for table and
+presentation), noting the fallback on stderr where the record's name is
+None; --fast demands the record (usage error outside its domain) and
+--oracle skips it.  JSON output carries a
 "method" field naming the code path that produced it: "closed-form" or
 "enumeration", the latter meaning the generic engine.  Both paths give
 the same fields: `info` gives the two-length threshold, the least

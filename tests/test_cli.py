@@ -491,8 +491,9 @@ def test_engine_refuses_huge_n1_at_once(capsys):
         assert "n1 = %s" % argv.split()[1].split(",")[0] in err, argv
         # the engine never runs, so no fallback to it is noted
         assert "fallback=" not in err, argv
-    code, out, _ = run(capsys, "--gens", "10007,10009", "info")
-    assert code == 0 and "frobenius: 100140047" in out
+    for mode in ([], ["--oracle"]):  # the closed form and the engine
+        code, out, _ = run(capsys, "--gens", "10007,10009", *mode, "info")
+        assert code == 0 and "frobenius: 100140047" in out
     code, out, _ = run(capsys, "--a", "1000000", "info")
     assert code == 0 and "frobenius: 499999999999" in out
     # <n1, n2> answers all but apery in closed form: F = pq - p - q, the
