@@ -13,8 +13,8 @@ Indices here follow the 1-based e_1 .. e_{n+1} convention of the
 formulas; vectors are stored 0-based.
 
 Two generators, n = 1, are the simplest case, and `PairSemigroup`
-answers every question of `sgp` on them but `apery` from their classical
-closed forms.
+answers every question of `sgp` on them but `apery` and `table` from
+their classical closed forms.
 """
 
 from math import gcd
@@ -28,7 +28,7 @@ class ArithSemigroup:
     that answers `betti()` in O(n^2 log n) and `presentation()` in O(n^3)
     for `sgp`.  It has no name for the other questions, so `sgp` hands
     them to the engine without a note; two generators have the subclass
-    `PairSemigroup`, which answers all of them but `apery`."""
+    `PairSemigroup`, which answers all of them but `apery` and `table`."""
 
     __slots__ = ("a", "d", "n", "b", "c", "generators")
 
@@ -58,7 +58,7 @@ class ArithSemigroup:
 class PairSemigroup(ArithSemigroup):
     """<p, q> with 2 <= p < q and gcd(p, q) = 1: the arithmetic sequence
     with n = 1 and d = q - p, as a record that answers every question of
-    `sgp` but `apery` without the engine.
+    `sgp` but `apery` and `table` without the engine.
 
     The factorizations of r are (x, (r - xp)/q) for x = x0, x0 + q, ... up
     to r // p, where x0 = r p^-1 mod q (Popoviciu), so r is a member

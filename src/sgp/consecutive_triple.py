@@ -97,7 +97,8 @@ class TripleSemigroup:
     table, each an O(1) property, so a build only checks a.
     It answers what `sgp` asks: `info()`, `betti()` and `presentation()`
     in O(1), `factorization_count(r, cap)` in at most about 1500 steps
-    for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), and
+    for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), in the
+    engine's order, reversed for a one-length member (x falls), and
     `ulf_runs()`, (ulf_size, listing) in O(1), where listing() gives the
     ranges S^0, ..., S^a in O(a).  `apery_runs` is None: the engine
     answers it.

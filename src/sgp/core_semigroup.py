@@ -37,6 +37,10 @@ from .records import (  # re-exported: the engine returns and raises them
     Presentation,
 )
 
+# The window: the member int M, Ap(S, X) and the Betti search are read
+# off ints of at most _WINDOW * n1 + 1 bits, O(n1) bytes like Ap(S, n1)
+_WINDOW = 32
+
 
 class Semigroup:
     """The numerical semigroup generated by a set of positive integers.
@@ -48,38 +52,10 @@ class Semigroup:
     a member exactly when r is at least the entry for r mod n1; a
     non-integer query is a TypeError.  The Frobenius number is the
     largest entry minus n1, and the minimal generators are derived with
-    O(e^2) membership tests.  An instance keeps O(n1) memory.
-
-    There are two constructions.  With n1 from 20 to 100 and at least
-    three input generators up to 32 * n1, `_member_closure` first builds
-    the member int M, whose bit x is set when x <= 32 * n1 is a member, by
-    shift-ORs, in O(e * n1) word operations; when F + n1 <= 32 * n1 it
-    reads Ap(S, n1) and F off M and keeps M, at most 4 * n1 bytes, for
-    `_member_bits`.  Every other semigroup, and one that fails that bound
-    after those word operations, gets Dijkstra over the residues mod n1,
-    Nijenhuis's minimal-path algorithm (Amer. Math. Monthly 86, 1979), and
-    keeps no M: its heap holds int path weights w, each at residue w mod
-    n1, pushed only when it lowers the tentative weight of its residue,
-    and it stops once all n1 residues are settled.  For e <= n1 generators
-    it takes O(n1 * e * log n1) time, and the heap takes at most 1 + n1 *
-    (e - 1) entries, at most one per edge out of a settled residue.
-    Bocker & Liptak's heap-free round robin computes the same table and
-    measured no faster than this Dijkstra.
-
-    The rule is where the closure measured faster (time per construction
-    on CPython 3.11, generators drawn from (n1, 2 * n1) and (n1, 4 * n1)).
-    From n1 = 20 to 100 a closure that kept M took 0.39-0.61x the
-    Dijkstra's time in the median of each e from 3 to 5, and one that
-    failed cost 3-6 us, 0.11-0.15x.  Below, it took 1.01-1.14x at n1 from
-    10 to 14, and 1.2-1.5x at e = 2.  Above, F + n1 outgrows 32 * n1 on
-    most inputs with e = 3 from n1 = 300, e = 4 from 1000 and e = 5 from
-    3000, and a failure costs 4-17% of the Dijkstra's time, the most near
-    n1 = 10^6, where M no longer fits in cache; neither the count of sums
-    below 32 * n1 nor the volume bound on it tells half of those inputs
-    apart.  The rule counts input generators, so a redundant one, as in
-    <n1, n2, n1 + n2>, sends an e = 2 semigroup to the closure, at
-    1.1-1.2x.  Instances are immutable after construction and safe to
-    share between threads.
+    O(e^2) membership tests.  An instance keeps O(n1) memory: a rule in
+    `__init__` picks `_member_closure` or `_dijkstra` to build the table,
+    and the closure's member int M, at most 4 * n1 bytes, is kept for
+    `_member_bits`.  Instances are immutable and thread-safe.
 
     An instance answers what `sgp` asks, under the names the closed-form
     records use, at the cost of the module function each calls: `betti()`
@@ -87,8 +63,7 @@ class Semigroup:
     Ap(S, UBetti), `factorization_count(r, cap)` and `factorizations(r)`
     one descent, and `ulf_runs()` and `apery_runs(xs)` (n, listing): the
     count n of the members of Ap(S, X) by `_apery_sized`, and listing(),
-    which gives them as one run.  That count is a popcount when F + min(X)
-    <= 32 * n1 and O(n1 * |X|) otherwise.  It has no `presentation()`.
+    which gives them as one run.  It has no `presentation()`.
     """
 
     __slots__ = ("generators", "minimal_generators", "frobenius", "_apery",
@@ -106,37 +81,29 @@ class Semigroup:
                 "not a numerical semigroup: gcd of generators is %d" % g)
         self.generators = tuple(gens)
         n1 = gens[0]
-        outer = gens[1:]
-        # a generator above 32 * n1 adds nothing to the member int
-        built = _member_closure(gens) if 20 <= n1 <= 100 and len(
-            gens) >= 3 and gens[2] <= 32 * n1 else None
-        if built:
-            self._member, self.frobenius, ap = built
-        else:
-            # Shortest paths from residue 0, where adding generator g is an
-            # edge of weight g from residue i to (i + g) mod n1.  ap holds
-            # each residue's tentative weight, n1 * gens[-1] standing for
-            # none (every entry is below it), and w + g is pushed only when
-            # it lowers its entry; so a popped w is settled when it is
-            # still the entry of its residue, and any other is stale.
-            ap = [n1 * gens[-1]] * n1
-            ap[0], left, heap = 0, n1, [0]
-            while left:  # until every residue is settled
-                w = heappop(heap)
-                if w == ap[w % n1]:
-                    left -= 1
-                    for g in outer:
-                        v = w + g
-                        if v < ap[v % n1]:
-                            ap[v % n1] = v
-                            heappush(heap, v)
-            self._member, self.frobenius = None, max(ap) - n1
+        # The closure is tried where it measured faster (time per
+        # construction on CPython 3.11, generators drawn from (n1, 2 * n1)
+        # and (n1, 4 * n1)).  From n1 = 20 to 100 a closure that kept M
+        # took 0.39-0.61x the Dijkstra's time in the median of each e from
+        # 3 to 5, and one that failed cost 3-6 us, 0.11-0.15x.  Below, it
+        # took 1.01-1.14x at n1 from 10 to 14, and 1.2-1.5x at e = 2.
+        # Above, F + n1 outgrows the window on most inputs with e = 3 from
+        # n1 = 300, e = 4 from 1000 and e = 5 from 3000, and a failure costs
+        # 4-17% of the Dijkstra's time, the most near n1 = 10^6, where M no
+        # longer fits in cache; neither the count of sums in the window nor
+        # the volume bound on it tells half of those inputs apart.  The rule
+        # counts input generators, so a redundant one, as in <n1, n2, n1 +
+        # n2>, sends an e = 2 semigroup to the closure, at 1.1-1.2x.  A
+        # generator past the window adds nothing to M.
+        self._member, self.frobenius, ap = (
+            _member_closure(gens) if 20 <= n1 <= 100 and len(gens) >= 3
+            and gens[2] <= _WINDOW * n1 else None) or _dijkstra(gens)
         self._apery = ap
         # g splits as s + t with both parts nonzero members exactly when
         # g - m is a member for some smaller minimal generator m: a smaller
         # h that is not minimal is m + u with u a nonzero member.
         mins = [n1]
-        for g in outer:
+        for g in gens[1:]:
             if all(g - m < ap[(g - m) % n1] for m in mins):
                 mins.append(g)
         self.minimal_generators = tuple(mins)
@@ -376,7 +343,7 @@ def _close(gens, top):
 
 def _member_closure(gens):
     """(M, F, Ap(S, n1)) for the sorted generators gens, M = `_close`(gens,
-    32 * n1), the member int up to top = 32 * n1.  None when F + n1 > top.
+    top) up to top = `_WINDOW` * n1, or None when F + n1 > top.
 
     Every x > F is a member, so the top n1 bits of M are all set exactly
     when the highest gap, F, is at most top - n1.  Then Ap(S, n1) is read
@@ -384,12 +351,12 @@ def _member_closure(gens):
     congruent to i mod n1), since a residue class holds gaps below w[i]
     and members from it on.  The gaps up to F become one byte each, from
     the binary digits of the gap int, and the rows of n1 bytes are summed
-    by folding the int in halves; a byte sums at most 32 rows, so none
+    by folding the int in halves; a byte sums at most `_WINDOW` rows, so none
     carries.  That is O(e * n1) word operations for M, plus O(F) for the
     digits.
     """
     n1 = gens[0]
-    top = 32 * n1
+    top = _WINDOW * n1
     member = _close(gens, top)
     gaps = member ^ ((2 << top) - 1)
     frob = gaps.bit_length() - 1
@@ -406,22 +373,52 @@ def _member_closure(gens):
                           enumerate(counts.to_bytes(n1, "little"))]
 
 
+def _dijkstra(gens):
+    """(None, F, Ap(S, n1)) for the sorted generators gens, the return of
+    `_member_closure` with no member int: Dijkstra over the residues mod
+    n1, Nijenhuis's minimal-path algorithm (Amer. Math. Monthly 86, 1979).
+
+    Adding generator g is an edge of weight g from residue i to (i + g)
+    mod n1, and ap holds each residue's tentative weight from residue 0,
+    n1 * gens[-1] standing for none (every entry is below it).  The heap
+    holds int weights w, each at residue w mod n1, and w + g is pushed
+    only when it lowers its entry; so a popped w is settled when it is
+    still the entry of its residue, and any other is stale.  It stops once
+    all n1 residues are settled.  For e <= n1 generators that takes O(n1
+    * e * log n1) time, and the heap holds at most 1 + n1 * (e - 1)
+    entries, one per edge out of a settled residue.  Bocker & Liptak's
+    heap-free round robin measured no faster.
+    """
+    n1, outer = gens[0], gens[1:]
+    ap = [n1 * gens[-1]] * n1
+    ap[0], left, heap = 0, n1, [0]
+    while left:  # until every residue is settled
+        w = heappop(heap)
+        if w == ap[w % n1]:
+            left -= 1
+            for g in outer:
+                v = w + g
+                if v < ap[v % n1]:
+                    ap[v % n1] = v
+                    heappush(heap, v)
+    return None, max(ap) - n1, ap
+
+
 def _member_bits(S: Semigroup, top):
     """The members up to top as an int M: for 0 <= x <= top, bit x is set
     exactly when x is a member, and no higher bit is set.
 
-    A semigroup built as a member int keeps M up to 32 * n1
-    (`_member_closure`): every bit above F is set, here past 32 * n1 too,
-    and M is cut to top + 1 bits, in O(top / 64) word operations.  Every
-    other semigroup closes its minimal generators up to top by `_close`.
-    Timed on CPython 3.11 at the Betti top, on the benchmark's generic
-    semigroups, the cut took 0.61 us in the median against 3.3 us for a
-    new closure; and the closure took 0.37-1.03x the time of unrolling
-    Ap(S, n1) into M in the median of each e and band of n1 up to 50, and
-    0.22-0.39x with n1 from 120 to 3000.
+    A semigroup built by `_member_closure` keeps M up to the window, and
+    M is cut to top + 1 bits with every bit above F set, past the window
+    too, in O(top / 64) word operations.  Every other semigroup closes its
+    minimal generators up to top by `_close`, which took 0.37-1.03x the
+    time of unrolling Ap(S, n1) into M in the median of each e and band of
+    n1 up to 50, and 0.22-0.39x with n1 from 120 to 3000 (CPython 3.11).
     """
+    # the cut took 0.61 us in the median against 3.3 us for a new closure
+    # (CPython 3.11, the Betti top of the benchmark's generic semigroups)
     if S._member is not None:  # -2^(F+1) has every bit above F set
-        return (S._member | -(2 << S.frobenius)) & ((2 << top) - 1)
+        return (S._member | -(1 << S.frobenius + 1)) & ((2 << top) - 1)
     return _close(S.minimal_generators, top)
 
 
@@ -433,28 +430,9 @@ def _apery_sized(S: Semigroup, xs):
     a member once it exceeds F.  listing() gives one run of them in one of
     two forms: a 0/1 byte mask of span top + 1, whose byte r is 1 exactly
     when r is a member, or the ascending list of ints.  The mask makes no
-    int per member.
-
-    When top <= 32 * n1 the set is read off M = `_member_bits`(S, top): B
-    = M & ~(M << x) over the x in X keeps the members r with r - x not in
-    S, and an x above top removes nothing, so it is not shifted.  n is the
-    popcount of B, and the listing is always the mask, B's binary digits
-    read least significant first as the bytes 0 and 1: a list would be
-    read off the same digits, one int per position, and took 1.01-1.3x
-    the mask's time (listing and writing, median of each band of span / n
-    from 8 to 1024, n1 from 8 to 100).  That is O(|X| * top / 64) word
-    operations on ints of at most 4 * n1 bytes, plus O(top) for the
-    listing.  Every other X is counted by `_apery_counts`, O(n1 * |X|),
-    and listed by `_apery_list`, as a mask only when its span is at most 8
-    * n: there top / n1 has no bound, and a top-bit int could outgrow the
-    Apery table (F / n1 is 5403 on <99991, 100003, 166651>).  The bound is
-    also where the int stops paying (time per call on CPython 3.11, random
-    semigroups with n1 from 3 to 120 and e from 2 to 5): up to 32 * n1,
-    count and list took 0.41-0.79x the residues' time in the median of
-    each e and band of top / n1, and from there to 48 * n1 a quarter of
-    the calls took 1.25x or more.  An X with no finite Apery set, empty,
-    holding 0 or holding a non-member, is refused, in that order, before
-    anything is counted.
+    int per member.  An X with no finite Apery set, empty, holding 0 or
+    holding a non-member, is refused, in that order, before anything is
+    counted.
     """
     if not xs:
         raise ValueError("Ap(S, {}) is all of S: X must be nonempty")
@@ -464,15 +442,38 @@ def _apery_sized(S: Semigroup, xs):
         if x not in S:
             raise NotMemberError("%d is not in %r" % (x, S))
     top = S.frobenius + min(xs)
-    if top <= 32 * S.generators[0]:
-        member = bits = _member_bits(S, top)
-        for x in xs:
-            if x <= top:
-                bits &= ~(member << x)
-        n = bits.bit_count()
-        return n, lambda: bin(bits)[:1:-1].encode().translate(_BITS)
+    # Past the window top / n1 has no bound, and a top-bit int could
+    # outgrow the Apery table (F / n1 is 5403 on <99991, 100003, 166651>).
+    # The window is also where the int stops paying (time per call on
+    # CPython 3.11, random semigroups with n1 from 3 to 120 and e from 2
+    # to 5): inside it, count and list took 0.41-0.79x the residues' time
+    # in the median of each e and band of top / n1, and from there to 48 *
+    # n1 a quarter of the calls took 1.25x or more.
+    if top <= _WINDOW * S.generators[0]:
+        return _apery_bits(S, xs, top)
     counts = _apery_counts(S, xs)
     return sum(counts), lambda: _apery_list(S, counts, top + 1)
+
+
+def _apery_bits(S: Semigroup, xs, top):
+    """The (n, listing) of `_apery_sized` for Ap(S, X), top = F + min(X),
+    read off M = `_member_bits`(S, top).
+
+    B = M & ~(M << x) over the x in X keeps the members r with r - x not
+    in S, and an x above top removes nothing, so it is not shifted.  n is
+    the popcount of B, and the listing is always the mask, B's binary
+    digits read least significant first as the bytes 0 and 1: a list
+    would be read off the same digits, one int per position, and took
+    1.01-1.3x the mask's time (listing and writing, median of each band of
+    span / n from 8 to 1024, n1 from 8 to 100).  That is O(|X| * top / 64)
+    word operations on ints of top + 1 bits, plus O(top) for the listing.
+    """
+    member = bits = _member_bits(S, top)
+    for x in xs:
+        if x <= top:
+            bits &= ~(member << x)
+    n = bits.bit_count()
+    return n, lambda: bin(bits)[:1:-1].encode().translate(_BITS)
 
 
 def _apery_counts(S: Semigroup, xs):
@@ -485,7 +486,7 @@ def _apery_counts(S: Semigroup, xs):
     x mod n1, plus x: each is read lazily through `islice` and `chain`,
     and `map(min, ...)` takes the least over X, so no per-x list is built
     and the loops run at C speed.  X is a nonempty set of nonzero members,
-    as `_apery_sized` checks.
+    as `_apery_sized` checks.  `_apery_list` lists them.
     """
     w, n1 = S._apery, S.generators[0]
     cols = [map(x.__add__, chain(islice(w, n1 - x % n1, None),
@@ -497,11 +498,11 @@ def _apery_counts(S: Semigroup, xs):
 def _apery_list(S: Semigroup, counts, span):
     """The members of Ap(S, X), all below span, from its `_apery_counts`:
     with n of them, a 0/1 byte mask of length span, one slice assignment
-    per residue, when span <= 8 * n, else the ascending list.  Against
-    the list, built from n1 progressions, the mask took 0.41x the time
-    (listing and writing) at spans under 2x, 0.85x at 4-8x and 1.64x at
-    8-16x."""
+    per residue, when span <= 8 * n, else the ascending list, built from
+    n1 progressions, O(span) or O(n log n1) time."""
     w, n1 = S._apery, S.generators[0]
+    # against the list, the mask took 0.41x the time (listing and writing)
+    # at spans under 2x n, 0.85x at 4-8x and 1.64x at 8-16x
     if span > 8 * sum(counts):
         return sorted(chain.from_iterable(
             [range(wi, wi + c * n1, n1) for wi, c in zip(w, counts)]))
@@ -542,37 +543,29 @@ def betti_elements(S: Semigroup) -> BettiClassification:
     would join C to the n1 side), so r - n_j is in Ap(S, n1).  They are
     at most X = max Ap(S, n1) + n_e.
 
-    Two paths differ only in how the Betti elements are found, and
-    `_betti_classify` splits them.  When X <= 32 * n1, the window of
-    `_apery_sized`, `_betti_bits` decides every candidate at once on int
-    bitsets, each below 4X bits, O(n1) bytes like the Apery table.  Every
-    other semigroup gives all candidates to `_betti_filter`: there an
-    X-bit int would outgrow that table (X / n1 is 5406 on <99991, 100003,
-    166651>).  Inside the window the bit pass took 0.10-0.95x the filter's
-    time, candidates included, in the median of each e from 3 to 5 and n1
-    from 4 to 96, and 1.16x at n1 = 3; at e = 2 it took 0.50-0.97x from
-    n1 = 7 and 1.02-1.35x below (CPython 3.11, 15 random semigroups per e
-    and n1).  Those losses are a few microseconds: taking the bit pass
-    there too cost no band of the benchmark's generic `sgp` requests, by
-    command, e and n1, more than 2% of its time.
-
-    Cost: the filter of all O(n1 * e) candidates takes O(e^2) inline
-    membership tests each and O(n1 * e) memory.  The bit pass takes
-    O(e^2 * X / 64) word operations per round, in at most e - 1 rounds,
-    and O(e * X) bits of memory.  The split takes O(e) membership tests
-    per Betti element, and `_depths`, O(n1 log n1 + n1 * e) time and
-    O(n1) memory.
+    `_betti_bits` or `_betti_filter` of all candidates finds the Betti
+    elements, and `_betti_classify` splits them.
     """
     gens = S.minimal_generators
     n1 = gens[0]
-    if S.frobenius + n1 + gens[-1] <= 32 * n1:
+    # Past the window an X-bit int would outgrow the Apery table (X / n1
+    # is 5406 on <99991, 100003, 166651>).  Inside it the bit pass took
+    # 0.10-0.95x the filter's time, candidates included, in the median of
+    # each e from 3 to 5 and n1 from 4 to 96, and 1.16x at n1 = 3; at e =
+    # 2 it took 0.50-0.97x from n1 = 7 and 1.02-1.35x below (CPython 3.11,
+    # 15 random semigroups per e and n1).  Those losses are a few
+    # microseconds: taking the bit pass there too cost no band of the
+    # benchmark's generic `sgp` requests, by command, e and n1, more than
+    # 2% of its time.
+    if S.frobenius + n1 + gens[-1] <= _WINDOW * n1:
         return _betti_classify(S, _betti_bits(S))
     return _betti_classify(S, _betti_filter(
         S, sorted({v + g for v in S._apery for g in gens[1:]})))
 
 
 def _betti_filter(S: Semigroup, candidates):
-    """The ascending candidates with a disconnected factorization graph.
+    """The ascending candidates with a disconnected factorization graph,
+    by O(e^2) inline membership tests each.
 
     Membership alone decides, each test read inline as x >= w[x mod n1]
     with w = Ap(S, n1).  The components (R-classes) match those of the
@@ -613,7 +606,9 @@ def _betti_classify(S: Semigroup, betti):
     Ascending, every unbalanced u < r is known.  If r - u in S, r is
     unbalanced.  If not, no r - g lies in u + S, so by the theorem `ulf`
     rests on each r - g in S has one length and L(r) is those lengths
-    plus 1, each read off the `_depths` table.
+    plus 1, each read off the `_depths` table.  That takes O(e) membership
+    tests per Betti element, and `_depths`, O(n1 log n1 + n1 * e) time
+    and O(n1) memory.
     """
     gens = S.minimal_generators
     w, n1, depth = S._apery, gens[0], _depths(S)
@@ -654,6 +649,8 @@ def _betti_bits(S: Semigroup):
     between live generators has fewer than e edges, so e - 1 rounds
     suffice, and a round that adds nothing ends the growth.  The
     candidates with a live generator left unreached are disconnected.
+    Each round takes O(e^2 * X / 64) word operations, and the ints O(e *
+    X) bits of memory.
     """
     gens = S.minimal_generators
     member = _member_bits(S, S.frobenius + gens[0] + gens[-1])

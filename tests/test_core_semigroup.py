@@ -4,6 +4,7 @@ The references are the literal definitions in `sgp.oracle`, which read
 nothing of a Semigroup but its minimal generators.
 """
 
+import copy
 import json
 import math
 import random
@@ -23,14 +24,21 @@ from sgp.core_semigroup import (
     Factorization,
     NotMemberError,
     Semigroup,
+    _apery_bits,
     _apery_counts,
+    _apery_list,
     _apery_sized,
     _betti_bits,
     _betti_classify,
     _betti_filter,
+    _close,
     _denumerants,
+    _dijkstra,
     _factorization_count,
     _length_masks,
+    _member_bits,
+    _member_closure,
+    _members,
     apery_multi,
     betti_elements,
     factorizations,
@@ -223,6 +231,103 @@ def test_construction_takes_the_member_int_on_dense_inputs(
     S = Semigroup(gens)
     assert calls == ([list(gens)] if tried else [])
     assert (S._member is not None) == kept
+
+
+# the member int a closure kept is cut to any top, past 32 * n1 too, and
+# every other semigroup closes its minimal generators again: past the
+# closure's n1 range, at e = 2, and where the closure was tried and declined
+@pytest.mark.parametrize("gens, kept", [((20, 21, 23), True),
+                                        ((100, 101, 116), True),
+                                        ((19, 21, 23), False),
+                                        ((20, 21), False),
+                                        ((20, 39, 407), False)])
+def test_member_bits_cuts_the_member_int_the_closure_kept(monkeypatch, gens,
+                                                          kept):
+    S, calls = Semigroup(gens), []
+    monkeypatch.setattr(core_semigroup, "_close",
+                        lambda g, top: calls.append(top) or _close(g, top))
+    for top in (S.frobenius, 40 * gens[0]):
+        assert _member_bits(S, top) == sum(
+            1 << r for r in range(top + 1) if r in S), top
+    assert calls == ([] if kept else [S.frobenius, 40 * gens[0]])
+
+
+def _built_by(S, built):
+    """A copy of S that holds the (M, F, Ap(S, n1)) of one construction."""
+    T = copy.copy(S)
+    T._member, T.frobenius, T._apery = built
+    return T
+
+
+# n1 from 2 to 60 and 1 to 4 more generators below 2, 4 or 40 times n1:
+# the last reach F + n1 far past 32 * n1
+PATH_GENERATORS = st.tuples(st.integers(2, 60), st.sampled_from([2, 4, 40])
+                            ).flatmap(lambda t: st.lists(
+                                st.integers(t[0] + 1, t[0] * t[1] - 1),
+                                min_size=1, max_size=4).map(
+                                    lambda g: [t[0]] + g))
+
+
+@settings(max_examples=120, deadline=None)
+@given(PATH_GENERATORS, st.lists(st.integers(1, 4000), min_size=1,
+                                 max_size=3))
+# N, where F = -1, and n1 = 2; then each side of each bound: n1 = 19 and
+# 20, 100 and 101, e = 2, F + n1 = 32 * n1 - 1 and 32 * n1 + 1 (<20, 61,
+# 90> and <20, 39, 407>), F + min(X) = 32 * n1 - 1, 32 * n1 and 32 * n1 +
+# 1 (F = 38 on <10, 11, 13>), and spans of 8 * n - 1, 8 * n and between 8
+# * n and 9 * n (F = 551, 559 and 287 on <9, 70>, <9, 71> and <10, 33>)
+@example([1], [1])
+@example([2, 3], [2])
+@example([19, 21, 23], [5])
+@example([20, 21, 23], [5])
+@example([100, 101, 116], [7])
+@example([101, 102, 120], [7])
+@example([20, 21], [3000])
+@example([20, 61, 90], [61])
+@example([20, 39, 407], [39])
+@example([10, 11, 13], [281])
+@example([10, 11, 13], [282])
+@example([10, 11, 13], [283])
+@example([9, 70], [79])
+@example([9, 71], [80])
+@example([10, 33], [40])
+def test_both_sides_of_every_rule_agree(gens, picks):
+    # every measured rule of the engine picks between paths that give the
+    # same answers, so each is a pure performance choice.  Both sides are
+    # called directly on every draw, past each rule's bound too: the two
+    # constructions, and on the table of each the kept member int cut or
+    # closed again, the Betti bit pass and the filter of all candidates,
+    # and Ap(S, X) off the member int or the residues, listed as the rule
+    # picks and as a list.  A pick x is a member x, or F + 1 + x past F
+    S = _small_semigroup(gens)
+    gens, mins, n1 = list(S.generators), S.minimal_generators, S.generators[0]
+    F = S.frobenius
+    closure, dijkstra = _member_closure(gens), _dijkstra(gens)
+    assert dijkstra == (None, F, S._apery)
+    assert (closure is None) == (F + n1 > 32 * n1)
+    tables = [_built_by(S, dijkstra)]
+    if closure:
+        assert closure[1:] == dijkstra[1:]
+        assert closure[0] == _close(gens, 32 * n1)
+        tables.append(_built_by(S, closure))
+    xs = sorted({x if x in S else F + 1 + x for x in picks})
+    top = F + min(xs)
+    candidates = sorted({v + g for v in S._apery for g in mins[1:]})
+    answers = []
+    for T in tables:
+        for t in (0, max(F, 0), 32 * n1, F + n1 + mins[-1], top):
+            assert _member_bits(T, t) == _close(mins, t), t
+        betti = _betti_bits(T)
+        assert betti == _betti_filter(T, candidates)
+        assert _betti_classify(T, betti) == betti_elements(S)
+        n, listing = _apery_bits(T, xs, top)
+        ap = _members(listing())
+        counts = _apery_counts(T, xs)
+        assert n == sum(counts) == len(ap)
+        for span in (top + 1, max(top + 1, 8 * n + 1)):
+            assert _members(_apery_list(T, counts, span)) == ap, span
+        answers.append((betti, ap))
+    assert all(answer == answers[0] for answer in answers)
 
 
 # ---------------------------------------------------------------------------

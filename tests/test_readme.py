@@ -30,3 +30,9 @@ def test_module_table_names_every_export():
                         re.M).group(1)
         assert sorted(re.findall(r"`(\w+)`", row)) == sorted(
             sgp._EXPORTS[module].split()), module
+
+
+def test_module_table_has_a_row_for_every_module():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `sgp\.(\w+)` \|", text, re.M)
+    assert sorted(rows) == sorted(sgp._MODULES)
