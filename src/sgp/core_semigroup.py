@@ -264,14 +264,20 @@ def length_sets_up_to(S: Semigroup, bound: int):
     member.  The table is built as int bitmasks, L(r) = OR over generators
     g of (L(r - g) << 1) with L(0) = 1 (Barron, O'Neill & Pelayo, Math.
     Comp. 2017), by `_length_masks`.  Each distinct mask is read into its
-    frozenset once, at C speed: its binary digits, least significant
-    first, become the bytes 0 and 1, and `compress` keeps the ones from a
-    shared list of lengths, one int object per length.  Entries with
+    frozenset once, at C speed: shifted down to its least length lo, its
+    binary digits, least significant first, become the bytes 0 and 1, and
+    `compress` keeps the ones from a shared list of lengths, one int
+    object per length, read from lo on.  The lengths are gathered in a
+    set and frozen from it, so that the frozenset's table is sized once
+    for its count c (grown one insert at a time, it may end with twice the
+    slots): one table of the least power of two above 2c slots, 16 bytes
+    a slot, or the 8 slots inside the object for c <= 4.  Entries with
     equal length sets are the same object, so the memory is the list plus
-    one set per distinct L(r) (and the masks while the table is built):
-    on <42, 55, 71, 83> up to 20000 the 20001 entries hold 2832 distinct
-    length sets, and building the table peaks near 18.5 MiB under
-    tracemalloc.
+    one set per distinct L(r) (and the masks while the table is built).
+    Under tracemalloc (Python 3.11), building the table peaks at 16.3 MiB
+    on <42, 55, 71, 83> up to 20000 (20001 entries, 2832 distinct length
+    sets), at 28.4 MiB on <42, 62, 83> up to 14337 (7192 distinct) and at
+    47.4 MiB on <42, 61, 83> up to 15664 (10958 distinct).
     Entries are immutable, so a caller that changes one must copy it.
     The recurrence is checked against `oracle.length_set` in the test
     suite.
@@ -281,8 +287,10 @@ def length_sets_up_to(S: Semigroup, bound: int):
     memo = dict.fromkeys(masks)
     for m in memo:
         if m:
-            memo[m] = frozenset(
-                compress(lengths, bin(m)[:1:-1].encode().translate(_BITS)))
+            lo = (m & -m).bit_length() - 1
+            memo[m] = frozenset(set(compress(
+                islice(lengths, lo, None),
+                bin(m >> lo)[:1:-1].encode().translate(_BITS))))
     return list(map(memo.__getitem__, masks))
 
 

@@ -437,7 +437,7 @@ def test_length_sets_read_every_bit_of_wide_alternating_masks():
 
 def test_length_table_memory_is_one_set_per_distinct_length_set():
     # the 20001 entries hold 2832 distinct length sets; a set per entry
-    # peaked at 146 MiB, one shared frozenset per distinct set near 18.5 MiB
+    # peaked at 146 MiB, one shared frozenset per distinct set at 16.3 MiB
     S = Semigroup((42, 55, 71, 83))
     tracemalloc.start()
     try:
@@ -447,6 +447,39 @@ def test_length_table_memory_is_one_set_per_distinct_length_set():
         tracemalloc.stop()
     assert peak < 40 * 1024 * 1024
     assert len({id(t) for t in table if t is not None}) == 2832
+
+
+def test_length_sets_are_sized_once_for_their_count():
+    # 7192 distinct sets of up to 160 lengths; grown one insert at a time,
+    # 3881 of them had twice the slots and the call peaked at 36.8 MiB,
+    # sized once it peaks at 28.4 MiB (Python 3.11; the bound leaves room
+    # for other versions)
+    S = Semigroup((42, 62, 83))
+    tracemalloc.start()
+    try:
+        table = length_sets_up_to(S, 14337)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024 * 1024
+    distinct = {id(t): t for t in table if t is not None}.values()
+    assert len(distinct) == 7192
+    for t in distinct:
+        assert sys.getsizeof(t) == sys.getsizeof(frozenset(set(t))), len(t)
+
+
+def test_length_sets_of_two_and_three_are_intervals():
+    # L(r) = [ceil(r/3), floor(r/2)] on <2, 3>: up to 2000 the least length
+    # passes 256, past the small-int cache, and the masks carry up to 667
+    # low zero bits
+    table = length_sets_up_to(Semigroup((2, 3)), 2000)
+    assert table[1] is None
+    first = {}  # length set -> its entry at the least r
+    for r in (0, *range(2, 2001)):
+        t = table[r]
+        assert type(t) is frozenset, r
+        assert t == frozenset(range(-(-r // 3), r // 2 + 1)), r
+        assert t is first.setdefault(t, t), r
 
 
 # ---------------------------------------------------------------------------
