@@ -46,9 +46,9 @@ help, prints one `error:` line on stderr, points stdout's descriptor at
 os.devnull so that the flush at interpreter exit writes nothing, and
 exits 4; a stderr that has gone too is pointed at os.devnull as well.
 No command loads `json`: each JSON answer is one `%` of a fixed
-template of its command, keys in sorted order (`_emit` for info,
-factorize, betti and presentation, `_emit_listing` for ulf and apery,
-and `render` for table).
+template of its command, keys in sorted order (`_emit` for info, betti
+and presentation, `_emit_listing` for ulf and apery, `_vectors` for the
+vectors of factorize and presentation, and `render` for table).
 """
 
 import os
@@ -305,9 +305,11 @@ def _emit(ns, text, doc, csv):
     text and csv are thunks giving the lines of those formats, and doc one
     giving the JSON text; only the one for ns.fmt runs.  doc fills one
     fixed template of its command, whose keys are in sorted order, with
-    the method name, ints and lists, nested or not, of ints: str of an int
-    or of such a list is its JSON, ", " included, so the text is that of
-    json.dumps(answer, sort_keys=True) and a newline.
+    the method name, ints and lists, nested or not, of ints, and the
+    `_vectors` text of tuples of them: str of an int or of such a list is
+    its JSON, ", " included, and so is str of such a tuple with its
+    brackets changed, so the text is that of json.dumps(answer,
+    sort_keys=True) and a newline.
     """
     if ns.fmt == "json":
         return doc()
@@ -364,6 +366,28 @@ def _emit_listing(ns, runs, doc):
         return doc % _decimals(runs, ", ")
     out = _decimals(runs, " " if ns.fmt == "text" else "\n")
     out += "\n" if out or ns.fmt == "text" else ""  # in place: no copy
+    return out
+
+
+def _vectors(text, sep=None):
+    """The answer of text, the str of a nonempty list of Factorizations
+    or of a tuple of pairs of them: in JSON (sep None) as nested lists,
+    else one line per vector, its coordinates joined by sep.
+
+    A Factorization is a tuple subclass with tuple's repr and int
+    coordinates, so text is the str of plain tuples of ints, written with
+    no object per vector, as `_decimals` writes a list of ints.  Once the
+    comma of a one-coordinate vector is dropped (",)" to ")"), only the
+    brackets differ from JSON: "(" and ")" become "[" and "]".  A listing
+    drops the outer brackets and ends a line at each "), (".  The caller
+    passes the str alone, so that the vectors are freed before it is
+    rewritten.
+    """
+    out = text.replace(",)", ")")
+    if sep is None:
+        return out.replace("(", "[").replace(")", "]")
+    out = out[2:-2].replace("), (", "\n").replace(", ", sep)
+    out += "\n"  # in place: no copy
     return out
 
 
@@ -435,11 +459,10 @@ def cmd_factorize(t, ns) -> str:
     n, exact = S.factorization_count(r, MAX_LISTED)
     _check_listed("factorize", n, "factorizations" if exact
                   else "or more factorizations")
-    facs = S.factorizations(r)
-    return _emit(ns, lambda: [" ".join(map(str, f)) for f in facs],
-                 lambda: _FACTORIZE_JSON % ([list(f) for f in facs],
-                                            method, r),
-                 lambda: [",".join(map(str, f)) for f in facs])
+    text = str(S.factorizations(r))
+    if ns.fmt == "json":
+        return _FACTORIZE_JSON % (_vectors(text), method, r)
+    return _vectors(text, " " if ns.fmt == "text" else ",")
 
 
 def cmd_apery(t, ns) -> str:
@@ -487,8 +510,8 @@ def cmd_presentation(t, ns) -> str:
                           % (" ".join(map(str, x)), " ".join(map(str, y)),
                              x.value(t.gens))
                           for x, y in pres.relations],
-                 lambda: _PRESENTATION_JSON % (
-                     method, [[list(x), list(y)] for x, y in pres.relations]),
+                 lambda: _PRESENTATION_JSON % (method,
+                                               _vectors(str(pres.relations))),
                  lambda: ["%s,%s" % (" ".join(map(str, x)),
                                      " ".join(map(str, y)))
                           for x, y in pres.relations])

@@ -14,7 +14,11 @@ class NotMemberError(ValueError):
 
 
 class Factorization(tuple):
-    """Exponent vector over the minimal generators of a semigroup."""
+    """Exponent vector over the minimal generators of a semigroup.
+
+    It keeps tuple's repr, and its coordinates are ints: the CLI writes
+    a list of them from one str, as `cli._vectors` says.
+    """
 
     __slots__ = ()
 

@@ -652,6 +652,30 @@ def test_ulf_listing_peak_memory_at_the_edge(capsys):
         assert count == 995460, fmt
 
 
+def test_factorize_listing_peak_memory(capsys):
+    # <3, 4, 5> has 75301 factorizations of 3000.  Written from the one
+    # str of the list, freed before the str is rewritten, the answer peaks
+    # near 10.1 MiB in every format, most of it the list of vectors; a list
+    # or a string per vector took 18.3 MiB (JSON) and 19.4 MiB (text, CSV)
+    main(["--a", "10", "--format", "json", "factorize", "43"])
+    capsys.readouterr()
+    for fmt in ("json", "text", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            tracemalloc.start()
+            try:
+                code = main(["--a", "3", "--format", fmt, "factorize",
+                             "3000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        out = stdout.getvalue()
+        assert code == 0
+        assert peak < 13 * 1024 * 1024, fmt
+        count = (len(json.loads(out)["factorizations"]) if fmt == "json"
+                 else len(out.splitlines()))
+        assert count == 75301, fmt
+
+
 # runs of an ascending listing: step-1 ranges, empty ones too, sorted
 # lists, starting near the edges of the hundred-int blocks and near 10**12,
 # and 0/1 byte masks (bytes or bytearray) with ones near those edges
@@ -703,6 +727,70 @@ def test_decimals_is_the_join_of_the_members(runs):
             sep.join(map(str, [x for run in runs for x in _listed(run)])), sep
 
 
+_VECTOR = st.integers(1, 4).flatmap(lambda e: st.tuples(*[st.one_of(
+    st.integers(0, 12), st.integers(0, 2 ** 70))] * e).map(Factorization))
+
+
+@given(st.lists(_VECTOR, min_size=1, max_size=8),
+       st.lists(st.tuples(_VECTOR, _VECTOR), max_size=4))
+@settings(max_examples=200, deadline=None)
+@example([Factorization((5,))], [(Factorization((9, 0)),
+                                   Factorization((0, 7)))])
+@example([Factorization((2 ** 70,)), Factorization((0,))], [])
+def test_vectors_is_the_answer_written_per_vector(facs, relations):
+    # the vector writer against json.dumps and a join per vector, on
+    # vectors of one to four coordinates, one-coordinate ones and
+    # one-relation tuples among them, whose repr ends in ",)"
+    assert cli._vectors(str(facs)) == json.dumps([list(f) for f in facs])
+    for sep in (" ", ","):
+        assert cli._vectors(str(facs), sep) == "".join(
+            sep.join(map(str, f)) + "\n" for f in facs), sep
+    relations = tuple(relations)
+    assert cli._vectors(str(relations)) == json.dumps(
+        [[list(x), list(y)] for x, y in relations])
+
+
+# a factorize answer of each shape on each path: N's one coordinate, past
+# 2**63 too, one vector (a triple's one-length orbit, a pair, the engine),
+# a two-length triple member, and an e = 4 engine listing; and each
+# closed presentation, the pair's a single relation
+@pytest.mark.parametrize("argv", [
+    ["--gens", "1", "factorize", "5"],
+    ["--gens", "1", "factorize", str(2 ** 70)],
+    ["--a", "10", "factorize", "10"],
+    ["--gens", "8,13", "factorize", "21"],
+    ["--gens", "6,9,20", "factorize", "20"],
+    ["--a", "10", "factorize", "60"],
+    ["--gens", "7,11,13,17", "factorize", "90"],
+    ["--gens", "7,9", "presentation"],
+    ["--a", "10", "presentation"],
+    ["--gens", "5,8,11,14", "presentation"]])
+def test_vector_answers_match_a_per_vector_reference(capsys, argv):
+    ns = cli.parse(argv)
+    command = "factorize" if "factorize" in argv else "presentation"
+    answerer, _ = cli._resolve(cli.Target(ns), ns, QUESTIONS[command],
+                               engine=command == "factorize")
+    capsys.readouterr()
+    if command == "presentation":
+        code, out, _ = run(capsys, *argv[:-1], "--format", "json", command)
+        assert code == 0 and out == dumped(out)
+        assert json.loads(out)["relations"] == [
+            [list(x), list(y)] for x, y in answerer.presentation().relations]
+        return
+    facs = answerer.factorizations(ns.r)
+    for fmt in ("json", "text", "csv"):
+        code, out, _ = run(capsys, *argv[:-2], "--format", fmt, *argv[-2:])
+        assert code == 0, fmt
+        if fmt == "json":
+            assert out == dumped(out)
+            assert json.loads(out)["factorizations"] == [list(f)
+                                                          for f in facs]
+        else:
+            sep = " " if fmt == "text" else ","
+            assert out == "".join(sep.join(map(str, f)) + "\n"
+                                  for f in facs), fmt
+
+
 # the form of each ulf listing: the engine's mask off the member int
 # (<6, 9, 20>) and residue by residue (<20, 21>, F + min UBetti = 799 >
 # 32 * n1), whose count is of members, not of the mask's positions; the
@@ -744,12 +832,18 @@ def ints(value):
 
 
 # a = 2**65 puts each of these answers beyond a signed 64-bit int: a
-# itself, and in a presentation the exponent a/2 of a power of a + 2
-@pytest.mark.parametrize("args", [["info"], ["betti"], ["presentation"],
-                                  ["factorize", str(3 * 2 ** 65)]])
+# itself, and in a presentation the exponent a/2 of a power of a + 2; and
+# N's one factorization of 2**70, a one-coordinate vector
+BIG_A = ["--a", str(2 ** 65)]
+
+
+@pytest.mark.parametrize("args", [BIG_A + ["info"], BIG_A + ["betti"],
+                                  BIG_A + ["presentation"],
+                                  BIG_A + ["factorize", str(3 * 2 ** 65)],
+                                  ["--gens", "1", "factorize",
+                                   str(2 ** 70)]])
 def test_json_writes_ints_beyond_64_bits(capsys, args):
-    code, out, _ = run(capsys, "--a", str(2 ** 65), "--format", "json",
-                       *args)
+    code, out, _ = run(capsys, "--format", "json", *args)
     assert code == 0 and out == dumped(out)
     doc = json.loads(out)
     del doc["method"]
