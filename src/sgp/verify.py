@@ -9,10 +9,13 @@ imports this module only for `verify`, so no other command compiles it.
 
 The triple sweep is O(a^3) for large a, because it checks every listed
 vector; its cost is the closed forms' arithmetic and that check.  At
-a = 45 (1216 values of r, 2600 vectors) `_verify_triple` takes 3.6 ms,
-0.4 ms of it the engine's tables (median of five best-of-200 timings, 2
+a = 45 (1216 values of r, 2600 vectors) `_verify_triple` takes 3.0 ms,
+0.2 ms of it the engine's tables (median of five best-of-200 timings, 2
 cores, Python 3.11.7).
 """
+
+from itertools import compress, repeat
+from operator import eq
 
 from . import cli
 from . import consecutive_triple as ct
@@ -131,12 +134,14 @@ def _verify_random(count, seed):
         thm = core.apery_multi(S, cls.unbalanced)
         top = max(max(thm), max(cls.betti)) + max(S.minimal_generators) + 1
         masks = core._length_masks(S, top)
-        brute = [r for r, m in enumerate(masks) if m and m & (m - 1) == 0]
+        # the members with one length: masks with one bit set
+        brute = list(compress(range(len(masks)),
+                              map(eq, map(int.bit_count, masks), repeat(1))))
         if brute != thm:
             return checks, (tuple(S.minimal_generators), None,
                             "unique-length set differs from the Apery form")
         b, thm_set = min(cls.unbalanced), set(thm)
-        below = all(r in thm_set for r in range(b) if masks[r])
+        below = thm_set.issuperset(compress(range(b), masks))
         if not below or b in thm_set:
             return checks, (tuple(S.minimal_generators), b,
                             "least unbalanced Betti element contract")

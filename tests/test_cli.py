@@ -1382,6 +1382,25 @@ def test_verify_reports_family_counterexample(capsys, monkeypatch, name):
     assert out.count("\n") == 1
 
 
+# --random 1 checks <15, 26> (seed 0), whose one unbalanced Betti element
+# is 390: a wrong least one at 0 is in the unique-length set, and one at
+# 391 has the two-length member 390 below it outside the set
+@pytest.mark.parametrize("least", [0, 391])
+def test_verify_reports_betti_contract_counterexample(capsys, monkeypatch,
+                                                      least):
+    right_betti, right_apery = core.betti_elements, core.apery_multi
+    assert right_betti(core.Semigroup((15, 26))).unbalanced == (390,)
+    monkeypatch.setattr(core, "betti_elements", lambda S: right_betti(
+        S)._replace(unbalanced=(least,) + right_betti(S).unbalanced[1:]))
+    # the true unique-length set, so the check against the masks passes
+    monkeypatch.setattr(core, "apery_multi", lambda S, xs: right_apery(
+        S, right_betti(S).unbalanced))
+    code, out, _ = run(capsys, "verify", "--a-max", "3", "--random", "1")
+    assert code == 1
+    assert out == "FAIL %s\n" % (
+        ((15, 26), least, "least unbalanced Betti element contract"),)
+
+
 def test_verify_check_count_from_oracle_membership(capsys):
     # bench/answers.py compares the PASS line with its own count, so the
     # count is pinned here from oracle membership alone: per r up to 3a

@@ -895,17 +895,33 @@ def test_apery_multi_at_multiples_of_n1(gens):
         assert sum(_apery_counts(S, xs)) == len(expected), xs
 
 
-@settings(max_examples=60, deadline=None)
-@given(SMALL_GENERATORS)
-@example([5, 7, 9])
-def test_length_masks_and_denumerants_match_enumeration(gens):
+def _with_bound(gens):
+    # gens with a bound from -1 to F + 2 * n_e of their semigroup
     S = _small_semigroup(gens)
-    top = oracle.frobenius(S) + 2 * max(S.minimal_generators)
-    masks, counts = _length_masks(S, top), _denumerants(S, top)
-    sets = length_sets_up_to(S, top)
-    assert len(masks) == len(counts) == len(sets) == top + 1
+    top = oracle.frobenius(S) + 2 * S.minimal_generators[-1]
+    return st.tuples(st.just(gens), st.integers(-1, top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GENERATORS.flatmap(_with_bound))
+@example(([5, 7, 9], 31))  # F + 2 * n_e
+# past n_e the masks are filled by one extend: both sides of n_e
+@example(([5, 7, 9], 8))
+@example(([5, 7, 9], 9))
+@example(([5, 7, 9], 10))
+@example(([5, 7, 9], 0))
+@example(([5, 7, 9], -1))
+@example(([1], 1))  # N: F + 2 * n_e = 1
+# 10 = 4 + 6 is not minimal, so n_e = 9 is not the largest input
+@example(([4, 6, 9, 10], 29))
+def test_length_masks_and_denumerants_match_enumeration(case):
+    gens, bound = case
+    S = _small_semigroup(gens)
+    masks, counts = _length_masks(S, bound), _denumerants(S, bound)
+    sets = length_sets_up_to(S, bound)
+    assert len(masks) == len(counts) == len(sets) == bound + 1
     first = {}  # mask -> the least r with that mask
-    for r in range(top + 1):
+    for r in range(bound + 1):
         lengths = length_set(S, r) if oracle.member(S, r) else []
         assert masks[r] == sum(1 << l for l in lengths), r
         assert sets[r] == (set(lengths) or None), r
