@@ -27,7 +27,7 @@ class ArithSemigroup:
     """<a, a+d, ..., a+nd> with the derived split a = c*n + b, a record
     that answers `betti()` in O(n^2 log n) and `presentation()` in O(n^3)
     for `sgp`.  It has no name for the other questions, so `sgp` hands
-    them to the engine without a note; two generators have the subclass
+    them to the engine with a note; two generators have the subclass
     `PairSemigroup`, which answers all of them but `apery` and `table`."""
 
     __slots__ = ("a", "d", "n", "b", "c", "generators")
@@ -77,7 +77,7 @@ class PairSemigroup(ArithSemigroup):
     - `ulf_runs()`: (pq, listing) in O(1), where listing() gives one 0/1
       byte mask of the unique-length set in p slice assignments, O(pq).
 
-    `apery_runs` is not here: the engine answers it.
+    `apery_runs` is not here: the engine answers it, with a note.
     """
 
     __slots__ = ()

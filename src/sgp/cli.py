@@ -12,14 +12,14 @@ the help.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
-and takes neither.  `Target` recognizes the closed family once, as its
-record: a `TripleSemigroup`, a `PairSemigroup` (two generators), an
-`ArithSemigroup` or None.  Each command asks one attribute by name, and
-`_resolve` alone picks who answers: the record where it has the name,
-else the generic engine's `Semigroup` (which has none for table and
-presentation), noting the fallback on stderr where the record's name is
-None; --fast demands the record (usage error outside its domain) and
---oracle skips it.  JSON output carries a
+and takes neither.  Each command asks one attribute by name, and
+`_resolve` alone reads the selector, recognizes the closed family by
+`_family`, as its record (a `TripleSemigroup`, a `PairSemigroup` for two
+generators, an `ArithSemigroup` or None), and picks who answers: the
+record where it has the name, else the generic engine's `Semigroup`
+(which has none for table and presentation), noting the fallback on
+stderr where there is a record; --fast demands the record (usage error
+outside its domain) and --oracle skips it.  JSON output carries a
 "method" field naming the code path that produced it: "closed-form" or
 "enumeration", the latter meaning the generic engine.  Both paths give
 the same fields: `info` gives the two-length threshold, the least
@@ -213,30 +213,6 @@ def _plain(args):
     return ns
 
 
-class Target:
-    """The semigroup a command addresses.
-
-    gens are the parsed generators, sorted and deduplicated, and record
-    and reason their family, from _family, for _resolve alone.
-    """
-
-    def __init__(self, ns):
-        if (ns.gens is None) == (ns.a is None):
-            raise ValueError("exactly one of --gens / --a is required")
-        if ns.a is not None:
-            if ns.a < 1:
-                raise ValueError("--a wants a positive integer")
-            self.gens = (ns.a, ns.a + 1, ns.a + 2)  # sorted and distinct
-        else:
-            try:
-                gens = {int(part) for part in ns.gens.split(",")}
-            except ValueError:
-                raise ValueError("--gens wants comma-separated integers, "
-                                 "got %r" % ns.gens)
-            self.gens = tuple(sorted(gens))
-        self.record, self.reason = _family(self.gens)
-
-
 def _family(g):
     """(record, reason): the closed-form record of the family of the
     sorted generators g, else None, and why a question the record does not
@@ -263,40 +239,56 @@ def _family(g):
     return None, reason
 
 
-def _resolve(t, ns, name, engine=True):
+def _resolve(ns, name, engine=True):
     """(answerer, method): what answers ns.command by its attribute name,
-    the closed-form record t.record or the generic engine's Semigroup.
+    the closed-form record of the semigroup ns selects or the generic
+    engine's Semigroup, whose generators, like every record's, are the
+    input sorted and deduplicated.
 
-    The record's <command>_size, the O(1) size of its listing, is checked
-    in every mode.  The record answers unless --oracle is given or its
-    name is missing or None; else the engine does, unless it has no answer
-    (engine false, known without importing it) or --fast is given, both
-    usage errors.  Valid generators with n1 > MAX_N1 are refused before
-    the engine is imported, here alone; only then is the fallback noted
-    on stderr, where the record's name is None and --oracle is not given.
+    Exactly one of --gens / --a selects it, and `_family` gives its
+    record.  The record's <command>_size, the O(1) size of its listing, is
+    checked in every mode.  The record answers the names it defines,
+    unless --oracle is given; else the engine does, unless it has no
+    answer (engine false, known without importing it) or --fast is given,
+    both usage errors.  Valid generators with n1 > MAX_N1 are refused
+    before the engine is imported, here alone; only then, where a family
+    was recognized and --oracle is not given, is the fallback noted on
+    stderr.
     """
-    command, record = ns.command, t.record
+    if (ns.gens is None) == (ns.a is None):
+        raise ValueError("exactly one of --gens / --a is required")
+    if ns.a is not None:
+        if ns.a < 1:
+            raise ValueError("--a wants a positive integer")
+        gens = (ns.a, ns.a + 1, ns.a + 2)  # sorted and distinct
+    else:
+        try:
+            gens = tuple(sorted({int(part) for part in ns.gens.split(",")}))
+        except ValueError:
+            raise ValueError("--gens wants comma-separated integers, got %r"
+                             % ns.gens)
+    command, (record, reason) = ns.command, _family(gens)
     size = getattr(record, command + "_size", None)
     if size is not None:
         _check_listed(command, size)
-    if not ns.oracle and getattr(record, name, None) is not None:
+    if not ns.oracle and hasattr(record, name):
         return record, CLOSED_FORM
     if not engine:
         if ns.oracle:
             raise ValueError("%s has no enumeration mode for --oracle"
                              % command)
         raise ValueError("no closed form for %s (%s), and it has no "
-                         "enumeration mode" % (command, t.reason))
+                         "enumeration mode" % (command, reason))
     if ns.fast:
         raise ValueError("--fast: no closed form for %s (%s)"
-                         % (command, t.reason))
-    if t.gens[0] > MAX_N1 and gcd(*t.gens) == 1:
+                         % (command, reason))
+    if gens[0] > MAX_N1 and gcd(*gens) == 1:
         raise ValueError("the engine would build an Apery table of n1 = %d "
-                         "entries, more than %d" % (t.gens[0], MAX_N1))
-    if not ns.oracle and hasattr(record, name):
+                         "entries, more than %d" % (gens[0], MAX_N1))
+    if record is not None and not ns.oracle:
         print("fallback=%s command=%s reason=%s" % (ENUMERATION, command,
-                                                    t.reason), file=sys.stderr)
-    return sgp.core_semigroup.Semigroup(t.gens), ENUMERATION
+                                                    reason), file=sys.stderr)
+    return sgp.core_semigroup.Semigroup(gens), ENUMERATION
 
 
 def _emit(ns, text, doc, csv):
@@ -409,8 +401,8 @@ _BETTI_JSON = ('{"balanced": %s, "betti": %s, "method": "%s", "unbalanced": '
 _PRESENTATION_JSON = '{"method": "%s", "relations": %s}\n'
 
 
-def cmd_info(t, ns) -> str:
-    S, method = _resolve(t, ns, "info")
+def cmd_info(ns) -> str:
+    S, method = _resolve(ns, "info")
     mingens, frob, cls, ulf_size = S.info()
     # the least unbalanced Betti element: every member below it has one
     # factorization length, and it has two; None on N
@@ -418,7 +410,7 @@ def cmd_info(t, ns) -> str:
 
     def obj():  # the fields, as CSV rows; ulf_size is empty on N
         o = {"method": method,
-             "generators": list(t.gens),
+             "generators": list(S.generators),
              "minimal_generators": list(mingens),
              "frobenius": frob,
              "betti": list(cls.betti),
@@ -431,8 +423,8 @@ def cmd_info(t, ns) -> str:
 
     def doc():  # the same fields; ulf_size is null on N
         return (_INFO_JSON % (
-            list(cls.balanced), list(cls.betti), frob, list(t.gens), method,
-            list(mingens), "" if threshold is None else
+            list(cls.balanced), list(cls.betti), frob, list(S.generators),
+            method, list(mingens), "" if threshold is None else
             ', "ulf_bound": %d' % threshold,
             "null" if ulf_size is None else ulf_size,
             list(cls.unbalanced)))
@@ -453,9 +445,9 @@ def cmd_info(t, ns) -> str:
         for k, v in sorted(obj().items())])
 
 
-def cmd_factorize(t, ns) -> str:
+def cmd_factorize(ns) -> str:
     r = ns.r
-    S, method = _resolve(t, ns, "factorizations")
+    S, method = _resolve(ns, "factorizations")
     n, exact = S.factorization_count(r, MAX_LISTED)
     _check_listed("factorize", n, "factorizations" if exact
                   else "or more factorizations")
@@ -465,17 +457,17 @@ def cmd_factorize(t, ns) -> str:
     return _vectors(text, " " if ns.fmt == "text" else ",")
 
 
-def cmd_apery(t, ns) -> str:
+def cmd_apery(ns) -> str:
     xs = sorted(set(ns.x))
-    S, method = _resolve(t, ns, "apery_runs")
+    S, method = _resolve(ns, "apery_runs")
     n, listing = S.apery_runs(xs)
     _check_listed("apery", n)
     return _emit_listing(ns, listing(), '{"apery": [%%s], "method": "%s", '
                          '"x": %s}\n' % (method, xs))
 
 
-def cmd_betti(t, ns) -> str:
-    S, method = _resolve(t, ns, "betti")
+def cmd_betti(ns) -> str:
+    S, method = _resolve(ns, "betti")
     cls = S.betti()
     return _emit(ns,
                  lambda: ["betti: %s" % (list(cls.betti),),
@@ -489,26 +481,26 @@ def cmd_betti(t, ns) -> str:
                           for b in cls.betti])
 
 
-def cmd_ulf(t, ns) -> str:
-    S, method = _resolve(t, ns, "ulf_runs")
+def cmd_ulf(ns) -> str:
+    S, method = _resolve(ns, "ulf_runs")
     n, listing = S.ulf_runs()
     _check_listed("ulf", n)
     return _emit_listing(ns, listing(), '{"count": %d, "method": "%s", '
                          '"ulf": [%%s]}\n' % (n, method))
 
 
-def cmd_table(t, ns) -> str:
-    ts, _ = _resolve(t, ns, "table_size", engine=False)
+def cmd_table(ns) -> str:
+    ts, _ = _resolve(ns, "table_size", engine=False)
     return getattr(sgp.render, "table_to_" + ns.fmt)(ts.a)
 
 
-def cmd_presentation(t, ns) -> str:
-    S, method = _resolve(t, ns, "presentation", engine=False)
+def cmd_presentation(ns) -> str:
+    S, method = _resolve(ns, "presentation", engine=False)
     pres = S.presentation()
     return _emit(ns,
                  lambda: ["%s  =  %s   (value %d)"
                           % (" ".join(map(str, x)), " ".join(map(str, y)),
-                             x.value(t.gens))
+                             x.value(S.generators))
                           for x, y in pres.relations],
                  lambda: _PRESENTATION_JSON % (method,
                                                _vectors(str(pres.relations))),
@@ -530,7 +522,7 @@ def main(argv=None) -> int:
 
             out, code = cmd_verify(ns)
         else:
-            out, code = COMMANDS[ns.command](Target(ns), ns), 0
+            out, code = COMMANDS[ns.command](ns), 0
     except NotMemberError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -100,13 +100,12 @@ class TripleSemigroup:
     for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), in the
     engine's order, reversed for a one-length member (x falls), and
     `ulf_runs()`, (ulf_size, listing) in O(1), where listing() gives the
-    ranges S^0, ..., S^a in O(a).  `apery_runs` is None: the engine
-    answers it.
+    ranges S^0, ..., S^a in O(a).  It has no `apery_runs`: the engine
+    answers it, with a note.
     """
 
     __slots__ = ("a",)
 
-    apery_runs = None
     generators = property(lambda self: (self.a, self.a + 1, self.a + 2))
     L = property(lambda self: (self.a - 1) // 2)
     D = property(lambda self: (self.a + 3) // 4)

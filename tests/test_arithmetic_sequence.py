@@ -1,6 +1,7 @@
 """Arithmetic-sequence closed forms: <a, a+d, ..., a+nd> with gcd(a,d)=1."""
 
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +20,6 @@ from sgp.consecutive_triple import presentation_triple
 from sgp.core_semigroup import Semigroup, betti_elements, factorizations
 from sgp.oracle import length_set
 from sgp.records import NotMemberError
-
-
-def unordered(pres):
-    return {frozenset((tuple(x), tuple(y))) for x, y in pres.relations}
 
 
 def test_construction():
@@ -95,12 +92,56 @@ def test_betti_formulas_match_engine(params):
     assert classify_arith(A) == cls
 
 
-def test_presentation_matches_triple_presentation():
-    # d = 1, n = 2 is the consecutive triple; the two modules must agree
-    # as sets of unordered pairs
-    for a in (3, 9, 10, 15, 24):
-        assert unordered(presentation_arith(ArithSemigroup(a, 1, 2))) == \
-            unordered(presentation_triple(a))
+def assert_minimal_presentation(gens, pres):
+    """Assert that pres is a minimal presentation of <gens>, whose listed
+    generators are minimal, by the oracle alone.
+
+    A set of relations is a minimal presentation exactly when, at each
+    Betti element b, its relations of degree b join the k_b R-classes of
+    b, the components of `oracle.nabla_graph(S, b)`, with k_b - 1 edges
+    that connect them all (Rosales and Garcia-Sanchez, Numerical
+    Semigroups, ch. 7), and no relation has another degree.
+    """
+    S = SimpleNamespace(minimal_generators=tuple(gens))
+    by_degree = {}
+    for x, y in pres.relations:
+        by_degree.setdefault(x.value(gens), []).append((x, y))
+    betti = oracle.betti_elements(S).betti
+    assert set(by_degree) <= set(betti), (gens, sorted(by_degree), betti)
+    for b in betti:
+        graph = oracle.nabla_graph(S, b)
+        # the R-class of each factorization of b, one label a component
+        label = list(range(len(graph.vertices)))
+        for i, j in graph.edges:
+            old, new = label[i], label[j]
+            label = [new if c == old else c for c in label]
+        cls = dict(zip(graph.vertices, label))
+        classes = set(label)
+        relations = by_degree.get(b, [])
+        assert len(relations) == len(classes) - 1, (gens, b)
+        joined = {c: c for c in classes}  # the classes the relations join
+        for x, y in relations:
+            assert x in cls and y in cls, (gens, b, x, y)
+            assert cls[x] != cls[y], (gens, b, x, y)
+            old, new = joined[cls[x]], joined[cls[y]]
+            joined = {c: new if k == old else k for c, k in joined.items()}
+        assert len(set(joined.values())) == 1, (gens, b)
+
+
+def test_closed_presentations_are_minimal():
+    # the triple's for a in [3, 20], and the arithmetic sequences' for
+    # a < 14, d <= 3 and n from 1 to 4, a pair's (n = 1) from its record
+    for a in range(3, 21):
+        assert_minimal_presentation((a, a + 1, a + 2),
+                                    presentation_triple(a))
+    for a in range(2, 14):
+        for d in (1, 2, 3):
+            for n in range(1, min(4, a - 1) + 1):
+                if gcd(a, d) == 1:
+                    A = (PairSemigroup(a, a + d) if n == 1
+                         else ArithSemigroup(a, d, n))
+                    assert_minimal_presentation(A.generators,
+                                                presentation_arith(A))
 
 
 def test_presentation_shape_and_balance():

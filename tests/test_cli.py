@@ -362,7 +362,8 @@ def test_size_guard_bound_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "--a", "12", "table")[0] == 2
     monkeypatch.setattr(cli, "MAX_LISTED", 8)
     assert run(capsys, "--gens", "3,5", "apery", "8") == (
-        0, "0 3 5 6 9 10 12 15\n", "")
+        0, "0 3 5 6 9 10 12 15\n", "fallback=enumeration command=apery "
+        "reason=an arithmetic sequence has none\n")
     assert run(capsys, "--gens", "3,5", "apery", "9")[0] == 2
     # ulf on any semigroup: <6, 9, 20> has 18 unique-length members
     monkeypatch.setattr(cli, "MAX_LISTED", 18)
@@ -477,9 +478,12 @@ def test_factorize_refusal_names_a_finished_count(capsys, monkeypatch, cap,
 
 def test_engine_refuses_huge_n1_at_once(capsys):
     # the engine's Apery table has n1 entries, so every command that would
-    # build it is refused before it starts; closed forms still answer
+    # build it is refused before it starts, also where a family's record
+    # hands the question on (apery on a pair, info on a longer arithmetic
+    # sequence); closed forms still answer
     pair, three = "1000000007,1000000008", "1000000007,1000000008,1000000010"
     for argv in ("--gens %s info" % three,
+                 "--gens 1000003,1000004,1000005,1000006 info",
                  "--gens %s factorize 5" % three,
                  "--gens %s apery 5" % pair,
                  "--gens %s betti" % three,
@@ -537,7 +541,8 @@ def test_engine_request_builds_one_semigroup(capsys, monkeypatch, argv):
 
 def test_a_record_answers_by_name(capsys, monkeypatch):
     # a family is its record: a command asks the record by name, and one
-    # the record lacks goes to the engine with no fallback= note
+    # the record lacks goes to the engine with one fallback= note, which
+    # --oracle, asking the engine alone, does not write
     class Betti:
         def betti(self):
             return core.BettiClassification((18, 60), (), (18, 60))
@@ -549,6 +554,11 @@ def test_a_record_answers_by_name(capsys, monkeypatch):
     assert json.loads(out)["method"] == "closed-form"
     code, out, err = run(capsys, "--gens", "6,9,20", "--format", "json",
                          "info")
+    assert (code, err) == (
+        0, "fallback=enumeration command=info reason=betti only\n")
+    assert json.loads(out)["method"] == "enumeration"
+    code, out, err = run(capsys, "--gens", "6,9,20", "--oracle", "--format",
+                         "json", "betti")
     assert (code, err) == (0, "")
     assert json.loads(out)["method"] == "enumeration"
     code, _, err = run(capsys, "--gens", "6,9,20", "--fast", "info")
@@ -768,7 +778,7 @@ def test_vectors_is_the_answer_written_per_vector(facs, relations):
 def test_vector_answers_match_a_per_vector_reference(capsys, argv):
     ns = cli.parse(argv)
     command = "factorize" if "factorize" in argv else "presentation"
-    answerer, _ = cli._resolve(cli.Target(ns), ns, QUESTIONS[command],
+    answerer, _ = cli._resolve(ns, QUESTIONS[command],
                                engine=command == "factorize")
     capsys.readouterr()
     if command == "presentation":
@@ -804,7 +814,7 @@ ULF_FORMS = {(6, 9, 20): bytes, (20, 21): bytearray, (8, 12, 77): list,
 def test_ulf_count_counts_the_members_of_a_mask(capsys, gens):
     S, g = core.Semigroup(gens), ",".join(map(str, gens))
     ns = cli.parse(["--gens", g, "ulf"])
-    answerer, _ = cli._resolve(cli.Target(ns), ns, "ulf_runs")
+    answerer, _ = cli._resolve(ns, "ulf_runs")
     n, listing = answerer.ulf_runs()
     runs = listing()
     assert {type(run) for run in runs} == {ULF_FORMS[gens]}
@@ -1382,6 +1392,26 @@ def test_verify_reports_family_counterexample(capsys, monkeypatch, name):
     assert out.count("\n") == 1
 
 
+# one entry of the length table of <3, 4, 5> made wrong, as one bit: L(8)
+# = {2} as {3}, and L(9) = {2, 3}, the threshold's, as {3}, which the
+# unique-length closed form is made to agree with, so that each is caught
+# by its own check alone
+@pytest.mark.parametrize("r, reason", [
+    (8, "length set is not {floor(r/a)}"),
+    (9, "threshold should have two lengths")])
+def test_verify_reports_length_table_counterexample(capsys, monkeypatch, r,
+                                                    reason):
+    right_masks, right_one = core._length_masks, ct.ulf_membership_triple
+    assert right_masks(core.Semigroup((3, 4, 5)), 9)[8:] == [1 << 2, 0b1100]
+    monkeypatch.setattr(core, "_length_masks", lambda S, bound: [
+        1 << 3 if s == r else mask
+        for s, mask in enumerate(right_masks(S, bound))])
+    monkeypatch.setattr(ct, "ulf_membership_triple",
+                        lambda a, s: s == r or right_one(a, s))
+    code, out, _ = run(capsys, "verify", "--a-max", "3")
+    assert (code, out) == (1, "FAIL %s\n" % ((3, r, reason),))
+
+
 # --random 1 checks <15, 26> (seed 0), whose one unbalanced Betti element
 # is 390: a wrong least one at 0 is in the unique-length set, and one at
 # 391 has the two-length member 390 below it outside the set
@@ -1466,9 +1496,8 @@ def test_default_and_oracle_answers_agree(gens):
     # method dropped and listings sorted, and ulf byte for byte in text
     # and CSV.  factorize lists in order: the engine's lexicographic one,
     # reversed for a triple's one-length member, whose orbit runs down in
-    # x.  A triple answers all seven commands (apery by handing it on), a
-    # pair all but apery and table, and a longer arithmetic sequence betti
-    # and presentation
+    # x.  A triple answers all commands but apery, a pair all but apery
+    # and table, and a longer arithmetic sequence betti and presentation
     selector = ["--gens", ",".join(map(str, gens))]
     record = cli._family(gens)[0]
     commands = [command for command, name in QUESTIONS.items()
@@ -1477,7 +1506,7 @@ def test_default_and_oracle_answers_agree(gens):
         assert commands == ["info", "factorize", "betti", "ulf",
                             "presentation"]
     elif gens[-1] - gens[0] == 2:  # a triple
-        assert commands == list(QUESTIONS)
+        assert commands == [c for c in QUESTIONS if c != "apery"]
     else:
         assert commands == ["betti", "presentation"]
     argvs = enumeration_argvs(gens)
