@@ -21,10 +21,10 @@ each module of a request as an attribute of this package, loaded on
 first use: `consecutive_triple` only for a consecutive triple or `sgp
 verify`, `arithmetic_sequence` for an arithmetic sequence, the engine on
 its engine paths and `render` for `table`.  It imports `verify` only for
-`sgp verify`, and `grammar`, the general reading of a command line, only
-for an argv that the one-pass reading in `cli` declines.  Result
-records such as `BettiClassification` are immutable named tuples, with
-`_replace` and `_asdict`.
+`sgp verify`, and `grammar`, the general reading of a command line by
+argparse, only for an argv that the one-pass reading in `cli` declines.
+Result records such as `BettiClassification` are immutable named tuples,
+with `_replace` and `_asdict`.
 
 All arithmetic is exact; there are no floats anywhere in the package.
 """

@@ -6,9 +6,9 @@
 Global options come before COMMAND, and the command's own options and
 arguments after it; `parse` reads them from the table SPEC, which also
 gives the help of `sgp -h` and `sgp COMMAND -h`.  `_plain` reads a plain
-command line in one pass, and the `grammar` module, imported only for an
-argv that pass declines, every other one, with the usage, the errors and
-the help.
+command line in one pass, and an argparse parser built from SPEC every
+other one, with the usage, the errors and the help; its module,
+`grammar`, is imported only for an argv that pass declines.
 
 Exactly one of --gens / --a selects the semigroup; --a N is shorthand for
 the consecutive triple <a, a+1, a+2>.  `verify` sweeps its own semigroups
@@ -37,18 +37,19 @@ for an arithmetic sequence, `_resolve` the engine on the engine paths
 and `cmd_table` `render`, each as an attribute of the package `sgp`,
 whose `__getattr__` imports the module on first use; after that it is a
 plain attribute, so no closed-form or engine request runs an import
-statement.  `parse` imports `grammar` only when `_plain` declines the
-argv, and `main` the `verify` module only for `verify`.  Each command
-returns the text of its answer, and `main` alone writes and flushes it
-to stdout, in one piece once every error has been raised, and picks the
-exit code.  If stdout takes no more, `_write`, which also writes the
-help, prints one `error:` line on stderr, points stdout's descriptor at
-os.devnull so that the flush at interpreter exit writes nothing, and
-exits 4; a stderr that has gone too is pointed at os.devnull as well.
-No command loads `json`: each JSON answer is one `%` of a fixed
-template of its command, keys in sorted order (`_emit` for info, betti
-and presentation, `_emit_listing` for ulf and apery, `_vectors` for the
-vectors of factorize and presentation, and `render` for table).
+statement.  `parse` imports `grammar`, and with it argparse, only when
+`_plain` declines the argv, and `main` the `verify` module only for
+`verify`.  Each command returns the text of its answer, and `main` alone
+writes and flushes it to stdout, in one piece once every error has been
+raised, and picks the exit code.  If stdout takes no more, `_write`,
+which also writes the help, prints one `error:` line on stderr, points
+stdout's descriptor at os.devnull so that the flush at interpreter exit
+writes nothing, and exits 4; a stderr that has gone too is pointed at
+os.devnull as well.  No command loads `json`: each JSON answer is one
+`%` of a fixed template of its command, keys in sorted order (`_emit`
+for info, betti and presentation, `_emit_listing` for ulf and apery,
+`_vectors` for the vectors of factorize and presentation, and `render`
+for table).
 """
 
 import os
@@ -110,8 +111,11 @@ SPEC = {
                "two-length threshold (refused when the length table of "
                "a-max would have more than %d entries)" % MAX_LISTED,
                None, {
-                   "--a-min": ("a_min", int, 3, None, None),
-                   "--a-max": ("a_max", int, 12, None, None),
+                   "--a-min": ("a_min", int, 3, None,
+                               "least a of the triples <a, a+1, a+2> swept; "
+                               "3 or more"),
+                   "--a-max": ("a_max", int, 12, None,
+                               "greatest a of the triples swept"),
                    "--arith": ("arith", bool, False, None,
                                "also sweep the arithmetic-sequence Betti "
                                "formulas"),
@@ -136,13 +140,13 @@ def parse(argv=None) -> SimpleNamespace:
     the next token or after "=", and a unique prefix of its name stands
     for it.  A negative number is a value, and "--" ends the options.
     -h/--help prints help and exits 0; a rejected argv prints a usage
-    line and an error on stderr and exits 2.  The argv accepted and the
-    namespace given are those of the argparse parser this replaces.
+    line and an error on stderr and exits 2.
 
     A plain command line, of exact option names, values that do not start
     with "-" and one command, is read by `_plain` in one pass; every other
     argv, and every one that asks for help or an error, by the general
-    reading `grammar.read`, whose module is imported only then.
+    reading `grammar.read`, an argparse parser built from SPEC, whose
+    module, and argparse, are imported only then.
     """
     args = sys.argv[1:] if argv is None else list(argv)
     ns = _plain(args)
@@ -160,10 +164,10 @@ def _plain(args):
 
     It declines, with None and without printing, every other token and
     every argv that the general reading would answer with help or an
-    error: --fast
-    with --oracle, a bad choice or int, a missing or extra positional or
-    an option with no value.  An option after a positional's value is
-    declined too, since argparse ends the positional there.
+    error: --fast with --oracle, a bad choice or int, a missing or extra
+    positional or an option with no value.  An option after a
+    positional's value is declined too, since argparse ends the
+    positional there.
     """
     ns = SimpleNamespace(**_DEFAULTS[None])
     command, options, values = None, SPEC[None][2], []

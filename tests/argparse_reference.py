@@ -1,10 +1,12 @@
-"""The argparse parser that `sgp.cli.parse` replaces, kept as a reference.
+"""An argparse parser of the sgp command line, written out by hand as a
+reference.
 
 It says which argv the sgp command line accepts and what each one means:
 `tests/test_cli.py` checks that `sgp.cli.parse` gives the same namespace
 for every argv this parser accepts, and exits with the same code for
-every argv it rejects.  It is test code only; the CLI never imports
-argparse.
+every argv it rejects.  It is test code only, and does not read
+`sgp.cli.SPEC`, the table from which `sgp.grammar` builds the CLI's own
+argparse parser, so a slip in that table shows as a difference.
 """
 
 import argparse

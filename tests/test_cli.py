@@ -91,6 +91,7 @@ def test_closed_forms_load_no_engine(argv):
     assert "sgp.core_semigroup" not in loaded
     # a plain argv is read in one pass, without the general reading
     assert "sgp.grammar" not in loaded
+    assert "argparse" not in loaded
     # a triple is recognized by arithmetic alone
     if argv[0] == "--a":
         assert "sgp.arithmetic_sequence" not in loaded
@@ -112,7 +113,8 @@ def test_no_format_loads_json(argv):
     (("--gens", "6,9,20", "betti"), {"sgp.core_semigroup"}),
     (("--a", "10", "--oracle", "info"), {"sgp.core_semigroup"}),
     (("verify", "--a-max", "4"), {"sgp.core_semigroup", "sgp.verify"}),
-    (("--a=10", "--fo", "json", "factorize", "43"), {"sgp.grammar"}),
+    (("--a=10", "--fo", "json", "factorize", "43"),
+     {"sgp.grammar", "argparse"}),
     (("--a", "10", "info"), {"sgp.consecutive_triple"}),
     (("--gens", "10,11,12", "betti"), {"sgp.consecutive_triple"})])
 def test_commands_load_what_they_run(argv, modules):
@@ -1231,6 +1233,29 @@ def test_double_dash_ends_the_options(argv, expected):
         assert got == dict(DEFAULTS, **expected)
 
 
+def test_help_describes_every_command_and_option():
+    # sgp -h lists each command with its help, and each option of sgp;
+    # sgp COMMAND -h gives the command's help and each of its options.
+    # Whitespace is dropped, since the help wraps its texts to 79 columns
+    def squeezed(text):
+        return "".join(text.split())
+
+    for command, (text, _, options) in cli.SPEC.items():
+        argv = ["-h"] if command is None else [command, "-h"]
+        code, out, _ = parse_outcome(cli.parse, argv)
+        assert code == 0, argv
+        words = [text] + [word for name, spec in options.items()
+                          for word in (name, spec[4]) if word]
+        if command is None:
+            words += [word for name, (help_, _, _) in cli.SPEC.items()
+                      if name for word in (name, help_)]
+        else:
+            words.append(command)
+        out = squeezed(out)
+        for word in words:
+            assert squeezed(word) in out, (argv, word)
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--a-max", "8")
     assert code == 0
@@ -1548,7 +1573,7 @@ def test_default_and_oracle_answers_agree(gens):
 # nowhere)
 @pytest.mark.parametrize("argv, read", [(["--a", "300", "table"], 1),
                                         (["--a", "10", "info"], 0),
-                                        (["-h"], 0)])
+                                        (["-h"], 0), (["verify", "-h"], 0)])
 def test_closed_pipe_exits_4_without_traceback(argv, read):
     for unbuffered in (False, True):
         env = dict(os.environ, PYTHONPATH=SRC)
