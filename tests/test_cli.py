@@ -689,14 +689,17 @@ def test_factorize_listing_peak_memory(capsys):
 
 
 # runs of an ascending listing: step-1 ranges, empty ones too, sorted
-# lists, starting near the edges of the hundred-int blocks and near 10**12,
-# and 0/1 byte masks (bytes or bytearray) with ones near those edges
+# lists, starting near 100, near the edges of the thousand-int blocks and
+# near 10**12, and 0/1 byte masks (bytes or bytearray) with ones near
+# those edges
+_EDGES = [999, 1000, 1001, 1999, 2000, 10 ** 4 - 1, 10 ** 4]
 _STARTS = st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 13),
                     st.sampled_from([0, 9, 10, 99, 100, 101, 199, 200, 201,
-                                     10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1]))
+                                     *_EDGES, 10 ** 12 - 1, 10 ** 12,
+                                     10 ** 12 + 1]))
 _ONES = st.one_of(st.integers(0, 700),
                   st.sampled_from([0, 1, 98, 99, 100, 101, 198, 199, 200,
-                                   201, 299, 300]))
+                                   201, 299, 300, *_EDGES]))
 _RUNS = st.lists(st.one_of(
     st.builds(lambda lo, n: range(lo, lo + n), _STARTS, st.integers(0, 350)),
     st.lists(_STARTS, max_size=30).map(sorted),
@@ -712,6 +715,13 @@ def _mask(ones, pad=0, kind=bytes):
     for r in ones:
         mask[r] = 1
     return kind(mask)
+
+
+def _edge_mask(n):
+    """The n-byte mask with its ones at those of 99, 100, 999, 1000, 1001
+    and 1999 that lie in it."""
+    ones = [r for r in (99, 100, 999, 1000, 1001, 1999) if r < n]
+    return _mask(ones, n - 1 - ones[-1])
 
 
 def _listed(run):
@@ -733,6 +743,14 @@ def _listed(run):
 @example([_mask([0, 99, 100, 199, 200, 450])])
 @example([_mask([1, 98, 101, 198, 201, 299], 0, bytearray), range(3, 5)])
 @example([_mask([], 250), [7], _mask([]), _mask([100])])
+# ranges across the thousand-int blocks, one inside [100, 1000) with its
+# empty head, masks ending at and just past the block edges, and a mask
+# whose first block is all zeros
+@example([range(950, 1050), range(1990, 2010), range(2999, 4001)])
+@example([range(5, 120), range(150, 990), range(999, 1001)])
+@example([_edge_mask(999), _edge_mask(1000), _edge_mask(1001),
+          _edge_mask(2001)])
+@example([_mask([1000, 1001, 1999, 2000, 10 ** 4 - 1], 3), range(10 ** 4)])
 def test_decimals_is_the_join_of_the_members(runs):
     for sep in (", ", " ", "\n"):
         assert cli._decimals(runs, sep) == \

@@ -360,6 +360,18 @@ def test_s_ell_rows_group_by_length():
             assert list(s_ell(a, ell)) == row
 
 
+def test_ulf_listing_is_s_ell_by_ell():
+    # the listing `sgp ulf` writes, S^0, ..., S^a, built at C speed; its
+    # last range is the one member of length a, a^2 + a - 1 = (a+2)a - a - 1
+    for a in range(3, 401):
+        ts = TripleSemigroup(a)
+        n, listing = ts.ulf_runs()
+        runs = listing()
+        assert runs == [s_ell(a, ell) for ell in range(a + 1)], a
+        assert n == ts.ulf_size == sum(map(len, runs)), a
+        assert list(runs[a]) == [a * a + a - 1], a
+
+
 def test_s_d_i_spot_values():
     assert s_d_i(10, 2, 2) == [42, 43, 45, 46]
     assert s_d_i(15, 4, 1) == [111, 112, 113]
