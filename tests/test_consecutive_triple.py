@@ -361,13 +361,20 @@ def test_s_ell_rows_group_by_length():
 
 
 def test_ulf_listing_is_s_ell_by_ell():
-    # the listing `sgp ulf` writes, S^0, ..., S^a, built at C speed; its
-    # last range is the one member of length a, a^2 + a - 1 = (a+2)a - a - 1
+    # the listing `sgp ulf` writes, S^0, ..., S^a, built at C speed from
+    # three pieces of arithmetic progressions, and s_ell, empty past a, are
+    # the interval of the module docstring on every piece, for odd and
+    # even a; the last range is the one member of length a, a^2 + a - 1
     for a in range(3, 401):
         ts = TripleSemigroup(a)
         n, listing = ts.ulf_runs()
         runs = listing()
         assert runs == [s_ell(a, ell) for ell in range(a + 1)], a
+        intervals = [range(max(a * ell, (a + 2) * ell - a - 1),
+                           min(a * ell + a, (a + 2) * ell + 1))
+                     for ell in range(a + 4)]
+        assert runs == intervals[:a + 1], a
+        assert [s_ell(a, ell) for ell in range(a + 4)] == intervals, a
         assert n == ts.ulf_size == sum(map(len, runs)), a
         assert list(runs[a]) == [a * a + a - 1], a
 
