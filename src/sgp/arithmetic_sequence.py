@@ -19,8 +19,8 @@ their classical closed forms.
 
 from math import gcd
 
-from .records import (BettiClassification, Factorization, NotMemberError,
-                      Presentation)
+from .records import (BettiClassification, Factorization, Presentation,
+                      not_member)
 
 
 class ArithSemigroup:
@@ -101,8 +101,7 @@ class PairSemigroup(ArithSemigroup):
         # of a range longer than sys.maxsize overflows
         xs = self._xs(r)
         if not xs:
-            raise NotMemberError("%d is not in Semigroup(%d, %d)"
-                                 % ((r,) + self.generators))
+            raise not_member(r, self.generators)
         return (xs[-1] - xs.start) // xs.step + 1, True
 
     def factorizations(self, r):
@@ -149,13 +148,17 @@ def presentation_arith(S: ArithSemigroup) -> Presentation:
     return Presentation(tuple(pairs))
 
 
+def _degrees(S):
+    # the exchange degrees and the long ones of the module docstring, sets
+    a, d, n = S.a, S.d, S.n
+    return ({2 * a + (i + j + 1) * d for i in range(n - 1)
+             for j in range(i + 1, n)},
+            {(S.c + d + 1) * a + (k - 3) * d for k in range(3, n + 4 - S.b)})
+
+
 def betti_arith(S: ArithSemigroup):
     """All Betti elements, ascending: exchange degrees plus the long ones."""
-    a, d, n = S.a, S.d, S.n
-    out = {(a + i * d) + (a + (j + 1) * d)
-           for i in range(n - 1) for j in range(i + 1, n)}
-    out.update(ubetti_arith(S))
-    return sorted(out)
+    return sorted(set.union(*_degrees(S)))
 
 
 def ubetti_arith(S: ArithSemigroup):
@@ -164,15 +167,13 @@ def ubetti_arith(S: ArithSemigroup):
     Exactly the degrees of the long relators; the exchange degrees stay
     balanced unless they collide with one of these (possible when c = 1).
     """
-    a, d = S.a, S.d
-    return sorted({(S.c + d) * a + (a + (k - 3) * d)
-                   for k in range(3, S.n + 4 - S.b)})
+    return sorted(_degrees(S)[1])
 
 
 def classify_arith(S: ArithSemigroup) -> BettiClassification:
     """betti_arith split into balanced and unbalanced, as betti_elements
-    of the engine splits it."""
-    betti, unbalanced = betti_arith(S), ubetti_arith(S)
-    balanced = set(betti).difference(unbalanced)
-    return BettiClassification(tuple(betti), tuple(sorted(balanced)),
-                               tuple(unbalanced))
+    of the engine splits it, from one build of the degrees."""
+    exchange, long = _degrees(S)
+    return BettiClassification(tuple(sorted(exchange | long)),
+                               tuple(sorted(exchange - long)),
+                               tuple(sorted(long)))

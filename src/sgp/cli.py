@@ -19,13 +19,13 @@ generators, an `ArithSemigroup` or None), and picks who answers: the
 record where it has the name, else the generic engine's `Semigroup`
 (which has none for table and presentation), noting the fallback on
 stderr where there is a record; --fast demands the record (usage error
-outside its domain) and --oracle skips it.  JSON output carries a
-"method" field naming the code path that produced it: "closed-form" or
-"enumeration", the latter meaning the generic engine.  Both paths give
-the same fields: `info` gives the two-length threshold, the least
-unbalanced Betti element, on every path, and only N, which has none,
-leaves it out.  `ulf` lists Ap(S, UBetti(S)), finite on every semigroup
-but N, and N, whose unique-length set is all of N, is a usage error.
+outside its domain) and --oracle skips it.  JSON output and CSV `info`
+name the path in a "method" field, "closed-form" or "enumeration" (the
+engine); where the record answers, --oracle changes only that word and
+the lower bound an oversized `factorize` names.  `info` gives the
+two-length threshold, the least unbalanced Betti element; only N, which
+has none, leaves it out.  `ulf` lists Ap(S, UBetti(S)), finite but on N,
+whose unique-length set is all of N: a usage error there.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 non-member
 query, 4 the answer or the help could not be written (stdout closed, or
@@ -400,7 +400,8 @@ def _vectors(text, sep=None):
 
 
 def _check_listed(command, n, what="members"):
-    # what names the items, and says so when n is only a lower bound
+    # what names the items, and says so when n is a lower bound; that
+    # bound depends on the path that counted, so --oracle may name another
     if n > MAX_LISTED:
         raise ValueError("%s would list %d %s, more than %d"
                          % (command, n, what, MAX_LISTED))

@@ -49,12 +49,9 @@ from collections import namedtuple
 from itertools import chain
 from operator import index
 
-from .records import (
-    BettiClassification,
-    Factorization,
-    NotMemberError,
-    Presentation,
-)
+from .records import (  # NotMemberError re-exported: the closed forms raise it
+    BettiClassification, Factorization, NotMemberError, Presentation,
+    not_member)
 
 # Trading one a and one a+2 for two copies of a+1 keeps the value fixed.
 OMEGA = (-1, 2, -1)
@@ -96,18 +93,16 @@ class TripleSemigroup:
     ulf_bound the threshold L_a itself, ulf_size the number of
     unique-length members and table_size the cells of the partition
     table, each an O(1) property, so a build only checks a.
-    It answers what `sgp` asks: `info()`, `betti()` and `presentation()`
-    in O(1), `factorization_count(r, cap)` in at most about 1500 steps
-    for cap 10**6, `factorizations(r)` in O(|F(r)| log |L(r)|), in the
-    engine's order, reversed for a one-length member (x falls), and
+    It answers what `sgp` asks, in the engine's bytes: `info()`,
+    `betti()` and `presentation()` in O(1), `factorization_count(r,
+    cap)` in at most about 1500 steps for cap 10**6, `factorizations(r)`
+    in O(|F(r)| log |L(r)|), lexicographic as the engine lists them, and
     `ulf_runs()`, (ulf_size, listing) in O(1), where listing() gives the
     ranges S^0, ..., S^a in O(a), built by C-level iterators over the
     arithmetic progressions of their bounds, one pair on each of the
-    three pieces ell < a // 2, ell = a // 2 and ell > a // 2: 0.047 ms at
-    a = 300, where the max and min of two progressions per bound took
-    0.136 ms and a + 1 calls of `s_ell` 0.195 ms (best of 9, 2 cores,
-    Python 3.11.7).  It has no `apery_runs`: the engine answers it, with
-    a note.
+    three pieces ell < a // 2, ell = a // 2 and ell > a // 2 (0.047 ms
+    at a = 300, best of 9, 2 cores, Python 3.11.7).  It has no
+    `apery_runs`: the engine answers it, with a note.
     """
 
     __slots__ = ("a",)
@@ -153,7 +148,7 @@ class TripleSemigroup:
         return factorizations_triple(self.a, r)
 
     def ulf_runs(self):
-        return self.ulf_size, lambda: list(_s_ells(self.a, 0, self.a + 1))
+        return self.ulf_size, lambda: list(_s_ells(self.a))
 
 
 class SeedDescriptor(namedtuple("SeedDescriptor",
@@ -193,33 +188,26 @@ def _lengths(a, r):
     return range(-(-r // (a + 2)), r // a + 1)
 
 
-def _s_ells(a, lo, hi):
-    # S^ell for each ell in [lo, hi) as a range, from C-level iterators.
-    # The bounds of the interval of the module docstring, max(a*ell,
-    # (a+2)*ell - a - 1) and min(a*ell + a, (a+2)*ell + 1), are a*ell and
-    # (a+2)*ell + 1 for ell < h = a // 2, a*ell and a*ell + a at ell = h,
-    # and (a+2)*ell - a - 1 and a*ell + a for ell > h: on each piece, two
-    # arithmetic progressions in ell.
+def _s_ells(a):
+    # S^0, ..., S^a as ranges, from C-level iterators.  The bounds of
+    # `s_ell` are a*ell and (a+2)*ell + 1 for ell < h = a // 2, a*ell and
+    # a*ell + a at ell = h, and (a+2)*ell - a - 1 and a*ell + a for ell >
+    # h: on each piece, two arithmetic progressions in ell.
     b, h = a + 2, a // 2
 
-    def piece(p, q, start, step, stop, stride):  # ell in [p, q), cut
-        p, q = max(p, lo), min(q, hi)
+    def piece(p, q, start, step, stop, stride):  # ell in [p, q)
         return map(range, range(start + step * p, start + step * q, step),
                    range(stop + stride * p, stop + stride * q, stride))
 
     return chain(piece(0, h, 0, a, 1, b), piece(h, h + 1, 0, a, a, a),
-                 piece(h + 1, hi, -a - 1, b, a, a))
+                 piece(h + 1, a + 1, -a - 1, b, a, a))
 
 
 def _ulf(a):
     # (r, phi_r) over the unique-length members, ascending: S^0, ..., S^a
-    for ell, run in enumerate(_s_ells(a, 0, a + 1)):
+    for ell, run in enumerate(_s_ells(a)):
         for r in run:
             yield r, _phi(a, r, ell)
-
-
-def _not_member(a, r):
-    return NotMemberError("%d is not in <%d, %d, %d>" % (r, a, a + 1, a + 2))
 
 
 def seed(a, r) -> SeedDescriptor:
@@ -271,7 +259,7 @@ def ulf_membership_triple(a, r) -> bool:
 
 def _omega_orbit(phi, out):
     # appends phi + j*omega for 0 <= j <= min(phi_1, phi_3) to the list
-    # out, ordered by j, and returns out
+    # out, ordered by j (so x falls), and returns out
     p1, p2, p3 = phi
     out.append(Factorization(phi))
     while p1 > 0 and p3 > 0:
@@ -283,12 +271,12 @@ def _omega_orbit(phi, out):
 
 
 def factorizations_triple(a, r):
-    """F(r, S) by closed form: one omega-orbit per length in L(r).
-
-    A unique-length member's single orbit is ordered by j; with two or
-    more lengths the orbits go into one list, sorted in place into
+    """F(r, S) by closed form: one omega-orbit per length in L(r), in
     lexicographic order, the order of `core_semigroup.factorizations`.
-    Each orbit falls in x, so it is one run for the sort: O(|F(r)| log
+
+    Each orbit falls in x.  A unique-length member's single orbit is
+    reversed in place; with two or more lengths the orbits go into one
+    list, sorted in place, each orbit one run for the sort: O(|F(r)| log
     |L(r)|) time and O(|F(r)|) memory.
     """
     if index(a) < 3:
@@ -296,9 +284,11 @@ def factorizations_triple(a, r):
     r = index(r)
     low, top = -(-r // (a + 2)), r // a
     if low == top:
-        return _omega_orbit(_phi(a, r, top), [])
+        out = _omega_orbit(_phi(a, r, top), [])
+        out.reverse()
+        return out
     if low > top:
-        raise _not_member(a, r)
+        raise not_member(r, (a, a + 1, a + 2))
     out = []
     for ell in range(low, top + 1):
         _omega_orbit(_phi(a, r, ell), out)
@@ -313,7 +303,7 @@ def _phi_below_threshold(a, r):
     ell, e = divmod(r, a)
     # e > 2 * ell for every negative r, since then ell < 0 <= e
     if e > 2 * ell:
-        raise _not_member(a, r)
+        raise not_member(r, (a, a + 1, a + 2))
     threshold = (a + 3) // 2 * a  # L_a, inline `_threshold(a)`
     if r >= threshold:
         raise ValueError(
@@ -335,7 +325,7 @@ def length_triple(a, r) -> int:
         raise _small_a(a)
     lengths = _lengths(a, index(r))
     if not lengths:
-        raise _not_member(a, r)
+        raise not_member(r, (a, a + 1, a + 2))
     if lengths.stop - lengths.start > 1:
         raise ValueError(
             "%d has factorizations of two different lengths" % r)
@@ -375,7 +365,8 @@ def s_ell(a, ell):
         raise _small_a(a)
     if index(ell) < 0:
         raise ValueError("ell must be non-negative")
-    return next(_s_ells(a, ell, ell + 1))
+    return range(max(a * ell, (a + 2) * ell - a - 1),
+                 min(a * ell + a, (a + 2) * ell + 1))
 
 
 def s_d_i(a, d, i):

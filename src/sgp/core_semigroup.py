@@ -35,6 +35,7 @@ from .records import (  # re-exported: the engine returns and raises them
     Factorization,
     NotMemberError,
     Presentation,
+    not_member,
 )
 
 # The window: the member int M, Ap(S, X) and the Betti search are read
@@ -126,7 +127,7 @@ class Semigroup:
 
     def factorization_count(self, r, cap):
         if r not in self:
-            raise NotMemberError("%d is not in %r" % (r, self))
+            raise not_member(r, self.minimal_generators)
         return _factorization_count(self, r, cap)
 
     def factorizations(self, r):
@@ -473,7 +474,7 @@ def _apery_sized(S: Semigroup, xs):
         raise ValueError("the Apery set of 0 is not defined")
     for x in xs:
         if x not in S:
-            raise NotMemberError("%d is not in %r" % (x, S))
+            raise not_member(x, S.minimal_generators)
     top = S.frobenius + min(xs)
     # Past the window top / n1 has no bound, and a top-bit int could
     # outgrow the Apery table (F / n1 is 5403 on <99991, 100003, 166651>).

@@ -13,7 +13,7 @@ module.  It is slow on purpose; use it on small semigroups only.
 
 from collections import namedtuple
 
-from .records import BettiClassification, Factorization, NotMemberError
+from .records import BettiClassification, Factorization, not_member
 
 
 # edges: (i, j) index pairs into vertices, i < j
@@ -67,7 +67,7 @@ def member(S, r) -> bool:
 def _factorizations_of_member(S, r):
     facs = factorizations(S, r) if r >= 0 else []
     if not facs:
-        raise NotMemberError("%d is not in %r" % (r, S))
+        raise not_member(r, S.minimal_generators)
     return facs
 
 
@@ -136,7 +136,7 @@ def apery_multi(S, xs):
     """
     for x in xs:
         if not member(S, x):
-            raise NotMemberError("%d is not in %r" % (x, S))
+            raise not_member(x, S.minimal_generators)
     return [s for s in range(frobenius(S) + min(xs) + 1)
             if member(S, s) and not any(member(S, s - x) for x in xs)]
 

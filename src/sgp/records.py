@@ -13,6 +13,12 @@ class NotMemberError(ValueError):
     """An operation was asked about an integer outside the semigroup."""
 
 
+def not_member(r, gens):
+    """The NotMemberError for r outside <gens> that every answerer raises."""
+    return NotMemberError("%d is not in Semigroup(%s)"
+                          % (r, ", ".join(map(str, gens))))
+
+
 class Factorization(tuple):
     """Exponent vector over the minimal generators of a semigroup.
 
