@@ -21,8 +21,8 @@ record where it has the name, else the generic engine's `Semigroup`
 stderr where there is a record; --fast demands the record (usage error
 outside its domain) and --oracle skips it.  JSON output and CSV `info`
 name the path in a "method" field, "closed-form" or "enumeration" (the
-engine); where the record answers, --oracle changes only that word and
-the lower bound an oversized `factorize` names.  `info` gives the
+engine); where both answer, --oracle changes only that word and the
+lower bound an oversized `factorize` names.  `info` gives the
 two-length threshold, the least unbalanced Betti element; only N, which
 has none, leaves it out.  `ulf` lists Ap(S, UBetti(S)), finite but on N,
 whose unique-length set is all of N: a usage error there.
