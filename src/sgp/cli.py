@@ -45,11 +45,11 @@ raised, and picks the exit code.  If stdout takes no more, `_write`,
 which also writes the help, prints one `error:` line on stderr, points
 stdout's descriptor at os.devnull so that the flush at interpreter exit
 writes nothing, and exits 4; a stderr that has gone too is pointed at
-os.devnull as well.  No command loads `json`: each JSON answer is one
-`%` of a fixed template of its command, keys in sorted order (`_emit`
-for info, betti and presentation, `_emit_listing` for ulf and apery,
-`_vectors` for the vectors of factorize and presentation, and `render`
-for table).
+os.devnull as well.  No command loads `json`: each answer of fixed
+shape is one `%` of a template of its command and format, JSON keys in
+sorted order; `_emit_listing` writes the listings of ulf and apery,
+`_vectors` the vectors of factorize and presentation, and `render` the
+table.
 """
 
 import os
@@ -295,24 +295,6 @@ def _resolve(ns, name, engine=True):
     return sgp.core_semigroup.Semigroup(gens), ENUMERATION
 
 
-def _emit(ns, text, doc, csv):
-    """The text of one answer, in the format ns.fmt.
-
-    text and csv are thunks giving the lines of those formats, and doc one
-    giving the JSON text; only the one for ns.fmt runs.  doc fills one
-    fixed template of its command, whose keys are in sorted order, with
-    the method name, ints and lists, nested or not, of ints, and the
-    `_vectors` text of tuples of them: str of an int or of such a list is
-    its JSON, ", " included, and so is str of such a tuple with its
-    brackets changed, so the text is that of json.dumps(answer,
-    sort_keys=True) and a newline.
-    """
-    if ns.fmt == "json":
-        return doc()
-    lines = (text if ns.fmt == "text" else csv)()
-    return "".join([line + "\n" for line in lines])
-
-
 # "000" to "999", the last three digits of 1000h + k, built from the
 # two-digit strings, each digit put before all of them
 _TRIPS = [e + f for e in "0123456789" for f in "0123456789"]
@@ -407,59 +389,58 @@ def _check_listed(command, n, what="members"):
                          % (command, n, what, MAX_LISTED))
 
 
-# The JSON answers of info, factorize, betti and presentation, keys in
-# sorted order; info's ulf_bound, absent on N, comes in with its key
+# The answers of fixed shape, one `%` of a template per format, JSON keys
+# and CSV info rows in sorted order.  A template is filled with the method
+# name, ints, lists, nested or not, of ints, and the `_vectors` text of
+# tuples of them: str of an int or of such a list is its JSON, ", "
+# included, and so is str of such a tuple with its brackets changed, so
+# the JSON text is that of json.dumps(answer, sort_keys=True) and a
+# newline.  info's ulf_bound, absent on N, comes in through a %s with its
+# key, row or line.  An answer of one line per item, betti's CSV and
+# presentation's text and CSV, joins one row template per item.
 _INFO_JSON = ('{"balanced": %s, "betti": %s, "frobenius": %d, "generators": '
               '%s, "method": "%s", "minimal_generators": %s%s, "ulf_size": '
               '%s, "unbalanced": %s}\n')
+_INFO_CSV = ("balanced,%s\nbetti,%s\nfrobenius,%d\ngenerators,%s\nmethod,%s\n"
+             "minimal_generators,%s\n%sulf_size,%s\nunbalanced,%s\n")
+_INFO_TEXT = ("minimal generators: %s\nfrobenius: %d\n%sbetti: %s (balanced "
+              "%s, unbalanced %s)\nunique-length members: %s\n")
 _FACTORIZE_JSON = '{"factorizations": %s, "method": "%s", "r": %d}\n'
 _BETTI_JSON = ('{"balanced": %s, "betti": %s, "method": "%s", "unbalanced": '
                '%s}\n')
+_BETTI_TEXT = "betti: %s\nbalanced: %s\nunbalanced: %s\n"
 _PRESENTATION_JSON = '{"method": "%s", "relations": %s}\n'
+
+
+def _cell(value):
+    """The CSV cell of value, quoted, as csv.writer quotes it, when its
+    str holds a comma, as that of a list of two or more ints does."""
+    text = str(value)
+    return '"%s"' % text if "," in text else text
 
 
 def cmd_info(ns) -> str:
     S, method = _resolve(ns, "info")
     mingens, frob, cls, ulf_size = S.info()
+    gens, mingens = list(S.generators), list(mingens)
+    betti, balanced, unbalanced = map(list, cls)
     # the least unbalanced Betti element: every member below it has one
     # factorization length, and it has two; None on N
-    threshold = min(cls.unbalanced, default=None)
-
-    def obj():  # the fields, as CSV rows; ulf_size is empty on N
-        o = {"method": method,
-             "generators": list(S.generators),
-             "minimal_generators": list(mingens),
-             "frobenius": frob,
-             "betti": list(cls.betti),
-             "balanced": list(cls.balanced),
-             "unbalanced": list(cls.unbalanced),
-             "ulf_size": "" if ulf_size is None else ulf_size}
-        if threshold is not None:
-            o["ulf_bound"] = threshold
-        return o
-
-    def doc():  # the same fields; ulf_size is null on N
-        return (_INFO_JSON % (
-            list(cls.balanced), list(cls.betti), frob, list(S.generators),
-            method, list(mingens), "" if threshold is None else
-            ', "ulf_bound": %d' % threshold,
-            "null" if ulf_size is None else ulf_size,
-            list(cls.unbalanced)))
-
-    def text():
-        lines = ["minimal generators: %s" % (list(mingens),),
-                 "frobenius: %d" % frob]
-        if threshold is not None:
-            lines.append("two-length threshold: %d" % threshold)
-        return lines + [
-            "betti: %s (balanced %s, unbalanced %s)"
-            % (list(cls.betti), list(cls.balanced), list(cls.unbalanced)),
-            "unique-length members: %s"
-            % ("unbounded" if ulf_size is None else ulf_size)]
-
-    return _emit(ns, text, doc, lambda: [  # a list holds commas: quote it
-        "%s,%s" % (k, '"%s"' % v if "," in str(v) else v)
-        for k, v in sorted(obj().items())])
+    bound = min(unbalanced, default=None)
+    if ns.fmt == "text":
+        return _INFO_TEXT % (
+            mingens, frob, "" if bound is None else
+            "two-length threshold: %d\n" % bound, betti, balanced,
+            unbalanced, "unbounded" if ulf_size is None else ulf_size)
+    if ns.fmt == "csv":  # ulf_size is an empty cell on N
+        return _INFO_CSV % (
+            _cell(balanced), _cell(betti), frob, _cell(gens), method,
+            _cell(mingens), "" if bound is None else "ulf_bound,%d\n" % bound,
+            "" if ulf_size is None else ulf_size, _cell(unbalanced))
+    return _INFO_JSON % (  # ulf_size is null on N
+        balanced, betti, frob, gens, method, mingens, "" if bound is None
+        else ', "ulf_bound": %d' % bound,
+        "null" if ulf_size is None else ulf_size, unbalanced)
 
 
 def cmd_factorize(ns) -> str:
@@ -485,17 +466,13 @@ def cmd_apery(ns) -> str:
 
 def cmd_betti(ns) -> str:
     S, method = _resolve(ns, "betti")
-    cls = S.betti()
-    return _emit(ns,
-                 lambda: ["betti: %s" % (list(cls.betti),),
-                          "balanced: %s" % (list(cls.balanced),),
-                          "unbalanced: %s" % (list(cls.unbalanced),)],
-                 lambda: _BETTI_JSON % (list(cls.balanced),
-                                        list(cls.betti), method,
-                                        list(cls.unbalanced)),
-                 lambda: ["%d,%s" % (b, "balanced" if b in cls.balanced
-                                       else "unbalanced")
-                          for b in cls.betti])
+    betti, balanced, unbalanced = map(list, S.betti())
+    if ns.fmt == "json":
+        return _BETTI_JSON % (balanced, betti, method, unbalanced)
+    if ns.fmt == "text":
+        return _BETTI_TEXT % (betti, balanced, unbalanced)
+    return "".join(["%d,%s\n" % (b, "balanced" if b in balanced
+                                  else "unbalanced") for b in betti])
 
 
 def cmd_ulf(ns) -> str:
@@ -513,17 +490,15 @@ def cmd_table(ns) -> str:
 
 def cmd_presentation(ns) -> str:
     S, method = _resolve(ns, "presentation", engine=False)
-    pres = S.presentation()
-    return _emit(ns,
-                 lambda: ["%s  =  %s   (value %d)"
-                          % (" ".join(map(str, x)), " ".join(map(str, y)),
-                             x.value(S.generators))
-                          for x, y in pres.relations],
-                 lambda: _PRESENTATION_JSON % (method,
-                                               _vectors(str(pres.relations))),
-                 lambda: ["%s,%s" % (" ".join(map(str, x)),
-                                     " ".join(map(str, y)))
-                          for x, y in pres.relations])
+    relations = S.presentation().relations
+    if ns.fmt == "json":
+        return _PRESENTATION_JSON % (method, _vectors(str(relations)))
+    if ns.fmt == "text":
+        return "".join(["%s  =  %s   (value %d)\n"
+                        % (" ".join(map(str, x)), " ".join(map(str, y)),
+                           x.value(S.generators)) for x, y in relations])
+    return "".join(["%s,%s\n" % (" ".join(map(str, x)), " ".join(map(str, y)))
+                    for x, y in relations])
 
 
 COMMANDS = {"info": cmd_info, "factorize": cmd_factorize, "apery": cmd_apery,

@@ -631,7 +631,7 @@ def test_ulf_equals_singleton_length_scan(gens):
             sum(_apery_counts(S, unbalanced)) == len(expected), gens
 
 
-def test_ulf_infinite_needs_bound():
+def test_ulf_refuses_n_and_takes_one_argument():
     # the unique-length set of N is all of N, and ulf takes no window
     for gens in [(1,), (1, 2)]:
         with pytest.raises(ValueError, match="all of N"):
