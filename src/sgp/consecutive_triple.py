@@ -31,18 +31,22 @@ with no caching and no call into the generic engine, so the functions
 are freely usable from concurrent code.  Every public function
 validates a (and r) inline and then does only its arithmetic: the
 per-element ones compare floor(r/a) with ceil(r/(a+2)) for L(r), take
-phi_r from one divmod and L_a in O(1), list an omega-orbit in a loop,
-and `decompose_triple` builds its record with `tuple.__new__`.  Over the
-574 members below L_a at a = 45, whose orbits hold 4.5 vectors on
-average, a call costs about 0.2 us for `member_triple` and
-`ulf_membership_triple`, 0.8 us for `denumerant_triple`, 1.3 us for
-`decompose_triple` and 2.1 us for `factorizations_triple`, against
-0.09 us for the bare membership test in the same loop (2 cores, Python
-3.11.7).  So `verify` calls each of them for every r at little more
-than that arithmetic.  `seed` is the public view of phi_r.  The generic
-counterparts in core_semigroup are the reference implementation.  This
-module imports nothing from the engine: its records come from
-`records`, so its closed forms answer without loading `core_semigroup`.
+phi_r from one divmod in their own frame, with no helper call, and L_a
+in O(1), list an omega-orbit in a loop, and `decompose_triple` builds
+its record with `tuple.__new__`.  Over the 574 members below L_a at a =
+45, whose orbits hold 4.5 vectors on average, a call costs about 0.12
+us for `member_triple`, 0.14 us for `ulf_membership_triple`, 0.25 us
+for `denumerant_triple`, 0.56 us for `decompose_triple` and 1.4 us for
+`factorizations_triple`, against 0.08 us for the bare membership test
+in the same loop (best of 60, 2 cores, Python 3.11.7).  There a helper
+frame for phi_r cost about 0.1 us a call, and so did each call of the
+builtin `min` or `abs`, so `denumerant_triple` and `decompose_triple`
+compare phi_1 with phi_3 instead.  So `verify` calls each of them for
+every r at little more than that arithmetic.  `seed` is the public view
+of phi_r.  The generic counterparts in core_semigroup are the reference
+implementation.  This module imports nothing from the engine: its
+records come from `records`, so its closed forms answer without loading
+`core_semigroup`.
 """
 
 from collections import namedtuple
@@ -65,6 +69,13 @@ def _small_a(a):
     # unique factorizations, and a = 2 gives <2, 3>, where all lengths of
     # an element differ; the formulas here assume neither shape.
     return ValueError("need a >= 3, got %r" % (a,))
+
+
+def _past_threshold(r, a):
+    # raised by the forms defined only below the threshold L_a, after the
+    # non-member refusal
+    return ValueError("%d is not below the two-length threshold %d; use the "
+                      "generic engine there" % (r, _threshold(a)))
 
 
 def _m(a, mu):
@@ -282,9 +293,16 @@ def factorizations_triple(a, r):
     if index(a) < 3:
         raise _small_a(a)
     r = index(r)
-    low, top = -(-r // (a + 2)), r // a
-    if low == top:
-        out = _omega_orbit(_phi(a, r, top), [])
+    low = -(-r // (a + 2))
+    top, e = divmod(r, a)
+    if low == top:  # the orbit of phi_r, inline as in `_omega_orbit`
+        p1, p2, p3 = top - (e + 1) // 2, e % 2, e // 2
+        out = [Factorization((p1, p2, p3))]
+        while p1 > 0 and p3 > 0:
+            p1 -= 1
+            p2 += 2
+            p3 -= 1
+            out.append(Factorization((p1, p2, p3)))
         out.reverse()
         return out
     if low > top:
@@ -296,7 +314,8 @@ def factorizations_triple(a, r):
     return out
 
 
-def _phi_below_threshold(a, r):
+def denumerant_triple(a, r) -> int:
+    """kappa_r + 1, the factorization count below the threshold."""
     if index(a) < 3:
         raise _small_a(a)
     r = index(r)
@@ -304,18 +323,10 @@ def _phi_below_threshold(a, r):
     # e > 2 * ell for every negative r, since then ell < 0 <= e
     if e > 2 * ell:
         raise not_member(r, (a, a + 1, a + 2))
-    threshold = (a + 3) // 2 * a  # L_a, inline `_threshold(a)`
-    if r >= threshold:
-        raise ValueError(
-            "%d is not below the two-length threshold %d; use the generic "
-            "engine there" % (r, threshold))
-    return ell - (e + 1) // 2, e % 2, e // 2
-
-
-def denumerant_triple(a, r) -> int:
-    """kappa_r + 1, the factorization count below the threshold."""
-    p1, _, p3 = _phi_below_threshold(a, r)
-    return min(p1, p3) + 1
+    if r >= (a + 3) // 2 * a:  # L_a, inline `_threshold(a)`
+        raise _past_threshold(r, a)
+    p1, p3 = ell - (e + 1) // 2, e // 2
+    return (p1 if p1 < p3 else p3) + 1
 
 
 def length_triple(a, r) -> int:
@@ -338,10 +349,21 @@ def decompose_triple(a, r) -> TripleDecomposition:
     d is the denumerant of r and 2d - 2 + i its factorization length;
     only defined below the two-length threshold.
     """
-    p1, p2, p3 = _phi_below_threshold(a, r)
-    # tuple.__new__ skips the Python-level __new__ of the namedtuple
-    return tuple.__new__(TripleDecomposition,
-                         (min(p1, p3) + 1, p2 + abs(p1 - p3), p3 - p1))
+    if index(a) < 3:
+        raise _small_a(a)
+    r = index(r)
+    ell, e = divmod(r, a)
+    if e > 2 * ell:  # as in `denumerant_triple`
+        raise not_member(r, (a, a + 1, a + 2))
+    if r >= (a + 3) // 2 * a:
+        raise _past_threshold(r, a)
+    p1, p3 = ell - (e + 1) // 2, e // 2
+    c = p3 - p1
+    # tuple.__new__ skips the Python-level __new__ of the namedtuple;
+    # d = min(p1, p3) + 1 and i = phi_2 + |c|
+    if p1 < p3:
+        return tuple.__new__(TripleDecomposition, (p1 + 1, e % 2 + c, c))
+    return tuple.__new__(TripleDecomposition, (p3 + 1, e % 2 - c, c))
 
 
 def gamma(i):
@@ -451,5 +473,12 @@ def monomial_basis(a, r, superscript=False):
     superscript=True for Unicode exponents.  Only defined below the
     two-length threshold, where the orbit is the whole basis of r.
     """
+    if index(a) < 3:
+        raise _small_a(a)
+    r = index(r)
+    # every r >= L_a is a member, as F < L_a, so refusing it before a
+    # non-member keeps the refusal order of `denumerant_triple`
+    if r >= _threshold(a):
+        raise _past_threshold(r, a)
     return [_monomial(f, superscript)
-            for f in _omega_orbit(_phi_below_threshold(a, r), [])]
+            for f in reversed(factorizations_triple(a, r))]

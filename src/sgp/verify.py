@@ -9,8 +9,8 @@ imports this module only for `verify`, so no other command compiles it.
 
 The triple sweep is O(a^3) for large a, because it checks every listed
 vector; its cost is the closed forms' arithmetic and that check.  At
-a = 45 (1216 values of r, 2600 vectors) `_verify_triple` takes 3.0 ms,
-0.2 ms of it the engine's tables (median of five best-of-200 timings, 2
+a = 45 (1216 values of r, 2598 vectors) `_verify_triple` takes 3.3 ms,
+0.3 ms of it the engine's tables (median of five best-of-200 timings, 2
 cores, Python 3.11.7).
 """
 

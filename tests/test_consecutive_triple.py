@@ -119,8 +119,8 @@ def test_seed_value_identity():
 
 
 def test_fast_paths_agree_with_the_public_seed():
-    # the per-r closed forms read phi from a private helper; pin each to
-    # the public seed() and to the membership definition of ulf
+    # the per-r closed forms compute phi_r inline, each its own copy; pin
+    # each to the public seed() and to the membership definition of ulf
     for a in range(3, 61):
         ts = TripleSemigroup(a)
         unbalanced = ubetti_triple(a).unbalanced
@@ -146,7 +146,8 @@ def test_fast_paths_agree_with_the_public_seed():
         assert member_triple(a, threshold), a
         assert not ulf_membership_triple(a, threshold), a
         assert len(factorizations_triple(a, threshold)) == 2, a
-        for below_only in (denumerant_triple, decompose_triple):
+        for below_only in (denumerant_triple, decompose_triple,
+                           monomial_basis):
             with pytest.raises(ValueError) as exc:
                 below_only(a, threshold)
             assert type(exc.value) is ValueError
@@ -161,7 +162,7 @@ def test_fast_paths_agree_with_the_public_seed():
             assert not member_triple(a, r), (a, r)
             assert not ulf_membership_triple(a, r), (a, r)
             for call in (factorizations_triple, denumerant_triple,
-                         decompose_triple, length_triple):
+                         decompose_triple, length_triple, monomial_basis):
                 with pytest.raises(NotMemberError) as exc:
                     call(a, r)
                 assert str(exc.value) == (
