@@ -72,8 +72,7 @@ def _small_a(a):
 
 
 def _past_threshold(r, a):
-    # raised by the forms defined only below the threshold L_a, after the
-    # non-member refusal
+    # the refusal of the forms defined only below the threshold L_a
     return ValueError("%d is not below the two-length threshold %d; use the "
                       "generic engine there" % (r, _threshold(a)))
 
