@@ -28,25 +28,26 @@ smaller is the threshold L_a.
 
 Everything here is O(1) or O(a^2) arithmetic, or O(|F(r)|) to list F(r),
 with no caching and no call into the generic engine, so the functions
-are freely usable from concurrent code.  Every public function
-validates a (and r) inline and then does only its arithmetic: the
-per-element ones compare floor(r/a) with ceil(r/(a+2)) for L(r), take
-phi_r from one divmod in their own frame, with no helper call, and L_a
-in O(1), list an omega-orbit in a loop, and `decompose_triple` builds
-its record with `tuple.__new__`.  Over the 574 members below L_a at a =
-45, whose orbits hold 4.5 vectors on average, a call costs about 0.12
-us for `member_triple`, 0.14 us for `ulf_membership_triple`, 0.25 us
-for `denumerant_triple`, 0.56 us for `decompose_triple` and 1.4 us for
-`factorizations_triple`, against 0.08 us for the bare membership test
-in the same loop (best of 60, 2 cores, Python 3.11.7).  There a helper
-frame for phi_r cost about 0.1 us a call, and so did each call of the
-builtin `min` or `abs`, so `denumerant_triple` and `decompose_triple`
-compare phi_1 with phi_3 instead.  So `verify` calls each of them for
-every r at little more than that arithmetic.  `seed` is the public view
-of phi_r.  The generic counterparts in core_semigroup are the reference
-implementation.  This module imports nothing from the engine: its
-records come from `records`, so its closed forms answer without loading
-`core_semigroup`.
+are freely usable from concurrent code.  Every public function validates
+a (and r) inline and then does only its arithmetic: the per-element ones
+compare floor(r/a) with ceil(r/(a+2)) for L(r), take phi_r from one
+divmod in their own frame, with no helper call, and L_a in O(1);
+`factorizations_triple` and the triple's count walk L(r) in one loop,
+down from ell_r with e up by a at each step; and `decompose_triple`
+builds its record with `tuple.__new__`.  Over the 574 members below L_a
+at a = 45, whose orbits hold 4.5 vectors on average, a call costs about
+0.10 us for `member_triple`, 0.11 us for `ulf_membership_triple`, 0.20
+us for `denumerant_triple`, 0.29 us for the count, 0.44 us for
+`decompose_triple` and 1.1 us for `factorizations_triple`, against 0.065
+us for the bare membership test in the same loop (best of 15, five runs,
+2 cores, Python 3.11.7).  A helper frame for phi_r cost about 0.1 us a
+call, and so did each call of the builtin `min` or `abs`, so the count,
+`denumerant_triple` and `decompose_triple` compare phi_1 with phi_3
+instead.  So `verify` calls each per-element form for every r at little
+more than that arithmetic.  `seed` is the public view of phi_r.  The
+generic counterparts in core_semigroup are the reference implementation.
+This module imports nothing from the engine: its records come from
+`records`, so its closed forms answer without loading `core_semigroup`.
 """
 
 from collections import namedtuple
@@ -105,14 +106,17 @@ class TripleSemigroup:
     table, each an O(1) property, so a build only checks a.
     It answers what `sgp` asks, in the engine's bytes: `info()`,
     `betti()` and `presentation()` in O(1), `factorization_count(r,
-    cap)` in at most about 1500 steps for cap 10**6, `factorizations(r)`
-    in O(|F(r)| log |L(r)|), lexicographic as the engine lists them, and
-    `ulf_runs()`, (ulf_size, listing) in O(1), where listing() gives the
-    ranges S^0, ..., S^a in O(a), built by C-level iterators over the
-    arithmetic progressions of their bounds, one pair on each of the
-    three pieces ell < a // 2, ell = a // 2 and ell > a // 2 (0.047 ms
-    at a = 300, best of 9, 2 cores, Python 3.11.7).  It has no
-    `apery_runs`: the engine answers it, with a note.
+    cap)` in at most about 1500 steps for cap 10**6, walking L(r) as
+    `factorizations_triple` does, `factorizations(r)` in O(|F(r)| log
+    |L(r)|), lexicographic as the engine lists them, and `ulf_runs()`,
+    (ulf_size, listing) in O(1), where listing() gives the ranges S^0,
+    ..., S^a in O(a), built by C-level iterators over the arithmetic
+    progressions of their bounds, one pair on each of the three pieces
+    ell < a // 2, ell = a // 2 and ell > a // 2.  The count takes 0.3 us
+    on a one-length member at a = 45, 0.7-1.2 us with two or more
+    lengths (r up to 3a^2, a = 10 and 30), and the listing 0.044-0.058
+    ms at a = 300 (2 cores, Python 3.11.7).  It has no `apery_runs`: the
+    engine answers it, with a note.
     """
 
     __slots__ = ("a",)
@@ -146,12 +150,16 @@ class TripleSemigroup:
     def factorization_count(self, r, cap):
         # (n, exact): n = |F(r)|, or a lower bound above cap if not exact;
         # orbits of min(phi_1, phi_3) + 1, longest first, growing by ~a/2
-        a, n = self.a, 0
-        for ell in reversed(_lengths(a, r)):
+        a, n, r = self.a, 0, index(r)
+        low = -(-r // (a + 2))
+        ell, e = divmod(r, a)
+        while ell >= low:
             if n > cap:
                 return n, False
-            p1, _, p3 = _phi(a, r, ell)
-            n += min(p1, p3) + 1
+            p1, p3 = ell - (e + 1) // 2, e // 2
+            n += (p1 if p1 < p3 else p3) + 1
+            ell -= 1
+            e += a
         return n, True
 
     def factorizations(self, r):
@@ -190,12 +198,6 @@ def _phi(a, r, ell=None):
     # for a valid a and an int r >= 0
     ell, e = divmod(r, a) if ell is None else (ell, r - a * ell)
     return ell - (e + 1) // 2, e % 2, e // 2
-
-
-def _lengths(a, r):
-    # L(r) of the module docstring as a range, empty off S (r < 0 too);
-    # it can be longer than sys.maxsize, so callers never take its len()
-    return range(-(-r // (a + 2)), r // a + 1)
 
 
 def _s_ells(a):
@@ -267,49 +269,41 @@ def ulf_membership_triple(a, r) -> bool:
     return r // a == -(-r // (a + 2))
 
 
-def _omega_orbit(phi, out):
-    # appends phi + j*omega for 0 <= j <= min(phi_1, phi_3) to the list
-    # out, ordered by j (so x falls), and returns out
-    p1, p2, p3 = phi
-    out.append(Factorization(phi))
-    while p1 > 0 and p3 > 0:
-        p1 -= 1
-        p2 += 2
-        p3 -= 1
-        out.append(Factorization((p1, p2, p3)))
-    return out
-
-
 def factorizations_triple(a, r):
     """F(r, S) by closed form: one omega-orbit per length in L(r), in
     lexicographic order, the order of `core_semigroup.factorizations`.
 
-    Each orbit falls in x.  A unique-length member's single orbit is
-    reversed in place; with two or more lengths the orbits go into one
-    list, sorted in place, each orbit one run for the sort: O(|F(r)| log
-    |L(r)|) time and O(|F(r)|) memory.
+    One loop walks L(r) down from floor(r/a), each orbit falling in x.  A
+    unique-length member's single orbit is reversed in place; with two or
+    more lengths the orbits are sorted in place, each orbit one run for
+    the sort: O(|F(r)| log |L(r)|) time and O(|F(r)|) memory.  A call
+    takes 1.1 us below L_a at a = 45 (4.5 vectors on average), 14-15 us
+    with two or more lengths (r <= 3a^2, a = 10 and 30; 53 vectors).
     """
     if index(a) < 3:
         raise _small_a(a)
     r = index(r)
     low = -(-r // (a + 2))
     top, e = divmod(r, a)
-    if low == top:  # the orbit of phi_r, inline as in `_omega_orbit`
-        p1, p2, p3 = top - (e + 1) // 2, e % 2, e // 2
-        out = [Factorization((p1, p2, p3))]
-        while p1 > 0 and p3 > 0:
-            p1 -= 1
-            p2 += 2
-            p3 -= 1
-            out.append(Factorization((p1, p2, p3)))
-        out.reverse()
-        return out
     if low > top:
         raise not_member(r, (a, a + 1, a + 2))
-    out = []
-    for ell in range(low, top + 1):
-        _omega_orbit(_phi(a, r, ell), out)
-    out.sort()
+    out, ell = [], top
+    while True:  # e = r - a*ell; x and z stay >= 0, as e <= 2*ell on L(r)
+        x, y, z = ell - (e + 1) // 2, e % 2, e // 2
+        out.append(Factorization((x, y, z)))
+        while x and z:
+            x -= 1
+            y += 2
+            z -= 1
+            out.append(Factorization((x, y, z)))
+        if ell == low:
+            break
+        ell -= 1
+        e += a
+    if low == top:
+        out.reverse()
+    else:
+        out.sort()
     return out
 
 
@@ -333,13 +327,14 @@ def length_triple(a, r) -> int:
     member, the one point of L(r); O(1)."""
     if index(a) < 3:
         raise _small_a(a)
-    lengths = _lengths(a, index(r))
-    if not lengths:
+    r = index(r)
+    low, top = -(-r // (a + 2)), r // a
+    if low > top:
         raise not_member(r, (a, a + 1, a + 2))
-    if lengths.stop - lengths.start > 1:
+    if low < top:
         raise ValueError(
             "%d has factorizations of two different lengths" % r)
-    return lengths.start
+    return top
 
 
 def decompose_triple(a, r) -> TripleDecomposition:

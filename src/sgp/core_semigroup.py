@@ -170,6 +170,7 @@ def factorizations(S: Semigroup, r: int):
     prod_{i<e-1} (r/n_i + 1) descent steps plus the output;
     `_factorization_count` counts the vectors without listing them.
     """
+    r = index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
     gens = S.minimal_generators
@@ -300,6 +301,7 @@ def length_sets_up_to(S: Semigroup, bound: int):
     The recurrence is checked against `oracle.length_set` in the test
     suite.
     """
+    bound = index(bound)
     masks = _length_masks(S, bound)
     lengths = list(range(max(bound, 0) // S.generators[0] + 1))
     memo = dict.fromkeys(masks)

@@ -603,9 +603,12 @@ def test_invalid_generators_above_max_n1_name_the_gcd(capsys):
 
 def test_oracle_factorize_leaves_membership_to_the_engine(capsys,
                                                            monkeypatch):
-    # with the closed length interval emptied, --oracle still answers from
-    # the engine alone
-    monkeypatch.setattr(ct, "_lengths", lambda a, r: range(0))
+    # with the triple record counting and listing nothing, --oracle still
+    # answers from the engine alone
+    monkeypatch.setattr(ct.TripleSemigroup, "factorization_count",
+                        lambda self, r, cap: (0, True))
+    monkeypatch.setattr(ct.TripleSemigroup, "factorizations",
+                        lambda self, r: [])
     assert run(capsys, "--oracle", "--a", "10", "factorize", "43") == \
         (0, "1 3 0\n2 1 1\n", "")
 
@@ -616,9 +619,11 @@ def test_oracle_factorize_is_sized_by_the_engine(capsys, monkeypatch):
     def closed(*args):
         raise AssertionError("closed form called with %r" % (args,))
 
-    # what the triple record's factorization_count and factorizations call
-    for name in ("_lengths", "_phi", "factorizations_triple"):
-        monkeypatch.setattr(ct, name, closed)
+    # the names `_resolve` dispatches to on the triple record, and the
+    # closed form behind its listing
+    for name in ("factorization_count", "factorizations"):
+        monkeypatch.setattr(ct.TripleSemigroup, name, closed)
+    monkeypatch.setattr(ct, "factorizations_triple", closed)
     err = refused_at_once(capsys, ["--oracle", "--a", "10", "factorize",
                                    str(10 ** 12)])
     assert "or more factorizations, more than %d" % cli.MAX_LISTED in err

@@ -25,7 +25,6 @@ from sgp.consecutive_triple import (
     ulf_membership_triple,
     ulf_triple,
 )
-from sgp.consecutive_triple import _lengths
 from sgp.core_semigroup import (
     Factorization,
     NotMemberError,
@@ -208,13 +207,15 @@ def test_factorizations_delegate_above_threshold():
 
 
 def test_factorizations_match_engine_in_order():
-    # past the threshold too: L(r) is the interval _lengths(a, r), the set
-    # bits of the engine's length mask, and F(r) is the engine's list
+    # past the threshold too: the paper's interval L(r) = [ceil(r/(a+2)),
+    # floor(r/a)] is the set bits of the engine's length mask, and F(r) is
+    # the engine's list.  Up to (a+1)(a+4), the least r whose orbits,
+    # walked down from floor(r/a), are not in reverse lexicographic order
     for a in range(3, 41):
         S = Semigroup((a, a + 1, a + 2))
-        masks = _length_masks(S, TripleSemigroup(a).ulf_bound + 6 * a)
+        masks = _length_masks(S, (a + 1) * (a + 4))
         for r, mask in enumerate(masks):
-            lengths = list(_lengths(a, r))
+            lengths = list(range(-(-r // (a + 2)), r // a + 1))
             assert lengths == [ell for ell in range(mask.bit_length())
                                if mask >> ell & 1], (a, r)
             if mask:
@@ -577,6 +578,7 @@ NON_INTEGERS = st.one_of(
        r=st.integers(min_value=0, max_value=300))
 def test_non_integers_raise_and_integers_still_answer(x, a, r):
     # a float is rejected even when integral: 10.0 used to slip through
+    S = Semigroup([a, a + 1, a + 2])
     for call in (lambda: member_triple(x, r), lambda: member_triple(a, x),
                  lambda: seed(x, r), lambda: seed(a, x),
                  lambda: ulf_membership_triple(x, r),
@@ -588,12 +590,15 @@ def test_non_integers_raise_and_integers_still_answer(x, a, r):
                  lambda: decompose_triple(x, r),
                  lambda: decompose_triple(a, x),
                  lambda: length_triple(x, r), lambda: length_triple(a, x),
+                 lambda: TripleSemigroup(a).factorization_count(x, 10),
+                 lambda: TripleSemigroup(a).factorizations(x),
+                 lambda: factorizations(S, x),
+                 lambda: length_sets_up_to(S, x),
                  lambda: Semigroup([x, a, a + 1]),
                  lambda: s_d_ulf(a, x), lambda: s_d_i(a, x, 0),
                  lambda: s_d_i(a, 1, x), lambda: gamma(x)):
         with pytest.raises(TypeError):
             call()
-    S = Semigroup([a, a + 1, a + 2])
     assert S.generators == (a, a + 1, a + 2)
     assert member_triple(a, r) == (r in S)
     sd = seed(a, r)

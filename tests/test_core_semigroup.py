@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import golden
 from sgp import core_semigroup, oracle
+from sgp.consecutive_triple import TripleSemigroup
 from sgp.core_semigroup import (
     BettiClassification,
     Factorization,
@@ -935,9 +936,18 @@ def test_length_masks_and_denumerants_match_enumeration(case):
 @given(SMALL_GENERATORS, st.data())
 @example([6, 9, 20], None)
 @example([4, 6, 9, 11], None)
+@example([9, 10, 11], None)
+@example([10, 11, 12], None)
 def test_factorization_count_is_capped_denumerant(gens, data):
+    # a consecutive triple's closed count is held to the same contract,
+    # up to a(a+2) at least, whose lengths are a, a+1 and a+2
     S = _small_semigroup(gens)
-    top = oracle.frobenius(S) + 3 * max(S.minimal_generators)
+    gens = S.minimal_generators
+    top = oracle.frobenius(S) + 3 * max(gens)
+    counters = [lambda r, cap: _factorization_count(S, r, cap)]
+    if len(gens) == 3 and gens[2] - gens[0] == 2:
+        top = max(top, gens[0] * gens[2])
+        counters.append(TripleSemigroup(gens[0]).factorization_count)
     counts = _denumerants(S, top)
     for r in range(top + 1):
         if data is None:
@@ -945,12 +955,13 @@ def test_factorization_count_is_capped_denumerant(gens, data):
         else:
             caps = (data.draw(st.integers(0, counts[r] + 2)),)
         for cap in caps:
-            got, exact = _factorization_count(S, r, cap)
-            if counts[r] <= cap:
-                assert (got, exact) == (counts[r], True), (r, cap)
-            else:
-                assert cap < got <= counts[r], (r, cap)
-                assert got == counts[r] or not exact, (r, cap)
+            for count in counters:
+                got, exact = count(r, cap)
+                if counts[r] <= cap:
+                    assert (got, exact) == (counts[r], True), (r, cap)
+                else:
+                    assert cap < got <= counts[r], (r, cap)
+                    assert got == counts[r] or not exact, (r, cap)
     for r in range(0, top + 1, 7):
         assert _factorization_count(S, r, 10 ** 9) == \
             (denumerant(S, r), True), r
